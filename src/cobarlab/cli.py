@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import random
 import sys
 import time
@@ -108,16 +107,6 @@ def _emit(args, report, lines):
             handle.write("\n")
 
 
-def _threads(args):
-    if args.threads is not None:
-        value = args.threads
-    else:
-        value = int(os.environ.get("COBARLAB_THREADS", "1"))
-    if value < 1:
-        raise CliError(2, "--threads must be >= 1")
-    return value
-
-
 def _maybe_flatten(obj, args):
     if isinstance(obj, GradedCoalgebra) and getattr(args, "flatten", False):
         return flatten(obj)
@@ -163,6 +152,15 @@ def cmd_validate(args):
     return 0 if rep["ok"] else 1
 
 
+def _require_valid(c, path):
+    """Refuse a finite or graded coalgebra that fails a required axiom."""
+    rep = validate(c) if isinstance(c, Coalgebra) else validate_graded(c)
+    if not rep.ok:
+        failed = [name for name in rep.REQUIRED if not rep.flags.get(name)]
+        reasons = ["%s (%s)" % (name, rep.notes[name]) if name in rep.notes else name for name in failed]
+        raise CliError(2, "%s failed validation: %s" % (path, "; ".join(reasons)))
+
+
 def _ext_algebra_side(obj, args):
     if isinstance(obj, Algebra):
         return bar_ext_table(obj, args.imax, args.jmax)
@@ -182,22 +180,23 @@ def cmd_ext(args):
     if isinstance(obj, Algebra) and args.side != "algebra":
         raise CliError(2, "algebra presentations support only --side algebra")
     obj = _maybe_flatten(obj, args)
-    threads = _threads(args)
+    if not isinstance(obj, Algebra):
+        _require_valid(obj, args.path)
     if args.side == "algebra":
         table = _ext_algebra_side(obj, args)
         result = {"side": "algebra", "table": table.to_json()}
         lines = _table_lines(table)
         code = 0
     elif args.side == "co":
-        table = ext_table(build_cobar(obj, args.imax, args.jmax), threads=threads)
+        table = ext_table(build_cobar(obj, args.imax, args.jmax))
         result = {"side": "co", "table": table.to_json()}
         lines = _table_lines(table)
         code = 0
     else:
         if isinstance(obj, GradedCoalgebra):
             raise CliError(2, "--side op needs a finite presentation; pass --flatten")
-        table = ext_table(build_cobar(obj, args.imax, args.jmax), threads=threads)
-        other = ext_table(build_cobar(opposite(obj), args.imax, args.jmax), threads=threads)
+        table = ext_table(build_cobar(obj, args.imax, args.jmax))
+        other = ext_table(build_cobar(opposite(obj), args.imax, args.jmax))
         symmetric = table == other
         result = {
             "side": "op",
@@ -234,6 +233,8 @@ def cmd_compare(args):
         raise CliError(2, "compare needs a finite presentation; pass --flatten")
     if not isinstance(obj, Coalgebra):
         raise CliError(2, "compare expects a coalgebra presentation")
+    if args.n < 0:
+        raise CliError(2, "--n must be >= 0")
     left = _comodule_argument(args.left, obj, inputs)
     right = _comodule_argument(args.right, obj, inputs)
     report = compare_theorem1(obj, left, right, args.n)
@@ -326,7 +327,6 @@ def build_parser():
     p.add_argument("--imax", type=int, required=True)
     p.add_argument("--jmax", type=int, default=None)
     p.add_argument("--side", choices=("co", "op", "algebra"), default="co")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--flatten", action="store_true", help="flatten a graded presentation first")
     p.add_argument("--out")
     p.set_defaults(func=cmd_ext)

@@ -1,30 +1,39 @@
 """Reduced cobar complexes and Ext tables of conilpotent coalgebras.
 
-For a finite coalgebra the complex is k -> C_+ -> C_+ (x) C_+ -> ... with
-differential the alternating sum of reduced-comultiplication insertions,
-slot t of an i-tensor carrying sign (-1)^(t+1); the cancellation of the
-(s <= t) against the (s > t) terms is the usual simplicial one, so d^2 = 0
-(asserted at build time).  H^i is Ext^i_C(k, k).
+For a finite coalgebra the complex is k -> C_+ -> C_+ (x) C_+ -> ..., or
+M -> C_+ (x) M -> ... with coefficients in a comodule M.  The differential is
+the alternating sum of reduced-comultiplication insertions, slot t of an
+i-tensor carrying sign (-1)^(t+1); with coefficients the reduced coaction is
+inserted in the last slot with sign (-1)^(i+2).  H^i is Ext^i_C(k, M).
 
-Graded coalgebras split the complex by internal degree: the (i, j) cell is
-the sum of C_{j_1} (x) ... (x) C_{j_i} over compositions of j into i positive
-parts, and the differential preserves j.  A finite coalgebra carrying degree
-metadata (anything built by ``flatten``) is split the same way behind the
-scenes, which keeps the elimination work per cell small; the published table
-is still indexed by i alone.
+Every complex is split into cells by the finest additive weight grading of
+its structure constants (Adams, "On the cobar construction", PNAS 1956): the
+rational solutions of w_t = w_i + w_j, one equation per nonzero term
+e_i (x) e_j of the reduced comultiplication of e_t, and w_m = w_c + w_m' per
+nonzero term c (x) m' of the reduced coaction of m.  Cell (i, W) is the
+lexicographically sorted list of i-tensors of total weight W.  The
+differential preserves W, so one sweep builds each cell differential by index
+arithmetic, checks d^2 = 0 on every cell pair and ranks it, keeping only the
+tensors and differentials that the next check needs.  A graded coalgebra is
+flattened with its internal degree as the first weight coordinate, which
+gives the (i, j) tables.  The zero grading has one cell per degree: the whole
+term, which the cohomology and product functions read through
+``diff(i, None)``.
 
-Tensor index convention: first factor most significant, matching
-Matrix.kron, so the index of a concatenation u (x) v is
-idx(u) * dim(v-part) + idx(v).
+A basis tensor is the tuple (a_1, ..., a_i, m) of positive-basis indices and
+a comodule index (0 without coefficients).  Lexicographic order on these
+tuples is the index order of Matrix.kron, first factor most significant, so
+the index of a concatenation u (x) v is idx(u) * dim(v-part) + idx(v).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from math import lcm
+from operator import add
 
-from cobarlab.coalg import Coalgebra, GradedCoalgebra
-from cobarlab.exactlin import Matrix, extend_to_basis
+from cobarlab.coalg import Coalgebra, GradedCoalgebra, flatten
+from cobarlab.exactlin import QQ, Matrix, extend_to_basis
 
 
 @dataclass(frozen=True)
@@ -66,233 +75,159 @@ class ExtTable:
         return out
 
 
-def _compositions(total, parts, dims):
-    """Compositions of ``total`` into ``parts`` positive parts with dims[part] > 0."""
-    top = len(dims) - 1
-    if parts == 0:
-        return [()] if total == 0 else []
-    out = []
+def _weights(comul, coaction):
+    """Integer weights of the finest grading the reduced structure respects.
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            if 1 <= remaining <= top and dims[remaining] > 0:
-                out.append(prefix + (remaining,))
-            return
-        lo = max(1, remaining - top * (slots - 1))
-        hi = min(top, remaining - (slots - 1))
-        for a in range(lo, hi + 1):
-            if dims[a] > 0:
-                rec(prefix + (a,), remaining - a, slots - 1)
-
-    rec((), total, parts)
-    return out
-
-
-class _GradedCells:
-    """Cell bookkeeping for the internal-degree splitting of a cobar complex."""
-
-    def __init__(self, graded):
-        self.graded = graded
-        self.dims = graded.dims
-        self._layouts = {}
-
-    def layout(self, i, j):
-        key = (i, j)
-        got = self._layouts.get(key)
-        if got is not None:
-            return got
-        if i == 0:
-            comps = [()] if j == 0 else []
-        else:
-            comps = _compositions(j, i, self.dims)
-        offsets = {}
-        total = 0
-        for comp in comps:
-            offsets[comp] = total
-            block = 1
-            for part in comp:
-                block *= self.dims[part]
-            total += block
-        got = (total, comps, offsets)
-        self._layouts[key] = got
-        return got
-
-    def dim(self, i, j):
-        return self.layout(i, j)[0]
-
-    def diff(self, i, j):
-        """Matrix of d: cell (i, j) -> cell (i+1, j)."""
-        f = self.graded.field
-        src_dim, src_comps, src_off = self.layout(i, j)
-        dst_dim, _, dst_off = self.layout(i + 1, j)
-        entries = {}
-        for comp in src_comps:
-            col0 = src_off[comp]
-            block_dims = [self.dims[part] for part in comp]
-            for t in range(len(comp)):
-                part = comp[t]
-                before = 1
-                for b in block_dims[:t]:
-                    before *= b
-                after = 1
-                for b in block_dims[t + 1 :]:
-                    after *= b
-                negate = t % 2 == 1  # 0-based slot t is 1-based slot t+1, sign (-1)^t
-                for p in range(1, part):
-                    q = part - p
-                    if self.dims[p] == 0 or self.dims[q] == 0:
-                        continue
-                    target = comp[:t] + (p, q) + comp[t + 1 :]
-                    row0 = dst_off.get(target)
-                    if row0 is None:
-                        continue
-                    comp_matrix = self.graded.component(part, p, q)
-                    local = Matrix.kron(
-                        Matrix.identity(f, before),
-                        Matrix.kron(comp_matrix, Matrix.identity(f, after)),
-                    )
-                    for (r, c), v in local.entries.items():
-                        key = (row0 + r, col0 + c)
-                        w = f.neg(v) if negate else v
-                        if key in entries:
-                            w = f.add(entries[key], w)
-                            if w == f.zero:
-                                del entries[key]
-                                continue
-                        entries[key] = w
-        return Matrix(f, dst_dim, src_dim, entries)
+    Returns one weight tuple per positive basis index and one per comodule
+    index: the coordinates are a rational basis of the solutions of the
+    weight equations, each scaled to integers.
+    """
+    d = len(comul)
+    eqs = [(t, i, j) for t, terms in enumerate(comul) for i, j, _ in terms]
+    eqs += [(d + m, c, d + m2) for m, terms in enumerate(coaction) for c, m2, _ in terms]
+    items = []
+    for row, (t, i, j) in enumerate(eqs):
+        items += [(row, t, 1), (row, i, -1), (row, j, -1)]
+    system = Matrix.from_entries(QQ, len(eqs), d + len(coaction), items)
+    coords = []
+    for vec in system.kernel_basis().vectors:
+        scale = lcm(*(x.denominator for x in vec))
+        coords.append([int(x * scale) for x in vec])
+    weights = [tuple(v[k] for v in coords) for k in range(d + len(coaction))]
+    return weights[:d], weights[d:]
 
 
-def _finite_to_graded(c):
-    """Regroup a finite coalgebra with respected degree metadata by degree."""
-    if not c.degrees_respected():
-        raise ValueError("degree metadata missing or not respected")
-    top = max(c.degrees)
-    by_degree = {}
-    for idx in range(c.dim):
-        by_degree.setdefault(c.degrees[idx], []).append(idx)
-    if by_degree.get(0) != [c.grouplike_index]:
-        raise ValueError("degree 0 must be spanned by the grouplike alone")
-    dims = [len(by_degree.get(j, [])) for j in range(top + 1)]
-    local = {}
-    for j, members in by_degree.items():
-        for k, idx in enumerate(members):
-            local[idx] = k
-    f = c.field
-    items = {}
-    for t in range(c.dim):
-        jt = c.degrees[t]
-        for i, j2, v in c.comul[t]:
-            p, q = c.degrees[i], c.degrees[j2]
-            items.setdefault((jt, p, q), []).append((local[i] * dims[q] + local[j2], local[t], v))
-    comps = {}
-    for j in range(top + 1):
-        for p in range(j + 1):
-            q = j - p
-            comps[(j, p, q)] = Matrix.from_entries(f, dims[p] * dims[q], dims[j], items.get((j, p, q), []))
-    return GradedCoalgebra(f, dims, comps)
+def _layers(grading, top, jmax=None):
+    """Layers 0..top, each a dict weight -> cell, dropping degrees above jmax.
+
+    Prepending each positive index to the cells of the previous layer,
+    index by index, keeps every cell lexicographically sorted.
+    """
+    wc, wm = grading
+    layer = {}
+    for m, w in enumerate(wm):
+        if jmax is None or w[0] <= jmax:
+            layer.setdefault(w, []).append((m,))
+    yield layer
+    for _ in range(top):
+        nxt = {}
+        for a, wa in enumerate(wc):
+            for w, cell in layer.items():
+                key = tuple(map(add, wa, w))
+                if jmax is None or key[0] <= jmax:
+                    nxt.setdefault(key, []).extend([(a,) + t for t in cell])
+        layer = nxt
+        yield layer
 
 
 class CobarComplex:
-    """A built cobar complex; holds cells, differentials and cached ranks.
+    """A reduced cobar complex through degree imax, split into weight cells.
 
-    kind "finite": cells keyed (i, None); term i is (C_+)^(x i), or
-    (C_+)^(x i) (x) M when built with coefficients.  kind "graded": cells
-    keyed (i, j).  kind "finite-split": a finite complex computed through
-    graded cells; tables collapse to the i index.
+    Tables read the dimensions and ranks of one sweep over the cells (see
+    the module docstring); ``jmax`` is set for graded inputs only.
     """
 
-    def __init__(self, base, kind, imax, jmax=None, with_coefficients=False):
+    def __init__(self, base, imax, jmax=None, coefficients=None):
+        c = flatten(base) if isinstance(base, GradedCoalgebra) else base
         self.base = base
-        self.kind = kind
         self.imax = imax
         self.jmax = jmax
-        self.with_coefficients = with_coefficients
-        self.field = base.field
-        self._diffs = {}
-        self._dims = {}
-        self._ranks = {}
-        self._graded_cells = None
-        self._max_internal_degree = None
-
-    # -- dimensions and differentials ---------------------------------------
-    def cell_keys(self, i):
-        if self.kind == "finite":
-            return [(i, None)]
-        if self.kind == "graded":
-            return [(i, j) for j in range(self.jmax + 1)]
-        top = self._max_internal_degree
-        return [(i, j) for j in range(i * top + 1)]
-
-    def cell_dim(self, i, j):
-        got = self._dims.get((i, j))
-        if got is None:
-            got = self._graded_cells.dim(i, j)
-            self._dims[(i, j)] = got
-        return got
-
-    def term_dim(self, i):
-        return sum(self.cell_dim(i, j) for (i, j) in self.cell_keys(i))
-
-    def diff(self, i, j):
-        key = (i, j)
-        got = self._diffs.get(key)
-        if got is None:
-            got = self._graded_cells.diff(i, j)
-            if self.kind != "finite-split":
-                self._diffs[key] = got
-        return got
-
-    def diff_rank(self, i, j):
-        if i < 0:
-            return 0
-        key = (i, j)
-        got = self._ranks.get(key)
-        if got is None:
-            got = self.diff(i, j).rank()
-            self._ranks[key] = got
-        return got
-
-    # -- tables ---------------------------------------------------------------
-    def ext_entry(self, i, j):
-        return self.cell_dim(i, j) - self.diff_rank(i, j) - self.diff_rank(i - 1, j)
-
-    def _split_column_work(self, j):
-        """Ranks for one internal degree of a split complex, freeing matrices."""
-        prev = None
-        for i in range(self.imax + 1):
-            if (i, j) in self._ranks:
-                prev = None
-                continue
-            d = self._graded_cells.diff(i, j)
-            if prev is not None and not (d @ prev).is_zero():
-                raise AssertionError("cobar differential does not square to zero at (%d,%d)" % (i, j))
-            self._ranks[(i, j)] = d.rank()
-            prev = d
-
-    def prepare(self, threads=1):
-        """Compute all ranks the table needs; split mode can fan out by degree."""
-        if self.kind == "finite-split":
-            degrees = [j for (_, j) in self.cell_keys(self.imax)]
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    list(pool.map(self._split_column_work, degrees))
-            else:
-                for j in degrees:
-                    self._split_column_work(j)
+        self.with_coefficients = coefficients is not None
+        self.field = c.field
+        self._comul = c.reduced_comul()
+        if coefficients is None:
+            self._coaction = [()]
         else:
-            for i in range(self.imax + 1):
-                for key in self.cell_keys(i):
-                    self.diff_rank(*key)
+            g = c.grouplike_index
+            pos = {i: k for k, i in enumerate(c.positive_indices())}
+            self._coaction = [tuple((pos[i], j, v) for i, j, v in row if i != g) for row in coefficients.coaction]
+        wc, wm = _weights(self._comul, self._coaction)
+        if jmax is not None:
+            wc = [(c.degrees[i],) + w for i, w in zip(c.positive_indices(), wc)]
+            wm = [(0,) + w for w in wm]
+        self._grading = (wc, wm)
+        self._dims = None
+        self._ranks = None
+
+    def _cell_diff(self, cell, rows):
+        """Matrix of d on one cell, one column per tensor of ``cell``.
+
+        ``rows`` maps target tensors to row indices; a target it lacks takes
+        the next free index, which is how the unlisted top layer is indexed.
+        """
+        f = self.field
+        comul = self._comul
+        coaction = self._coaction
+        entries = {}
+        for col, tensor in enumerate(cell):
+            last = len(tensor) - 1
+            for s, a in enumerate(tensor):
+                head = tensor[:s]
+                tail = tensor[s + 1 :]
+                for p, q, v in coaction[a] if s == last else comul[a]:
+                    key = (rows.setdefault(head + (p, q) + tail, len(rows)), col)
+                    if s % 2:
+                        v = f.neg(v)
+                    if key in entries:
+                        v = f.add(entries[key], v)
+                        if v == f.zero:
+                            del entries[key]
+                            continue
+                    entries[key] = v
+        return Matrix(f, len(rows), len(cell), entries)
+
+    def _sweep(self):
+        """Dimensions and ranks of every cell through imax, checking d^2 = 0."""
+        if self._ranks is not None:
+            return
+        dims = {}
+        ranks = {}
+        layers = _layers(self._grading, self.imax, self.jmax)
+        layer = next(layers)
+        prev = {}
+        for i in range(self.imax + 1):
+            nxt = next(layers, {})
+            cur = {}
+            for w, cell in layer.items():
+                d = self._cell_diff(cell, {t: r for r, t in enumerate(nxt.get(w, ()))})
+                before = prev.pop(w, None)
+                if before is not None and not (d @ before).is_zero():
+                    raise AssertionError("cobar differential does not square to zero at cell (%d,%r)" % (i - 1, w))
+                dims[(i, w)] = len(cell)
+                ranks[(i, w)] = d.rank()
+                if i < self.imax:
+                    cur[w] = d
+            prev = cur
+            layer = nxt
+        self._dims = dims
+        self._ranks = ranks
+
+    def cell_dim(self, i, j=None):
+        """Dimension of term i, or of its internal degree j for graded input."""
+        self._sweep()
+        return sum(n for (ii, w), n in self._dims.items() if ii == i and (j is None or w[0] == j))
+
+    def diff(self, i, j=None):
+        """Matrix of d: term i -> term i+1, both in tensor index order.
+
+        This is the one cell of the zero grading; for a graded input it is
+        the differential of the flattened coalgebra.  ``j`` must be None.
+        """
+        if j is not None:
+            raise ValueError("diff builds whole terms; internal degrees are split inside the sweep")
+        zero = ([()] * len(self._comul), [()] * len(self._coaction))
+        src = dst = None
+        for layer in _layers(zero, i + 1):
+            src, dst = dst, layer.get((), [])
+        return self._cell_diff(src, {t: r for r, t in enumerate(dst)})
 
 
 def build_cobar(c, imax, jmax=None):
     """Build the reduced cobar complex of a coalgebra through degree imax.
 
-    Finite input: jmax must be omitted; if the coalgebra carries respected
-    degree metadata the complex is split by internal degree internally.
-    Graded input: jmax defaults to the truncation degree and may not exceed
-    it (entries above the truncation would depend on absent components).
+    Finite input: jmax must be omitted.  Graded input: jmax defaults to the
+    truncation degree and may not exceed it (entries above the truncation
+    would depend on absent components).
     """
     if imax < 0:
         raise ValueError("imax must be >= 0")
@@ -302,68 +237,11 @@ def build_cobar(c, imax, jmax=None):
             jmax = top
         if jmax > top:
             raise ValueError("jmax %d exceeds truncation degree %d" % (jmax, top))
-        cx = CobarComplex(c, "graded", imax, jmax)
-        cx._graded_cells = _GradedCells(c)
-        _check_d_squared(cx)
-        return cx
-    if not isinstance(c, Coalgebra):
+    elif not isinstance(c, Coalgebra):
         raise TypeError("build_cobar expects a Coalgebra or GradedCoalgebra")
-    if jmax is not None:
+    elif jmax is not None:
         raise ValueError("jmax applies to graded coalgebras only")
-    if c.degrees is not None and c.degrees_respected() and c.dim > 1:
-        graded = _finite_to_graded(c)
-        cx = CobarComplex(c, "finite-split", imax)
-        cx._graded_cells = _GradedCells(graded)
-        cx._max_internal_degree = graded.top_degree
-        return cx
-    cx = CobarComplex(c, "finite", imax)
-    cx._graded_cells = _FiniteCells(c, None)
-    _check_d_squared(cx)
-    return cx
-
-
-def _check_d_squared(cx, size_bound=200000):
-    for i in range(cx.imax):
-        for (ii, j) in cx.cell_keys(i):
-            d0 = cx.diff(ii, j)
-            d1 = cx.diff(ii + 1, j)
-            if d1.nrows * d0.ncols <= size_bound and not (d1 @ d0).is_zero():
-                raise AssertionError("cobar differential does not square to zero at cell (%d,%r)" % (ii, j))
-
-
-class _FiniteCells:
-    """Terms (C_+)^(x i), optionally (x) M, with insertion-sum differentials."""
-
-    def __init__(self, c, coefficients):
-        self.c = c
-        self.field = c.field
-        self.reduced = c.reduced_comul_matrix()
-        self.d = c.dim - 1
-        if coefficients is None:
-            self.mdim = 1
-            self.nu = None
-        else:
-            from cobarlab.coalg import reduced_coaction_matrix
-
-            self.mdim = coefficients.dim
-            self.nu = reduced_coaction_matrix(coefficients)
-
-    def dim(self, i, j):
-        return self.d**i * self.mdim
-
-    def diff(self, i, j):
-        f = self.field
-        d = self.d
-        out = Matrix.zeros(f, self.dim(i + 1, None), self.dim(i, None))
-        for t in range(1, i + 1):
-            before = Matrix.identity(f, d ** (t - 1))
-            after = Matrix.identity(f, d ** (i - t) * self.mdim)
-            ins = Matrix.kron(before, Matrix.kron(self.reduced, after))
-            out = out + (ins if t % 2 == 1 else -ins)
-        if self.nu is not None:
-            last = Matrix.kron(Matrix.identity(f, d**i), self.nu)
-            out = out + (last if (i + 1) % 2 == 1 else -last)
-        return out
+    return CobarComplex(c, imax, jmax)
 
 
 def cobar_with_coefficients(c, m, imax):
@@ -377,36 +255,31 @@ def cobar_with_coefficients(c, m, imax):
         raise TypeError("coefficient complexes are built over finite coalgebras")
     if m.base != c:
         raise ValueError("comodule is not over the given coalgebra")
-    cx = CobarComplex(c, "finite", imax, with_coefficients=True)
-    cx._graded_cells = _FiniteCells(c, m)
-    _check_d_squared(cx)
-    return cx
+    return CobarComplex(c, imax, coefficients=m)
 
 
-def ext_table(cx, threads=1):
+def ext_table(cx):
     """Ext dimensions of a built cobar complex.
 
     Finite complexes give {i: dim Ext^i}; graded ones give {(i, j): dim}.
     """
-    cx.prepare(threads=threads)
-    if cx.kind == "graded":
-        entries = {}
-        for i in range(cx.imax + 1):
-            for j in range(cx.jmax + 1):
-                entries[(i, j)] = cx.ext_entry(i, j)
-        top = cx.base.top_degree
-        note = "entries computed from components of degree <= %d; any truncation >= %d agrees on this window" % (
-            top,
-            cx.jmax,
-        )
-        return ExtTable("graded", entries, cx.imax, cx.jmax, note)
-    entries = {}
-    for i in range(cx.imax + 1):
-        entries[i] = sum(cx.ext_entry(*key) for key in cx.cell_keys(i))
-    note = None
-    if cx.kind == "finite-split":
-        note = "computed through internal-degree cells of the flattened grading"
-    return ExtTable("finite", entries, cx.imax, None, note)
+    cx._sweep()
+    graded = cx.jmax is not None
+    if graded:
+        entries = {(i, j): 0 for i in range(cx.imax + 1) for j in range(cx.jmax + 1)}
+    else:
+        entries = dict.fromkeys(range(cx.imax + 1), 0)
+    for (i, w), n in cx._dims.items():
+        key = (i, w[0]) if graded else i
+        entries[key] += n - cx._ranks[(i, w)] - cx._ranks.get((i - 1, w), 0)
+    if not graded:
+        return ExtTable("finite", entries, cx.imax)
+    top = cx.base.top_degree
+    note = "entries computed from components of degree <= %d; any truncation >= %d agrees on this window" % (
+        top,
+        cx.jmax,
+    )
+    return ExtTable("graded", entries, cx.imax, cx.jmax, note)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +294,10 @@ class CobarClass:
 
 
 def _require_plain_finite(cx):
-    if cx.kind != "finite" or cx.with_coefficients:
+    """Refuse graded and coefficient complexes; run the d^2 = 0 sweep."""
+    if cx.jmax is not None or cx.with_coefficients:
         raise ValueError("cohomology classes are implemented for plain finite cobar complexes")
+    cx._sweep()
 
 
 def cohomology_basis(cx, i):

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from cobarlab.coalg import Coalgebra, Comodule, GradedCoalgebra, validate
-from cobarlab.cobar import ExtTable, _compositions
+from cobarlab.cobar import ExtTable
 from cobarlab.exactlin import Matrix, SubspaceBasis, extend_to_basis, quotient_maps
 
 
@@ -342,6 +342,28 @@ def _solve_columns(m, rhs):
             return None
         cols.append(list(sol))
     return Matrix.from_columns(m.field, cols, m.ncols)
+
+
+def _compositions(total, parts, dims):
+    """Compositions of ``total`` into ``parts`` positive parts with dims[part] > 0."""
+    top = len(dims) - 1
+    if parts == 0:
+        return [()] if total == 0 else []
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            if 1 <= remaining <= top and dims[remaining] > 0:
+                out.append(prefix + (remaining,))
+            return
+        lo = max(1, remaining - top * (slots - 1))
+        hi = min(top, remaining - (slots - 1))
+        for a in range(lo, hi + 1):
+            if dims[a] > 0:
+                rec(prefix + (a,), remaining - a, slots - 1)
+
+    rec((), total, parts)
+    return out
 
 
 class _GradedBar:

@@ -98,9 +98,6 @@ class Field:
             return self.from_int(int(v))
         raise ValueError("cannot coerce scalar %r" % (v,))
 
-    def parse(self, token):
-        return self.coerce(token)
-
     def format(self, x):
         """JSON-friendly form: int when possible, else "a/b"."""
         if self.kind == "rationals":
@@ -321,11 +318,6 @@ class Matrix:
         for (i, j), v in self.entries.items():
             cols[j][i] = v
         return [tuple(c) for c in cols]
-
-    def select_columns(self, cols):
-        pos = {c: k for k, c in enumerate(cols)}
-        entries = {(i, pos[j]): v for (i, j), v in self.entries.items() if j in pos}
-        return Matrix(self.field, self.nrows, len(cols), entries)
 
     @staticmethod
     def hstack(blocks):

@@ -1,7 +1,7 @@
 """Small coalgebras shared across test modules."""
 
-from cobarlab.coalg import Coalgebra
-from cobarlab.exactlin import QQ
+from cobarlab.coalg import Coalgebra, reduced_coaction_matrix
+from cobarlab.exactlin import QQ, Matrix
 
 
 def dual_numbers_dual(field=QQ):
@@ -29,3 +29,36 @@ def divided_line(field=QQ):
 def strip_degrees(c):
     """Same coalgebra without degree metadata."""
     return Coalgebra(c.field, c.dim, c.grouplike_index, c.counit, c.comul, degrees=None)
+
+
+def non_coassociative():
+    """Dim 4: g, x1, x2, x3 with reduced comultiplication x2 -> x1 (x) x1, x3 -> x1 (x) x2.
+
+    Counital and coaugmented but not coassociative: on x3 the two iterated
+    reduced comultiplications give 0 and x1 (x) x1 (x) x1.
+    """
+    one = QQ.one
+    comul = [((0, 0, one),)]
+    for t, extra in ((1, ()), (2, ((1, 1, one),)), (3, ((1, 2, one),))):
+        comul.append(((0, t, one), (t, 0, one)) + extra)
+    return Coalgebra(QQ, 4, 0, (one, QQ.zero, QQ.zero, QQ.zero), comul)
+
+
+def kron_cobar_diff(c, i, m=None):
+    """Reference d: term i -> term i+1 of the reduced cobar complex, by Kronecker products.
+
+    The sum over slots t = 1..i of (-1)^(t+1) I (x) reduced comul (x) I on
+    (C_+)^(x i) (x) M, plus (-1)^i I (x) reduced coaction when M is given.
+    """
+    f = c.field
+    d = c.dim - 1
+    mdim = 1 if m is None else m.dim
+    reduced = c.reduced_comul_matrix()
+    out = Matrix.zeros(f, d ** (i + 1) * mdim, d**i * mdim)
+    for t in range(1, i + 1):
+        ins = Matrix.kron(Matrix.identity(f, d ** (t - 1)), Matrix.kron(reduced, Matrix.identity(f, d ** (i - t) * mdim)))
+        out = out + (ins if t % 2 == 1 else -ins)
+    if m is not None:
+        last = Matrix.kron(Matrix.identity(f, d**i), reduced_coaction_matrix(m))
+        out = out + (last if i % 2 == 0 else -last)
+    return out

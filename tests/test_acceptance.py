@@ -51,7 +51,6 @@ from cobarlab.resolve import betti_dims, minimal_coresolution
 from cobarlab.witness import contra_report, nonrational_report
 from helpers_coalgebras import divided_line, strip_degrees
 
-THREADS = 4
 IMAX = 4
 
 
@@ -90,14 +89,14 @@ def graded_tables(corpus):
     out = {}
     for name, g in corpus.items():
         jm = min(g.top_degree, 6)
-        out[name] = ext_table(build_cobar(g, IMAX, jm), threads=THREADS)
+        out[name] = ext_table(build_cobar(g, IMAX, jm))
     return out
 
 
 @pytest.fixture(scope="module")
 def finite_tables(corpus_finite):
     return {
-        name: ext_table(build_cobar(c, IMAX), threads=THREADS)
+        name: ext_table(build_cobar(c, IMAX))
         for name, c in corpus_finite.items()
     }
 
@@ -106,10 +105,10 @@ def test_criterion_01_left_right_symmetry(corpus, corpus_finite, graded_tables, 
     ok = True
     for name, g in corpus.items():
         jm = min(g.top_degree, 6)
-        other = ext_table(build_cobar(opposite(g), IMAX, jm), threads=THREADS)
+        other = ext_table(build_cobar(opposite(g), IMAX, jm))
         ok = ok and graded_tables[name] == other
     for name, c in corpus_finite.items():
-        other = ext_table(build_cobar(opposite(c), IMAX), threads=THREADS)
+        other = ext_table(build_cobar(opposite(c), IMAX))
         ok = ok and finite_tables[name] == other
     _verdict(1, "left-right symmetry", ok)
 

@@ -94,14 +94,12 @@ def test_ext_jmax_errors(capsys):
     assert main(["ext", "bundled:c2.json", "--imax", "3", "--jmax", "2"]) == 2
 
 
-def test_ext_threads_agree(tmp_path, monkeypatch):
-    one = tmp_path / "one.json"
-    three = tmp_path / "three.json"
-    args = ["ext", "bundled:sym2_d4.json", "--flatten", "--imax", "2"]
-    assert main(args + ["--out", str(one)]) == 0
-    monkeypatch.setenv("COBARLAB_THREADS", "3")
-    assert main(args + ["--out", str(three)]) == 0
-    assert _load_out(one)["result"] == _load_out(three)["result"]
+def test_ext_rejects_invalid_coalgebra_on_every_side(capsys):
+    for side in ("co", "op", "algebra"):
+        assert main(["ext", "bundled:broken_counit.json", "--imax", "2", "--side", side]) == 2
+        captured = capsys.readouterr()
+        assert "counital" in captured.err
+        assert captured.out == ""
 
 
 def test_reports_deterministic_modulo_wall_time(tmp_path):
@@ -125,6 +123,11 @@ def test_compare_command(tmp_path):
     assert result["comodule_dims"] == result["module_dims"]
     assert "seconds" not in result
     assert main(["compare", "bundled:sym2_d4.json", "--n", "2"]) == 2
+
+
+def test_compare_rejects_negative_degree(capsys):
+    assert main(["compare", "bundled:c3.json", "--n", "-1"]) == 2
+    assert "--n" in capsys.readouterr().err
 
 
 def test_compare_with_comodule_files(tmp_path, capsys):
