@@ -10,7 +10,7 @@ wall_time_s field.
 
 Exit codes: 0 when every computed verdict holds, 1 when a mathematical
 verdict is false, 2 for unreadable or schema-invalid input and violated
-preconditions.
+preconditions, 3 for an internal error (such as a failed d^2 = 0 check).
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ def cmd_compare(args):
     left = _comodule_argument(args.left, obj, inputs)
     right = _comodule_argument(args.right, obj, inputs)
     report = compare_theorem1(obj, left, right, args.n)
-    result = {k: v for k, v in report.to_json().items() if k != "seconds"}
+    result = report.to_json()
     lines = [
         "comodule side: %s" % " ".join(str(d) for d in report.comodule_dims),
         "module side:   %s" % " ".join(str(d) for d in report.module_dims),
@@ -369,6 +369,14 @@ def main(argv=None):
         # computations signal violated preconditions with ValueError
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        # anything else is a fault of the program, never a verdict; traceback
+        # is imported here because importing it slows every command's start-up
+        import traceback
+
+        traceback.print_exc()
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -141,6 +141,11 @@ class CobarComplex:
             g = c.grouplike_index
             pos = {i: k for k, i in enumerate(c.positive_indices())}
             self._coaction = [tuple((pos[i], j, v) for i, j, v in row if i != g) for row in coefficients.coaction]
+        scale = lcm(*(v.denominator for terms in self._comul + self._coaction for _, _, v in terms))
+        self._int_constants = [
+            [tuple((p, q, v.numerator * (scale // v.denominator)) for p, q, v in terms) for terms in table]
+            for table in (self._comul, self._coaction)
+        ]
         wc, wm = _weights(self._comul, self._coaction)
         if jmax is not None:
             wc = [(c.degrees[i],) + w for i, w in zip(c.positive_indices(), wc)]
@@ -149,15 +154,14 @@ class CobarComplex:
         self._dims = None
         self._ranks = None
 
-    def _cell_diff(self, cell, rows):
+    def _cell_diff(self, cell, rows, comul, coaction):
         """Matrix of d on one cell, one column per tensor of ``cell``.
 
         ``rows`` maps target tensors to row indices; a target it lacks takes
         the next free index, which is how the unlisted top layer is indexed.
+        ``comul`` and ``coaction`` are the constants inserted by each term.
         """
         f = self.field
-        comul = self._comul
-        coaction = self._coaction
         entries = {}
         for col, tensor in enumerate(cell):
             last = len(tensor) - 1
@@ -170,14 +174,19 @@ class CobarComplex:
                         v = f.neg(v)
                     if key in entries:
                         v = f.add(entries[key], v)
-                        if v == f.zero:
+                        if not v:
                             del entries[key]
                             continue
                     entries[key] = v
         return Matrix(f, len(rows), len(cell), entries)
 
     def _sweep(self):
-        """Dimensions and ranks of every cell through imax, checking d^2 = 0."""
+        """Dimensions and ranks of every cell through imax, checking d^2 = 0.
+
+        Cells are built from ``_int_constants``, the structure constants times
+        L, the lcm of their denominators.  Each term of d inserts one constant,
+        so a cell is L * d: same rank, and L^2 * d^2 vanishes iff d^2 does.
+        """
         if self._ranks is not None:
             return
         dims = {}
@@ -189,7 +198,7 @@ class CobarComplex:
             nxt = next(layers, {})
             cur = {}
             for w, cell in layer.items():
-                d = self._cell_diff(cell, {t: r for r, t in enumerate(nxt.get(w, ()))})
+                d = self._cell_diff(cell, {t: r for r, t in enumerate(nxt.get(w, ()))}, *self._int_constants)
                 before = prev.pop(w, None)
                 if before is not None and not (d @ before).is_zero():
                     raise AssertionError("cobar differential does not square to zero at cell (%d,%r)" % (i - 1, w))
@@ -219,7 +228,7 @@ class CobarComplex:
         src = dst = None
         for layer in _layers(zero, i + 1):
             src, dst = dst, layer.get((), [])
-        return self._cell_diff(src, {t: r for r, t in enumerate(dst)})
+        return self._cell_diff(src, {t: r for r, t in enumerate(dst)}, self._comul, self._coaction)
 
 
 def build_cobar(c, imax, jmax=None):

@@ -2,15 +2,18 @@
 
 Everything downstream (coalgebra validation, cobar ranks, coresolutions,
 module Ext) reduces to rank / kernel / solve on sparse matrices whose entries
-are exact field elements: ``fractions.Fraction`` over the rationals, Python
-ints in ``[0, p)`` over GF(p).  No floats anywhere.
+are exact field elements: ``int`` or ``fractions.Fraction`` over the
+rationals, Python ints in ``[0, p)`` over GF(p).  No floats anywhere.  Zero
+is tested by truthiness, so ``0`` and ``Fraction(0)`` behave alike.
 
 Rank uses destructive fraction-free elimination (integer rows with gcd
 reduction over the rationals, modular arithmetic over GF(p)) with a
-Markowitz-style pivot rule: pick a column with minimal active count, then the
-sparsest row in that column, ties broken by (row, col) index.  Kernel bases,
-solving and reduced echelon forms use straight field arithmetic; in this
-package they only ever run on the smaller matrices of a pipeline.
+Markowitz-style pivot rule: the pivot column is the minimum of a heap of
+active column counts, updated lazily (a popped entry whose count went stale
+is pushed back with the current count), then the sparsest row in that
+column, ties broken by row index.  Kernel bases, solving and reduced echelon
+forms use straight field arithmetic; in this package they only ever run on
+the smaller matrices of a pipeline.
 """
 
 from __future__ import annotations
@@ -142,7 +145,12 @@ def field_from_label(label):
 
 
 class Matrix:
-    """Immutable sparse matrix: nonzero entries in a dict keyed by (row, col)."""
+    """Immutable sparse matrix: nonzero entries in a dict keyed by (row, col).
+
+    Over QQ an entry is an ``int`` or a ``Fraction``; the constructors below
+    coerce to ``Fraction``, while internal builders (the cobar sweep) may
+    store integers directly.
+    """
 
     __slots__ = ("field", "nrows", "ncols", "entries")
 
@@ -289,8 +297,7 @@ class Matrix:
                     acc[key] = f.add(acc[key], prod)
                 else:
                     acc[key] = prod
-        zero = f.zero
-        return Matrix(f, self.nrows, other.ncols, {k: v for k, v in acc.items() if v != zero})
+        return Matrix(f, self.nrows, other.ncols, {k: v for k, v in acc.items() if v})
 
     def apply(self, vec):
         """Matrix times a column vector (tuple/list of scalars)."""
@@ -332,20 +339,6 @@ class Matrix:
                 entries[(i, j + off)] = v
             off += b.ncols
         return Matrix(field, nrows, off, entries)
-
-    @staticmethod
-    def vstack(blocks):
-        field = blocks[0].field
-        ncols = blocks[0].ncols
-        entries = {}
-        off = 0
-        for b in blocks:
-            if b.field != field or b.ncols != ncols:
-                raise ValueError("vstack mismatch")
-            for (i, j), v in b.entries.items():
-                entries[(i + off, j)] = v
-            off += b.nrows
-        return Matrix(field, off, ncols, entries)
 
     # -- kron, rank, kernel, solve --------------------------------------------
     def kron(self, other):
@@ -495,6 +488,8 @@ def _rank_elim(eliminate, rows):
 
     ``rows`` is a list of dicts col -> value; ``eliminate(row, prow, col)``
     must clear ``col`` from ``row`` by a rank-preserving row operation.
+    Every live column keeps exactly one heap entry, re-pushed with its
+    current count when popped stale, so no column is dropped unpivoted.
     """
     col_rows = {}
     for i, row in enumerate(rows):
@@ -505,9 +500,7 @@ def _rank_elim(eliminate, rows):
     rank_ = 0
     while heap:
         cnt, col = heapq.heappop(heap)
-        s = col_rows.get(col)
-        if s is None:
-            continue
+        s = col_rows[col]
         if not s:
             del col_rows[col]
             continue
@@ -518,30 +511,15 @@ def _rank_elim(eliminate, rows):
         prow = rows[piv]
         rank_ += 1
         for c in prow:
-            cs = col_rows.get(c)
-            if cs is not None:
-                cs.discard(piv)
-        others = sorted(s)
-        touched = set(prow)
-        for i in others:
+            col_rows[c].discard(piv)
+        for i in sorted(s):
             row = rows[i]
             for c in row:
-                cs = col_rows.get(c)
-                if cs is not None:
-                    cs.discard(i)
+                col_rows[c].discard(i)
             eliminate(row, prow, col)
             for c in row:
-                cs = col_rows.get(c)
-                if cs is None:
-                    cs = col_rows[c] = set()
-                cs.add(i)
-            touched.update(row)
+                col_rows[c].add(i)
         del col_rows[col]
-        touched.discard(col)
-        for c in touched:
-            cs = col_rows.get(c)
-            if cs is not None:
-                heapq.heappush(heap, (len(cs), c))
         rows[piv] = {}
     return rank_
 
@@ -575,7 +553,7 @@ def _rank_fraction_free(m):
         den = 1
         for v in row.values():
             den = den * v.denominator // gcd(den, v.denominator)
-        irow = {c: int(v * den) for c, v in row.items()}
+        irow = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
         g = 0
         for v in irow.values():
             g = gcd(g, v)

@@ -31,15 +31,31 @@ def strip_degrees(c):
     return Coalgebra(c.field, c.dim, c.grouplike_index, c.counit, c.comul, degrees=None)
 
 
-def non_coassociative():
+def rescaled(c, factors):
+    """The same coalgebra in the basis factors[t] * e_t (factor 1 on the grouplike).
+
+    e'_t = x_t e_t has comultiplication constants v * x_t / (x_i * x_j) and
+    counit x_t * eps(e_t), so non-integral factors give non-integral constants.
+    """
+    f = c.field
+    comul = [
+        tuple((i, j, f.div(f.mul(factors[t], v), f.mul(factors[i], factors[j]))) for i, j, v in triples)
+        for t, triples in enumerate(c.comul)
+    ]
+    counit = [f.mul(x, e) for x, e in zip(factors, c.counit)]
+    return Coalgebra(f, c.dim, c.grouplike_index, counit, comul, c.degrees)
+
+
+def non_coassociative(scale=QQ.one):
     """Dim 4: g, x1, x2, x3 with reduced comultiplication x2 -> x1 (x) x1, x3 -> x1 (x) x2.
 
     Counital and coaugmented but not coassociative: on x3 the two iterated
-    reduced comultiplications give 0 and x1 (x) x1 (x) x1.
+    reduced comultiplications give 0 and x1 (x) x1 (x) x1.  ``scale``
+    multiplies both reduced terms and keeps the defect.
     """
     one = QQ.one
     comul = [((0, 0, one),)]
-    for t, extra in ((1, ()), (2, ((1, 1, one),)), (3, ((1, 2, one),))):
+    for t, extra in ((1, ()), (2, ((1, 1, scale),)), (3, ((1, 2, scale),))):
         comul.append(((0, t, one), (t, 0, one)) + extra)
     return Coalgebra(QQ, 4, 0, (one, QQ.zero, QQ.zero, QQ.zero), comul)
 
@@ -61,4 +77,19 @@ def kron_cobar_diff(c, i, m=None):
     if m is not None:
         last = Matrix.kron(Matrix.identity(f, d**i), reduced_coaction_matrix(m))
         out = out + (last if i % 2 == 0 else -last)
+    return out
+
+
+def kron_bar_boundary(bar, i):
+    """Reference d: B_i -> B_(i-1) of the reduced bar complex, by Kronecker products.
+
+    The sum over t = 1..i-1 of (-1)^(t+1) I (x) reduced product (x) I on
+    (A_+)^(x i), with the reduced product in slots t and t+1.
+    """
+    f = bar.f
+    d = bar.d
+    out = Matrix.zeros(f, d ** (i - 1), d**i)
+    for t in range(1, i):
+        ins = Matrix.kron(Matrix.identity(f, d ** (t - 1)), Matrix.kron(bar.reduced, Matrix.identity(f, d ** (i - 1 - t))))
+        out = out + (ins if t % 2 == 1 else -ins)
     return out

@@ -1,5 +1,6 @@
 import json
 
+from cobarlab import cli
 from cobarlab.cli import main
 from cobarlab.coalg import extension_comodule
 from cobarlab.dualalg import dual_algebra
@@ -191,3 +192,14 @@ def test_comodule_input_to_ext_is_rejected(tmp_path):
 def test_bundled_name_with_path_separator_is_rejected():
     assert main(["validate", "bundled:../c3.json"]) == 2
     assert main(["validate", "bundled:nope.json"]) == 2
+
+
+def test_internal_error_exits_3_not_a_verdict(monkeypatch, capsys):
+    def failing_sweep(cx):
+        raise AssertionError("cobar differential does not square to zero at cell (0,())")
+
+    monkeypatch.setattr(cli, "ext_table", failing_sweep)
+    assert main(["ext", "bundled:c3.json", "--imax", "2"]) == 3
+    captured = capsys.readouterr()
+    assert "internal error: AssertionError: cobar differential does not square to zero" in captured.err
+    assert captured.out == ""

@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 
-from helpers_coalgebras import divided_line, dual_numbers_dual, kron_cobar_diff, non_coassociative, strip_degrees
+from helpers_coalgebras import divided_line, dual_numbers_dual, kron_cobar_diff, non_coassociative, rescaled, strip_degrees
 
 from cobarlab.coalg import (
     extension_comodule,
@@ -13,6 +14,7 @@ from cobarlab.coalg import (
     symmetric_coalgebra,
     tensor_coalgebra,
     trivial_comodule,
+    validate,
 )
 from cobarlab.cobar import (
     CobarClass,
@@ -226,7 +228,8 @@ def test_graded_table_to_json_roundtrip_fields():
 def test_whole_term_differential_matches_kron_reference():
     c3 = loads_presentation(resources.files("cobarlab").joinpath("data", "c3.json").read_text(encoding="utf-8"))
     ten = flatten(tensor_coalgebra(2, 2, QQ))
-    for c in (divided_line(), divided_line(GF(5)), ten, opposite(ten), c3):
+    halves = rescaled(divided_line(), (QQ.one, Fraction(1, 3), Fraction(1, 2)))  # x2 -> (9/2) x1 (x) x1
+    for c in (divided_line(), divided_line(GF(5)), ten, opposite(ten), c3, halves):
         cx = build_cobar(c, 3)
         for i in range(4):
             assert cx.diff(i, None) == kron_cobar_diff(c, i)
@@ -242,5 +245,20 @@ def test_coefficient_differential_matches_kron_reference():
 
 
 def test_non_coassociative_input_fails_the_square_check():
-    with pytest.raises(AssertionError, match="square to zero"):
-        ext_table(build_cobar(non_coassociative(), 2))
+    # at scale 1/2 the sweep squares 2 * d, and 4 * d^2 must still fail
+    for scale in (QQ.one, Fraction(1, 2)):
+        with pytest.raises(AssertionError, match="square to zero"):
+            ext_table(build_cobar(non_coassociative(scale), 2))
+
+
+def test_rescaled_basis_with_fractional_constants_keeps_the_ext_table():
+    rng = random.Random(20260817)
+    for c, imax in ((divided_line(), 5), (flatten(tensor_coalgebra(2, 2, QQ)), 4), (flatten(symmetric_coalgebra(2, 3, QQ)), 3)):
+        factors = [
+            QQ.one if t == c.grouplike_index else Fraction(rng.choice((1, -1)) * rng.randint(1, 7), rng.randint(2, 9))
+            for t in range(c.dim)
+        ]
+        r = rescaled(c, factors)
+        assert validate(r).ok
+        assert any(v.denominator > 1 for terms in r.reduced_comul() for _, _, v in terms)
+        assert ext_table(build_cobar(r, imax)) == ext_table(build_cobar(c, imax))

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from helpers_coalgebras import divided_line, dual_numbers_dual, strip_degrees
+from helpers_coalgebras import divided_line, dual_numbers_dual, kron_bar_boundary, strip_degrees
+
+import cobarlab
 
 from cobarlab.coalg import (
     Coalgebra,
@@ -18,6 +20,7 @@ from cobarlab.coalg import (
 )
 from cobarlab.cobar import build_cobar, cobar_with_coefficients, ext_table
 from cobarlab.dualalg import (
+    _FiniteBar,
     Algebra,
     GradedAlgebra,
     bar_ext_table,
@@ -43,7 +46,7 @@ from cobarlab.dualalg import (
     validate_graded_algebra,
     verify_module_axioms,
 )
-from cobarlab.exactlin import QQ, Matrix
+from cobarlab.exactlin import GF, QQ, Matrix
 from cobarlab.resolve import betti_dims, minimal_coresolution
 
 
@@ -335,3 +338,15 @@ def test_betti_of_module_resolution_matches_coresolution():
     a = dual_algebra(c)
     k_module = trivial_module(a)
     assert module_ext(a, k_module, k_module, 3) == betti_dims(minimal_coresolution(k_comodule, 3))
+
+
+def test_bar_boundary_matches_kron_reference():
+    ten = dual_algebra(flatten(tensor_coalgebra(2, 2, QQ)))
+    for a in (dual_algebra(divided_line()), dual_algebra(divided_line(GF(5))), ten, opposite_algebra(ten)):
+        bar = _FiniteBar(a)
+        for i in range(1, 5):
+            assert bar.boundary(i) == kron_bar_boundary(bar, i)
+
+
+def test_package_exports_the_module_axiom_check_of_dualalg():
+    assert cobarlab.verify_module_axioms is verify_module_axioms

@@ -219,3 +219,41 @@ def test_kron_index_convention():
             for ib in range(2):
                 for jb in range(2):
                     assert kr[ia * 2 + ib][ja * 2 + jb] == ar[ia][ja] * br[ib][jb]
+
+
+def _planted_rank_rows(rng, nrows, ncols, inner, draw):
+    """Dense rows of B @ C with B nrows x inner, C inner x ncols: rank <= inner.
+
+    Both factors are sparse except B's first column and C's first row, whose
+    outer product fills every entry, so elimination meets fill-in.
+    """
+    b = [[draw() if k == 0 or rng.random() < 0.3 else 0 for k in range(inner)] for _ in range(nrows)]
+    c = [[draw() if k == 0 or rng.random() < 0.3 else 0 for _ in range(ncols)] for k in range(inner)]
+    return [[sum(b[i][k] * c[k][j] for k in range(inner)) for j in range(ncols)] for i in range(nrows)]
+
+
+@pytest.mark.parametrize("kind", ["qq_int", "qq_fraction", "gf7", "gf_large"])
+def test_rank_matches_sympy_oracle(kind):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random("rank-oracle-" + kind)
+    if kind == "qq_int":
+        field, domain, draw = QQ, sympy.QQ, lambda: rng.randint(-3, 3)
+    elif kind == "qq_fraction":
+        field, domain, draw = QQ, sympy.QQ, lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+    else:
+        p = 7 if kind == "gf7" else 2**31 - 1
+        field, domain, draw = GF(p), sympy.GF(p), lambda: rng.randrange(p)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 24), rng.randint(1, 24)
+        rows = _planted_rank_rows(rng, nrows, ncols, rng.randint(1, min(nrows, ncols)), draw)
+        if field == QQ:
+            # int entries are kept as ints, the way the cobar sweep builds them
+            entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+            oracle = [[domain(v.numerator, v.denominator) for v in row] for row in rows]
+        else:
+            entries = {(i, j): v % field.p for i, row in enumerate(rows) for j, v in enumerate(row) if v % field.p}
+            oracle = [[domain(v) for v in row] for row in rows]
+        expected = DomainMatrix(oracle, (nrows, ncols), domain).rank()
+        assert Matrix(field, nrows, ncols, entries).rank() == expected
