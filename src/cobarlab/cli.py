@@ -10,7 +10,9 @@ wall_time_s field.
 
 Exit codes: 0 when every computed verdict holds, 1 when a mathematical
 verdict is false, 2 for unreadable or schema-invalid input and violated
-preconditions, 3 for an internal error (such as a failed d^2 = 0 check).
+preconditions, 3 for an internal error (such as a failed d^2 = 0 check);
+an internal error still writes --out, as schema, command and the error's
+type and message.
 """
 
 from __future__ import annotations
@@ -376,6 +378,11 @@ def main(argv=None):
 
         traceback.print_exc()
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        try:
+            _emit(args, {"schema": SCHEMA_TAG, "command": args.command, "error": error}, [])
+        except OSError:
+            pass  # the error is already on stderr and the exit code stays 3
         return 3
 
 

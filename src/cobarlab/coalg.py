@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from cobarlab.exactlin import Matrix, SubspaceBasis, quotient_maps
+from cobarlab.exactlin import Matrix, SubspaceBasis, kron_identity_matmul, quotient_maps
 
 
 class UnsupportedCharacteristic(ValueError):
@@ -309,8 +309,8 @@ def validate(c):
     flags = {}
     notes = {}
 
-    left = Matrix.kron(mu, eye) @ mu
-    right = Matrix.kron(eye, mu) @ mu
+    left = kron_identity_matmul(mu, n, mu)
+    right = kron_identity_matmul(n, mu, mu)
     flags["coassociative"] = left == right
     if not flags["coassociative"]:
         diff = left - right
@@ -318,8 +318,8 @@ def validate(c):
         notes["coassociative"] = "fails first at basis index %d" % t
 
     eps = c.counit_matrix()
-    lcu = Matrix.kron(eps, eye) @ mu
-    rcu = Matrix.kron(eye, eps) @ mu
+    lcu = kron_identity_matmul(eps, n, mu)
+    rcu = kron_identity_matmul(n, eps, mu)
     flags["counital"] = lcu == eye and rcu == eye
     if not flags["counital"]:
         bad = (lcu - eye) if lcu != eye else (rcu - eye)
@@ -377,8 +377,8 @@ def validate_graded(g):
         for p in range(j + 1):
             for q in range(j - p + 1):
                 r = j - p - q
-                left = Matrix.kron(g.component(p + q, p, q), Matrix.identity(f, g.dims[r])) @ g.component(j, p + q, r)
-                right = Matrix.kron(Matrix.identity(f, g.dims[p]), g.component(q + r, q, r)) @ g.component(j, p, q + r)
+                left = kron_identity_matmul(g.component(p + q, p, q), g.dims[r], g.component(j, p + q, r))
+                right = kron_identity_matmul(g.dims[p], g.component(q + r, q, r), g.component(j, p, q + r))
                 if left != right:
                     coassoc = False
                     notes.setdefault("coassociative", "fails at (j,p,q,r)=(%d,%d,%d,%d)" % (j, p, q, r))
@@ -457,16 +457,12 @@ def coaugmentation_filtration(c):
 
 def socle(m):
     """Largest trivial subcomodule: ker(M -> C (x) M -> C_+ (x) M)."""
-    c = m.base
-    nu = m.coaction_matrix()
-    proj = c.projection_matrix()
-    reduced = Matrix.kron(proj, Matrix.identity(c.field, m.dim)) @ nu
-    return reduced.kernel_basis()
+    return reduced_coaction_matrix(m).kernel_basis()
 
 
 def reduced_coaction_matrix(m):
     c = m.base
-    return Matrix.kron(c.projection_matrix(), Matrix.identity(c.field, m.dim)) @ m.coaction_matrix()
+    return kron_identity_matmul(c.projection_matrix(), m.dim, m.coaction_matrix())
 
 
 def validate_comodule(m):
@@ -474,9 +470,8 @@ def validate_comodule(m):
     f = c.field
     nu = m.coaction_matrix()
     mu = c.comul_matrix()
-    eye_m = Matrix.identity(f, m.dim)
-    coassoc = Matrix.kron(mu, eye_m) @ nu == Matrix.kron(Matrix.identity(f, c.dim), nu) @ nu
-    counit = Matrix.kron(c.counit_matrix(), eye_m) @ nu == eye_m
+    coassoc = kron_identity_matmul(mu, m.dim, nu) == kron_identity_matmul(c.dim, nu, nu)
+    counit = kron_identity_matmul(c.counit_matrix(), m.dim, nu) == Matrix.identity(f, m.dim)
     return ValidationReport({"coassociative": coassoc, "counital": counit, "coaugmented": True, "conilpotent": True})
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from cobarlab.coalg import Coalgebra, Comodule, GradedCoalgebra, validate
 from cobarlab.cobar import ExtTable
-from cobarlab.exactlin import Matrix, SubspaceBasis, extend_to_basis, quotient_maps
+from cobarlab.exactlin import Matrix, SubspaceBasis, extend_to_basis, kron_identity_matmul, quotient_maps
 
 
 class Algebra:
@@ -305,7 +305,7 @@ class _FiniteBar:
             for y in pos.vectors:
                 prod_cols.append(list(a.multiply(x, y)))
         prod = Matrix.from_columns(f, prod_cols, n) if prod_cols else Matrix.zeros(f, n, 0)
-        sol = _solve_columns(self.into, prod)
+        sol = self.into.solve_columns(prod)
         if sol is None:
             raise AssertionError("product of augmentation-ideal elements left the algebra")
         self.reduced = Matrix.from_entries(
@@ -334,21 +334,6 @@ class _FiniteBar:
                         else:
                             del entries[key]
         return Matrix(f, self.term_dim(i - 1), self.term_dim(i), entries)
-
-
-def _solve_columns(m, rhs):
-    """Solve m @ x = rhs column by column; None if any column is unsolvable."""
-    cols = []
-    for j in range(rhs.ncols):
-        target = [rhs.field.zero] * rhs.nrows
-        for (r, c), v in rhs.entries.items():
-            if c == j:
-                target[r] = v
-        sol = m.solve(tuple(target))
-        if sol is None:
-            return None
-        cols.append(list(sol))
-    return Matrix.from_columns(m.field, cols, m.ncols)
 
 
 def _compositions(total, parts, dims):
@@ -570,15 +555,10 @@ def comodule_to_module(m, algebra=None):
 
 def module_to_comodule(c, p):
     """Inverse of comodule_to_module at finite dimension: nu(m) = sum e_t (x) e^t.m."""
-    triples = []
-    for t in range(p.dim):
-        row = []
-        for s in range(c.dim):
-            col = p.actions[s].column(t)
-            for j, v in enumerate(col):
-                if v != c.field.zero:
-                    row.append((s, j, v))
-        triples.append(tuple(sorted(row)))
+    triples = [[] for _ in range(p.dim)]
+    for s in range(c.dim):
+        for (j, t), v in p.actions[s].entries.items():
+            triples[t].append((s, j, v))
     return Comodule(c, p.dim, triples)
 
 
@@ -587,28 +567,15 @@ def module_hom_basis(p, q):
     a = p.algebra
     f = a.field
     unknowns = q.dim * p.dim  # h[r, c] at index r*p.dim + c
-    rows = []
-    for s in range(a.dim):
-        act_q = q.actions[s]
-        act_p = p.actions[s]
-        for r in range(q.dim):
-            for c in range(p.dim):
-                coeffs = {}
-                for (rr, k), v in act_q.entries.items():
-                    if rr == r:
-                        key = k * p.dim + c
-                        coeffs[key] = f.add(coeffs.get(key, f.zero), v)
-                for (k, cc), v in act_p.entries.items():
-                    if cc == c:
-                        key = r * p.dim + k
-                        coeffs[key] = f.sub(coeffs.get(key, f.zero), v)
-                rows.append(coeffs)
+    # one equation (q_s h - h p_s)[r, c] = 0 per (s, r, c), numbered in that order
     items = []
-    for ridx, coeffs in enumerate(rows):
-        for cidx, v in coeffs.items():
-            if v != f.zero:
-                items.append((ridx, cidx, v))
-    system = Matrix.from_entries(f, len(rows), unknowns, items)
+    for s in range(a.dim):
+        base = s * unknowns
+        for (r, k), v in q.actions[s].entries.items():
+            items.extend((base + r * p.dim + c, k * p.dim + c, v) for c in range(p.dim))
+        for (k, c), v in p.actions[s].entries.items():
+            items.extend((base + r * p.dim + c, r * p.dim + k, f.neg(v)) for r in range(q.dim))
+    system = Matrix.from_entries(f, a.dim * unknowns, unknowns, items)
     basis = system.kernel_basis()
     out = []
     for vec in basis.vectors:
@@ -624,26 +591,24 @@ def _free_cover(ambient_actions, basis_matrix, a):
     """
     f = a.field
     ambient_dim = basis_matrix.nrows
-    k_dim = basis_matrix.ncols
     aug = a.augmentation
     pos_vectors = Matrix.from_entries(f, 1, a.dim, [(0, i, v) for i, v in enumerate(aug)]).kernel_basis()
+    # images[s] is e_s acting on the spanning columns of K
+    images = [act @ basis_matrix for act in ambient_actions]
     radical_cols = []
     for alpha in pos_vectors.vectors:
-        act = Matrix.zeros(f, ambient_dim, ambient_dim)
+        image = Matrix.zeros(f, ambient_dim, basis_matrix.ncols)
         for s, v in enumerate(alpha):
-            if v != f.zero:
-                act = act + ambient_actions[s].scale(v)
-        radical_cols.extend((act @ basis_matrix).columns())
-    k_cols = basis_matrix.columns()
-    chosen = extend_to_basis(f, ambient_dim, radical_cols, k_cols)
-    w = len(chosen)
-    cover_cols = []
-    for l in chosen:
-        rep = k_cols[l]
+            if v:
+                image = image + images[s].scale(v)
+        radical_cols.extend(image.column_dicts())
+    chosen = extend_to_basis(f, ambient_dim, radical_cols, basis_matrix.column_dicts())
+    image_cols = [m.column_dicts() for m in images]
+    entries = {}
+    for k, l in enumerate(chosen):
         for b in range(a.dim):
-            cover_cols.append(ambient_actions[b].apply(tuple(rep)))
-    cover = Matrix.from_columns(f, [list(col) for col in cover_cols], ambient_dim)
-    return w, cover
+            entries.update(((r, k * a.dim + b), v) for r, v in image_cols[b][l].items())
+    return len(chosen), Matrix(f, ambient_dim, len(chosen) * a.dim, entries)
 
 
 def minimal_free_resolution(l, n):
@@ -666,10 +631,8 @@ def minimal_free_resolution(l, n):
         chain.append(cover)
         if cover.rank() != basis.ncols:
             raise AssertionError("free cover failed to surject onto the kernel")
-        kernel = cover.kernel_basis()
-        free = free_module(a, w)
-        ambient_actions = free.actions
-        basis = Matrix.from_columns(f, [list(v) for v in kernel.vectors], free.dim)
+        ambient_actions = free_module(a, w).actions
+        basis = cover.kernel_matrix()
     return ws, chain
 
 
@@ -682,24 +645,15 @@ def module_ext(a, l, m, n):
     deltas = []
     for i in range(n + 1):
         w_next, w_here = ws[i + 1], ws[i]
-        rows = w_next * m.dim
-        cols = w_here * m.dim
+        # column lp: the unit of the lp-th copy of A in F_{i+1}
+        units = {(lp * a.dim + b, lp): v for lp in range(w_next) for b, v in enumerate(a.unit) if v}
+        gens = Matrix(f, w_next * a.dim, w_next, units)
         items = []
-        d = chain[i + 1]  # F_{i+1} -> F_i
-        for lp in range(w_next):
-            gen = [f.zero] * (w_next * a.dim)
-            for b, v in enumerate(a.unit):
-                if v != f.zero:
-                    gen[lp * a.dim + b] = v
-            image = d.apply(tuple(gen))
-            for idx, coeff in enumerate(image):
-                if coeff == f.zero:
-                    continue
-                lcopy, b = divmod(idx, a.dim)
-                act = m.actions[b]
-                for (r, rp), v in act.entries.items():
-                    items.append((lp * m.dim + r, lcopy * m.dim + rp, f.mul(coeff, v)))
-        deltas.append(Matrix.from_entries(f, rows, cols, items))
+        for (idx, lp), coeff in (chain[i + 1] @ gens).entries.items():
+            lcopy, b = divmod(idx, a.dim)
+            for (r, rp), v in m.actions[b].entries.items():
+                items.append((lp * m.dim + r, lcopy * m.dim + rp, f.mul(coeff, v)))
+        deltas.append(Matrix.from_entries(f, w_next * m.dim, w_here * m.dim, items))
     dims = []
     prev_rank = 0
     for i in range(n + 1):
@@ -718,13 +672,15 @@ def is_projective(p):
     homs = module_hom_basis(p, free)
     if not homs:
         return p.dim == 0
-    cols = []
-    for h in homs:
-        composite = cover @ h
-        cols.append([composite.entries.get((r, c), f.zero) for r in range(p.dim) for c in range(p.dim)])
-    eye = [f.one if r == c else f.zero for r in range(p.dim) for c in range(p.dim)]
-    system = Matrix.from_columns(f, cols, p.dim * p.dim)
-    return system.solve(tuple(eye)) is not None
+    system = _flat_columns([cover @ h for h in homs])
+    return system.solve_columns(_flat_columns([Matrix.identity(f, p.dim)])) is not None
+
+
+def _flat_columns(mats):
+    """Matrices of one shape as the columns of one matrix, each read row-major."""
+    width = mats[0].ncols
+    entries = {(r * width + c, k): v for k, m in enumerate(mats) for (r, c), v in m.entries.items()}
+    return Matrix(mats[0].field, mats[0].nrows * width, len(mats), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -762,14 +718,14 @@ def comodule_ext_dims(c, l, m, n):
     for i in range(n + 1):
         v_here, v_next = vdims[i], vdims[i + 1]
         d = res.differentials[i]  # J_i -> J_{i+1}
-        eval_next = Matrix.kron(eps, Matrix.identity(f, v_next))
-        cols = []
+        entries = {}
         for r in range(v_here):
             for s in range(l.dim):
                 phi = Matrix(f, v_here, l.dim, {(r, s): f.one})
-                composite = eval_next @ (d @ (Matrix.kron(Matrix.identity(f, c.dim), phi) @ nu_l))
-                cols.append([composite.entries.get((rr, cc), f.zero) for rr in range(v_next) for cc in range(l.dim)])
-        deltas.append(Matrix.from_columns(f, cols, v_next * l.dim))
+                composite = kron_identity_matmul(eps, v_next, d @ kron_identity_matmul(c.dim, phi, nu_l))
+                col = r * l.dim + s
+                entries.update(((rr * l.dim + cc, col), v) for (rr, cc), v in composite.entries.items())
+        deltas.append(Matrix(f, v_next * l.dim, v_here * l.dim, entries))
     dims = []
     prev_rank = 0
     for i in range(n + 1):
@@ -876,24 +832,10 @@ def ext_via_initially_projective(r, y, n):
         if not src_basis or not dst_basis:
             deltas.append(Matrix.zeros(f, len(dst_basis), len(src_basis)))
             continue
-        d = r.maps[i]
-        flat = y.dim * r.modules[i + 1].dim
-        dst_matrix = Matrix.from_columns(
-            f,
-            [[h.entries.get((rr, cc), f.zero) for rr in range(y.dim) for cc in range(r.modules[i + 1].dim)] for h in dst_basis],
-            flat,
-        )
-        cols = []
-        for h in src_basis:
-            composite = h @ d
-            target = tuple(
-                composite.entries.get((rr, cc), f.zero) for rr in range(y.dim) for cc in range(r.modules[i + 1].dim)
-            )
-            sol = dst_matrix.solve(target)
-            if sol is None:
-                raise AssertionError("composite escaped the morphism space")
-            cols.append(list(sol))
-        deltas.append(Matrix.from_columns(f, cols, len(dst_basis)))
+        sol = _flat_columns(dst_basis).solve_columns(_flat_columns([h @ r.maps[i] for h in src_basis]))
+        if sol is None:
+            raise AssertionError("composite escaped the morphism space")
+        deltas.append(sol)
     dims = []
     prev_rank = 0
     for i in range(n + 1):

@@ -2,9 +2,11 @@
 
 Everything downstream (coalgebra validation, cobar ranks, coresolutions,
 module Ext) reduces to rank / kernel / solve on sparse matrices whose entries
-are exact field elements: ``int`` or ``fractions.Fraction`` over the
-rationals, Python ints in ``[0, p)`` over GF(p).  No floats anywhere.  Zero
-is tested by truthiness, so ``0`` and ``Fraction(0)`` behave alike.
+are exact field elements: over the rationals an ``int`` when integral and a
+``fractions.Fraction`` otherwise, over GF(p) a Python int in ``[0, p)``.
+Division goes through ``Fraction``, so no float appears anywhere.  Zero is
+tested by truthiness, and the constructors coerce only values that are not
+of a native element type (``Field.native``).
 
 Rank uses destructive fraction-free elimination (integer rows with gcd
 reduction over the rationals, modular arithmetic over GF(p)) with a
@@ -25,13 +27,23 @@ from math import gcd
 
 
 class Field:
-    """A coefficient field: the rationals or GF(p) for a prime p < 2**31."""
+    """A coefficient field: the rationals or GF(p) for a prime p < 2**31.
 
-    __slots__ = ("kind", "p")
+    ``native`` holds the types whose every value already is an element, so
+    constructors pass them through without ``coerce``: ``int`` and
+    ``Fraction`` over the rationals, none over GF(p) (an int may need
+    reducing mod p).
+    """
+
+    __slots__ = ("kind", "p", "native")
+
+    zero = 0
+    one = 1
 
     def __init__(self, kind, p=None):
         self.kind = kind
         self.p = p
+        self.native = frozenset((int, Fraction)) if kind == "rationals" else frozenset()
 
     @staticmethod
     def rationals():
@@ -49,14 +61,6 @@ class Field:
         return Field("prime", p)
 
     # -- scalar arithmetic ------------------------------------------------
-    @property
-    def zero(self):
-        return _FR0 if self.kind == "rationals" else 0
-
-    @property
-    def one(self):
-        return _FR1 if self.kind == "rationals" else 1
-
     def add(self, a, b):
         return a + b if self.kind == "rationals" else (a + b) % self.p
 
@@ -71,16 +75,16 @@ class Field:
 
     def inv(self, a):
         if self.kind == "rationals":
-            return _FR1 / a
+            return _normal(Fraction(1, a))
         return pow(a, -1, self.p)
 
     def div(self, a, b):
         if self.kind == "rationals":
-            return a / b
+            return _normal(Fraction(a, b))
         return (a * pow(b, -1, self.p)) % self.p
 
     def from_int(self, n):
-        return Fraction(n) if self.kind == "rationals" else n % self.p
+        return n if self.kind == "rationals" else n % self.p
 
     def coerce(self, v):
         """Coerce an int, Fraction or string into a field element."""
@@ -88,13 +92,13 @@ class Field:
             raise ValueError("booleans are not scalars")
         if isinstance(v, Fraction):
             if self.kind == "rationals":
-                return v
+                return _normal(v)
             return self.div(self.from_int(v.numerator), self.from_int(v.denominator))
         if isinstance(v, int):
-            return self.from_int(v)
+            return self.from_int(int(v))
         if isinstance(v, str):
             if self.kind == "rationals":
-                return Fraction(v)
+                return _normal(Fraction(v))
             if "/" in v:
                 num, den = v.split("/", 1)
                 return self.div(self.from_int(int(num)), self.from_int(int(den)))
@@ -125,8 +129,11 @@ class Field:
         return "QQ" if self.kind == "rationals" else "GF(%d)" % self.p
 
 
-_FR0 = Fraction(0)
-_FR1 = Fraction(1)
+def _normal(x):
+    """A rational in normal form: its int when integral, else the Fraction."""
+    return x.numerator if x.denominator == 1 else x
+
+
 _QQ = Field("rationals")
 QQ = _QQ
 
@@ -147,9 +154,11 @@ def field_from_label(label):
 class Matrix:
     """Immutable sparse matrix: nonzero entries in a dict keyed by (row, col).
 
-    Over QQ an entry is an ``int`` or a ``Fraction``; the constructors below
-    coerce to ``Fraction``, while internal builders (the cobar sweep) may
-    store integers directly.
+    Over QQ an entry is an ``int`` when integral and otherwise a
+    ``Fraction`` (arithmetic may leave an integral ``Fraction``, which is
+    equal and hashes alike).  The constructors below store values that
+    already are field elements as given and coerce only the others
+    (strings, ints out of range over GF(p)); a bool is rejected.
     """
 
     __slots__ = ("field", "nrows", "ncols", "entries")
@@ -173,19 +182,20 @@ class Matrix:
     @staticmethod
     def from_entries(field, nrows, ncols, items):
         """items: iterable of (row, col, value); repeated keys accumulate."""
-        zero = field.zero
+        native = field.native
         entries = {}
         for r, c, v in items:
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise ValueError("entry (%d,%d) outside %dx%d" % (r, c, nrows, ncols))
-            v = field.coerce(v)
+            if type(v) not in native:
+                v = field.coerce(v)
             key = (r, c)
             if key in entries:
                 v = field.add(entries[key], v)
-            if v == zero:
-                entries.pop(key, None)
-            else:
+            if v:
                 entries[key] = v
+            else:
+                entries.pop(key, None)
         return Matrix(field, nrows, ncols, entries)
 
     @staticmethod
@@ -193,14 +203,15 @@ class Matrix:
         nrows = len(rows)
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
-        zero = field.zero
+        native = field.native
         entries = {}
         for i, row in enumerate(rows):
             if len(row) != ncols:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
-                v = field.coerce(v)
-                if v != zero:
+                if type(v) not in native:
+                    v = field.coerce(v)
+                if v:
                     entries[(i, j)] = v
         return Matrix(field, nrows, ncols, entries)
 
@@ -208,14 +219,15 @@ class Matrix:
     def from_columns(field, cols, nrows=None):
         if nrows is None:
             nrows = len(cols[0]) if cols else 0
-        zero = field.zero
+        native = field.native
         entries = {}
         for j, col in enumerate(cols):
             if len(col) != nrows:
                 raise ValueError("ragged columns")
             for i, v in enumerate(col):
-                v = field.coerce(v)
-                if v != zero:
+                if type(v) not in native:
+                    v = field.coerce(v)
+                if v:
                     entries[(i, j)] = v
         return Matrix(field, nrows, len(cols), entries)
 
@@ -253,11 +265,11 @@ class Matrix:
         f = self.field
         entries = dict(self.entries)
         for key, v in other.entries.items():
-            w = f.add(entries.get(key, f.zero), v)
-            if w == f.zero:
-                entries.pop(key, None)
-            else:
+            w = f.add(entries[key], v) if key in entries else v
+            if w:
                 entries[key] = w
+            else:
+                del entries[key]
         return Matrix(f, self.nrows, self.ncols, entries)
 
     def __neg__(self):
@@ -270,7 +282,7 @@ class Matrix:
     def scale(self, a):
         f = self.field
         a = f.coerce(a)
-        if a == f.zero:
+        if not a:
             return Matrix.zeros(f, self.nrows, self.ncols)
         return Matrix(f, self.nrows, self.ncols, {k: f.mul(a, v) for k, v in self.entries.items()})
 
@@ -307,7 +319,7 @@ class Matrix:
         out = [f.zero] * self.nrows
         for (i, j), v in self.entries.items():
             x = vec[j]
-            if x != f.zero:
+            if x:
                 out[i] = f.add(out[i], f.mul(v, x))
         return tuple(out)
 
@@ -318,6 +330,13 @@ class Matrix:
             if jj == j:
                 out[i] = v
         return tuple(out)
+
+    def column_dicts(self):
+        """The columns as sparse dicts {row: value}."""
+        cols = [{} for _ in range(self.ncols)]
+        for (i, j), v in self.entries.items():
+            cols[j][i] = v
+        return cols
 
     def columns(self):
         f = self.field
@@ -373,41 +392,48 @@ class Matrix:
         """
         return _rref(self.field, _row_dicts(self), self.ncols)
 
-    def kernel_basis(self):
-        """Basis of the right null space, canonical w.r.t. the RREF free columns."""
+    def kernel_matrix(self):
+        """The kernel basis vectors (see kernel_basis) as the columns of a matrix.
+
+        Free column j of the RREF gives the column with 1 at j and minus the
+        j-th entry of each pivot row at that row's pivot.
+        """
         f = self.field
         pivots, rows = self.rref()
         pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        basis = []
-        for fc in free:
-            vec = [f.zero] * self.ncols
-            vec[fc] = f.one
-            for p, row in zip(pivots, rows):
-                v = row.get(fc)
-                if v is not None:
-                    vec[p] = f.neg(v)
-            basis.append(tuple(vec))
-        return SubspaceBasis(f, self.ncols, tuple(basis))
+        free = {j: k for k, j in enumerate(j for j in range(self.ncols) if j not in pivot_set)}
+        entries = {(j, k): f.one for j, k in free.items()}
+        for p, row in zip(pivots, rows):
+            for j, v in row.items():
+                if j != p:
+                    entries[(p, free[j])] = f.neg(v)
+        return Matrix(f, self.ncols, len(free), entries)
+
+    def kernel_basis(self):
+        """Basis of the right null space, canonical w.r.t. the RREF free columns."""
+        return SubspaceBasis(self.field, self.ncols, tuple(self.kernel_matrix().columns()))
 
     def solve(self, b):
         """One solution x of self @ x = b, or None if inconsistent."""
         if len(b) != self.nrows:
             raise ValueError("rhs length mismatch")
-        f = self.field
-        rows = _row_dicts(self)
-        aug = self.ncols  # extra column holding b
-        for i, v in enumerate(b):
-            v = f.coerce(v)
-            if v != f.zero:
-                rows[i][aug] = v
-        pivots, red = _rref(f, rows, self.ncols + 1)
-        if aug in pivots:
+        x = self.solve_columns(Matrix.from_columns(self.field, [b], self.nrows))
+        return None if x is None else x.columns()[0]
+
+    def solve_columns(self, rhs):
+        """One solution x of self @ x = rhs for a matrix rhs, or None if a column is inconsistent.
+
+        One reduced row echelon form of [self | rhs] carries every right-hand
+        side at once.  Free variables are zero, and since that form is
+        unique, each column of x is the one solving for that column alone
+        would give.
+        """
+        n = self.ncols
+        pivots, rows = Matrix.hstack([self, rhs]).rref()
+        if pivots and pivots[-1] >= n:
             return None
-        x = [f.zero] * self.ncols
-        for p, row in zip(pivots, red):
-            x[p] = row.get(aug, f.zero)
-        return tuple(x)
+        entries = {(p, c - n): v for p, row in zip(pivots, rows) for c, v in row.items() if c >= n}
+        return Matrix(self.field, n, rhs.ncols, entries)
 
 
 def rank(m):
@@ -424,6 +450,36 @@ def solve(m, b):
 
 def kronecker(a, b):
     return a.kron(b)
+
+
+def kron_identity_matmul(a, b, y):
+    """(a (x) b) @ y by index arithmetic, without building the Kronecker product.
+
+    Exactly one of a, b is an int n standing for the n x n identity, the
+    other a Matrix x; indices follow ``Matrix.kron``.  For I_n (x) x, row
+    ``row`` of y meets column ``row % x.ncols`` of x in block ``row // x.ncols``;
+    for x (x) I_n, it meets column ``row // n`` of x at offset ``row % n``.
+    """
+    if isinstance(a, int):
+        x, n, step = b, a, 1
+        place = [(row % x.ncols, row // x.ncols * x.nrows) for row in range(y.nrows)]
+    else:
+        x, n, step = a, b, b
+        place = [(row // n, row % n) for row in range(y.nrows)]
+    if x.field != y.field or n * x.ncols != y.nrows:
+        raise ValueError("shape or field mismatch")
+    f = x.field
+    cols = {}
+    for (r, c), v in x.entries.items():
+        cols.setdefault(c, []).append((r * step, v))
+    acc = {}
+    for (row, j), w in y.entries.items():
+        c, base = place[row]
+        for rs, v in cols.get(c, ()):
+            key = (base + rs, j)
+            prod = f.mul(v, w)
+            acc[key] = f.add(acc[key], prod) if key in acc else prod
+    return Matrix(f, n * x.nrows, y.ncols, {k: v for k, v in acc.items() if v})
 
 
 def _row_dicts(m):
@@ -477,10 +533,10 @@ def _row_axpy(f, zero, row, prow, col):
         return
     for c, v in prow.items():
         w = f.sub(row.get(c, zero), f.mul(a, v))
-        if w == zero:
-            row.pop(c, None)
-        else:
+        if w:
             row[c] = w
+        else:
+            row.pop(c, None)
 
 
 def _rank_elim(eliminate, rows):
@@ -680,17 +736,15 @@ def quotient_maps(sub):
 def extend_to_basis(field, ambient, base_vectors, candidates):
     """Greedily pick candidates extending span(base_vectors) within ambient.
 
-    Returns indices (in order) of the candidates that enlarge the span.
-    Deterministic.
+    A vector is a dense sequence or a sparse dict {index: value}, as given
+    by ``Matrix.column_dicts``.  Returns indices (in order) of the
+    candidates that enlarge the span.  Deterministic.
     """
-    rows = []
-    for v in base_vectors:
-        rows.append({j: x for j, x in enumerate(v) if x != field.zero})
-    pivots, red = _rref(field, rows, ambient)
+    pivots, red = _rref(field, [_sparse(v) for v in base_vectors], ambient)
     chosen = []
     zero = field.zero
     for idx, cand in enumerate(candidates):
-        row = {j: x for j, x in enumerate(cand) if x != zero}
+        row = _sparse(cand)
         for p, r in zip(pivots, red):
             _row_axpy(field, zero, row, r, p)
         if not row:
@@ -708,3 +762,10 @@ def extend_to_basis(field, ambient, base_vectors, candidates):
         red.insert(at, row)
         chosen.append(idx)
     return chosen
+
+
+def _sparse(vec):
+    """A fresh sparse dict {index: value} of a dense sequence or a sparse dict."""
+    if isinstance(vec, dict):
+        return dict(vec)
+    return {j: x for j, x in enumerate(vec) if x}

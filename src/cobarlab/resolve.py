@@ -24,7 +24,7 @@ from cobarlab.coalg import (
     validate,
     validate_comodule,
 )
-from cobarlab.exactlin import Matrix, SubspaceBasis, quotient_maps
+from cobarlab.exactlin import Matrix, SubspaceBasis, kron_identity_matmul, quotient_maps
 
 
 @dataclass(frozen=True)
@@ -54,25 +54,22 @@ class ContramoduleResolution:
 def _socle_retraction(m, s, rng=None):
     """A matrix phi with phi restricted to the socle the identity in its basis.
 
-    The deterministic choice solves against the socle columns; a generator
-    adds a sparse random correction vanishing on the socle, which exercises
-    the independence of the output from this choice.  Dense corrections would
-    fill in every later step, so each row gets at most three entries.
+    The deterministic choice is the solution of x @ phi^T = I with zero free
+    variables, where the rows of x are the socle vectors: one reduced row
+    echelon form of [x | I] (``solve_columns``) carries every unit vector at
+    once, and its uniqueness makes phi the same as solving for each unit
+    vector alone.  A generator adds a sparse random correction vanishing on
+    the socle, which exercises the independence of the output from this
+    choice.  Dense corrections would fill in every later step, so each row
+    gets at most three entries.
     """
     f = m.base.field
     n = m.dim
     v = s.dim
-    basis = Matrix.from_columns(f, [list(vec) for vec in s.vectors], n)
-    x = basis.transpose()
-    cols = []
-    for k in range(v):
-        unit = [f.zero] * v
-        unit[k] = f.one
-        sol = x.solve(tuple(unit))
-        if sol is None:
-            raise AssertionError("socle basis is not independent")
-        cols.append(list(sol))
-    phi = Matrix.from_columns(f, cols, n).transpose()
+    phi = Matrix.from_rows(f, s.vectors, n).solve_columns(Matrix.identity(f, v))
+    if phi is None:
+        raise AssertionError("socle basis is not independent")
+    phi = phi.transpose()
     if rng is not None and v < n:
         proj, _ = quotient_maps(s)
         w = n - v
@@ -95,7 +92,7 @@ def _one_step(m, rng=None, need_cokernel=True, check_bound=200000):
     """Embed m into the cofree comodule on its socle; return (v, f, cokernel).
 
     The morphism and cokernel rechecks are defensive and skipped above
-    check_bound, where their kron products dominate the whole computation.
+    check_bound, where their products dominate the whole computation.
     """
     c = m.base
     f = c.field
@@ -106,13 +103,13 @@ def _one_step(m, rng=None, need_cokernel=True, check_bound=200000):
         raise AssertionError("nonzero comodule with zero socle contradicts conilpotence")
     phi = _socle_retraction(m, s, rng)
     nu = m.coaction_matrix()
-    emb = Matrix.kron(Matrix.identity(f, c.dim), phi) @ nu
+    emb = kron_identity_matmul(c.dim, phi, nu)
     if emb.rank() != n:
         raise AssertionError("cofree hull embedding failed to be injective")
     j = cofree_comodule(c, v)
     nu_j = j.coaction_matrix()
     if c.dim * emb.nnz() <= check_bound and not (
-        nu_j @ emb == Matrix.kron(Matrix.identity(f, c.dim), emb) @ nu
+        nu_j @ emb == kron_identity_matmul(c.dim, emb, nu)
     ):
         raise AssertionError("hull embedding is not a comodule morphism")
     if not need_cokernel:
@@ -120,7 +117,7 @@ def _one_step(m, rng=None, need_cokernel=True, check_bound=200000):
     image = SubspaceBasis(f, j.dim, tuple(tuple(col) for col in emb.columns()))
     proj, section = quotient_maps(image)
     q = j.dim - n
-    nu_q = Matrix.kron(Matrix.identity(f, c.dim), proj) @ nu_j @ section
+    nu_q = kron_identity_matmul(c.dim, proj, nu_j) @ section
     quotient = Comodule(c, q, _coaction_triples(nu_q, q))
     if c.dim * nu_q.nnz() <= check_bound:
         report = validate_comodule(quotient)
@@ -166,7 +163,6 @@ def betti_dims(r):
 def verify_coresolution(r):
     """Recheck exactness, the comodule property, and vanishing socle differentials."""
     c = r.base
-    f = c.field
     terms = [cofree_comodule(c, v) for v in r.cogenerator_dims]
     maps = [r.embeddings[0]] + list(r.differentials)
     if maps[0].rank() != r.target.dim:
@@ -183,13 +179,11 @@ def verify_coresolution(r):
             return False
     for i in range(1, len(maps)):
         j = terms[i - 1]
-        soc = socle(j)
-        soc_matrix = Matrix.from_columns(f, [list(vec) for vec in soc.vectors], j.dim)
-        if not (maps[i] @ soc_matrix).is_zero():
+        if not (maps[i] @ socle(j).matrix_with_vector_columns()).is_zero():
             return False
         nu_src = j.coaction_matrix()
         nu_dst = terms[i].coaction_matrix()
-        if not (nu_dst @ maps[i] == Matrix.kron(Matrix.identity(f, c.dim), maps[i]) @ nu_src):
+        if not (nu_dst @ maps[i] == kron_identity_matmul(c.dim, maps[i], nu_src)):
             return False
     return True
 

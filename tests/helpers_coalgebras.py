@@ -1,7 +1,7 @@
 """Small coalgebras shared across test modules."""
 
 from cobarlab.coalg import Coalgebra, reduced_coaction_matrix
-from cobarlab.exactlin import QQ, Matrix
+from cobarlab.exactlin import QQ, Matrix, quotient_maps
 
 
 def dual_numbers_dual(field=QQ):
@@ -93,3 +93,52 @@ def kron_bar_boundary(bar, i):
         ins = Matrix.kron(Matrix.identity(f, d ** (t - 1)), Matrix.kron(bar.reduced, Matrix.identity(f, d ** (i - 1 - t))))
         out = out + (ins if t % 2 == 1 else -ins)
     return out
+
+
+def per_unit_socle_retraction(m, s, rng=None):
+    """Reference socle retraction: one ``solve`` per socle unit vector.
+
+    Row k of phi solves x @ phi[k]^T = e_k, where the rows of x are the socle
+    vectors; the random correction draws from ``rng`` exactly as the
+    coresolution does.
+    """
+    f = m.base.field
+    n = m.dim
+    v = s.dim
+    x = Matrix.from_columns(f, [list(vec) for vec in s.vectors], n).transpose()
+    cols = []
+    for k in range(v):
+        unit = [f.zero] * v
+        unit[k] = f.one
+        sol = x.solve(tuple(unit))
+        assert sol is not None, "socle basis is not independent"
+        cols.append(list(sol))
+    phi = Matrix.from_columns(f, cols, n).transpose()
+    if rng is not None and v < n:
+        proj, _ = quotient_maps(s)
+        w = n - v
+        items = []
+        for r in range(v):
+            for c in rng.sample(range(w), rng.randrange(0, min(w, 2) + 1)):
+                items.append((r, c, f.from_int(rng.choice((-1, 1)))))
+        phi = phi + Matrix.from_entries(f, v, w, items) @ proj
+    return phi
+
+
+def per_column_bar_reduced(a):
+    """Reference reduced product of the bar complex of an augmented algebra.
+
+    Splits A = k (+) A_+ as the finite bar complex does and solves for each
+    product of two augmentation-ideal basis vectors with its own ``solve``.
+    """
+    f = a.field
+    n = a.dim
+    pos = Matrix.from_entries(f, 1, n, [(0, i, v) for i, v in enumerate(a.augmentation)]).kernel_basis()
+    into = Matrix.from_columns(f, [list(a.unit)] + [list(v) for v in pos.vectors], n)
+    d = pos.dim
+    items = []
+    for c, (x, y) in enumerate((x, y) for x in pos.vectors for y in pos.vectors):
+        sol = into.solve(a.multiply(x, y))
+        assert sol is not None, "product of augmentation-ideal elements left the algebra"
+        items.extend((r - 1, c, v) for r, v in enumerate(sol) if r >= 1)
+    return Matrix.from_entries(f, d, d * d, items)

@@ -194,12 +194,19 @@ def test_bundled_name_with_path_separator_is_rejected():
     assert main(["validate", "bundled:nope.json"]) == 2
 
 
-def test_internal_error_exits_3_not_a_verdict(monkeypatch, capsys):
+def test_internal_error_exits_3_not_a_verdict(monkeypatch, capsys, tmp_path):
     def failing_sweep(cx):
         raise AssertionError("cobar differential does not square to zero at cell (0,())")
 
     monkeypatch.setattr(cli, "ext_table", failing_sweep)
-    assert main(["ext", "bundled:c3.json", "--imax", "2"]) == 3
+    out = tmp_path / "report.json"
+    assert main(["ext", "bundled:c3.json", "--imax", "2", "--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert "internal error: AssertionError: cobar differential does not square to zero" in captured.err
     assert captured.out == ""
+    message = "cobar differential does not square to zero at cell (0,())"
+    expected = {"command": "ext", "error": {"message": message, "type": "AssertionError"}, "schema": "cobarlab/1"}
+    assert _load_out(out) == expected
+    assert out.read_text(encoding="utf-8") == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    # an unwritable --out still exits 3, not with an escaping exception
+    assert main(["ext", "bundled:c3.json", "--imax", "2", "--out", str(tmp_path / "missing" / "r.json")]) == 3

@@ -1,8 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from helpers_coalgebras import divided_line, dual_numbers_dual, kron_bar_boundary, strip_degrees
+from helpers_coalgebras import (
+    divided_line,
+    dual_numbers_dual,
+    kron_bar_boundary,
+    per_column_bar_reduced,
+    rescaled,
+    strip_degrees,
+)
 
 import cobarlab
 
@@ -350,3 +358,14 @@ def test_bar_boundary_matches_kron_reference():
 
 def test_package_exports_the_module_axiom_check_of_dualalg():
     assert cobarlab.verify_module_axioms is verify_module_axioms
+
+
+def test_bar_reduced_product_matches_per_column_solves():
+    sym3 = flatten(symmetric_coalgebra(2, 3, QQ))
+    rng = random.Random(20260820)
+    factors = [QQ.one] + [Fraction(rng.randint(1, 7), rng.randint(2, 9)) for _ in range(sym3.dim - 1)]
+    for c in (sym3, flatten(tensor_coalgebra(2, 2, QQ)), rescaled(sym3, factors)):
+        a = dual_algebra(c)
+        reduced = _FiniteBar(a).reduced
+        assert reduced.entries == per_column_bar_reduced(a).entries
+        assert reduced.nrows == c.dim - 1 and reduced.ncols == (c.dim - 1) ** 2

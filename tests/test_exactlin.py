@@ -12,6 +12,7 @@ from cobarlab.exactlin import (
     SubspaceBasis,
     extend_to_basis,
     kernel_basis,
+    kron_identity_matmul,
     kronecker,
     quotient_maps,
     rank,
@@ -257,3 +258,109 @@ def test_rank_matches_sympy_oracle(kind):
             oracle = [[domain(v) for v in row] for row in rows]
         expected = DomainMatrix(oracle, (nrows, ncols), domain).rank()
         assert Matrix(field, nrows, ncols, entries).rank() == expected
+
+
+@pytest.mark.parametrize("kind", ["qq_int", "qq_fraction", "gf7", "gf_large"])
+def test_kernel_and_solve_match_sympy_oracle(kind):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random("kernel-oracle-" + kind)
+    if kind == "qq_int":
+        field, domain, draw = QQ, sympy.QQ, lambda: rng.randint(-3, 3)
+    elif kind == "qq_fraction":
+        field, domain, draw = QQ, sympy.QQ, lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+    else:
+        p = 7 if kind == "gf7" else 2**31 - 1
+        field, domain, draw = GF(p), sympy.GF(p), lambda: rng.randrange(p)
+
+    def oracle(rows, nrows, ncols):
+        if field == QQ:
+            return DomainMatrix([[domain(v.numerator, v.denominator) for v in r] for r in rows], (nrows, ncols), domain)
+        return DomainMatrix([[domain(v) for v in row] for row in rows], (nrows, ncols), domain)
+
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 20), rng.randint(1, 20)
+        rows = _planted_rank_rows(rng, nrows, ncols, rng.randint(1, min(nrows, ncols)), draw)
+        if field != QQ:
+            rows = [[v % field.p for v in row] for row in rows]
+        m = Matrix(field, nrows, ncols, {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v})
+        expected = oracle(rows, nrows, ncols)
+        nullity = ncols - expected.rank()
+        # kernel: the dimension, vectors killed by the matrix, and the span of sympy's nullspace
+        ours = m.kernel_basis().vectors
+        assert len(ours) == nullity == expected.nullspace().shape[0]
+        if ours:
+            ours_m = oracle(ours, len(ours), ncols)
+            assert (expected * ours_m.transpose()).is_zero_matrix
+            assert ours_m.rank() == nullity
+            assert ours_m.vstack(expected.nullspace()).rank() == nullity
+        # solve: a consistent right-hand side, then a random one decided by the oracle's ranks
+        x0 = [draw() if rng.random() < 0.5 else 0 for _ in range(ncols)]
+        consistent = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+        for rhs in (consistent, [draw() for _ in range(nrows)]):
+            if field != QQ:
+                rhs = [v % field.p for v in rhs]
+            b = oracle([[v] for v in rhs], nrows, 1)
+            x = m.solve(tuple(rhs))
+            if expected.hstack(b).rank() > expected.rank():
+                assert x is None
+            else:
+                assert x is not None
+                assert expected * oracle([[v] for v in x], ncols, 1) == b
+
+
+def test_qq_scalars_keep_the_int_normal_form():
+    assert type(QQ.div(4, 2)) is int and QQ.div(4, 2) == 2
+    assert QQ.div(1, 2) == Fraction(1, 2)
+    assert type(QQ.coerce("6/3")) is int and QQ.coerce("6/3") == 2
+    assert type(QQ.coerce(Fraction(6, 3))) is int
+    assert type(QQ.inv(Fraction(1, 5))) is int and QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.from_int(7)) is int and QQ.zero == 0 and QQ.one == 1
+    assert QQ.div(Fraction(3, 4), Fraction(3, 2)) == Fraction(1, 2)
+    for v in (QQ.div(1, 3), QQ.inv(3), QQ.div(6, 4)):
+        assert type(v) is Fraction
+    assert GF(7).div(1, 2) == 4 and GF(7).coerce("3/2") == 5 and GF(7).coerce(Fraction(-1, 2)) == 3
+
+
+def test_constructors_store_elements_and_coerce_the_rest():
+    m = Matrix.from_rows(QQ, [[2, Fraction(1, 2), "3/3"], [0, "0", Fraction(0)]])
+    assert m.entries == {(0, 0): 2, (0, 1): Fraction(1, 2), (0, 2): 1}
+    assert type(m.entries[(0, 2)]) is int
+    f5 = GF(5)
+    assert Matrix.from_columns(f5, [[7, -1], [5, "2/3"]]).entries == {(0, 0): 2, (1, 0): 4, (1, 1): 4}
+    assert Matrix.from_entries(f5, 1, 1, [(0, 0, 3), (0, 0, 2)]).is_zero()
+    summed = Matrix.from_entries(QQ, 1, 2, [(0, 0, "1/2"), (0, 0, Fraction(1, 2)), (0, 1, 6)])
+    assert summed.entries == {(0, 0): 1, (0, 1): 6}
+    for build in (
+        lambda: Matrix.from_rows(QQ, [[True]]),
+        lambda: Matrix.from_columns(GF(5), [[False]]),
+        lambda: Matrix.from_entries(QQ, 1, 1, [(0, 0, False)]),
+        lambda: Matrix.from_rows(QQ, [[1.5]]),
+    ):
+        with pytest.raises(ValueError):
+            build()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_kron_identity_matmul_matches_kron(field):
+    rng = random.Random("kron-identity-%r" % field)
+
+    def sparse(nrows, ncols):
+        items = []
+        for i in range(nrows):
+            for j in range(ncols):
+                if rng.random() < 0.35:
+                    v = Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if field == QQ else rng.randrange(5)
+                    items.append((i, j, v))
+        return Matrix.from_entries(field, nrows, ncols, items)
+
+    for _ in range(60):
+        r, c, n, k = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 4), rng.randint(0, 5)
+        x = sparse(r, c)
+        y = sparse(n * c, k)
+        eye = Matrix.identity(field, n)
+        assert kron_identity_matmul(n, x, y) == Matrix.kron(eye, x) @ y
+        assert kron_identity_matmul(x, n, y) == Matrix.kron(x, eye) @ y
+    with pytest.raises(ValueError):
+        kron_identity_matmul(2, sparse(2, 3), sparse(5, 1))

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from helpers_coalgebras import divided_line, dual_numbers_dual
+from helpers_coalgebras import divided_line, dual_numbers_dual, per_unit_socle_retraction, rescaled
 
 from cobarlab.coalg import (
     Coalgebra,
@@ -10,6 +11,7 @@ from cobarlab.coalg import (
     extension_comodule,
     flatten,
     opposite,
+    socle,
     symmetric_coalgebra,
     tensor_coalgebra,
     trivial_comodule,
@@ -18,6 +20,8 @@ from cobarlab.cobar import build_cobar, cobar_with_coefficients, ext_table
 from cobarlab.exactlin import QQ
 from cobarlab.resolve import (
     MinimalCoresolution,
+    _one_step,
+    _socle_retraction,
     betti_dims,
     dualize_to_contramodule_resolution,
     minimal_coresolution,
@@ -117,3 +121,36 @@ def test_dualized_cofree_resolution_is_free_cover():
     cr = dualize_to_contramodule_resolution(minimal_coresolution(m, 1))
     assert cr.ext_dims() == [1, 0]
     assert verify_contramodule_resolution(cr, m.dim)
+
+
+def _sym3_and_rescaled():
+    sym3 = flatten(symmetric_coalgebra(2, 3, QQ))
+    rng = random.Random(20260818)
+    factors = [QQ.one]
+    factors += [Fraction(rng.choice((1, -1)) * rng.randint(1, 7), rng.randint(2, 9)) for _ in range(sym3.dim - 1)]
+    return sym3, rescaled(sym3, factors)
+
+
+@pytest.mark.parametrize("seed", [None, 7, 20260819])
+def test_socle_retraction_matches_per_unit_vector_solves(seed):
+    for c in _sym3_and_rescaled():
+        current = trivial_comodule(c)
+        walk = None if seed is None else random.Random(seed)
+        for step in range(4):
+            s = socle(current)
+            if walk is None:
+                assert _socle_retraction(current, s) == per_unit_socle_retraction(current, s)
+            else:
+                ours, reference = random.Random(), random.Random()
+                ours.setstate(walk.getstate())
+                reference.setstate(walk.getstate())
+                assert _socle_retraction(current, s, ours) == per_unit_socle_retraction(current, s, reference)
+            _, _, _, current = _one_step(current, walk, need_cokernel=step < 3)
+
+
+def test_seeded_coresolution_has_no_float_entries():
+    for c in _sym3_and_rescaled():
+        r = minimal_coresolution(trivial_comodule(c), 3, random.Random(5))
+        assert betti_dims(r) == [1, 2, 6, 14]
+        for m in r.embeddings + r.differentials:
+            assert m.entries and all(type(v) in (int, Fraction) for v in m.entries.values())
