@@ -138,7 +138,7 @@ def cmd_validate(args):
         rep = {"flags": {"algebra_valid": ok}, "notes": {}, "ok": ok}
     elif isinstance(obj, Comodule):
         base = validate(obj.base)
-        com = validate_comodule(obj)
+        com = validate_comodule(obj).ok
         rep = {
             "flags": dict(base.flags, comodule_valid=com),
             "notes": dict(base.notes),

@@ -14,8 +14,14 @@ Markowitz-style pivot rule: the pivot column is the minimum of a heap of
 active column counts, updated lazily (a popped entry whose count went stale
 is pushed back with the current count), then the sparsest row in that
 column, ties broken by row index.  Kernel bases, solving and reduced echelon
-forms use straight field arithmetic; in this package they only ever run on
-the smaller matrices of a pipeline.
+forms share one reduced row echelon form in field arithmetic, which keeps an
+index column -> rows so a pivot touches only the rows holding its column.
+
+The sparse products (``Matrix.__matmul__``, ``kron_identity_matmul``)
+accumulate in plain ints: over the rationals each row of the left factor and
+each column of the right factor is scaled to integers by the lcm of its
+denominators, and each output entry is divided once; over GF(p) each sum is
+reduced mod p once.  An all-int operand is used as it is, without a copy.
 """
 
 from __future__ import annotations
@@ -155,10 +161,11 @@ class Matrix:
     """Immutable sparse matrix: nonzero entries in a dict keyed by (row, col).
 
     Over QQ an entry is an ``int`` when integral and otherwise a
-    ``Fraction`` (arithmetic may leave an integral ``Fraction``, which is
-    equal and hashes alike).  The constructors below store values that
-    already are field elements as given and coerce only the others
-    (strings, ints out of range over GF(p)); a bool is rejected.
+    ``Fraction``.  Products always store that form; the echelon form, sums,
+    scaling and ``kron`` may leave an integral ``Fraction``, which is equal
+    and hashes alike.  The constructors below store values that already
+    are field elements as given and coerce only the others (strings, ints
+    out of range over GF(p)); a bool is rejected.
     """
 
     __slots__ = ("field", "nrows", "ncols", "entries")
@@ -294,22 +301,23 @@ class Matrix:
         if self.field != other.field or self.ncols != other.nrows:
             raise ValueError("cannot multiply %dx%d by %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols))
         f = self.field
+        a, row_dens = _cleared(self.entries, 0)
+        b, col_dens = _cleared(other.entries, 1)
         rows_b = {}
-        for (i, j), v in other.entries.items():
+        for (i, j), v in b.items():
             rows_b.setdefault(i, []).append((j, v))
         acc = {}
-        for (i, k), v in self.entries.items():
+        for (i, k), v in a.items():
             rb = rows_b.get(k)
             if rb is None:
                 continue
             for j, w in rb:
                 key = (i, j)
-                prod = f.mul(v, w)
                 if key in acc:
-                    acc[key] = f.add(acc[key], prod)
+                    acc[key] += v * w
                 else:
-                    acc[key] = prod
-        return Matrix(f, self.nrows, other.ncols, {k: v for k, v in acc.items() if v})
+                    acc[key] = v * w
+        return Matrix(f, self.nrows, other.ncols, _settled(f, acc, row_dens, col_dens))
 
     def apply(self, vec):
         """Matrix times a column vector (tuple/list of scalars)."""
@@ -462,24 +470,85 @@ def kron_identity_matmul(a, b, y):
     """
     if isinstance(a, int):
         x, n, step = b, a, 1
+        bases = [k * x.nrows for k in range(n)]
         place = [(row % x.ncols, row // x.ncols * x.nrows) for row in range(y.nrows)]
     else:
         x, n, step = a, b, b
+        bases = range(n)
         place = [(row // n, row % n) for row in range(y.nrows)]
     if x.field != y.field or n * x.ncols != y.nrows:
         raise ValueError("shape or field mismatch")
-    f = x.field
+    xe, x_dens = _cleared(x.entries, 0)
+    ye, col_dens = _cleared(y.entries, 1)
+    # row r of x is row base + r * step of the product, for every base
+    row_dens = {base + r * step: d for r, d in x_dens.items() for base in bases}
     cols = {}
-    for (r, c), v in x.entries.items():
+    for (r, c), v in xe.items():
         cols.setdefault(c, []).append((r * step, v))
     acc = {}
-    for (row, j), w in y.entries.items():
+    for (row, j), w in ye.items():
         c, base = place[row]
         for rs, v in cols.get(c, ()):
             key = (base + rs, j)
-            prod = f.mul(v, w)
-            acc[key] = f.add(acc[key], prod) if key in acc else prod
-    return Matrix(f, n * x.nrows, y.ncols, {k: v for k, v in acc.items() if v})
+            if key in acc:
+                acc[key] += v * w
+            else:
+                acc[key] = v * w
+    return Matrix(x.field, n * x.nrows, y.ncols, _settled(x.field, acc, row_dens, col_dens))
+
+
+def _cleared(entries, axis):
+    """Integer entries: each row (axis 0) or column (axis 1) times the lcm of its denominators.
+
+    Returns the entries and a dict {index: multiplier} naming every line
+    that was scaled.  Entries that are all ints (always so over GF(p)) come
+    back as the same dict, not a copy.
+    """
+    dens = {}
+    for key, v in entries.items():
+        if type(v) is not int:
+            i = key[axis]
+            d = dens.get(i, 1)
+            dens[i] = d * v.denominator // gcd(d, v.denominator)
+    if not dens:
+        return entries, dens
+    out = {}
+    for key, v in entries.items():
+        d = dens.get(key[axis])
+        if d is None:
+            out[key] = v
+        elif type(v) is int:
+            out[key] = v * d
+        else:
+            out[key] = v.numerator * (d // v.denominator)
+    return out, dens
+
+
+def _settled(field, acc, row_dens, col_dens):
+    """The nonzero entries of a product accumulated in ints from ``_cleared`` operands.
+
+    Over GF(p) each sum is reduced mod p once; over QQ it is divided once by
+    its row and column multipliers, leaving an int when integral.
+    """
+    p = field.p
+    out = {}
+    if p is not None:
+        for key, s in acc.items():
+            s %= p
+            if s:
+                out[key] = s
+    else:
+        row_den, col_den = row_dens.get, col_dens.get
+        for key, s in acc.items():
+            if s:
+                d = row_den(key[0], 1) * col_den(key[1], 1)
+                if d == 1:
+                    out[key] = s
+                elif s % d:
+                    out[key] = Fraction(s, d)
+                else:
+                    out[key] = s // d
+    return out
 
 
 def _row_dicts(m):
@@ -493,50 +562,59 @@ def _rref(field, rows, width):
     """In-place reduced echelon on a list of sparse row dicts.
 
     Pivot columns are chosen left to right; within a column the row with the
-    fewest nonzeros wins, ties by row index.
+    fewest nonzeros wins, ties by row index.  An index column -> rows holding
+    it, kept current through fill-in and cancellation, limits each pivot to
+    the rows it changes, pivot rows included.
     """
     f = field
-    zero = f.zero
+    col_rows = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            col_rows.setdefault(c, set()).add(i)
     pivots = []
-    pivot_rows = []
-    live = list(range(len(rows)))
+    pivot_idx = []
+    done = set()
     for col in range(width):
-        best = None
-        best_idx = -1
-        for idx in live:
-            row = rows[idx]
-            if col in row:
-                key = (len(row), idx)
-                if best is None or key < best:
-                    best = key
-                    best_idx = idx
+        holders = col_rows.get(col)
+        if not holders:
+            continue
+        best = min((i for i in holders if i not in done), key=lambda i: (len(rows[i]), i), default=None)
         if best is None:
             continue
-        live.remove(best_idx)
-        prow = rows[best_idx]
+        done.add(best)
+        prow = rows[best]
         inv = f.inv(prow[col])
         if inv != f.one:
-            prow = {c: f.mul(inv, v) for c, v in prow.items()}
-        for other in pivot_rows:
-            _row_axpy(f, zero, other, prow, col)
-        for idx in live:
-            _row_axpy(f, zero, rows[idx], prow, col)
+            prow = rows[best] = {c: f.mul(inv, v) for c, v in prow.items()}
+        for idx in [i for i in holders if i != best]:
+            _row_axpy(f, rows[idx], prow, col, col_rows, idx)
         pivots.append(col)
-        pivot_rows.append(prow)
-    return pivots, pivot_rows
+        pivot_idx.append(best)
+    return pivots, [rows[i] for i in pivot_idx]
 
 
-def _row_axpy(f, zero, row, prow, col):
-    """row -= row[col] * prow, where prow has pivot value 1 at col."""
+def _row_axpy(f, row, prow, col, col_rows=None, idx=None):
+    """row -= row[col] * prow, where prow has pivot value 1 at col.
+
+    Given ``col_rows``, the index column -> rows is updated for row ``idx``.
+    """
     a = row.get(col)
     if a is None:
         return
+    p = f.p
     for c, v in prow.items():
-        w = f.sub(row.get(c, zero), f.mul(a, v))
+        old = row.get(c)
+        w = -a * v if old is None else old - a * v
+        if p is not None:
+            w %= p
         if w:
             row[c] = w
+            if old is None and col_rows is not None:
+                col_rows.setdefault(c, set()).add(idx)
         else:
-            row.pop(c, None)
+            del row[c]
+            if col_rows is not None:
+                col_rows[c].discard(idx)
 
 
 def _rank_elim(eliminate, rows):
@@ -742,11 +820,10 @@ def extend_to_basis(field, ambient, base_vectors, candidates):
     """
     pivots, red = _rref(field, [_sparse(v) for v in base_vectors], ambient)
     chosen = []
-    zero = field.zero
     for idx, cand in enumerate(candidates):
         row = _sparse(cand)
         for p, r in zip(pivots, red):
-            _row_axpy(field, zero, row, r, p)
+            _row_axpy(field, row, r, p)
         if not row:
             continue
         col = min(row)
@@ -754,7 +831,7 @@ def extend_to_basis(field, ambient, base_vectors, candidates):
         if inv != field.one:
             row = {c: field.mul(inv, v) for c, v in row.items()}
         for r in red:
-            _row_axpy(field, zero, r, row, col)
+            _row_axpy(field, r, row, col)
         at = 0
         while at < len(pivots) and pivots[at] < col:
             at += 1

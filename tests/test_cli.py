@@ -189,6 +189,24 @@ def test_comodule_input_to_ext_is_rejected(tmp_path):
     assert main(["validate", str(path)]) == 0
 
 
+def test_validate_comodule_verdict(tmp_path, capsys):
+    # (0, 0, 1) is not primitive, so the coaction fails coassociativity
+    bad = tmp_path / "bad.json"
+    bad.write_text(dumps_presentation(extension_comodule(divided_line(), (QQ.zero, QQ.zero, QQ.one))))
+    assert main(["validate", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "comodule_valid: false" in out and "FAILED" in out
+    report = tmp_path / "bad_report.json"
+    assert main(["validate", str(bad), "--out", str(report)]) == 1
+    result = _load_out(report)["result"]
+    assert result["ok"] is False and result["flags"]["comodule_valid"] is False
+    good = tmp_path / "good.json"
+    good.write_text(dumps_presentation(extension_comodule(divided_line(), (QQ.zero, QQ.one, QQ.zero))))
+    good_report = tmp_path / "good_report.json"
+    assert main(["validate", str(good), "--out", str(good_report)]) == 0
+    assert _load_out(good_report)["result"]["ok"] is True
+
+
 def test_bundled_name_with_path_separator_is_rejected():
     assert main(["validate", "bundled:../c3.json"]) == 2
     assert main(["validate", "bundled:nope.json"]) == 2

@@ -364,3 +364,118 @@ def test_kron_identity_matmul_matches_kron(field):
         assert kron_identity_matmul(x, n, y) == Matrix.kron(x, eye) @ y
     with pytest.raises(ValueError):
         kron_identity_matmul(2, sparse(2, 3), sparse(5, 1))
+
+
+@pytest.mark.parametrize("kind", ["qq_int", "qq_fraction", "gf7", "gf_large"])
+def test_rref_matches_sympy_oracle(kind):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random("rref-oracle-" + kind)
+    if kind == "qq_int":
+        field, draw = QQ, lambda: rng.randint(-3, 3)
+    elif kind == "qq_fraction":
+        field, draw = QQ, lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+    else:
+        p = 7 if kind == "gf7" else 2**31 - 1
+        field, draw = GF(p), lambda: rng.randrange(p)
+
+    def oracle(rows, nrows, ncols):
+        """Pivot columns and the nonzero rows of sympy's RREF, as sparse dicts."""
+        if field == QQ:
+            reduced, pivots = sympy.Matrix(rows).rref()
+            dense = [[Fraction(int(v.p), int(v.q)) for v in reduced.row(i)] for i in range(nrows)]
+        else:
+            domain = sympy.GF(field.p)
+            reduced, pivots = DomainMatrix([[domain(v) for v in row] for row in rows], (nrows, ncols), domain).rref()
+            dense = [[int(v) % field.p for v in row] for row in reduced.to_list()]
+        return list(pivots), [{j: v for j, v in enumerate(row) if v} for row in dense[: len(pivots)]]
+
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 20), rng.randint(1, 20)
+        rows = _planted_rank_rows(rng, nrows, ncols, rng.randint(1, min(nrows, ncols)), draw)
+        if field != QQ:
+            rows = [[v % field.p for v in row] for row in rows]
+        expected = oracle(rows, nrows, ncols)
+        m = Matrix(field, nrows, ncols, {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v})
+        assert m.rref() == expected
+        order = list(range(nrows))
+        rng.shuffle(order)
+        permuted = Matrix(field, nrows, ncols, {(order[i], j): v for (i, j), v in m.entries.items()})
+        assert permuted.rref() == expected
+
+
+def _dense_product(field, a, b, ncols):
+    """Row-by-column sums of two dense row lists, one field operation at a time."""
+    inner = len(b)
+    out = []
+    for row in a:
+        line = []
+        for j in range(ncols):
+            s = field.zero
+            for k in range(inner):
+                s = field.add(s, field.mul(row[k], b[k][j]))
+            line.append(s)
+        out.append(line)
+    return out
+
+
+def _dense_kron(field, a, b):
+    return [[field.mul(x, y) for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _product_draw(kind, rng):
+    primes = [3, 7, 101, 10007, 65537, 2**31 - 1]
+    if kind == "gf_large":
+        p = 2**31 - 1
+        # every entry is near p, so each product is near 2**62 and a sum of three passes 2**63
+        return GF(p), lambda: p - 1 - rng.randrange(4)
+    if kind == "all_int":
+        return QQ, lambda: rng.randint(-9, 9)
+    if kind == "cancelling":
+        return QQ, lambda: rng.choice([1, -1]) * Fraction(rng.choice(primes), rng.choice(primes))
+    return QQ, lambda: Fraction(rng.randint(-9, 9), rng.choice([1, 2, 6] + primes))
+
+
+@pytest.mark.parametrize("kind", ["mixed_denominators", "cancelling", "all_int", "empty", "gf_large"])
+def test_products_match_per_entry_reference(kind):
+    rng = random.Random("products-" + kind)
+    field, draw = _product_draw(kind, rng)
+    density = 1.0 if kind == "gf_large" else 0.5
+
+    def dense(nrows, ncols):
+        return [[draw() if rng.random() < density else 0 for _ in range(ncols)] for _ in range(nrows)]
+
+    def rhs(nrows, ncols):
+        # when cancelling, [z ; -z] meets [x | x] and every sum is zero
+        if kind != "cancelling":
+            return dense(nrows, ncols)
+        z = dense(nrows, ncols)
+        return z + [[-v for v in row] for row in z]
+
+    for _ in range(40):
+        r, c, k, n = rng.randint(1, 5), rng.randint(3, 6), rng.randint(1, 4), rng.randint(1, 3)
+        if kind == "empty":
+            r, c, k, n = (rng.choice([0, d]) for d in (r, c, k, n))
+        x = dense(r, c)
+        if kind == "cancelling":
+            x = [row + row for row in x]
+        width = 2 * c if kind == "cancelling" else c
+        xm = Matrix.from_rows(field, x, width)
+        ym = Matrix.from_rows(field, rhs(c, k), k)
+        left_w = Matrix.from_rows(field, [row for _ in range(n) for row in rhs(c, k)], k)
+        right_w = Matrix.from_rows(field, rhs(n * c, k), k)
+        eye, xr = Matrix.identity(field, n).to_rows(), xm.to_rows()
+        cases = [
+            (xm @ ym, _dense_product(field, xr, ym.to_rows(), k)),
+            (kron_identity_matmul(n, xm, left_w), _dense_product(field, _dense_kron(field, eye, xr), left_w.to_rows(), k)),
+            (kron_identity_matmul(xm, n, right_w), _dense_product(field, _dense_kron(field, xr, eye), right_w.to_rows(), k)),
+        ]
+        for got, expected in cases:
+            assert (got.nrows, got.ncols) == (len(expected), k)
+            assert got.to_rows() == expected
+            assert all(got.entries.values())
+            if field == QQ:
+                assert all(type(v) is int for v in got.entries.values() if v.denominator == 1)
+            if kind == "cancelling":
+                assert got.is_zero()
