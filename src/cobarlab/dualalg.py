@@ -11,12 +11,15 @@ what pins it.
 Module Ext is computed from minimal free resolutions: over these algebras
 the augmentation ideal is nilpotent, so covers by A (x) (K / A_+ K) are
 surjective and kernels stay finite.  The bar complex gives an independent
-route to the same numbers, split by internal degree in the graded case.
+route to the same numbers, split into internal-degree cells whenever the
+algebra is graded (Priddy, "Koszul resolutions", 1970): by its components
+for a graded algebra, by its degree metadata for a finite one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from cobarlab.coalg import Coalgebra, Comodule, GradedCoalgebra, validate
 from cobarlab.cobar import ExtTable
@@ -27,10 +30,12 @@ class Algebra:
     """Finite-dimensional associative unital algebra, optionally augmented.
 
     mult[a][b] is the coordinate tuple of e_a e_b; unit and augmentation are
-    coordinate vectors (the augmentation may be None).
+    coordinate vectors (the augmentation may be None).  ``degrees`` is
+    optional metadata, one int per basis index, as on ``Coalgebra``; the bar
+    complex splits by it when it grades the augmentation ideal.
     """
 
-    def __init__(self, field, dim, unit, mult, augmentation=None):
+    def __init__(self, field, dim, unit, mult, augmentation=None, degrees=None):
         if dim < 1:
             raise ValueError("algebra dimension must be >= 1")
         if len(unit) != dim or len(mult) != dim:
@@ -45,16 +50,16 @@ class Algebra:
             rows.append(tuple(tuple(field.coerce(v) for v in mult[a][b]) for b in range(dim)))
         self.mult = tuple(rows)
         self.augmentation = None if augmentation is None else tuple(field.coerce(v) for v in augmentation)
+        if degrees is not None:
+            degrees = tuple(int(d) for d in degrees)
+            if len(degrees) != dim:
+                raise ValueError("degrees length != dim")
+        self.degrees = degrees
 
     def mult_matrix(self):
         """A (x) A -> A with column index a*dim + b."""
         n = self.dim
-        items = []
-        for a in range(n):
-            for b in range(n):
-                for t, v in enumerate(self.mult[a][b]):
-                    if v != self.field.zero:
-                        items.append((t, a * n + b, v))
+        items = [(t, a * n + b, v) for a in range(n) for b in range(n) for t, v in enumerate(self.mult[a][b]) if v]
         return Matrix.from_entries(self.field, n, n * n, items)
 
     def multiply(self, u, v):
@@ -74,11 +79,7 @@ class Algebra:
 
     def left_action_matrix(self, a):
         """Left multiplication by basis element a."""
-        items = []
-        for b in range(self.dim):
-            for t, v in enumerate(self.mult[a][b]):
-                if v != self.field.zero:
-                    items.append((t, b, v))
+        items = [(t, b, v) for b in range(self.dim) for t, v in enumerate(self.mult[a][b]) if v]
         return Matrix.from_entries(self.field, self.dim, self.dim, items)
 
     def __eq__(self, other):
@@ -132,12 +133,12 @@ def dual_algebra(c):
             mult[j][i][t] = f.add(mult[j][i][t], v)
     aug = [f.zero] * n
     aug[c.grouplike_index] = f.one
-    return Algebra(f, n, c.counit, mult, aug)
+    return Algebra(f, n, c.counit, mult, aug, c.degrees)
 
 
 def opposite_algebra(a):
     flipped = [[a.mult[y][x] for y in range(a.dim)] for x in range(a.dim)]
-    return Algebra(a.field, a.dim, a.unit, flipped, a.augmentation)
+    return Algebra(a.field, a.dim, a.unit, flipped, a.augmentation, a.degrees)
 
 
 class GradedAlgebra:
@@ -227,13 +228,6 @@ def graded_dual(g):
     raise TypeError("graded_dual expects a graded coalgebra or graded algebra")
 
 
-def _word_vectors(field, m, rel_vectors, degree2_dim):
-    for vec in rel_vectors:
-        if len(vec) != degree2_dim:
-            raise ValueError("relation vectors must live in the degree-2 component")
-    return [tuple(field.coerce(v) for v in vec) for vec in rel_vectors]
-
-
 def quadratic_algebra(m, relations, top, field):
     """Truncated quotient of the free algebra on m generators by quadratic relations.
 
@@ -245,8 +239,9 @@ def quadratic_algebra(m, relations, top, field):
     if isinstance(relations, SubspaceBasis):
         relations = list(relations.vectors)
     f = field
-    rels = _word_vectors(f, m, list(relations), m * m)
-    ideal_dims = {}
+    rels = [tuple(f.coerce(v) for v in vec) for vec in relations]
+    if any(len(vec) != m * m for vec in rels):
+        raise ValueError("relation vectors must live in the degree-2 component")
     projs = {}
     sections = {}
     dims = []
@@ -270,7 +265,6 @@ def quadratic_algebra(m, relations, top, field):
                             vecs.append(tuple(vec))
             span = SubspaceBasis(f, total, tuple(vecs))
         proj, section = quotient_maps(span)
-        ideal_dims[j] = span.dim
         projs[j] = proj
         sections[j] = section
         dims.append(total - span.dim)
@@ -285,176 +279,172 @@ def quadratic_algebra(m, relations, top, field):
 # bar complexes
 
 
-class _FiniteBar:
-    """Reduced bar chain complex of an augmented finite algebra."""
+class _BarComplex:
+    """Reduced bar complex of an augmented algebra, split into internal-degree cells.
+
+    A_+ has ``dims[w]`` basis vectors of degree w, and ``mu[(p, q)]`` is the
+    reduced product A_p (x) A_q -> A_{p+q} (column index a*dims[q] + b).
+    Cell (i, w) of B_i = A_+^(x i) holds one block per composition of w into
+    i degrees, row-major inside; the boundary keeps the degree.  A graded
+    algebra gives its components.  A finite algebra gives ``reduced``, the
+    product on A_+ = ker(augmentation), graded by its ``degrees`` when
+    ``_positive_degrees`` accepts them and by the zero grading (one cell per
+    term) otherwise.  ``boundary(i)`` is the zero-grading cell, the whole
+    term indexed row-major over A_+^(x i).
+    """
 
     def __init__(self, a):
+        f = self.f = a.field
+        if isinstance(a, GradedAlgebra):
+            top = a.top_degree
+            self.dims = (0,) + a.dims[1:]
+            self.mu = {(p, q): a.component(p, q) for p in range(1, top + 1) for q in range(1, top + 1 - p)}
+            return
         if a.augmentation is None:
             raise ValueError("bar complex needs an augmented algebra")
-        f = a.field
         n = a.dim
-        aug = Matrix.from_entries(f, 1, n, [(0, i, v) for i, v in enumerate(a.augmentation)])
-        pos = aug.kernel_basis()
-        self.d = pos.dim
-        cols = [list(a.unit)] + [list(v) for v in pos.vectors]
-        self.into = Matrix.from_columns(f, cols, n)  # k (+) A_+ -> A in the split basis
-        self.f = f
-        # reduced multiplication: project the product of positive parts back
-        prod_cols = []
-        for x in pos.vectors:
-            for y in pos.vectors:
-                prod_cols.append(list(a.multiply(x, y)))
-        prod = Matrix.from_columns(f, prod_cols, n) if prod_cols else Matrix.zeros(f, n, 0)
-        sol = self.into.solve_columns(prod)
+        pos = Matrix.from_entries(f, 1, n, [(0, i, v) for i, v in enumerate(a.augmentation)]).kernel_basis()
+        d = self.d = pos.dim
+        into = Matrix.from_columns(f, [list(a.unit)] + [list(v) for v in pos.vectors], n)  # k (+) A_+ -> A
+        prod_cols = [list(a.multiply(x, y)) for x in pos.vectors for y in pos.vectors]
+        sol = into.solve_columns(Matrix.from_columns(f, prod_cols, n) if prod_cols else Matrix.zeros(f, n, 0))
         if sol is None:
             raise AssertionError("product of augmentation-ideal elements left the algebra")
-        self.reduced = Matrix.from_entries(
-            f, self.d, self.d * self.d, [(r - 1, c, v) for (r, c), v in sol.entries.items() if r >= 1]
-        )
-
-    def term_dim(self, i):
-        return self.d**i
-
-    def boundary(self, i):
-        """d: B_i -> B_{i-1}, the alternating sum of adjacent reduced products."""
-        f = self.f
-        d = self.d
-        entries = {}
-        for t in range(1, i):
-            after = d ** (i - 1 - t)
+        self.reduced = Matrix(f, d, d * d, {(r - 1, c): v for (r, c), v in sol.entries.items() if r >= 1})
+        self.dims, self.mu = (d,), {(0, 0): self.reduced}
+        degrees = _positive_degrees(a, self.reduced)
+        if degrees is not None:
+            dims = [0] * (max(degrees, default=0) + 1)
+            local = []  # position of each basis vector among those of its degree
+            for w in degrees:
+                local.append(dims[w])
+                dims[w] += 1
+            items = {}
             for (r, c), v in self.reduced.entries.items():
-                v = v if t % 2 else f.neg(v)
-                for b in range(d ** (t - 1)):
-                    row, col = (b * d + r) * after, (b * d * d + c) * after
-                    for a in range(after):
-                        key = (row + a, col + a)
-                        w = f.add(entries[key], v) if key in entries else v
-                        if w:
-                            entries[key] = w
-                        else:
-                            del entries[key]
-        return Matrix(f, self.term_dim(i - 1), self.term_dim(i), entries)
+                x, y = divmod(c, d)
+                p, q = degrees[x], degrees[y]
+                items.setdefault((p, q), {})[(local[r], local[x] * dims[q] + local[y])] = v
+            self.dims = tuple(dims)
+            self.mu = {(p, q): Matrix(f, dims[p + q], dims[p] * dims[q], e) for (p, q), e in items.items()}
+
+    def layout(self, i, w, dims=None):
+        """(size, {composition: offset}) of cell (i, w)."""
+        dims = dims or self.dims
+        offsets, total = {}, 0
+        for comp in _compositions(w, i, dims):
+            offsets[comp] = total
+            total += prod(dims[p] for p in comp)
+        return total, offsets
+
+    def boundary(self, i, w=None):
+        """d: cell (i, w) -> cell (i-1, w), the alternating sum of adjacent reduced products.
+
+        ``w=None`` gives the whole term, the one cell of the zero grading.
+        """
+        f = self.f
+        dims, mu = (self.dims, self.mu) if w is not None else ((self.d,), {(0, 0): self.reduced})
+        src_dim, src_off = self.layout(i, w or 0, dims)
+        dst_dim, dst_off = self.layout(i - 1, w or 0, dims)
+        entries = {}
+        for comp, col0 in src_off.items():
+            sizes = [dims[p] for p in comp]
+            for t in range(i - 1):
+                p, q = comp[t], comp[t + 1]
+                row0 = dst_off.get(comp[:t] + (p + q,) + comp[t + 2 :])
+                if row0 is None or (p, q) not in mu:
+                    continue
+                before, after = prod(sizes[:t]), prod(sizes[t + 2 :])
+                height, width = dims[p + q], sizes[t] * sizes[t + 1]
+                for (r, c), v in mu[(p, q)].entries.items():
+                    v = f.neg(v) if t % 2 else v
+                    for b in range(before):
+                        row, col = row0 + (b * height + r) * after, col0 + (b * width + c) * after
+                        for x in range(after):
+                            key = (row + x, col + x)
+                            s = f.add(entries[key], v) if key in entries else v
+                            if s:
+                                entries[key] = s
+                            else:
+                                del entries[key]
+        return Matrix(f, dst_dim, src_dim, entries)
+
+
+def _positive_degrees(a, reduced):
+    """Degrees of the basis of A_+ from ``a.degrees``, or None when they cannot grade the bar complex.
+
+    They can when the augmentation is the coordinate vector of a degree-0
+    index g, so that A_+ has the other coordinate vectors as its basis in
+    order; every other index has degree >= 1; and the reduced product is
+    homogeneous.  The degrees need not be sorted.
+    """
+    if a.degrees is None:
+        return None
+    support = [k for k, v in enumerate(a.augmentation) if v]
+    if len(support) != 1 or a.augmentation[support[0]] != a.field.one:
+        return None
+    g = support[0]
+    degrees = a.degrees[:g] + a.degrees[g + 1 :]
+    if a.degrees[g] != 0 or min(degrees, default=1) < 1:
+        return None
+    d = len(degrees)
+    for r, c in reduced.entries:
+        x, y = divmod(c, d)
+        if degrees[r] != degrees[x] + degrees[y]:
+            return None
+    return degrees
 
 
 def _compositions(total, parts, dims):
-    """Compositions of ``total`` into ``parts`` positive parts with dims[part] > 0."""
+    """Compositions of ``total`` into ``parts`` parts p <= len(dims) - 1 with dims[p] > 0."""
     top = len(dims) - 1
-    if parts == 0:
-        return [()] if total == 0 else []
     out = []
 
     def rec(prefix, remaining, slots):
-        if slots == 1:
-            if 1 <= remaining <= top and dims[remaining] > 0:
-                out.append(prefix + (remaining,))
+        if slots == 0:
+            if remaining == 0:
+                out.append(prefix)
             return
-        lo = max(1, remaining - top * (slots - 1))
-        hi = min(top, remaining - (slots - 1))
-        for a in range(lo, hi + 1):
-            if dims[a] > 0:
-                rec(prefix + (a,), remaining - a, slots - 1)
+        for p in range(max(0, remaining - top * (slots - 1)), min(top, remaining) + 1):
+            if dims[p] > 0:
+                rec(prefix + (p,), remaining - p, slots - 1)
 
     rec((), total, parts)
     return out
 
 
-class _GradedBar:
-    """Internal-degree cells of the reduced bar complex of a graded algebra."""
-
-    def __init__(self, a):
-        self.a = a
-        self.dims = a.dims
-        self._layouts = {}
-
-    def layout(self, i, j):
-        key = (i, j)
-        got = self._layouts.get(key)
-        if got is not None:
-            return got
-        comps = [()] if (i == 0 and j == 0) else _compositions(j, i, self.dims)
-        offsets = {}
-        total = 0
-        for comp in comps:
-            offsets[comp] = total
-            block = 1
-            for part in comp:
-                block *= self.dims[part]
-            total += block
-        got = (total, comps, offsets)
-        self._layouts[key] = got
-        return got
-
-    def boundary(self, i, j):
-        """d: cell (i, j) -> cell (i-1, j) merging adjacent tensor factors."""
-        f = self.a.field
-        src_dim, src_comps, src_off = self.layout(i, j)
-        dst_dim, _, dst_off = self.layout(i - 1, j)
-        entries = {}
-        for comp in src_comps:
-            col0 = src_off[comp]
-            block_dims = [self.dims[part] for part in comp]
-            for t in range(len(comp) - 1):
-                p, q = comp[t], comp[t + 1]
-                target = comp[:t] + (p + q,) + comp[t + 2 :]
-                row0 = dst_off.get(target)
-                if row0 is None:
-                    continue
-                before = 1
-                for b in block_dims[:t]:
-                    before *= b
-                after = 1
-                for b in block_dims[t + 2 :]:
-                    after *= b
-                local = Matrix.kron(
-                    Matrix.identity(f, before),
-                    Matrix.kron(self.a.component(p, q), Matrix.identity(f, after)),
-                )
-                negate = t % 2 == 1
-                for (r, c), v in local.entries.items():
-                    key = (row0 + r, col0 + c)
-                    w = f.neg(v) if negate else v
-                    if key in entries:
-                        w = f.add(entries[key], w)
-                        if w == f.zero:
-                            del entries[key]
-                            continue
-                    entries[key] = w
-        return Matrix(f, dst_dim, src_dim, entries)
-
-
 def bar_ext_table(a, imax, jmax=None):
     """Ext dims of the ground field over an algebra, via the reduced bar complex.
 
-    Tor and Ext agree dimensionwise over a field; graded input yields a
-    bigraded table windowed by jmax <= truncation degree.
+    Tor and Ext agree dimensionwise over a field.  The terms are ranked one
+    internal-degree cell at a time (see ``_BarComplex``); graded input yields
+    a bigraded table windowed by jmax <= truncation degree, and finite input
+    sums each term over its cells.
     """
-    if isinstance(a, GradedAlgebra):
+    graded = isinstance(a, GradedAlgebra)
+    if graded:
         top = a.top_degree
-        if jmax is None:
-            jmax = top
+        jmax = top if jmax is None else jmax
         if jmax > top:
             raise ValueError("jmax %d exceeds truncation degree %d" % (jmax, top))
-        bar = _GradedBar(a)
-        entries = {}
-        for j in range(jmax + 1):
-            ranks = {}
-            for i in range(imax + 2):
-                ranks[i] = bar.boundary(i, j).rank() if i >= 1 else 0
-            for i in range(imax + 1):
-                entries[(i, j)] = bar.layout(i, j)[0] - ranks.get(i, 0) - ranks.get(i + 1, 0)
-        note = "entries computed from components of degree <= %d" % top
-        return ExtTable("graded", entries, imax, jmax, note)
-    if not isinstance(a, Algebra):
+    elif not isinstance(a, Algebra):
         raise TypeError("bar_ext_table expects an Algebra or GradedAlgebra")
-    if jmax is not None:
+    elif jmax is not None:
         raise ValueError("jmax applies to graded algebras only")
-    bar = _FiniteBar(a)
-    ranks = {0: 0}
-    for i in range(1, imax + 2):
-        ranks[i] = bar.boundary(i).rank()
-    entries = {}
-    for i in range(imax + 1):
-        entries[i] = bar.term_dim(i) - ranks[i] - ranks[i + 1]
+    bar = _BarComplex(a)
+    cells = {}
+    sizes, ranks = {}, {}  # of term i - 1: cell dims, and the ranks of d_(i-1) on them
+    for i in range(imax + 2):
+        weights = range(jmax + 1) if graded else range(i * (len(bar.dims) - 1) + 1)
+        here = {w: bar.layout(i, w)[0] for w in weights}
+        out = {w: bar.boundary(i, w).rank() for w, size in here.items() if i and size and sizes.get(w)}
+        for w, size in sizes.items():
+            cells[(i - 1, w)] = size - ranks.get(w, 0) - out.get(w, 0)
+        sizes, ranks = here, out
+    if graded:
+        return ExtTable("graded", cells, imax, jmax, "entries computed from components of degree <= %d" % top)
+    entries = dict.fromkeys(range(imax + 1), 0)
+    for (i, _), v in cells.items():
+        entries[i] += v
     return ExtTable("finite", entries, imax)
 
 

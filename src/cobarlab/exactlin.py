@@ -816,27 +816,32 @@ def extend_to_basis(field, ambient, base_vectors, candidates):
 
     A vector is a dense sequence or a sparse dict {index: value}, as given
     by ``Matrix.column_dicts``.  Returns indices (in order) of the
-    candidates that enlarge the span.  Deterministic.
+    candidates that enlarge the span.  Deterministic.  The span is an RREF
+    keyed by pivot, with an index column -> pivots of the rows holding it;
+    since RREF rows vanish at every other pivot, a candidate is reduced only
+    by the pivots it holds, and a new pivot clears only the rows holding it.
     """
-    pivots, red = _rref(field, [_sparse(v) for v in base_vectors], ambient)
+    red = dict(zip(*_rref(field, [_sparse(v) for v in base_vectors], ambient)))
+    col_rows = {}
+    for p, r in red.items():
+        for c in r:
+            col_rows.setdefault(c, set()).add(p)
     chosen = []
     for idx, cand in enumerate(candidates):
         row = _sparse(cand)
-        for p, r in zip(pivots, red):
-            _row_axpy(field, row, r, p)
+        for p in [c for c in row if c in red]:
+            _row_axpy(field, row, red[p], p)
         if not row:
             continue
         col = min(row)
         inv = field.inv(row[col])
         if inv != field.one:
             row = {c: field.mul(inv, v) for c, v in row.items()}
-        for r in red:
-            _row_axpy(field, r, row, col)
-        at = 0
-        while at < len(pivots) and pivots[at] < col:
-            at += 1
-        pivots.insert(at, col)
-        red.insert(at, row)
+        for p in list(col_rows.get(col, ())):
+            _row_axpy(field, red[p], row, col, col_rows, p)
+        red[col] = row
+        for c in row:
+            col_rows.setdefault(c, set()).add(col)
         chosen.append(idx)
     return chosen
 

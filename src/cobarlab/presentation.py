@@ -8,7 +8,8 @@ A presentation file is one JSON object tagged "schema": "cobarlab/1" whose
 * "graded_coalgebra": field, dims, components as dense row-major matrices
   keyed "j,p,q" (shape dims[p]*dims[q] by dims[j]).
 * "algebra": field, dim, unit vector, mult as the coordinate vector of
-  e_a e_b indexed [a][b], optional augmentation vector.
+  e_a e_b indexed [a][b], optional augmentation vector, optional degrees
+  metadata.
 * "comodule": dim, coaction triple lists, and an inline "base" coalgebra.
 
 Scalars are integers or strings "a/b"; fields are {"kind": "rationals"} or
@@ -125,16 +126,17 @@ def _parse_coalgebra(doc, loc):
         _fail(loc + ".grouplike", "index out of range")
     counit = _vector(field, doc["counit"], dim, loc + ".counit")
     comul = _triples(field, doc["comul"], dim, (dim, dim), loc + ".comul")
-    degrees = None
-    if "degrees" in doc:
-        degrees = [
-            _expect_int(d, "%s.degrees[%d]" % (loc, k), minimum=0)
-            for k, d in enumerate(_expect_list(doc["degrees"], loc + ".degrees", length=dim))
-        ]
     try:
-        return Coalgebra(field, dim, grouplike, counit, comul, degrees)
+        return Coalgebra(field, dim, grouplike, counit, comul, _degrees(doc, dim, loc))
     except ValueError as exc:
         _fail(loc, str(exc))
+
+
+def _degrees(doc, dim, loc):
+    """The optional degree metadata: one nonnegative int per basis index, or None."""
+    if "degrees" in doc:
+        items = enumerate(_expect_list(doc["degrees"], loc + ".degrees", length=dim))
+        return [_expect_int(d, "%s.degrees[%d]" % (loc, k), minimum=0) for k, d in items]
 
 
 def _parse_graded_coalgebra(doc, loc):
@@ -170,7 +172,7 @@ def _parse_graded_coalgebra(doc, loc):
 
 
 def _parse_algebra(doc, loc):
-    _expect_dict(doc, loc, {"schema", "kind", "field", "dim", "unit", "mult", "augmentation"})
+    _expect_dict(doc, loc, {"schema", "kind", "field", "dim", "unit", "mult", "augmentation", "degrees"})
     field = _field(doc, loc)
     for key in ("dim", "unit", "mult"):
         if key not in doc:
@@ -190,7 +192,7 @@ def _parse_algebra(doc, loc):
     if "augmentation" in doc:
         augmentation = _vector(field, doc["augmentation"], dim, loc + ".augmentation")
     try:
-        return Algebra(field, dim, unit, mult, augmentation)
+        return Algebra(field, dim, unit, mult, augmentation, _degrees(doc, dim, loc))
     except ValueError as exc:
         _fail(loc, str(exc))
 
@@ -291,6 +293,8 @@ def presentation_of(obj):
         }
         if obj.augmentation is not None:
             doc["augmentation"] = [fmt(v) for v in obj.augmentation]
+        if obj.degrees is not None:
+            doc["degrees"] = list(obj.degrees)
         return doc
     if isinstance(obj, Comodule):
         fmt = obj.base.field.format

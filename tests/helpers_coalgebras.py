@@ -1,6 +1,7 @@
 """Small coalgebras shared across test modules."""
 
-from cobarlab.coalg import Coalgebra, reduced_coaction_matrix
+from cobarlab.coalg import Coalgebra, reduced_coaction_matrix, symmetric_coalgebra, tensor_coalgebra
+from cobarlab.dualalg import Algebra, graded_dual, quadratic_algebra
 from cobarlab.exactlin import QQ, Matrix, quotient_maps
 
 
@@ -24,6 +25,55 @@ def divided_line(field=QQ):
         ((0, 2, one), (1, 1, one), (2, 0, one)),
     ]
     return Coalgebra(field, 3, 0, (one, z, z), comul)
+
+
+def quad_dual(top, field=QQ):
+    """Graded dual of the algebra on x, y with the one relation xy = 0, truncated at top."""
+    xy = (field.zero, field.one, field.zero, field.zero)
+    return graded_dual(quadratic_algebra(2, [xy], top, field))
+
+
+def acceptance_corpus():
+    """The six graded coalgebras of the acceptance battery."""
+    return {
+        "c2": tensor_coalgebra(1, 1, QQ),
+        "c3": tensor_coalgebra(1, 2, QQ),
+        "square_zero": tensor_coalgebra(2, 1, QQ),
+        "ten22": tensor_coalgebra(2, 2, QQ),
+        "sym24": symmetric_coalgebra(2, 4, QQ),
+        "quad_dual": quad_dual(4),
+    }
+
+
+def permuted(c, perm):
+    """The same coalgebra with basis index t renumbered perm[t], degrees carried along."""
+    dim = c.dim
+    comul = [None] * dim
+    counit = [None] * dim
+    for t in range(dim):
+        comul[perm[t]] = [(perm[i], perm[j], v) for i, j, v in c.comul[t]]
+        counit[perm[t]] = c.counit[t]
+    degrees = None
+    if c.degrees is not None:
+        degrees = [None] * dim
+        for t in range(dim):
+            degrees[perm[t]] = c.degrees[t]
+    return Coalgebra(c.field, dim, perm[c.grouplike_index], counit, comul, degrees)
+
+
+def shifted_by_unit(a, k):
+    """The same algebra in the basis e_t, except e_k replaced by e_k + unit; degrees kept as given.
+
+    The augmentation of the new basis is no longer a coordinate vector when
+    the old one was.
+    """
+    f = a.field
+    basis = [[f.one if s == t else f.zero for s in range(a.dim)] for t in range(a.dim)]
+    basis[k] = [f.add(u, e) for u, e in zip(a.unit, basis[k])]
+    change = Matrix.from_columns(f, basis, a.dim)
+    mult = [[change.solve(a.multiply(x, y)) for y in basis] for x in basis]
+    aug = [sum((f.mul(e, v) for e, v in zip(a.augmentation, vec)), f.zero) for vec in basis]
+    return Algebra(f, a.dim, change.solve(a.unit), mult, aug, a.degrees)
 
 
 def strip_degrees(c):

@@ -43,13 +43,12 @@ from cobarlab.dualalg import (
     free_module,
     free_resolution_as_initially_projective,
     graded_dual,
-    quadratic_algebra,
     trivial_module,
 )
 from cobarlab.exactlin import GF, QQ, kernel_basis
 from cobarlab.resolve import betti_dims, minimal_coresolution
 from cobarlab.witness import contra_report, nonrational_report
-from helpers_coalgebras import divided_line, strip_degrees
+from helpers_coalgebras import acceptance_corpus, divided_line, strip_degrees
 
 IMAX = 4
 
@@ -61,15 +60,7 @@ def _verdict(num, slug, ok):
 
 @pytest.fixture(scope="module")
 def corpus():
-    xy = (QQ.zero, QQ.one, QQ.zero, QQ.zero)
-    members = {
-        "c2": tensor_coalgebra(1, 1, QQ),
-        "c3": tensor_coalgebra(1, 2, QQ),
-        "square_zero": tensor_coalgebra(2, 1, QQ),
-        "ten22": tensor_coalgebra(2, 2, QQ),
-        "sym24": symmetric_coalgebra(2, 4, QQ),
-        "quad_dual": graded_dual(quadratic_algebra(2, [xy], 4, QQ)),
-    }
+    members = acceptance_corpus()
     assert len(members) >= 6
     return members
 

@@ -1,14 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from helpers_coalgebras import (
+    acceptance_corpus,
     divided_line,
     dual_numbers_dual,
     kron_bar_boundary,
     per_column_bar_reduced,
+    permuted,
+    quad_dual,
     rescaled,
+    shifted_by_unit,
     strip_degrees,
 )
 
@@ -28,7 +33,8 @@ from cobarlab.coalg import (
 )
 from cobarlab.cobar import build_cobar, cobar_with_coefficients, ext_table
 from cobarlab.dualalg import (
-    _FiniteBar,
+    _BarComplex,
+    _compositions,
     Algebra,
     GradedAlgebra,
     bar_ext_table,
@@ -175,6 +181,9 @@ def test_graded_bar_matches_cobar_window():
         bar = bar_ext_table(graded_dual(g), 3, 3)
         cobar = ext_table(build_cobar(g, 3, 3))
         assert bar.entries == cobar.entries
+    for name, g in acceptance_corpus().items():
+        bar = bar_ext_table(graded_dual(g), 3, g.top_degree)
+        assert bar == ext_table(build_cobar(g, 3, g.top_degree)), name
 
 
 def test_commutator_quotient_bar_diagonal():
@@ -351,7 +360,7 @@ def test_betti_of_module_resolution_matches_coresolution():
 def test_bar_boundary_matches_kron_reference():
     ten = dual_algebra(flatten(tensor_coalgebra(2, 2, QQ)))
     for a in (dual_algebra(divided_line()), dual_algebra(divided_line(GF(5))), ten, opposite_algebra(ten)):
-        bar = _FiniteBar(a)
+        bar = _BarComplex(a)
         for i in range(1, 5):
             assert bar.boundary(i) == kron_bar_boundary(bar, i)
 
@@ -366,6 +375,94 @@ def test_bar_reduced_product_matches_per_column_solves():
     factors = [QQ.one] + [Fraction(rng.randint(1, 7), rng.randint(2, 9)) for _ in range(sym3.dim - 1)]
     for c in (sym3, flatten(tensor_coalgebra(2, 2, QQ)), rescaled(sym3, factors)):
         a = dual_algebra(c)
-        reduced = _FiniteBar(a).reduced
+        reduced = _BarComplex(a).reduced
         assert reduced.entries == per_column_bar_reduced(a).entries
         assert reduced.nrows == c.dim - 1 and reduced.ncols == (c.dim - 1) ** 2
+
+
+def _bar_corpus(field):
+    """Flattened Ten(2)<=2, Sym(2)<=3 and quad_dual<=3, their opposites, and a renumbered copy."""
+    sym = flatten(symmetric_coalgebra(2, 3, field))
+    out = []
+    for c in (flatten(tensor_coalgebra(2, 2, field)), sym, flatten(quad_dual(3, field))):
+        out += [c, opposite(c)]
+    # grouplike moved to the middle: degrees of A_+ are no longer sorted
+    out.append(permuted(sym, [4, 9, 0, 7, 2, 5, 1, 8, 3, 6]))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_degree_split_bar_table_matches_zero_grading_and_cobar(field):
+    for c in _bar_corpus(field):
+        a = dual_algebra(c)
+        assert len(_BarComplex(a).dims) == max(c.degrees) + 1 > 2  # the split is in use
+        plain = dual_algebra(strip_degrees(c))
+        assert _BarComplex(plain).dims == (c.dim - 1,)
+        table = bar_ext_table(a, 3)
+        assert table == bar_ext_table(plain, 3)
+        assert table == ext_table(build_cobar(c, 3))
+
+
+def _cell_positions(bar, degrees, i, w):
+    """Whole-term index of each position of cell (i, w), given the degrees of the A_+ basis."""
+    basis = {}
+    for k, deg in enumerate(degrees):
+        basis.setdefault(deg, []).append(k)
+    out = []
+    for comp in _compositions(w, i, bar.dims):
+        for factors in itertools.product(*(basis[p] for p in comp)):
+            idx = 0
+            for k in factors:
+                idx = idx * bar.d + k
+            out.append(idx)
+    return out
+
+
+def test_cell_boundaries_are_the_whole_boundary_restricted():
+    sym = flatten(symmetric_coalgebra(2, 3, QQ))
+    cases = (
+        sym,
+        permuted(sym, [4, 9, 0, 7, 2, 5, 1, 8, 3, 6]),
+        opposite(flatten(tensor_coalgebra(2, 2, QQ))),
+        flatten(quad_dual(3, GF(7))),
+    )
+    for c in cases:
+        bar = _BarComplex(dual_algebra(c))
+        degrees = [deg for k, deg in enumerate(c.degrees) if k != c.grouplike_index]
+        top = len(bar.dims) - 1
+        for i in range(1, 5):
+            whole = bar.boundary(i)
+            seen, nnz = [], 0
+            for w in range(i * top + 1):
+                src = {idx: k for k, idx in enumerate(_cell_positions(bar, degrees, i, w))}
+                dst = {idx: k for k, idx in enumerate(_cell_positions(bar, degrees, i - 1, w))}
+                cell = bar.boundary(i, w)
+                assert (cell.nrows, cell.ncols) == (len(dst), len(src)) == (bar.layout(i - 1, w)[0], bar.layout(i, w)[0])
+                expect = {(dst[r], src[col]): v for (r, col), v in whole.entries.items() if col in src}
+                assert cell.entries == expect
+                seen += src
+                nnz += cell.nnz()
+            # the cells partition the term and the entries of its boundary
+            assert sorted(seen) == list(range(bar.d**i))
+            assert nnz == whole.nnz()
+
+
+def test_degrees_that_do_not_grade_fall_back_to_one_cell():
+    sym = flatten(symmetric_coalgebra(2, 3, QQ))
+    ten = flatten(tensor_coalgebra(2, 2, GF(7)))
+    a = dual_algebra(sym)
+    swapped = list(sym.degrees)
+    swapped[1], swapped[3] = swapped[3], swapped[1]  # a degree-1 and a degree-2 index
+    bad = [
+        (sym, dual_algebra(Coalgebra(QQ, sym.dim, 0, sym.counit, sym.comul, swapped))),
+        (sym, dual_algebra(Coalgebra(QQ, sym.dim, 0, sym.counit, sym.comul, (0, 0) + sym.degrees[2:]))),
+        (sym, dual_algebra(Coalgebra(QQ, sym.dim, 0, sym.counit, sym.comul, (1,) + sym.degrees[1:]))),
+        # counting the letter y grades Ten(2) homogeneously, but x sits in degree 0
+        (ten, dual_algebra(Coalgebra(GF(7), ten.dim, 0, ten.counit, ten.comul, (0, 0, 1, 0, 1, 1, 2)))),
+        (sym, shifted_by_unit(a, 1)),
+        (ten, shifted_by_unit(dual_algebra(ten), 4)),
+    ]
+    for c, b in bad:
+        assert b.degrees is not None and validate_algebra(b)
+        assert _BarComplex(b).dims == (c.dim - 1,)
+        assert bar_ext_table(b, 3) == bar_ext_table(dual_algebra(c), 3) == ext_table(build_cobar(c, 3))

@@ -6,6 +6,9 @@ from fractions import Fraction
 import pytest
 
 from cobarlab.exactlin import (
+    _row_axpy,
+    _rref,
+    _sparse,
     GF,
     QQ,
     Matrix,
@@ -205,6 +208,60 @@ def test_extend_to_basis():
     ]
     chosen = extend_to_basis(QQ, 3, base, cands)
     assert chosen == [1, 3]
+
+
+def full_scan_extend_to_basis(field, ambient, base_vectors, candidates):
+    """Reference: reduce each candidate by every pivot row in turn, and every row by a new pivot."""
+    pivots, red = _rref(field, [_sparse(v) for v in base_vectors], ambient)
+    chosen = []
+    for idx, cand in enumerate(candidates):
+        row = _sparse(cand)
+        for p, r in zip(pivots, red):
+            _row_axpy(field, row, r, p)
+        if not row:
+            continue
+        col = min(row)
+        inv = field.inv(row[col])
+        if inv != field.one:
+            row = {c: field.mul(inv, v) for c, v in row.items()}
+        for r in red:
+            _row_axpy(field, r, row, col)
+        at = 0
+        while at < len(pivots) and pivots[at] < col:
+            at += 1
+        pivots.insert(at, col)
+        red.insert(at, row)
+        chosen.append(idx)
+    return chosen
+
+
+@pytest.mark.parametrize("kind", ["qq_int", "qq_fraction", "gf7", "gf_large"])
+def test_extend_to_basis_matches_full_scan(kind):
+    rng = random.Random("extend-to-basis-" + kind)
+    if kind == "qq_int":
+        field, draw = QQ, lambda: rng.randint(-3, 3)
+    elif kind == "qq_fraction":
+        field, draw = QQ, lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+    else:
+        p = 7 if kind == "gf7" else 2**31 - 1
+        field, draw = GF(p), lambda: rng.randrange(p)
+    picked = skipped = 0
+    for _ in range(40):
+        ambient = rng.randint(1, 20)
+        # planted rank below the ambient dimension, so candidates often depend on earlier ones
+        inner = rng.randint(1, ambient)
+        count = rng.randint(0, 30)
+        vecs = [[field.coerce(v) for v in row] for row in _planted_rank_rows(rng, count, ambient, inner, draw)]
+        split = rng.randint(0, count)
+        base = vecs[:split]
+        # candidates come dense or as sparse dicts, as the callers pass them
+        cands = [vec if rng.random() < 0.5 else _sparse(vec) for vec in vecs[split:]]
+        expected = full_scan_extend_to_basis(field, ambient, base, cands)
+        assert extend_to_basis(field, ambient, base, cands) == expected
+        picked += len(expected)
+        skipped += len(cands) - len(expected)
+    # both outcomes occur often
+    assert picked > 20 and skipped > 100
 
 
 def test_kron_index_convention():

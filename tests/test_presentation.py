@@ -46,6 +46,34 @@ def test_algebra_round_trip():
     assert parse_presentation(presentation_of(a)) == a
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_algebra_degrees_dump_then_parse(field):
+    a = dual_algebra(flatten(symmetric_coalgebra(2, 3, field)))
+    assert a.degrees == (0, 1, 1, 2, 2, 2, 3, 3, 3, 3)
+    text = dumps_presentation(a)
+    assert json.loads(text)["degrees"] == list(a.degrees)
+    again = loads_presentation(text)
+    assert again == a
+    assert again.degrees == a.degrees
+    assert dumps_presentation(again) == text
+    # no metadata stays no metadata
+    plain = dual_algebra(divided_line(field))
+    assert "degrees" not in presentation_of(plain)
+    assert loads_presentation(dumps_presentation(plain)).degrees is None
+
+
+@pytest.mark.parametrize(
+    "degrees, fragment",
+    [([0, 1], "$.degrees"), ([0, 1, -1], "$.degrees[2]"), ([0, True, 2], "$.degrees[1]"), (3, "$.degrees")],
+)
+def test_algebra_degree_errors_name_their_location(degrees, fragment):
+    doc = presentation_of(dual_algebra(divided_line()))
+    doc["degrees"] = degrees
+    with pytest.raises(SchemaError) as err:
+        parse_presentation(doc)
+    assert fragment in str(err.value)
+
+
 def test_comodule_round_trip():
     m = trivial_comodule(divided_line())
     again = parse_presentation(presentation_of(m))
