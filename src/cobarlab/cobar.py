@@ -142,10 +142,10 @@ class CobarComplex:
             pos = {i: k for k, i in enumerate(c.positive_indices())}
             self._coaction = [tuple((pos[i], j, v) for i, j, v in row if i != g) for row in coefficients.coaction]
         scale = lcm(*(v.denominator for terms in self._comul + self._coaction for _, _, v in terms))
-        self._int_constants = [
+        self._int_constants = self._signed(
             [tuple((p, q, v.numerator * (scale // v.denominator)) for p, q, v in terms) for terms in table]
             for table in (self._comul, self._coaction)
-        ]
+        )
         wc, wm = _weights(self._comul, self._coaction)
         if jmax is not None:
             wc = [(c.degrees[i],) + w for i, w in zip(c.positive_indices(), wc)]
@@ -154,12 +154,18 @@ class CobarComplex:
         self._dims = None
         self._ranks = None
 
+    def _signed(self, tables):
+        """Each constant table paired with its negation, indexed by slot parity."""
+        neg = self.field.neg
+        return [(t, [tuple((p, q, neg(v)) for p, q, v in terms) for terms in t]) for t in tables]
+
     def _cell_diff(self, cell, rows, comul, coaction):
         """Matrix of d on one cell, one column per tensor of ``cell``.
 
         ``rows`` maps target tensors to row indices; a target it lacks takes
         the next free index, which is how the unlisted top layer is indexed.
-        ``comul`` and ``coaction`` are the constants inserted by each term.
+        ``comul`` and ``coaction`` are the constants inserted by each term,
+        as pairs from ``_signed``: slot s inserts ``table[s % 2]``.
         """
         f = self.field
         entries = {}
@@ -168,10 +174,8 @@ class CobarComplex:
             for s, a in enumerate(tensor):
                 head = tensor[:s]
                 tail = tensor[s + 1 :]
-                for p, q, v in coaction[a] if s == last else comul[a]:
+                for p, q, v in (coaction if s == last else comul)[s % 2][a]:
                     key = (rows.setdefault(head + (p, q) + tail, len(rows)), col)
-                    if s % 2:
-                        v = f.neg(v)
                     if key in entries:
                         v = f.add(entries[key], v)
                         if not v:
@@ -228,7 +232,7 @@ class CobarComplex:
         src = dst = None
         for layer in _layers(zero, i + 1):
             src, dst = dst, layer.get((), [])
-        return self._cell_diff(src, {t: r for r, t in enumerate(dst)}, self._comul, self._coaction)
+        return self._cell_diff(src, {t: r for r, t in enumerate(dst)}, *self._signed((self._comul, self._coaction)))
 
 
 def build_cobar(c, imax, jmax=None):
@@ -244,6 +248,8 @@ def build_cobar(c, imax, jmax=None):
         top = c.top_degree
         if jmax is None:
             jmax = top
+        if jmax < 0:
+            raise ValueError("jmax must be >= 0")
         if jmax > top:
             raise ValueError("jmax %d exceeds truncation degree %d" % (jmax, top))
     elif not isinstance(c, Coalgebra):

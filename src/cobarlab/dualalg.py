@@ -420,10 +420,14 @@ def bar_ext_table(a, imax, jmax=None):
     a bigraded table windowed by jmax <= truncation degree, and finite input
     sums each term over its cells.
     """
+    if imax < 0:
+        raise ValueError("imax must be >= 0")
     graded = isinstance(a, GradedAlgebra)
     if graded:
         top = a.top_degree
         jmax = top if jmax is None else jmax
+        if jmax < 0:
+            raise ValueError("jmax must be >= 0")
         if jmax > top:
             raise ValueError("jmax %d exceeds truncation degree %d" % (jmax, top))
     elif not isinstance(a, Algebra):

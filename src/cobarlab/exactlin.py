@@ -8,14 +8,21 @@ Division goes through ``Fraction``, so no float appears anywhere.  Zero is
 tested by truthiness, and the constructors coerce only values that are not
 of a native element type (``Field.native``).
 
-Rank uses destructive fraction-free elimination (integer rows with gcd
-reduction over the rationals, modular arithmetic over GF(p)) with a
-Markowitz-style pivot rule: the pivot column is the minimum of a heap of
-active column counts, updated lazily (a popped entry whose count went stale
-is pushed back with the current count), then the sparsest row in that
-column, ties broken by row index.  Kernel bases, solving and reduced echelon
-forms share one reduced row echelon form in field arithmetic, which keeps an
-index column -> rows so a pivot touches only the rows holding its column.
+Rank builds its row dicts once, straight from the entries, along the
+shorter side (rank is transpose-invariant).  It then peels, as structured
+Gaussian elimination does first (LaMacchia-Odlyzko, CRYPTO 1990): a row
+holding a column that no other row holds is independent, so it is counted
+and dropped, found by column counts alone, until a pass drops nothing.  The
+rows left go through destructive elimination, fraction-free over the
+rationals (integer rows with gcd reduction; a row of ints is used as it is)
+and modular over GF(p), with a Markowitz-style pivot rule: the pivot column
+is the minimum of a heap of column counts, updated lazily (a popped entry
+whose count went stale is pushed back with the current count), then the
+sparsest row in that column, ties broken by row index.  The index column ->
+rows changes only on fill-in and cancellation.  Kernel bases, solving and
+reduced echelon forms share one reduced row echelon form in field
+arithmetic, which keeps the same index so a pivot touches only the rows
+holding its column.
 
 The sparse products (``Matrix.__matmul__``, ``kron_identity_matmul``)
 accumulate in plain ints: over the rationals each row of the left factor and
@@ -27,9 +34,11 @@ reduced mod p once.  An all-int operand is used as it is, without a copy.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
 
 
 class Field:
@@ -382,14 +391,13 @@ class Matrix:
         return Matrix(f, self.nrows * rb, self.ncols * cb, entries)
 
     def rank(self):
-        if not self.entries:
-            return 0
         # Elimination keeps one work row per pivot; fewer rows is cheaper,
         # and rank is transpose-invariant.
-        m = self if self.nrows <= self.ncols else self.transpose()
-        if m.field.kind == "prime":
-            return _rank_mod_p(m)
-        return _rank_fraction_free(m)
+        peeled, rows = _peel(_row_dicts(self) if self.nrows <= self.ncols else self.column_dicts())
+        p = self.field.p
+        if p is None:
+            rows = [row if Fraction not in map(type, row.values()) else _coprime(row) for row in rows]
+        return peeled + _rank_elim(rows, p)
 
     def rref(self):
         """Reduced row echelon form.
@@ -617,114 +625,105 @@ def _row_axpy(f, row, prow, col, col_rows=None, idx=None):
                 col_rows[c].discard(idx)
 
 
-def _rank_elim(eliminate, rows):
-    """Markowitz-style elimination skeleton shared by the two rank paths.
+def _peel(rows):
+    """Count and drop the rows that hold a column no other row holds.
 
-    ``rows`` is a list of dicts col -> value; ``eliminate(row, prow, col)``
-    must clear ``col`` from ``row`` by a rank-preserving row operation.
-    Every live column keeps exactly one heap entry, re-pushed with its
-    current count when popped stale, so no column is dropped unpivoted.
+    Such rows are independent: each holds its own private column, which
+    every other row lacks, so each adds 1 to the rank.  Column counts alone
+    find them.  Dropping rows can leave a column private to another row, so
+    passes repeat until one drops nothing.  Returns the count and the rows
+    left, empty rows dropped.
+    """
+    rows = [row for row in rows if row]
+    peeled = 0
+    while True:
+        counts = Counter(chain.from_iterable(rows)).__getitem__
+        left = [row for row in rows if 1 not in map(counts, row)]
+        if len(left) == len(rows):
+            return peeled, rows
+        peeled += len(rows) - len(left)
+        rows = left
+
+
+def _coprime(row):
+    """A row of rationals scaled to coprime integers, which keeps its span."""
+    den = lcm(*(v.denominator for v in row.values()))
+    row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    g = gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
+
+
+def _rank_elim(rows, p):
+    """Rank of integer rows (dicts col -> value) by Markowitz-style elimination.
+
+    Over GF(p) the arithmetic is mod p.  Over QQ (``p`` None) it is fraction
+    free: a row is cross-multiplied by the pivot and then divided by the gcd
+    of its entries.  An index column -> rows is kept current through fill-in
+    and cancellation.  The pivot column is the minimum of a heap of column
+    counts; every live column keeps exactly one heap entry, re-pushed with
+    its current count when popped stale, so no column is dropped unpivoted.
+    The pivot row is the sparsest holding that column, ties by index, and a
+    column held by one row retires that row without a search.
     """
     col_rows = {}
     for i, row in enumerate(rows):
         for c in row:
-            col_rows.setdefault(c, set()).add(i)
+            if c in col_rows:
+                col_rows[c].add(i)
+            else:
+                col_rows[c] = {i}
     heap = [(len(s), c) for c, s in col_rows.items()]
     heapq.heapify(heap)
     rank_ = 0
     while heap:
         cnt, col = heapq.heappop(heap)
         s = col_rows[col]
-        if not s:
-            del col_rows[col]
-            continue
         if len(s) != cnt:
-            heapq.heappush(heap, (len(s), col))
+            if s:
+                heapq.heappush(heap, (len(s), col))
             continue
-        piv = min(s, key=lambda i: (len(rows[i]), i))
-        prow = rows[piv]
         rank_ += 1
+        piv = next(iter(s)) if cnt == 1 else min(s, key=lambda i: (len(rows[i]), i))
+        prow = rows[piv]
+        rows[piv] = None
         for c in prow:
             col_rows[c].discard(piv)
-        for i in sorted(s):
-            row = rows[i]
-            for c in row:
-                col_rows[c].discard(i)
-            eliminate(row, prow, col)
-            for c in row:
-                col_rows[c].add(i)
-        del col_rows[col]
-        rows[piv] = {}
-    return rank_
-
-
-def _rank_mod_p(m):
-    p = m.field.p
-    rows = _row_dicts(m)
-
-    def eliminate(row, prow, col):
-        a = row.pop(col)
-        factor = (a * pow(prow[col], -1, p)) % p
-        for c, v in prow.items():
-            if c == col:
-                continue
-            w = (row.get(c, 0) - factor * v) % p
-            if w:
-                row[c] = w
-            else:
-                row.pop(c, None)
-
-    return _rank_elim(eliminate, rows)
-
-
-def _rank_fraction_free(m):
-    # Scale each row to coprime integer entries; row scaling preserves rank.
-    rows = []
-    for row in _row_dicts(m):
-        if not row:
-            rows.append({})
+        if not s:
             continue
-        den = 1
-        for v in row.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        irow = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
-        g = 0
-        for v in irow.values():
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            irow = {c: v // g for c, v in irow.items()}
-        rows.append(irow)
-
-    def eliminate(row, prow, col):
-        a = row.pop(col)
-        pv = prow[col]
-        g0 = gcd(a, pv)
-        a //= g0
-        scale = pv // g0
-        if scale != 1:
-            for c in row:
-                row[c] *= scale
-        for c, v in prow.items():
-            if c == col:
-                continue
-            w = row.get(c, 0) - a * v
-            if w:
-                row[c] = w
-            else:
-                row.pop(c, None)
-        if row:
-            g = 0
-            for v in row.values():
-                g = gcd(g, v)
-                if g == 1:
-                    return
-            if g > 1:
-                for c in row:
-                    row[c] //= g
-
-    return _rank_elim(eliminate, rows)
+        pv = prow.pop(col)
+        if p is not None:
+            inv = pow(pv, -1, p)
+            prow, pv = {c: v * inv % p for c, v in prow.items()}, 1
+        for i in s:
+            row = rows[i]
+            a = row.pop(col)
+            if pv != 1:
+                g = gcd(a, pv)
+                a //= g
+                if pv != g:
+                    for c in row:
+                        row[c] *= pv // g
+            for c, v in prow.items():
+                w = row.get(c)
+                if w is None:
+                    w = -a * v
+                    col_rows[c].add(i)
+                else:
+                    w -= a * v
+                if p is not None:
+                    w %= p
+                if w:
+                    row[c] = w
+                else:
+                    del row[c]
+                    col_rows[c].discard(i)
+            if p is None and row:
+                g = gcd(*row.values())
+                if g > 1:
+                    for c in row:
+                        row[c] //= g
+        s.clear()
+    return rank_
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,21 @@ def test_ext_jmax_errors(capsys):
     assert main(["ext", "bundled:c2.json", "--imax", "3", "--jmax", "2"]) == 2
 
 
+def test_ext_rejects_negative_bounds(capsys):
+    refused = [
+        (["bundled:c3.json", "--imax", "-1", "--side", "algebra"], "imax must be >= 0"),
+        (["bundled:c3.json", "--imax", "-1"], "imax must be >= 0"),
+        (["bundled:sym2_d4.json", "--imax", "2", "--jmax", "-1"], "jmax must be >= 0"),
+        (["bundled:sym2_d4.json", "--imax", "2", "--jmax", "-1", "--side", "algebra"], "jmax must be >= 0"),
+        (["bundled:sym2_d4.json", "--imax", "-1", "--side", "algebra"], "imax must be >= 0"),
+    ]
+    for argv, message in refused:
+        assert main(["ext"] + argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+
 def test_ext_rejects_invalid_coalgebra_on_every_side(capsys):
     for side in ("co", "op", "algebra"):
         assert main(["ext", "bundled:broken_counit.json", "--imax", "2", "--side", side]) == 2

@@ -17,6 +17,7 @@ from cobarlab.coalg import (
     validate,
 )
 from cobarlab.cobar import (
+    _layers,
     CobarClass,
     build_cobar,
     class_coordinates,
@@ -262,3 +263,41 @@ def test_rescaled_basis_with_fractional_constants_keeps_the_ext_table():
         assert validate(r).ok
         assert any(v.denominator > 1 for terms in r.reduced_comul() for _, _, v in terms)
         assert ext_table(build_cobar(r, imax)) == ext_table(build_cobar(c, imax))
+
+
+def _cell_diff_negating_each_entry(f, cell, rows, comul, coaction):
+    """Cell entries built the plain way: each odd-slot constant is negated as it is inserted."""
+    entries = {}
+    for col, tensor in enumerate(cell):
+        last = len(tensor) - 1
+        for s, a in enumerate(tensor):
+            for p, q, v in coaction[a] if s == last else comul[a]:
+                key = (rows.setdefault(tensor[:s] + (p, q) + tensor[s + 1 :], len(rows)), col)
+                if s % 2:
+                    v = f.neg(v)
+                v = f.add(entries[key], v) if key in entries else v
+                if v:
+                    entries[key] = v
+                else:
+                    del entries[key]
+    return entries
+
+
+def test_cells_with_negated_tables_match_per_entry_negation():
+    c3 = loads_presentation(resources.files("cobarlab").joinpath("data", "c3.json").read_text(encoding="utf-8"))
+    for c, imax in ((c3, 6), (flatten(symmetric_coalgebra(2, 3, QQ)), 3), (flatten(symmetric_coalgebra(2, 3, GF(7))), 3)):
+        cx = build_cobar(c, imax)
+        f = cx.field
+        (comul, _), (coaction, _) = cx._int_constants
+        layers = list(_layers(cx._grading, imax + 1))
+        for i in range(imax + 1):
+            for w, cell in layers[i].items():
+                target = layers[i + 1].get(w, ())
+                got = cx._cell_diff(cell, {t: r for r, t in enumerate(target)}, *cx._int_constants).entries
+                want = _cell_diff_negating_each_entry(f, cell, {t: r for r, t in enumerate(target)}, comul, coaction)
+                assert got == want
+                assert all(type(got[k]) is type(v) for k, v in want.items())
+            whole = cx.diff(i, None)
+            dst = {t: r for r, t in enumerate(sorted(t for cell in layers[i + 1].values() for t in cell))}
+            src = sorted(t for cell in layers[i].values() for t in cell)
+            assert whole.entries == _cell_diff_negating_each_entry(f, src, dst, cx._comul, cx._coaction)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cobarlab.exactlin import (
+    _peel,
     _row_axpy,
     _rref,
     _sparse,
@@ -536,3 +537,102 @@ def test_products_match_per_entry_reference(kind):
                 assert all(type(v) is int for v in got.entries.values() if v.denominator == 1)
             if kind == "cancelling":
                 assert got.is_zero()
+
+
+def test_peel_cascades_and_stops_at_a_cycle():
+    # a chain: column 0 is private to row 0, whose removal makes column 1
+    # private to row 1, and so on; the reversed order needs a pass per row
+    chain = [{k: 1, k + 1: 1} for k in range(6)]
+    assert _peel(chain[::-1]) == (6, [])
+    # a cycle holds every column twice, so nothing is peeled
+    cycle = [{k: 1, (k + 1) % 5: 1} for k in range(5)]
+    assert _peel([{}] + cycle + [{}]) == (0, cycle)
+
+
+def _rank_draw(kind, rng):
+    if kind == "qq_mixed":
+        # ints, integral Fractions and true fractions side by side in one row
+        return QQ, lambda: rng.choice(
+            (
+                rng.choice((-3, -2, -1, 1, 2, 3)),
+                Fraction(rng.choice((-4, 2, 6)), 1),
+                Fraction(rng.choice((-5, 1, 3)), rng.randint(2, 6)),
+            )
+        )
+    p = 7 if kind == "gf7" else 2**31 - 1
+    return GF(p), lambda: rng.randrange(1, p)
+
+
+def _cascading_rows(rng, draw, ncols):
+    """Sparse dense-form rows that exercise the peel and the elimination after it.
+
+    A chain over shuffled columns cascades through the peel; a few random
+    core rows, some duplicated and some scaled copies, need elimination; empty
+    rows stay in, and columns past every row's support stay empty.
+    """
+    cols = list(range(ncols))
+    rng.shuffle(cols)
+    used = cols[: max(2, ncols - rng.randint(0, 3))]
+    rows = []
+    for k in range(rng.randint(0, len(used) - 1)):
+        rows.append({used[k]: draw(), used[k + 1]: draw()})
+    core = [{c: draw() for c in rng.sample(used, rng.randint(1, min(4, len(used))))} for _ in range(rng.randint(1, 8))]
+    rows += core + [dict(r) for r in rng.sample(core, rng.randint(0, len(core)))]
+    rows += [{c: v * 2 for c, v in r.items()} for r in core[:1]] + [{}] * rng.randint(0, 2)
+    rng.shuffle(rows)
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+@pytest.mark.parametrize("kind", ["qq_mixed", "gf7", "gf_large"])
+def test_rank_on_cascading_sparse_matrices_matches_oracles(kind):
+    try:
+        import sympy
+        from sympy.polys.matrices import DomainMatrix
+    except ImportError:
+        sympy = None
+    rng = random.Random("rank-cascade-" + kind)
+    field, draw = _rank_draw(kind, rng)
+    for _ in range(60):
+        rows = _cascading_rows(rng, draw, rng.randint(2, 14))
+        ncols = len(rows[0])
+        if field.p is not None:
+            rows = [[v % field.p for v in row] for row in rows]
+        m = Matrix(field, len(rows), ncols, {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v})
+        expected = dense_rank_oracle(field, rows)
+        if sympy is not None:
+            domain = sympy.QQ if field == QQ else sympy.GF(field.p)
+            dense = [[domain(v.numerator, v.denominator) if field == QQ else domain(v) for v in row] for row in rows]
+            assert DomainMatrix(dense, (len(rows), ncols), domain).rank() == expected
+        # the matrix and its transpose run the two orientations
+        assert m.rank() == m.transpose().rank() == expected
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(2**31 - 1)], ids=["QQ", "GF7", "GF_large"])
+def test_rank_edge_shapes(field):
+    two = Fraction(2, 1) if field == QQ else 2
+    cases = [
+        (Matrix.zeros(field, 0, 0), 0),
+        (Matrix.zeros(field, 3, 5), 0),
+        (Matrix(field, 1, 4, {(0, 2): 3}), 1),
+        (Matrix(field, 4, 1, {(2, 0): 3}), 1),
+        # duplicate rows, an empty row and an empty column
+        (Matrix(field, 4, 3, {(0, 0): 1, (0, 1): two, (1, 0): 1, (1, 1): two, (3, 1): 5}), 2),
+        # wide and tall: a 2 x 9 and a 9 x 2 of rank 2
+        (Matrix(field, 2, 9, {(0, j): j % 5 + 1 for j in range(9)} | {(1, 4): 1}), 2),
+        (Matrix(field, 9, 2, {(i, 0): i % 5 + 1 for i in range(9)} | {(4, 1): two}), 2),
+    ]
+    for m, expected in cases:
+        assert m.rank() == expected == dense_rank_oracle(field, m.to_rows())
+
+
+def test_rank_leaves_entries_unchanged():
+    rng = random.Random("rank-keeps-entries")
+    for field in (QQ, GF(7)):
+        _, draw = _rank_draw("qq_mixed" if field == QQ else "gf7", rng)
+        for _ in range(20):
+            rows = _cascading_rows(rng, draw, rng.randint(2, 10))
+            m = Matrix.from_rows(field, rows, len(rows[0]))
+            for a in (m, m.transpose()):
+                before = [(k, type(v), v) for k, v in a.entries.items()]
+                a.rank()
+                assert [(k, type(v), v) for k, v in a.entries.items()] == before

@@ -24,10 +24,10 @@ def scalars(field):
     return st.integers(0, field.p - 1)
 
 
-def matrices(data, field, nrows, ncols):
-    """A sparse nrows x ncols matrix: a random set of cells with random values."""
+def matrices(data, field, nrows, ncols, max_size=None):
+    """A sparse nrows x ncols matrix: a random set of at most max_size cells with random values."""
     cells = st.tuples(st.integers(0, max(nrows - 1, 0)), st.integers(0, max(ncols - 1, 0)))
-    items = data.draw(st.dictionaries(cells, scalars(field), max_size=nrows * ncols))
+    items = data.draw(st.dictionaries(cells, scalars(field), max_size=nrows * ncols if max_size is None else max_size))
     return Matrix.from_entries(field, nrows, ncols, [(i, j, v) for (i, j), v in items.items()])
 
 
@@ -58,3 +58,12 @@ def test_kron_identity_matmul_equals_the_built_product(field, r, c, n, k, data):
 def test_rank_is_the_number_of_rref_pivots(field, r, c, data):
     a = matrices(data, field, r, c)
     assert a.rank() == len(a.rref()[0])
+
+
+@PROPERTY
+@given(st.sampled_from(FIELDS), st.integers(0, 12), st.integers(0, 12), st.data())
+def test_rank_is_transpose_invariant_on_sparse_matrices(field, r, c, data):
+    # about one or two entries per row or column, so the peel meets private
+    # columns and cascades, and both orientations of the rows run
+    a = matrices(data, field, r, c, max_size=min(r * c, r + c))
+    assert a.rank() == a.transpose().rank()
