@@ -43,6 +43,31 @@ class ValidationReport:
         return {"flags": dict(sorted(self.flags.items())), "notes": dict(sorted(self.notes.items())), "ok": self.ok}
 
 
+def _normal_triples(field, rows, idim, jdim, what):
+    """Structure constants as one sorted tuple of triples (i, j, v) per basis index.
+
+    Values are coerced into ``field``; repeated (i, j) accumulate and zero
+    sums drop.  An index outside [0, idim) x [0, jdim) raises a ValueError
+    naming ``what`` and the basis index.
+    """
+    out = []
+    for t, triples in enumerate(rows):
+        seen = {}
+        for i, j, v in triples:
+            if not (0 <= i < idim and 0 <= j < jdim):
+                raise ValueError("%s index out of range at basis %d" % (what, t))
+            v = field.coerce(v)
+            key = (i, j)
+            if key in seen:
+                v = field.add(seen[key], v)
+            if v:
+                seen[key] = v
+            else:
+                seen.pop(key, None)
+        out.append(tuple((i, j, v) for (i, j), v in sorted(seen.items())))
+    return tuple(out)
+
+
 class Coalgebra:
     """Finite-dimensional coalgebra with a distinguished grouplike basis index.
 
@@ -66,22 +91,7 @@ class Coalgebra:
         self.dim = dim
         self.grouplike_index = grouplike_index
         self.counit = tuple(field.coerce(v) for v in counit)
-        rows = []
-        for t, triples in enumerate(comul):
-            seen = {}
-            for i, j, v in triples:
-                if not (0 <= i < dim and 0 <= j < dim):
-                    raise ValueError("comultiplication index out of range at basis %d" % t)
-                v = field.coerce(v)
-                key = (i, j)
-                if key in seen:
-                    v = field.add(seen[key], v)
-                if v == field.zero:
-                    seen.pop(key, None)
-                else:
-                    seen[key] = v
-            rows.append(tuple((i, j, v) for (i, j), v in sorted(seen.items())))
-        self.comul = tuple(rows)
+        self.comul = _normal_triples(field, comul, dim, dim, "comultiplication")
         if degrees is not None:
             degrees = tuple(int(d) for d in degrees)
             if len(degrees) != dim:
@@ -220,23 +230,7 @@ class Comodule:
             raise ValueError("coaction must list one entry per basis index")
         self.base = base
         self.dim = dim
-        field = base.field
-        rows = []
-        for t, triples in enumerate(coaction):
-            seen = {}
-            for i, j, v in triples:
-                if not (0 <= i < base.dim and 0 <= j < dim):
-                    raise ValueError("coaction index out of range at basis %d" % t)
-                v = field.coerce(v)
-                key = (i, j)
-                if key in seen:
-                    v = field.add(seen[key], v)
-                if v == field.zero:
-                    seen.pop(key, None)
-                else:
-                    seen[key] = v
-            rows.append(tuple((i, j, v) for (i, j), v in sorted(seen.items())))
-        self.coaction = tuple(rows)
+        self.coaction = _normal_triples(base.field, coaction, base.dim, dim, "coaction")
 
     def coaction_matrix(self):
         n = self.base.dim
@@ -433,17 +427,17 @@ def coaugmentation_filtration(c):
         steps.append(lift(current))
     m = 1
     while 0 < current.dim < d:
-        # G_{m+1} = preimage of D (x) G_m under the reduced comultiplication
-        tensor_vectors = []
-        for i in range(d):
-            for v in current.vectors:
-                w = [f.zero] * (d * d)
-                for k, x in enumerate(v):
-                    if x != f.zero:
-                        w[i * d + k] = x
-                tensor_vectors.append(tuple(w))
-        wspace = SubspaceBasis(f, d * d, tuple(tensor_vectors))
-        proj, _ = quotient_maps(wspace)
+        # G_{m+1} = preimage of D (x) G_m under the reduced comultiplication;
+        # D (x) G_m is spanned by the rows e_i (x) v
+        vectors = current.vectors
+        items = [
+            (i * len(vectors) + r, i * d + k, x)
+            for i in range(d)
+            for r, v in enumerate(vectors)
+            for k, x in enumerate(v)
+            if x
+        ]
+        proj, _ = quotient_maps(Matrix.from_entries(f, d * len(vectors), d * d, items))
         nxt = (proj @ mu_d).kernel_basis().canonical()
         if nxt.dim == current.dim:
             break
@@ -485,7 +479,6 @@ def comodule_hom_basis(l, m):
     if l.base is not m.base and l.base != m.base:
         raise ValueError("comodules over different coalgebras")
     f = l.base.field
-    n = l.base.dim
     dl, dm = l.dim, m.dim
     if dl == 0 or dm == 0:
         return []
@@ -515,10 +508,8 @@ def comodule_hom_basis(l, m):
             if v != f.zero:
                 items.append((ridx, col, v))
     system = Matrix.from_entries(f, len(keys), dm * dl, items)
-    basis = []
-    for vec in system.kernel_basis().vectors:
-        basis.append(Matrix.from_entries(f, dm, dl, [(r, cc, vec[unknown(r, cc)]) for r in range(dm) for cc in range(dl)]))
-    return basis
+    kernel = system.kernel_matrix().column_dicts()
+    return [Matrix.from_entries(f, dm, dl, [(*divmod(k, dl), v) for k, v in vec.items()]) for vec in kernel]
 
 
 # ---------------------------------------------------------------------------

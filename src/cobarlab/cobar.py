@@ -323,14 +323,10 @@ def cohomology_basis(cx, i):
     cache = cx.__dict__.setdefault("_cohomology_cache", {})
     if i in cache:
         return cache[i]
-    f = cx.field
-    ker = cx.diff(i, None).kernel_basis()
-    if i == 0:
-        image_cols = []
-    else:
-        image_cols = cx.diff(i - 1, None).columns()
-    chosen = extend_to_basis(f, cx.cell_dim(i, None), image_cols, list(ker.vectors))
-    reps = [CobarClass(i, ker.vectors[k]) for k in chosen]
+    ker = cx.diff(i, None).kernel_matrix()
+    image = cx.diff(i - 1, None) if i else Matrix.zeros(cx.field, ker.nrows, 0)
+    vectors = ker.columns()
+    reps = [CobarClass(i, vectors[k]) for k in extend_to_basis(image, ker)]
     cache[i] = reps
     return reps
 

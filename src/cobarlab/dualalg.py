@@ -246,28 +246,20 @@ def quadratic_algebra(m, relations, top, field):
     sections = {}
     dims = []
     for j in range(top + 1):
-        total = m**j
-        if j < 2 or not rels:
-            span = SubspaceBasis(f, total, ())
-        else:
-            vecs = []
-            for s in range(j - 1):
-                t = j - 2 - s
-                left = m**s
-                right = m**t
-                for r in rels:
-                    for wl in range(left):
-                        for wr in range(right):
-                            vec = [f.zero] * total
-                            for pair_idx, v in enumerate(r):
-                                if v != f.zero:
-                                    vec[(wl * (m * m) + pair_idx) * right + wr] = v
-                            vecs.append(tuple(vec))
-            span = SubspaceBasis(f, total, tuple(vecs))
-        proj, section = quotient_maps(span)
+        # the degree-j part of the ideal, one row per word (x) relation (x) word
+        items = []
+        nrows = 0
+        for s in range(j - 1):
+            right = m ** (j - 2 - s)
+            for r in rels:
+                for wl in range(m**s):
+                    for wr in range(right):
+                        items += [(nrows, (wl * m * m + k) * right + wr, v) for k, v in enumerate(r) if v]
+                        nrows += 1
+        proj, section = quotient_maps(Matrix.from_entries(f, nrows, m**j, items))
         projs[j] = proj
         sections[j] = section
-        dims.append(total - span.dim)
+        dims.append(proj.nrows)
     comps = {}
     for p in range(top + 1):
         for q in range(top + 1 - p):
@@ -570,11 +562,8 @@ def module_hom_basis(p, q):
         for (k, c), v in p.actions[s].entries.items():
             items.extend((base + r * p.dim + c, r * p.dim + k, f.neg(v)) for r in range(q.dim))
     system = Matrix.from_entries(f, a.dim * unknowns, unknowns, items)
-    basis = system.kernel_basis()
-    out = []
-    for vec in basis.vectors:
-        out.append(Matrix.from_entries(f, q.dim, p.dim, [(k // p.dim, k % p.dim, v) for k, v in enumerate(vec) if v != f.zero]))
-    return out
+    kernel = system.kernel_matrix().column_dicts()
+    return [Matrix.from_entries(f, q.dim, p.dim, [(*divmod(k, p.dim), v) for k, v in vec.items()]) for vec in kernel]
 
 
 def _free_cover(ambient_actions, basis_matrix, a):
@@ -589,14 +578,14 @@ def _free_cover(ambient_actions, basis_matrix, a):
     pos_vectors = Matrix.from_entries(f, 1, a.dim, [(0, i, v) for i, v in enumerate(aug)]).kernel_basis()
     # images[s] is e_s acting on the spanning columns of K
     images = [act @ basis_matrix for act in ambient_actions]
-    radical_cols = []
+    radical = [Matrix.zeros(f, ambient_dim, 0)]
     for alpha in pos_vectors.vectors:
         image = Matrix.zeros(f, ambient_dim, basis_matrix.ncols)
         for s, v in enumerate(alpha):
             if v:
                 image = image + images[s].scale(v)
-        radical_cols.extend(image.column_dicts())
-    chosen = extend_to_basis(f, ambient_dim, radical_cols, basis_matrix.column_dicts())
+        radical.append(image)
+    chosen = extend_to_basis(Matrix.hstack(radical), basis_matrix)
     image_cols = [m.column_dicts() for m in images]
     entries = {}
     for k, l in enumerate(chosen):

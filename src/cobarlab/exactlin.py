@@ -19,10 +19,15 @@ and modular over GF(p), with a Markowitz-style pivot rule: the pivot column
 is the minimum of a heap of column counts, updated lazily (a popped entry
 whose count went stale is pushed back with the current count), then the
 sparsest row in that column, ties broken by row index.  The index column ->
-rows changes only on fill-in and cancellation.  Kernel bases, solving and
-reduced echelon forms share one reduced row echelon form in field
-arithmetic, which keeps the same index so a pivot touches only the rows
-holding its column.
+rows changes only on fill-in and cancellation.  Kernel bases, solving,
+quotient maps and basis extension share one reduced row echelon form in
+field arithmetic, which keeps the same index so a pivot touches only the
+rows holding its column.
+
+Spans travel as sparse matrices: ``quotient_maps`` takes a subspace as the
+row space of a matrix, and ``extend_to_basis`` takes vectors as the columns
+of matrices.  ``SubspaceBasis`` is the value type for a subspace handed back
+to a caller, compared through its canonical reduced basis.
 
 The sparse products (``Matrix.__matmul__``, ``kron_identity_matmul``)
 accumulate in plain ints: over the rationals each row of the left factor and
@@ -68,11 +73,8 @@ class Field:
     def prime(p):
         if not isinstance(p, int) or p < 2 or p >= 2**31:
             raise ValueError("prime field characteristic must be an int in [2, 2**31)")
-        d = 2
-        while d * d <= p:
-            if p % d == 0:
-                raise ValueError("%d is not prime" % p)
-            d += 1
+        if not _is_prime(p):
+            raise ValueError("%d is not prime" % p)
         return Field("prime", p)
 
     # -- scalar arithmetic ------------------------------------------------
@@ -142,6 +144,30 @@ class Field:
 
     def __repr__(self):
         return "QQ" if self.kind == "rationals" else "GF(%d)" % self.p
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin: the bases 2, 7 and 61 decide every n < 4,759,123,141."""
+    if n < 2:
+        return False
+    for a in (2, 7, 61):
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _normal(x):
@@ -409,21 +435,26 @@ class Matrix:
         return _rref(self.field, _row_dicts(self), self.ncols)
 
     def kernel_matrix(self):
-        """The kernel basis vectors (see kernel_basis) as the columns of a matrix.
+        """The kernel basis vectors (see kernel_basis) as the columns of a matrix."""
+        return self._free_and_kernel()[1]
 
-        Free column j of the RREF gives the column with 1 at j and minus the
-        j-th entry of each pivot row at that row's pivot.
+    def _free_and_kernel(self):
+        """The free columns of the RREF, in order, and the kernel matrix.
+
+        Free column j of the RREF gives the kernel column with 1 at j and
+        minus the j-th entry of each pivot row at that row's pivot.
         """
         f = self.field
         pivots, rows = self.rref()
         pivot_set = set(pivots)
-        free = {j: k for k, j in enumerate(j for j in range(self.ncols) if j not in pivot_set)}
-        entries = {(j, k): f.one for j, k in free.items()}
+        free = [j for j in range(self.ncols) if j not in pivot_set]
+        where = {j: k for k, j in enumerate(free)}
+        entries = {(j, k): f.one for j, k in where.items()}
         for p, row in zip(pivots, rows):
             for j, v in row.items():
                 if j != p:
-                    entries[(p, free[j])] = f.neg(v)
-        return Matrix(f, self.ncols, len(free), entries)
+                    entries[(p, where[j])] = f.neg(v)
+        return free, Matrix(f, self.ncols, len(free), entries)
 
     def kernel_basis(self):
         """Basis of the right null space, canonical w.r.t. the RREF free columns."""
@@ -450,22 +481,6 @@ class Matrix:
             return None
         entries = {(p, c - n): v for p, row in zip(pivots, rows) for c, v in row.items() if c >= n}
         return Matrix(self.field, n, rhs.ncols, entries)
-
-
-def rank(m):
-    return m.rank()
-
-
-def kernel_basis(m):
-    return m.kernel_basis()
-
-
-def solve(m, b):
-    return m.solve(b)
-
-
-def kronecker(a, b):
-    return a.kron(b)
 
 
 def kron_identity_matmul(a, b, y):
@@ -601,14 +616,13 @@ def _rref(field, rows, width):
     return pivots, [rows[i] for i in pivot_idx]
 
 
-def _row_axpy(f, row, prow, col, col_rows=None, idx=None):
+def _row_axpy(f, row, prow, col, col_rows, idx):
     """row -= row[col] * prow, where prow has pivot value 1 at col.
 
-    Given ``col_rows``, the index column -> rows is updated for row ``idx``.
+    The index column -> rows follows the fill-in and cancellation of row
+    ``idx``.
     """
-    a = row.get(col)
-    if a is None:
-        return
+    a = row[col]
     p = f.p
     for c, v in prow.items():
         old = row.get(c)
@@ -617,12 +631,11 @@ def _row_axpy(f, row, prow, col, col_rows=None, idx=None):
             w %= p
         if w:
             row[c] = w
-            if old is None and col_rows is not None:
+            if old is None:
                 col_rows.setdefault(c, set()).add(idx)
         else:
             del row[c]
-            if col_rows is not None:
-                col_rows[c].discard(idx)
+            col_rows[c].discard(idx)
 
 
 def _peel(rows):
@@ -782,71 +795,31 @@ class SubspaceBasis:
         return self.canonical().vectors == other.canonical().vectors
 
 
-def quotient_maps(sub):
-    """Projection/section pair for ambient / span(sub).
+def quotient_maps(span):
+    """Projection/section pair for field^n / (row space of ``span``), n = span.ncols.
 
     Returns (proj, section): proj is a (q x n) matrix whose kernel is exactly
-    the subspace; section is an (n x q) right inverse of proj picking the free
-    coordinates of the subspace's RREF as quotient representatives.
+    the row space, namely the transposed kernel matrix of ``span`` (the
+    orthogonal complement of a null space is the row space); section is an
+    (n x q) right inverse of proj picking the free columns of the RREF of
+    ``span`` as quotient representatives.  A span without nonzero rows gives
+    the identity pair.
     """
-    f = sub.field
-    n = sub.ambient_dim
-    if not sub.vectors:
-        eye = Matrix.identity(f, n)
-        return eye, eye
-    m = Matrix.from_rows(f, [list(v) for v in sub.vectors], n)
-    pivots, rows = m.rref()
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    proj_entries = {}
-    for qi, fc in enumerate(free):
-        proj_entries[(qi, fc)] = f.one
-        for p, row in zip(pivots, rows):
-            v = row.get(fc)
-            if v is not None:
-                proj_entries[(qi, p)] = f.neg(v)
-    proj = Matrix(f, len(free), n, proj_entries)
-    section = Matrix(f, n, len(free), {(fc, qi): f.one for qi, fc in enumerate(free)})
-    return proj, section
+    f = span.field
+    free, kernel = span._free_and_kernel()
+    return kernel.transpose(), Matrix(f, span.ncols, len(free), {(j, k): f.one for k, j in enumerate(free)})
 
 
-def extend_to_basis(field, ambient, base_vectors, candidates):
-    """Greedily pick candidates extending span(base_vectors) within ambient.
+def extend_to_basis(base, candidates):
+    """Greedily pick the columns of ``candidates`` that enlarge the column span of ``base``.
 
-    A vector is a dense sequence or a sparse dict {index: value}, as given
-    by ``Matrix.column_dicts``.  Returns indices (in order) of the
-    candidates that enlarge the span.  Deterministic.  The span is an RREF
-    keyed by pivot, with an index column -> pivots of the rows holding it;
-    since RREF rows vanish at every other pivot, a candidate is reduced only
-    by the pivots it holds, and a new pivot clears only the rows holding it.
+    Returns the indices, in order, of the candidate columns outside the span
+    of ``base`` and of the candidates before them.  These are the pivot
+    columns past the base in one RREF of [base | candidates], since a column
+    is a pivot exactly when it is outside the span of the columns before it.
+    Deterministic.
     """
-    red = dict(zip(*_rref(field, [_sparse(v) for v in base_vectors], ambient)))
-    col_rows = {}
-    for p, r in red.items():
-        for c in r:
-            col_rows.setdefault(c, set()).add(p)
-    chosen = []
-    for idx, cand in enumerate(candidates):
-        row = _sparse(cand)
-        for p in [c for c in row if c in red]:
-            _row_axpy(field, row, red[p], p)
-        if not row:
-            continue
-        col = min(row)
-        inv = field.inv(row[col])
-        if inv != field.one:
-            row = {c: field.mul(inv, v) for c, v in row.items()}
-        for p in list(col_rows.get(col, ())):
-            _row_axpy(field, red[p], row, col, col_rows, p)
-        red[col] = row
-        for c in row:
-            col_rows.setdefault(c, set()).add(col)
-        chosen.append(idx)
-    return chosen
-
-
-def _sparse(vec):
-    """A fresh sparse dict {index: value} of a dense sequence or a sparse dict."""
-    if isinstance(vec, dict):
-        return dict(vec)
-    return {j: x for j, x in enumerate(vec) if x}
+    k = base.ncols
+    stacked = Matrix.hstack([base, candidates])
+    pivots, _ = _rref(base.field, _row_dicts(stacked), stacked.ncols)
+    return [p - k for p in pivots if p >= k]

@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from cobarlab.coalg import (
     Comodule,
     cofree_comodule,
+    reduced_coaction_matrix,
     socle,
     validate,
     validate_comodule,
 )
-from cobarlab.exactlin import Matrix, SubspaceBasis, kron_identity_matmul, quotient_maps
+from cobarlab.exactlin import Matrix, kron_identity_matmul, quotient_maps
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,10 @@ class ContramoduleResolution:
 def _socle_retraction(m, s, rng=None):
     """A matrix phi with phi restricted to the socle the identity in its basis.
 
-    The deterministic choice is the solution of x @ phi^T = I with zero free
-    variables, where the rows of x are the socle vectors: one reduced row
-    echelon form of [x | I] (``solve_columns``) carries every unit vector at
-    once, and its uniqueness makes phi the same as solving for each unit
+    ``s`` holds a basis of the socle as its rows.  The deterministic choice
+    is the solution of s @ phi^T = I with zero free variables: one reduced
+    row echelon form of [s | I] (``solve_columns``) carries every unit vector
+    at once, and its uniqueness makes phi the same as solving for each unit
     vector alone.  A generator adds a sparse random correction vanishing on
     the socle, which exercises the independence of the output from this
     choice.  Dense corrections would fill in every later step, so each row
@@ -65,8 +66,8 @@ def _socle_retraction(m, s, rng=None):
     """
     f = m.base.field
     n = m.dim
-    v = s.dim
-    phi = Matrix.from_rows(f, s.vectors, n).solve_columns(Matrix.identity(f, v))
+    v = s.nrows
+    phi = s.solve_columns(Matrix.identity(f, v))
     if phi is None:
         raise AssertionError("socle basis is not independent")
     phi = phi.transpose()
@@ -95,10 +96,9 @@ def _one_step(m, rng=None, need_cokernel=True, check_bound=200000):
     check_bound, where their products dominate the whole computation.
     """
     c = m.base
-    f = c.field
     n = m.dim
-    s = socle(m)
-    v = s.dim
+    s = reduced_coaction_matrix(m).kernel_matrix().transpose()  # socle basis as rows
+    v = s.nrows
     if v == 0 and n > 0:
         raise AssertionError("nonzero comodule with zero socle contradicts conilpotence")
     phi = _socle_retraction(m, s, rng)
@@ -114,8 +114,7 @@ def _one_step(m, rng=None, need_cokernel=True, check_bound=200000):
         raise AssertionError("hull embedding is not a comodule morphism")
     if not need_cokernel:
         return v, emb, None, None
-    image = SubspaceBasis(f, j.dim, tuple(tuple(col) for col in emb.columns()))
-    proj, section = quotient_maps(image)
+    proj, section = quotient_maps(emb.transpose())
     q = j.dim - n
     nu_q = kron_identity_matmul(c.dim, proj, nu_j) @ section
     quotient = Comodule(c, q, _coaction_triples(nu_q, q))

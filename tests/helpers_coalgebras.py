@@ -2,7 +2,7 @@
 
 from cobarlab.coalg import Coalgebra, reduced_coaction_matrix, symmetric_coalgebra, tensor_coalgebra
 from cobarlab.dualalg import Algebra, graded_dual, quadratic_algebra
-from cobarlab.exactlin import QQ, Matrix, quotient_maps
+from cobarlab.exactlin import QQ, Matrix
 
 
 def dual_numbers_dual(field=QQ):
@@ -145,6 +145,34 @@ def kron_bar_boundary(bar, i):
     return out
 
 
+def dense_quotient_maps(sub):
+    """Reference projection/section pair for ambient / span(sub), from dense spanning vectors.
+
+    proj is a (q x n) matrix whose kernel is exactly the subspace; section is
+    an (n x q) right inverse of proj picking the free coordinates of the
+    subspace's RREF as quotient representatives.
+    """
+    f = sub.field
+    n = sub.ambient_dim
+    if not sub.vectors:
+        eye = Matrix.identity(f, n)
+        return eye, eye
+    m = Matrix.from_rows(f, [list(v) for v in sub.vectors], n)
+    pivots, rows = m.rref()
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    proj_entries = {}
+    for qi, fc in enumerate(free):
+        proj_entries[(qi, fc)] = f.one
+        for p, row in zip(pivots, rows):
+            v = row.get(fc)
+            if v is not None:
+                proj_entries[(qi, p)] = f.neg(v)
+    proj = Matrix(f, len(free), n, proj_entries)
+    section = Matrix(f, n, len(free), {(fc, qi): f.one for qi, fc in enumerate(free)})
+    return proj, section
+
+
 def per_unit_socle_retraction(m, s, rng=None):
     """Reference socle retraction: one ``solve`` per socle unit vector.
 
@@ -165,7 +193,7 @@ def per_unit_socle_retraction(m, s, rng=None):
         cols.append(list(sol))
     phi = Matrix.from_columns(f, cols, n).transpose()
     if rng is not None and v < n:
-        proj, _ = quotient_maps(s)
+        proj, _ = dense_quotient_maps(s)
         w = n - v
         items = []
         for r in range(v):

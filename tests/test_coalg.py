@@ -25,7 +25,7 @@ from cobarlab.coalg import (
     validate_comodule,
     validate_graded,
 )
-from cobarlab.exactlin import GF, QQ, Matrix, rank
+from cobarlab.exactlin import GF, QQ, Matrix
 
 
 def dual_numbers_dual(field=QQ):
@@ -53,6 +53,24 @@ def semisimple_block_plus_point(field=QQ):
         [1, 1, 0],
         [[(0, 0, 1)], [(1, 1, 1), (2, 2, 2)], [(1, 2, 1), (2, 1, 1)]],
     )
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_structure_constants_accumulate_cancel_and_name_the_basis_index(field):
+    # repeated (i, j) accumulate, sums that cancel vanish, the rest is sorted
+    comul = [[(0, 0, 1)], [(1, 0, 1), (0, 1, 1), (1, 0, 2), (0, 1, "1/2"), (1, 0, -3), (0, 1, "-1/2")]]
+    c = Coalgebra(field, 2, 0, (1, 0), comul)
+    assert c.comul == (((0, 0, 1),), ((0, 1, 1),))
+    coaction = [[(1, 1, 2), (0, 0, 1), (1, 1, -2)], [(0, 1, 1), (1, 0, 3), (1, 0, 4), (0, 1, 0)]]
+    m = Comodule(c, 2, coaction)
+    assert m.coaction == (((0, 0, 1),), ((0, 1, 1), (1, 0, 7)) if field == QQ else ((0, 1, 1),))
+    with pytest.raises(ValueError, match="^comultiplication index out of range at basis 1$"):
+        Coalgebra(field, 2, 0, (1, 0), [[(0, 0, 1)], [(0, 1, 1), (2, 0, 1)]])
+    # the first factor is bounded by the coalgebra, the second by the comodule
+    with pytest.raises(ValueError, match="^coaction index out of range at basis 0$"):
+        Comodule(c, 1, [[(0, 1, 1)]])
+    with pytest.raises(ValueError, match="^coaction index out of range at basis 1$"):
+        Comodule(c, 3, [[(0, 0, 1)], [(2, 1, 1)], []])
 
 
 def test_validate_c2_c3():
@@ -247,8 +265,8 @@ def test_comodule_hom_space_and_socle_injectivity():
         f = Matrix.zeros(QQ, m.dim, l.dim)
         for b in basis:
             f = f + b.scale(rng.randint(-2, 2))
-        injective = rank(f) == l.dim
-        socle_injective = rank(f @ soc_cols) == soc_l.dim
+        injective = f.rank() == l.dim
+        socle_injective = (f @ soc_cols).rank() == soc_l.dim
         assert injective == socle_injective
 
 

@@ -1,26 +1,24 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from helpers_coalgebras import dense_quotient_maps
+
 from cobarlab.exactlin import (
+    _is_prime,
     _peel,
-    _row_axpy,
     _rref,
-    _sparse,
     GF,
     QQ,
     Matrix,
     SubspaceBasis,
     extend_to_basis,
-    kernel_basis,
     kron_identity_matmul,
-    kronecker,
     quotient_maps,
-    rank,
-    solve,
 )
 
 
@@ -81,33 +79,49 @@ def test_field_scalars():
         GF(2**31 + 11)
 
 
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_primality_matches_trial_division():
+    assert [n for n in range(20000) if _is_prime(n)] == [n for n in range(20000) if _trial_division_is_prime(n)]
+    # the strong pseudoprimes to base 2 below 10**4, one to bases 2, 3 and 5, and 46337**2
+    for n in (2047, 3277, 4033, 4681, 8321, 25326001, 46337**2):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError, match="^%d is not prime$" % n):
+            GF(n)
+    assert _is_prime(2**31 - 1) and GF(2**31 - 1).p == 2**31 - 1
+    with pytest.raises(ValueError, match="must be an int in"):
+        GF(2**31)
+
+
 def test_rank_gf5_example():
     m = Matrix.from_rows(GF(5), [[1, 2], [3, 1]])
-    assert rank(m) == 1
+    assert m.rank() == 1
 
 
 def test_rank_rationals_small():
     m = Matrix.from_rows(QQ, [[1, 2], [3, 1]])
-    assert rank(m) == 2
-    assert rank(Matrix.zeros(QQ, 4, 3)) == 0
-    assert rank(Matrix.identity(QQ, 7)) == 7
+    assert m.rank() == 2
+    assert Matrix.zeros(QQ, 4, 3).rank() == 0
+    assert Matrix.identity(QQ, 7).rank() == 7
 
 
 def test_solve_gf5_example():
     m = Matrix.from_rows(GF(5), [[2]])
-    assert solve(m, (3,)) == (4,)
+    assert m.solve((3,)) == (4,)
 
 
 def test_solve_inconsistent_and_underdetermined():
     m = Matrix.from_rows(QQ, [[1, 1], [1, 1]])
-    assert solve(m, (1, 2)) is None
-    x = solve(m, (3, 3))
+    assert m.solve((1, 2)) is None
+    x = m.solve((3, 3))
     assert x is not None and m.apply(x) == (Fraction(3), Fraction(3))
 
 
 def test_kernel_example():
     m = Matrix.from_rows(QQ, [[1, 1, 0], [0, 0, 1]])
-    ker = kernel_basis(m)
+    ker = m.kernel_basis()
     assert ker.dim == 1
     expected = SubspaceBasis(QQ, 3, ((Fraction(1), Fraction(-1), Fraction(0)),))
     assert ker == expected
@@ -116,7 +130,7 @@ def test_kernel_example():
 def test_kronecker_example():
     a = Matrix.from_rows(QQ, [[1, 1]])
     b = Matrix.from_rows(QQ, [[1], [1]])
-    k = kronecker(a, b)
+    k = a.kron(b)
     assert k.to_rows() == [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
 
 
@@ -134,8 +148,8 @@ def test_rank_nullity_randomized():
         nrows = rng.randint(1, 7)
         ncols = rng.randint(1, 7)
         m = random_matrix(rng, field, nrows, ncols)
-        r = rank(m)
-        ker = kernel_basis(m)
+        r = m.rank()
+        ker = m.kernel_basis()
         assert r == dense_rank_oracle(field, m.to_rows())
         assert r + ker.dim == ncols
         for v in ker.vectors:
@@ -152,7 +166,7 @@ def test_rank_permutation_invariance():
         cols = list(range(6))
         rng.shuffle(cols)
         shuffled = [[row[c] for c in cols] for row in rows]
-        assert rank(Matrix.from_rows(field, shuffled)) == rank(m)
+        assert Matrix.from_rows(field, shuffled).rank() == m.rank()
 
 
 def test_kronecker_rank_multiplicative():
@@ -161,7 +175,7 @@ def test_kronecker_rank_multiplicative():
         field = rng.choice([QQ, GF(5)])
         a = random_matrix(rng, field, rng.randint(1, 4), rng.randint(1, 4))
         b = random_matrix(rng, field, rng.randint(1, 4), rng.randint(1, 4))
-        assert rank(kronecker(a, b)) == rank(a) * rank(b)
+        assert a.kron(b).rank() == a.rank() * b.rank()
 
 
 def test_solve_randomized_exactness():
@@ -171,7 +185,7 @@ def test_solve_randomized_exactness():
         m = random_matrix(rng, field, rng.randint(1, 6), rng.randint(1, 6))
         x0 = tuple(field.coerce(rng.randint(-4, 4)) for _ in range(m.ncols))
         b = m.apply(x0)
-        x = solve(m, b)
+        x = m.solve(b)
         assert x is not None
         assert m.apply(x) == b
 
@@ -187,7 +201,7 @@ def test_subspace_contains_and_eq():
 
 def test_quotient_maps():
     s = SubspaceBasis(QQ, 3, ((Fraction(1), Fraction(1), Fraction(0)),))
-    proj, section = quotient_maps(s)
+    proj, section = quotient_maps(Matrix.from_rows(QQ, [list(v) for v in s.vectors]))
     assert proj.nrows == 2 and proj.ncols == 3
     assert (proj @ section) == Matrix.identity(QQ, 2)
     for v in s.vectors:
@@ -199,26 +213,59 @@ def test_quotient_maps():
             assert s.contains(v)
 
 
+@pytest.mark.parametrize("kind", ["qq_int", "qq_fraction", "gf7", "gf_large"])
+def test_quotient_maps_match_dense_reference(kind):
+    rng = random.Random("quotient-maps-" + kind)
+    field, draw = _field_and_draw(rng, kind)
+    spans = [Matrix.zeros(field, 0, 4), Matrix.zeros(field, 3, 5)]
+    for _ in range(40):
+        ambient = rng.randint(1, 12)
+        count = rng.randint(1, 15)
+        rows = _planted_rank_rows(rng, count, ambient, rng.randint(1, ambient), draw)
+        spans.append(Matrix.from_rows(field, rows, ambient))
+    for span in spans:
+        proj, section = quotient_maps(span)
+        ref_proj, ref_section = dense_quotient_maps(SubspaceBasis(field, span.ncols, tuple(map(tuple, span.to_rows()))))
+        # entry-identical, values and types alike
+        assert proj.entries == ref_proj.entries and (proj.nrows, proj.ncols) == (ref_proj.nrows, ref_proj.ncols)
+        assert all(type(v) is type(ref_proj.entries[k]) for k, v in proj.entries.items())
+        assert section == ref_section
+        assert proj @ section == Matrix.identity(field, proj.nrows)
+        assert proj.nrows == span.ncols - span.rank()
+    # the zero-row and all-zero spans give the identity pair
+    for span in spans[:2]:
+        assert quotient_maps(span) == (Matrix.identity(field, span.ncols),) * 2
+
+
 def test_extend_to_basis():
-    base = [(Fraction(1), Fraction(0), Fraction(0))]
-    cands = [
-        (Fraction(2), Fraction(0), Fraction(0)),
-        (Fraction(1), Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(3)),
-    ]
-    chosen = extend_to_basis(QQ, 3, base, cands)
-    assert chosen == [1, 3]
+    base = Matrix.from_columns(QQ, [[1, 0, 0]])
+    cands = Matrix.from_columns(QQ, [[2, 0, 0], [1, 1, 0], [0, 1, 0], [0, 0, 3]])
+    assert extend_to_basis(base, cands) == [1, 3]
+    assert extend_to_basis(Matrix.zeros(QQ, 3, 0), cands) == [0, 1, 3]
+    assert extend_to_basis(base, Matrix.zeros(QQ, 3, 0)) == []
+
+
+def _axpy(field, row, prow, col):
+    """row -= row[col] * prow, where prow has pivot value 1 at col."""
+    a = row.get(col)
+    if a is None:
+        return
+    for c, v in prow.items():
+        w = field.sub(row.get(c, field.zero), field.mul(a, v))
+        if w:
+            row[c] = w
+        else:
+            row.pop(c, None)
 
 
 def full_scan_extend_to_basis(field, ambient, base_vectors, candidates):
     """Reference: reduce each candidate by every pivot row in turn, and every row by a new pivot."""
-    pivots, red = _rref(field, [_sparse(v) for v in base_vectors], ambient)
+    pivots, red = _rref(field, [{j: x for j, x in enumerate(v) if x} for v in base_vectors], ambient)
     chosen = []
     for idx, cand in enumerate(candidates):
-        row = _sparse(cand)
+        row = {j: x for j, x in enumerate(cand) if x}
         for p, r in zip(pivots, red):
-            _row_axpy(field, row, r, p)
+            _axpy(field, row, r, p)
         if not row:
             continue
         col = min(row)
@@ -226,7 +273,7 @@ def full_scan_extend_to_basis(field, ambient, base_vectors, candidates):
         if inv != field.one:
             row = {c: field.mul(inv, v) for c, v in row.items()}
         for r in red:
-            _row_axpy(field, r, row, col)
+            _axpy(field, r, row, col)
         at = 0
         while at < len(pivots) and pivots[at] < col:
             at += 1
@@ -239,13 +286,7 @@ def full_scan_extend_to_basis(field, ambient, base_vectors, candidates):
 @pytest.mark.parametrize("kind", ["qq_int", "qq_fraction", "gf7", "gf_large"])
 def test_extend_to_basis_matches_full_scan(kind):
     rng = random.Random("extend-to-basis-" + kind)
-    if kind == "qq_int":
-        field, draw = QQ, lambda: rng.randint(-3, 3)
-    elif kind == "qq_fraction":
-        field, draw = QQ, lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 6))
-    else:
-        p = 7 if kind == "gf7" else 2**31 - 1
-        field, draw = GF(p), lambda: rng.randrange(p)
+    field, draw = _field_and_draw(rng, kind)
     picked = skipped = 0
     for _ in range(40):
         ambient = rng.randint(1, 20)
@@ -255,10 +296,10 @@ def test_extend_to_basis_matches_full_scan(kind):
         vecs = [[field.coerce(v) for v in row] for row in _planted_rank_rows(rng, count, ambient, inner, draw)]
         split = rng.randint(0, count)
         base = vecs[:split]
-        # candidates come dense or as sparse dicts, as the callers pass them
-        cands = [vec if rng.random() < 0.5 else _sparse(vec) for vec in vecs[split:]]
+        cands = vecs[split:]
         expected = full_scan_extend_to_basis(field, ambient, base, cands)
-        assert extend_to_basis(field, ambient, base, cands) == expected
+        as_columns = [Matrix.from_columns(field, vs, ambient) for vs in (base, cands)]
+        assert extend_to_basis(*as_columns) == expected
         picked += len(expected)
         skipped += len(cands) - len(expected)
     # both outcomes occur often
@@ -269,7 +310,7 @@ def test_kron_index_convention():
     # kron(A, B)[(ia*rb+ib), (ja*cb+jb)] == A[ia,ja] * B[ib,jb]
     a = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
     b = Matrix.from_rows(QQ, [[0, 5], [6, 0]])
-    k = kronecker(a, b)
+    k = a.kron(b)
     ar = a.to_rows()
     br = b.to_rows()
     kr = k.to_rows()
@@ -278,6 +319,16 @@ def test_kron_index_convention():
             for ib in range(2):
                 for jb in range(2):
                     assert kr[ia * 2 + ib][ja * 2 + jb] == ar[ia][ja] * br[ib][jb]
+
+
+def _field_and_draw(rng, kind):
+    """The field of a test kind and a function drawing one random scalar."""
+    if kind == "qq_int":
+        return QQ, lambda: rng.randint(-3, 3)
+    if kind == "qq_fraction":
+        return QQ, lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+    p = 7 if kind == "gf7" else 2**31 - 1
+    return GF(p), lambda: rng.randrange(p)
 
 
 def _planted_rank_rows(rng, nrows, ncols, inner, draw):
@@ -430,13 +481,7 @@ def test_rref_matches_sympy_oracle(kind):
     from sympy.polys.matrices import DomainMatrix
 
     rng = random.Random("rref-oracle-" + kind)
-    if kind == "qq_int":
-        field, draw = QQ, lambda: rng.randint(-3, 3)
-    elif kind == "qq_fraction":
-        field, draw = QQ, lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 6))
-    else:
-        p = 7 if kind == "gf7" else 2**31 - 1
-        field, draw = GF(p), lambda: rng.randrange(p)
+    field, draw = _field_and_draw(rng, kind)
 
     def oracle(rows, nrows, ncols):
         """Pivot columns and the nonzero rows of sympy's RREF, as sparse dicts."""
