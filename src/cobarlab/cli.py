@@ -274,11 +274,15 @@ def cmd_resolve(args):
         "step_dims": [target.base.dim * v for v in dims],
         "minimal": res.minimal,
         "verified": verified,
+        "skipped_checks": list(res.skipped_checks),
     }
     lines = [
         "cogenerator dims: %s" % " ".join(str(d) for d in dims),
         "verified: %s" % ("true" if verified else "FALSE"),
     ]
+    if res.skipped_checks:
+        shown = ("step %(step)d %(check)s (size %(size)d > bound %(bound)d)" % skip for skip in res.skipped_checks)
+        lines.append("skipped checks: " + ", ".join(shown))
     _emit(args, _report("resolve", inputs, result, started, seed=args.seed), lines)
     return 0 if verified and res.minimal else 1
 

@@ -219,9 +219,12 @@ class GradedCoalgebra:
 
 
 class Comodule:
-    """Finite-dimensional left comodule: coaction m_t -> sum v * e_i (x) m_j."""
+    """Finite-dimensional left comodule: coaction m_t -> sum v * e_i (x) m_j.
 
-    __slots__ = ("base", "dim", "coaction")
+    The coaction matrix is built once and kept.
+    """
+
+    __slots__ = ("base", "dim", "coaction", "_matrix")
 
     def __init__(self, base, dim, coaction):
         if dim < 0:
@@ -231,14 +234,36 @@ class Comodule:
         self.base = base
         self.dim = dim
         self.coaction = _normal_triples(base.field, coaction, base.dim, dim, "coaction")
+        self._matrix = None
+
+    @classmethod
+    def from_coaction_matrix(cls, base, dim, nu):
+        """The comodule whose coaction matrix is ``nu``, a (base.dim * dim) x dim Matrix.
+
+        Row i * dim + j of column t holds the coefficient of e_i (x) m_j in
+        the coaction of m_t.  The entries of a Matrix are field elements in
+        range, so they are taken as they are.
+        """
+        if nu.field != base.field or nu.nrows != base.dim * dim or nu.ncols != dim:
+            raise ValueError("coaction matrix does not match the base and dimension")
+        triples = [[] for _ in range(dim)]
+        for (r, t), v in nu.entries.items():
+            triples[t].append((*divmod(r, dim), v))
+        m = cls.__new__(cls)
+        m.base = base
+        m.dim = dim
+        m.coaction = tuple(tuple(sorted(row)) for row in triples)
+        m._matrix = nu
+        return m
 
     def coaction_matrix(self):
-        n = self.base.dim
-        items = []
-        for t, triples in enumerate(self.coaction):
-            for i, j, v in triples:
-                items.append((i * self.dim + j, t, v))
-        return Matrix.from_entries(self.base.field, n * self.dim, self.dim, items)
+        if self._matrix is None:
+            items = []
+            for t, triples in enumerate(self.coaction):
+                for i, j, v in triples:
+                    items.append((i * self.dim + j, t, v))
+            self._matrix = Matrix.from_entries(self.base.field, self.base.dim * self.dim, self.dim, items)
+        return self._matrix
 
     def __repr__(self):
         return "Comodule(dim=%d over %r)" % (self.dim, self.base)

@@ -20,9 +20,9 @@ is the minimum of a heap of column counts, updated lazily (a popped entry
 whose count went stale is pushed back with the current count), then the
 sparsest row in that column, ties broken by row index.  The index column ->
 rows changes only on fill-in and cancellation.  Kernel bases, solving,
-quotient maps and basis extension share one reduced row echelon form in
-field arithmetic, which keeps the same index so a pivot touches only the
-rows holding its column.
+quotient maps and basis extension share one reduced row echelon form with
+the same integer arithmetic (after Bareiss, Math. Comp. 1968) and index; it
+divides each row by its pivot only when the rows are returned.
 
 Spans travel as sparse matrices: ``quotient_maps`` takes a subspace as the
 row space of a matrix, and ``extend_to_basis`` takes vectors as the columns
@@ -196,9 +196,9 @@ class Matrix:
     """Immutable sparse matrix: nonzero entries in a dict keyed by (row, col).
 
     Over QQ an entry is an ``int`` when integral and otherwise a
-    ``Fraction``.  Products always store that form; the echelon form, sums,
-    scaling and ``kron`` may leave an integral ``Fraction``, which is equal
-    and hashes alike.  The constructors below store values that already
+    ``Fraction``.  Products and the echelon form always store that form;
+    sums, scaling and ``kron`` may leave an integral ``Fraction``, which is
+    equal and hashes alike.  The constructors below store values that already
     are field elements as given and coerce only the others (strings, ints
     out of range over GF(p)); a bool is rejected.
     """
@@ -420,19 +420,17 @@ class Matrix:
         # Elimination keeps one work row per pivot; fewer rows is cheaper,
         # and rank is transpose-invariant.
         peeled, rows = _peel(_row_dicts(self) if self.nrows <= self.ncols else self.column_dicts())
-        p = self.field.p
-        if p is None:
-            rows = [row if Fraction not in map(type, row.values()) else _coprime(row) for row in rows]
-        return peeled + _rank_elim(rows, p)
+        return peeled + _rank_elim(rows, self.field.p)
 
     def rref(self):
         """Reduced row echelon form.
 
         Returns (pivot_cols, rows) where rows is a list of sparse dicts
         {col: value}, one per pivot, fully reduced, pivot value 1, ordered by
-        pivot column.  Left-to-right column sweep; deterministic.
+        pivot column; over QQ an entry is an ``int`` when integral.
+        Left-to-right column sweep; deterministic.
         """
-        return _rref(self.field, _row_dicts(self), self.ncols)
+        return _rref(_row_dicts(self), self.field.p)
 
     def kernel_matrix(self):
         """The kernel basis vectors (see kernel_basis) as the columns of a matrix."""
@@ -581,61 +579,47 @@ def _row_dicts(m):
     return rows
 
 
-def _rref(field, rows, width):
-    """In-place reduced echelon on a list of sparse row dicts.
+def _rref(rows, p):
+    """Reduced row echelon form of rows (dicts col -> value) over QQ (``p`` None) or GF(p).
+
+    Returns (pivot_cols, rows), one row per pivot, ordered by pivot column,
+    with pivot value 1: each row of ``_echelon`` divided by its pivot once.
+    Over QQ an entry is an ``int`` where that division is exact.
+    """
+    pivots, rows = _echelon(rows, p)
+    for k, (col, row) in enumerate(zip(pivots, rows)):
+        pv = row[col]
+        if p is not None:
+            inv = pow(pv, -1, p)
+            rows[k] = {c: v * inv % p for c, v in row.items()}
+        elif pv != 1:
+            rows[k] = {c: v // pv if v % pv == 0 else Fraction(v, pv) for c, v in row.items()}
+    return pivots, rows
+
+
+def _echelon(rows, p):
+    """Pivot columns and rows of the reduced echelon form, each row a multiple of the reduced one.
 
     Pivot columns are chosen left to right; within a column the row with the
-    fewest nonzeros wins, ties by row index.  An index column -> rows holding
-    it, kept current through fill-in and cancellation, limits each pivot to
-    the rows it changes, pivot rows included.
+    fewest nonzeros wins, ties by row index, so scaling rows changes no
+    choice.  The index column -> rows limits each pivot to the rows it
+    changes, pivot rows included.  The dicts of ``rows`` may be changed in
+    place.
     """
-    f = field
-    col_rows = {}
-    for i, row in enumerate(rows):
-        for c in row:
-            col_rows.setdefault(c, set()).add(i)
-    pivots = []
-    pivot_idx = []
-    done = set()
-    for col in range(width):
-        holders = col_rows.get(col)
-        if not holders:
+    rows, col_rows = _indexed(rows, p)
+    pivots, order, done = [], [], set()
+    # fill-in only brings in columns of a pivot row, so no column appears later
+    for col in sorted(col_rows):
+        holders = col_rows[col]
+        piv = min((i for i in holders if i not in done), key=lambda i: (len(rows[i]), i), default=None)
+        if piv is None:
             continue
-        best = min((i for i in holders if i not in done), key=lambda i: (len(rows[i]), i), default=None)
-        if best is None:
-            continue
-        done.add(best)
-        prow = rows[best]
-        inv = f.inv(prow[col])
-        if inv != f.one:
-            prow = rows[best] = {c: f.mul(inv, v) for c, v in prow.items()}
-        for idx in [i for i in holders if i != best]:
-            _row_axpy(f, rows[idx], prow, col, col_rows, idx)
+        done.add(piv)
+        rest = [(c, v) for c, v in rows[piv].items() if c != col]
+        _eliminate(rows, (i for i in holders if i != piv), col, rows[piv][col], rest, p, col_rows)
         pivots.append(col)
-        pivot_idx.append(best)
-    return pivots, [rows[i] for i in pivot_idx]
-
-
-def _row_axpy(f, row, prow, col, col_rows, idx):
-    """row -= row[col] * prow, where prow has pivot value 1 at col.
-
-    The index column -> rows follows the fill-in and cancellation of row
-    ``idx``.
-    """
-    a = row[col]
-    p = f.p
-    for c, v in prow.items():
-        old = row.get(c)
-        w = -a * v if old is None else old - a * v
-        if p is not None:
-            w %= p
-        if w:
-            row[c] = w
-            if old is None:
-                col_rows.setdefault(c, set()).add(idx)
-        else:
-            del row[c]
-            col_rows[c].discard(idx)
+        order.append(piv)
+    return pivots, [rows[i] for i in order]
 
 
 def _peel(rows):
@@ -667,24 +651,15 @@ def _coprime(row):
 
 
 def _rank_elim(rows, p):
-    """Rank of integer rows (dicts col -> value) by Markowitz-style elimination.
+    """Rank of rows (dicts col -> value) by Markowitz-style elimination (see ``_eliminate``).
 
-    Over GF(p) the arithmetic is mod p.  Over QQ (``p`` None) it is fraction
-    free: a row is cross-multiplied by the pivot and then divided by the gcd
-    of its entries.  An index column -> rows is kept current through fill-in
-    and cancellation.  The pivot column is the minimum of a heap of column
-    counts; every live column keeps exactly one heap entry, re-pushed with
-    its current count when popped stale, so no column is dropped unpivoted.
-    The pivot row is the sparsest holding that column, ties by index, and a
-    column held by one row retires that row without a search.
+    The pivot column is the minimum of a heap of column counts; every live
+    column keeps exactly one heap entry, re-pushed with its current count
+    when popped stale, so no column is dropped unpivoted.  The pivot row is
+    the sparsest holding that column, ties by index, and a column held by
+    one row retires that row without a search.
     """
-    col_rows = {}
-    for i, row in enumerate(rows):
-        for c in row:
-            if c in col_rows:
-                col_rows[c].add(i)
-            else:
-                col_rows[c] = {i}
+    rows, col_rows = _indexed(rows, p)
     heap = [(len(s), c) for c, s in col_rows.items()]
     heapq.heapify(heap)
     rank_ = 0
@@ -701,42 +676,66 @@ def _rank_elim(rows, p):
         rows[piv] = None
         for c in prow:
             col_rows[c].discard(piv)
-        if not s:
-            continue
-        pv = prow.pop(col)
-        if p is not None:
-            inv = pow(pv, -1, p)
-            prow, pv = {c: v * inv % p for c, v in prow.items()}, 1
-        for i in s:
-            row = rows[i]
-            a = row.pop(col)
-            if pv != 1:
-                g = gcd(a, pv)
-                a //= g
-                if pv != g:
-                    for c in row:
-                        row[c] *= pv // g
-            for c, v in prow.items():
-                w = row.get(c)
-                if w is None:
-                    w = -a * v
-                    col_rows[c].add(i)
-                else:
-                    w -= a * v
-                if p is not None:
-                    w %= p
-                if w:
-                    row[c] = w
-                else:
-                    del row[c]
-                    col_rows[c].discard(i)
-            if p is None and row:
-                g = gcd(*row.values())
-                if g > 1:
-                    for c in row:
-                        row[c] //= g
-        s.clear()
+        if s:
+            _eliminate(rows, s, col, prow.pop(col), prow.items(), p, col_rows)
+            s.clear()
     return rank_
+
+
+def _indexed(rows, p):
+    """The rows made integral over QQ (``p`` None) by ``_coprime``, and the index column -> rows."""
+    if p is None:
+        rows = [row if Fraction not in map(type, row.values()) else _coprime(row) for row in rows]
+    col_rows = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            if c in col_rows:
+                col_rows[c].add(i)
+            else:
+                col_rows[c] = {i}
+    return rows, col_rows
+
+
+def _eliminate(rows, targets, col, pv, rest, p, col_rows):
+    """Clear column ``col`` from the integer rows ``rows[i]``, i in ``targets``.
+
+    The pivot row holds ``pv`` at ``col`` and the pairs (c, v) of ``rest``.
+    Over GF(p) it is scaled by the inverse of pv once and updates are reduced
+    mod p.  Over QQ (``p`` None) a row is cross-multiplied with pv, then
+    divided by the gcd of its entries.  ``col_rows`` follows the fill-in and
+    cancellation outside ``col``.
+    """
+    if p is not None and pv != 1:
+        inv = pow(pv, -1, p)
+        rest, pv = [(c, v * inv % p) for c, v in rest], 1
+    for i in targets:
+        row = rows[i]
+        a = row.pop(col)
+        if pv != 1:
+            g = gcd(a, pv)
+            a //= g
+            if pv != g:
+                for c in row:
+                    row[c] *= pv // g
+        for c, v in rest:
+            w = row.get(c)
+            if w is None:
+                w = -a * v
+                col_rows[c].add(i)
+            else:
+                w -= a * v
+            if p is not None:
+                w %= p
+            if w:
+                row[c] = w
+            else:
+                del row[c]
+                col_rows[c].discard(i)
+        if p is None and row:
+            g = gcd(*row.values())
+            if g > 1:
+                for c in row:
+                    row[c] //= g
 
 
 @dataclass(frozen=True)
@@ -763,9 +762,6 @@ class SubspaceBasis:
             return 0
         return Matrix.from_rows(self.field, [list(v) for v in self.vectors], self.ambient_dim).rank()
 
-    def matrix_with_vector_columns(self):
-        return Matrix.from_columns(self.field, [list(v) for v in self.vectors], self.ambient_dim)
-
     def canonical(self):
         if not self.vectors:
             return SubspaceBasis(self.field, self.ambient_dim, ())
@@ -785,7 +781,8 @@ class SubspaceBasis:
             raise ValueError("vector length != ambient_dim")
         if not self.vectors:
             return all(x == self.field.zero for x in vec)
-        return self.matrix_with_vector_columns().solve(tuple(vec)) is not None
+        spanning = Matrix.from_columns(self.field, [list(v) for v in self.vectors], self.ambient_dim)
+        return spanning.solve(tuple(vec)) is not None
 
     def __eq__(self, other):
         if not isinstance(other, SubspaceBasis):
@@ -821,5 +818,5 @@ def extend_to_basis(base, candidates):
     """
     k = base.ncols
     stacked = Matrix.hstack([base, candidates])
-    pivots, _ = _rref(base.field, _row_dicts(stacked), stacked.ncols)
+    pivots, _ = _echelon(_row_dicts(stacked), base.field.p)
     return [p - k for p in pivots if p >= k]

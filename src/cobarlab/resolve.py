@@ -21,7 +21,6 @@ from cobarlab.coalg import (
     Comodule,
     cofree_comodule,
     reduced_coaction_matrix,
-    socle,
     validate,
     validate_comodule,
 )
@@ -36,6 +35,8 @@ class MinimalCoresolution:
     embeddings: tuple  # step embeddings f_i: (i-th cokernel) -> C (x) V_i
     differentials: tuple  # d_i: J_{i-1} -> J_i, each f_i composed with a projection
     minimal: bool
+    # rechecks skipped above the size bound: dicts with step, check, size, bound
+    skipped_checks: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -82,21 +83,25 @@ def _socle_retraction(m, s, rng=None):
     return phi
 
 
-def _coaction_triples(matrix, dim):
-    out = [[] for _ in range(dim)]
-    for (r, c), val in matrix.entries.items():
-        out[c].append((r // dim, r % dim, val))
-    return [tuple(sorted(row)) for row in out]
+def _one_step(m, rng=None, need_cokernel=True, check_bound=200000, skipped=None):
+    """Embed m into the cofree comodule on its socle; return (v, f, projection, cokernel).
 
-
-def _one_step(m, rng=None, need_cokernel=True, check_bound=200000):
-    """Embed m into the cofree comodule on its socle; return (v, f, cokernel).
-
-    The morphism and cokernel rechecks are defensive and skipped above
-    check_bound, where their products dominate the whole computation.
+    The morphism and cokernel rechecks are defensive and skipped when the
+    product size (base dimension times nnz) exceeds check_bound, where their
+    products dominate the whole computation.  Each skip is appended to
+    ``skipped`` as a dict naming the check, the size and the bound.
     """
     c = m.base
     n = m.dim
+
+    def recheck(check, nnz):
+        size = c.dim * nnz
+        if size <= check_bound:
+            return True
+        if skipped is not None:
+            skipped.append({"check": check, "size": size, "bound": check_bound})
+        return False
+
     s = reduced_coaction_matrix(m).kernel_matrix().transpose()  # socle basis as rows
     v = s.nrows
     if v == 0 and n > 0:
@@ -108,17 +113,15 @@ def _one_step(m, rng=None, need_cokernel=True, check_bound=200000):
         raise AssertionError("cofree hull embedding failed to be injective")
     j = cofree_comodule(c, v)
     nu_j = j.coaction_matrix()
-    if c.dim * emb.nnz() <= check_bound and not (
-        nu_j @ emb == kron_identity_matmul(c.dim, emb, nu)
-    ):
+    if recheck("morphism", emb.nnz()) and not (nu_j @ emb == kron_identity_matmul(c.dim, emb, nu)):
         raise AssertionError("hull embedding is not a comodule morphism")
     if not need_cokernel:
         return v, emb, None, None
     proj, section = quotient_maps(emb.transpose())
     q = j.dim - n
     nu_q = kron_identity_matmul(c.dim, proj, nu_j) @ section
-    quotient = Comodule(c, q, _coaction_triples(nu_q, q))
-    if c.dim * nu_q.nnz() <= check_bound:
+    quotient = Comodule.from_coaction_matrix(c, q, nu_q)
+    if recheck("cokernel", nu_q.nnz()):
         report = validate_comodule(quotient)
         if not report.ok:
             raise AssertionError("cokernel coaction failed validation: %s" % (report.notes,))
@@ -130,7 +133,8 @@ def minimal_coresolution(m, length, rng=None):
 
     The base must validate as a conilpotent coalgebra.  Passing a
     random.Random makes the retraction choices random; the cogenerator
-    dimensions do not depend on them.
+    dimensions do not depend on them.  The rechecks that ``_one_step``
+    skips by its size bound are listed in ``skipped_checks`` with their step.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
@@ -142,14 +146,17 @@ def minimal_coresolution(m, length, rng=None):
     differentials = []
     current = m
     prev_proj = None
+    skipped = []
     for step in range(length + 1):
-        v, emb, proj, current = _one_step(current, rng, need_cokernel=step < length)
+        found = []
+        v, emb, proj, current = _one_step(current, rng, step < length, skipped=found)
+        skipped.extend({"step": step, **skip} for skip in found)
         dims.append(v)
         embeddings.append(emb)
         if prev_proj is not None:
             differentials.append(emb @ prev_proj)
         prev_proj = proj
-    return MinimalCoresolution(m.base, m, tuple(dims), tuple(embeddings), tuple(differentials), True)
+    return MinimalCoresolution(m.base, m, tuple(dims), tuple(embeddings), tuple(differentials), True, tuple(skipped))
 
 
 def betti_dims(r):
@@ -178,7 +185,7 @@ def verify_coresolution(r):
             return False
     for i in range(1, len(maps)):
         j = terms[i - 1]
-        if not (maps[i] @ socle(j).matrix_with_vector_columns()).is_zero():
+        if not (maps[i] @ reduced_coaction_matrix(j).kernel_matrix()).is_zero():
             return False
         nu_src = j.coaction_matrix()
         nu_dst = terms[i].coaction_matrix()

@@ -220,3 +220,49 @@ def per_column_bar_reduced(a):
         assert sol is not None, "product of augmentation-ideal elements left the algebra"
         items.extend((r - 1, c, v) for r, v in enumerate(sol) if r >= 1)
     return Matrix.from_entries(f, d, d * d, items)
+
+
+def field_rref(field, rows, width):
+    """Reference reduced echelon form of sparse row dicts, in field arithmetic.
+
+    The same pivot rule as ``exactlin._rref``: columns left to right, then
+    the row with the fewest nonzeros, ties by row index.  Each pivot row is
+    scaled to pivot value 1 when it is chosen, and every other row holding
+    the column subtracts a field multiple of it.  Returns (pivot_cols, rows)
+    in pivot order; works in place on ``rows``.
+    """
+    col_rows = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            col_rows.setdefault(c, set()).add(i)
+    pivots = []
+    pivot_idx = []
+    done = set()
+    for col in range(width):
+        holders = col_rows.get(col)
+        if not holders:
+            continue
+        best = min((i for i in holders if i not in done), key=lambda i: (len(rows[i]), i), default=None)
+        if best is None:
+            continue
+        done.add(best)
+        prow = rows[best]
+        inv = field.inv(prow[col])
+        if inv != field.one:
+            prow = rows[best] = {c: field.mul(inv, v) for c, v in prow.items()}
+        for idx in [i for i in holders if i != best]:
+            row = rows[idx]
+            a = row[col]
+            for c, v in prow.items():
+                old = row.get(c)
+                w = field.sub(field.zero if old is None else old, field.mul(a, v))
+                if w:
+                    row[c] = w
+                    if old is None:
+                        col_rows[c].add(idx)
+                else:
+                    del row[c]
+                    col_rows[c].discard(idx)
+        pivots.append(col)
+        pivot_idx.append(best)
+    return pivots, [rows[i] for i in pivot_idx]

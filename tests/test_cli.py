@@ -1,6 +1,7 @@
+import functools
 import json
 
-from cobarlab import cli
+from cobarlab import cli, resolve
 from cobarlab.cli import main
 from cobarlab.coalg import extension_comodule
 from cobarlab.dualalg import dual_algebra
@@ -171,6 +172,23 @@ def test_resolve_command(tmp_path):
     assert main(["resolve", "bundled:c3.json", "--length", "4", "--seed", "7", "--out", str(seeded)]) == 0
     assert _load_out(seeded)["result"]["cogenerator_dims"] == [1, 1, 1, 1, 1]
     assert _load_out(seeded)["seed"] == 7
+
+
+def test_resolve_reports_skipped_rechecks(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "res.json"
+    assert main(["resolve", "bundled:c3.json", "--length", "2", "--out", str(out)]) == 0
+    assert _load_out(out)["result"]["skipped_checks"] == []
+    assert "skipped" not in capsys.readouterr().out
+    monkeypatch.setattr(resolve, "_one_step", functools.partial(resolve._one_step, check_bound=3))
+    assert main(["resolve", "bundled:c3.json", "--length", "2", "--out", str(out)]) == 0
+    skipped = _load_out(out)["result"]["skipped_checks"]
+    assert skipped == [
+        {"bound": 3, "check": "cokernel", "size": 9, "step": 0},
+        {"bound": 3, "check": "morphism", "size": 6, "step": 1},
+    ]
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "skipped checks: step 0 cokernel (size 9 > bound 3), step 1 morphism (size 6 > bound 3)"
+    )
 
 
 def test_resolve_flattened_graded(tmp_path):

@@ -73,6 +73,18 @@ def test_structure_constants_accumulate_cancel_and_name_the_basis_index(field):
         Comodule(c, 3, [[(0, 0, 1)], [(2, 1, 1)], []])
 
 
+def test_comodule_from_its_coaction_matrix_round_trips():
+    c = divided_line()
+    # cofree on two generators, an extension with coefficient 5, and the ground field
+    for m in (cofree_comodule(c, 2), extension_comodule(c, (0, 1, 0), scale=5), trivial_comodule(c)):
+        nu = m.coaction_matrix()
+        again = Comodule.from_coaction_matrix(c, m.dim, nu)
+        assert again.coaction == m.coaction
+        assert again.coaction_matrix() is nu and m.coaction_matrix() is nu
+    with pytest.raises(ValueError, match="does not match"):
+        Comodule.from_coaction_matrix(c, 2, Matrix.zeros(QQ, 5, 2))
+
+
 def test_validate_c2_c3():
     for c in (dual_numbers_dual(), divided_line()):
         rep = validate(c)

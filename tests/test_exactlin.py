@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers_coalgebras import dense_quotient_maps
+from helpers_coalgebras import dense_quotient_maps, field_rref
 
 from cobarlab.exactlin import (
     _is_prime,
@@ -260,7 +260,7 @@ def _axpy(field, row, prow, col):
 
 def full_scan_extend_to_basis(field, ambient, base_vectors, candidates):
     """Reference: reduce each candidate by every pivot row in turn, and every row by a new pivot."""
-    pivots, red = _rref(field, [{j: x for j, x in enumerate(v) if x} for v in base_vectors], ambient)
+    pivots, red = _rref([{j: x for j, x in enumerate(v) if x} for v in base_vectors], field.p)
     chosen = []
     for idx, cand in enumerate(candidates):
         row = {j: x for j, x in enumerate(cand) if x}
@@ -506,6 +506,36 @@ def test_rref_matches_sympy_oracle(kind):
         rng.shuffle(order)
         permuted = Matrix(field, nrows, ncols, {(order[i], j): v for (i, j), v in m.entries.items()})
         assert permuted.rref() == expected
+
+
+@pytest.mark.parametrize("kind", ["qq_wide", "qq_int", "qq_fraction", "gf7", "gf_large"])
+def test_rref_matches_field_arithmetic_reference(kind):
+    rng = random.Random("rref-reference-" + kind)
+    if kind == "qq_wide":
+        # numerators of 60 to 64 bits over denominators up to 2**31 - 1
+        field = QQ
+
+        def draw():
+            num = rng.choice((-1, 1)) * rng.randrange(2**60, 2**64)
+            return Fraction(num, rng.choice((1, rng.randint(2, 2**31 - 2), 2**31 - 1)))
+
+    else:
+        field, draw = _field_and_draw(rng, kind)
+    cases = []
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 14), rng.randint(1, 14)
+        cases.append(_planted_rank_rows(rng, nrows, ncols, rng.randint(1, min(nrows, ncols)), draw))
+    twice = _planted_rank_rows(rng, 4, 6, 3, draw)
+    cases += [[], [[], [], []], [[0] * 5] * 3, twice + twice[::-1], [[draw() for _ in range(9)] for _ in range(7)]]
+    for rows in cases:
+        width = len(rows[0]) if rows else 0
+        dicts = [{j: field.coerce(v) for j, v in enumerate(row) if field.coerce(v)} for row in rows]
+        pivots, reduced = _rref([dict(row) for row in dicts], field.p)
+        assert (pivots, reduced) == field_rref(field, [dict(row) for row in dicts], width)
+        for row in reduced:
+            for v in row.values():
+                # the int normal form wherever an entry is integral
+                assert type(v) is int if field != QQ or v.denominator == 1 else type(v) is Fraction
 
 
 def _dense_product(field, a, b, ncols):

@@ -67,3 +67,19 @@ def test_rank_is_transpose_invariant_on_sparse_matrices(field, r, c, data):
     # columns and cascades, and both orientations of the rows run
     a = matrices(data, field, r, c, max_size=min(r * c, r + c))
     assert a.rank() == a.transpose().rank()
+
+
+@PROPERTY
+@given(st.sampled_from(FIELDS), st.integers(0, 8), st.integers(0, 8), st.data())
+def test_rref_rows_are_reduced_and_span_the_row_space(field, r, c, data):
+    a = matrices(data, field, r, c)
+    pivots, rows = a.rref()
+    assert pivots == sorted(set(pivots)) and len(rows) == len(pivots)
+    for p, row in zip(pivots, rows):
+        assert min(row) == p and row[p] == 1
+        assert not any(q in row for q in pivots if q != p)
+    reduced = Matrix.from_entries(field, len(rows), c, [(k, j, v) for k, row in enumerate(rows) for j, v in row.items()])
+    stacked = [(i, j, v) for (i, j), v in a.entries.items()] + [(i + r, j, v) for (i, j), v in reduced.entries.items()]
+    both = Matrix.from_entries(field, r + len(rows), c, stacked)
+    # equal ranks of the rows, the input and both together: the row spaces agree
+    assert reduced.rank() == len(rows) == a.rank() == both.rank()

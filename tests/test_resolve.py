@@ -1,10 +1,13 @@
+import functools
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
-from helpers_coalgebras import divided_line, dual_numbers_dual, per_unit_socle_retraction, rescaled
+from helpers_coalgebras import divided_line, dual_numbers_dual, field_rref, per_unit_socle_retraction, rescaled
 
+from cobarlab import exactlin, resolve
 from cobarlab.coalg import (
     Coalgebra,
     cofree_comodule,
@@ -17,7 +20,7 @@ from cobarlab.coalg import (
     trivial_comodule,
 )
 from cobarlab.cobar import build_cobar, cobar_with_coefficients, ext_table
-from cobarlab.exactlin import QQ, Matrix
+from cobarlab.exactlin import GF, QQ, Matrix
 from cobarlab.resolve import (
     MinimalCoresolution,
     _one_step,
@@ -155,3 +158,31 @@ def test_seeded_coresolution_has_no_float_entries():
         assert betti_dims(r) == [1, 2, 6, 14]
         for m in r.embeddings + r.differentials:
             assert m.entries and all(type(v) in (int, Fraction) for v in m.entries.values())
+
+
+def test_seeded_coresolution_matches_field_arithmetic_rref(monkeypatch):
+    c = flatten(symmetric_coalgebra(2, 3, QQ))
+    ours = minimal_coresolution(trivial_comodule(c), 3, random.Random(7))
+
+    def reference_rref(rows, p):
+        width = max(chain.from_iterable(rows), default=-1) + 1
+        return field_rref(QQ if p is None else GF(p), rows, width)
+
+    monkeypatch.setattr(exactlin, "_rref", reference_rref)
+    reference = minimal_coresolution(trivial_comodule(c), 3, random.Random(7))
+    assert betti_dims(ours) == betti_dims(reference) == [1, 2, 6, 14]
+    assert ours.embeddings == reference.embeddings
+    assert ours.differentials == reference.differentials
+
+
+def test_skipped_rechecks_are_recorded(monkeypatch):
+    k = trivial_comodule(divided_line())
+    assert minimal_coresolution(k, 2).skipped_checks == ()
+    # sizes (base dimension times nnz): morphism 3, 6, 3 and cokernel 9, 3 at steps 0, 1, 2
+    monkeypatch.setattr(resolve, "_one_step", functools.partial(_one_step, check_bound=3))
+    r = minimal_coresolution(k, 2)
+    assert r.skipped_checks == (
+        {"step": 0, "check": "cokernel", "size": 9, "bound": 3},
+        {"step": 1, "check": "morphism", "size": 6, "bound": 3},
+    )
+    assert betti_dims(r) == [1, 1, 1] and verify_coresolution(r)
