@@ -158,8 +158,7 @@ def _require_valid(c, path):
     """Refuse a finite or graded coalgebra that fails a required axiom."""
     rep = validate(c) if isinstance(c, Coalgebra) else validate_graded(c)
     if not rep.ok:
-        failed = [name for name in rep.REQUIRED if not rep.flags.get(name)]
-        reasons = ["%s (%s)" % (name, rep.notes[name]) if name in rep.notes else name for name in failed]
+        reasons = ["%s (%s)" % (name, rep.notes[name]) if name in rep.notes else name for name in rep.failed]
         raise CliError(2, "%s failed validation: %s" % (path, "; ".join(reasons)))
 
 
@@ -289,6 +288,8 @@ def cmd_resolve(args):
 
 def cmd_demo(args):
     started = time.time()
+    if args.samples is not None and args.samples < 1:
+        raise CliError(2, "--samples must be >= 1")
     if args.which == "nonrational":
         samples = 200 if args.samples is None else args.samples
         rep = nonrational_report(samples=samples, seed=args.seed)

@@ -37,7 +37,12 @@ class ValidationReport:
 
     @property
     def ok(self):
-        return all(self.flags.get(name, False) for name in self.REQUIRED)
+        return not self.failed
+
+    @property
+    def failed(self):
+        """The required flags that do not hold, in ``REQUIRED`` order."""
+        return [name for name in self.REQUIRED if not self.flags.get(name, False)]
 
     def to_json(self):
         return {"flags": dict(sorted(self.flags.items())), "notes": dict(sorted(self.notes.items())), "ok": self.ok}

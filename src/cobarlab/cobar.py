@@ -11,14 +11,19 @@ its structure constants (Adams, "On the cobar construction", PNAS 1956): the
 rational solutions of w_t = w_i + w_j, one equation per nonzero term
 e_i (x) e_j of the reduced comultiplication of e_t, and w_m = w_c + w_m' per
 nonzero term c (x) m' of the reduced coaction of m.  Cell (i, W) is the
-lexicographically sorted list of i-tensors of total weight W.  The
-differential preserves W, so one sweep builds each cell differential by index
-arithmetic, checks d^2 = 0 on every cell pair and ranks it, keeping only the
-tensors and differentials that the next check needs.  A graded coalgebra is
-flattened with its internal degree as the first weight coordinate, which
-gives the (i, j) tables.  The zero grading has one cell per degree: the whole
-term, which the cohomology and product functions read through
-``diff(i, None)``.
+lexicographically sorted list of i-tensors of total weight W: the
+concatenation, over positive indices a in ascending order, of the blocks
+a (x) cell (i-1, W - w_a).  A layer keeps each cell's dimension and block
+offsets, never a tensor.  The differential is the derivation
+d(a (x) t) = D(a) (x) t - a (x) d(t) extending the reduced comultiplication D
+(d_0 is the reduced coaction), so block a of d_i on cell W is a shifted
+diagonal of value v per term v p (x) q of D(a), plus d_(i-1) on cell W - w_a
+negated and shifted; entries that meet add.  d preserves W, so one sweep
+builds each layer's cell differentials from the last layer's, checks d^2 = 0
+on every cell pair and ranks each cell.  A graded coalgebra is flattened with
+its internal degree as the first weight coordinate, which gives the (i, j)
+tables.  The zero grading has one cell per degree: the whole term, which the
+cohomology and product functions read through ``diff(i, None)``.
 
 A basis tensor is the tuple (a_1, ..., a_i, m) of positive-basis indices and
 a comodule index (0 without coefficients).  Lexicographic order on these
@@ -28,7 +33,9 @@ the index of a concatenation u (x) v is idx(u) * dim(v-part) + idx(v).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
 from math import lcm
 from operator import add
 
@@ -97,29 +104,6 @@ def _weights(comul, coaction):
     return weights[:d], weights[d:]
 
 
-def _layers(grading, top, jmax=None):
-    """Layers 0..top, each a dict weight -> cell, dropping degrees above jmax.
-
-    Prepending each positive index to the cells of the previous layer,
-    index by index, keeps every cell lexicographically sorted.
-    """
-    wc, wm = grading
-    layer = {}
-    for m, w in enumerate(wm):
-        if jmax is None or w[0] <= jmax:
-            layer.setdefault(w, []).append((m,))
-    yield layer
-    for _ in range(top):
-        nxt = {}
-        for a, wa in enumerate(wc):
-            for w, cell in layer.items():
-                key = tuple(map(add, wa, w))
-                if jmax is None or key[0] <= jmax:
-                    nxt.setdefault(key, []).extend([(a,) + t for t in cell])
-        layer = nxt
-        yield layer
-
-
 class CobarComplex:
     """A reduced cobar complex through degree imax, split into weight cells.
 
@@ -142,10 +126,10 @@ class CobarComplex:
             pos = {i: k for k, i in enumerate(c.positive_indices())}
             self._coaction = [tuple((pos[i], j, v) for i, j, v in row if i != g) for row in coefficients.coaction]
         scale = lcm(*(v.denominator for terms in self._comul + self._coaction for _, _, v in terms))
-        self._int_constants = self._signed(
+        self._int_constants = [
             [tuple((p, q, v.numerator * (scale // v.denominator)) for p, q, v in terms) for terms in table]
             for table in (self._comul, self._coaction)
-        )
+        ]
         wc, wm = _weights(self._comul, self._coaction)
         if jmax is not None:
             wc = [(c.degrees[i],) + w for i, w in zip(c.positive_indices(), wc)]
@@ -154,35 +138,68 @@ class CobarComplex:
         self._dims = None
         self._ranks = None
 
-    def _signed(self, tables):
-        """Each constant table paired with its negation, indexed by slot parity."""
-        neg = self.field.neg
-        return [(t, [tuple((p, q, neg(v)) for p, q, v in terms) for terms in t]) for t in tables]
+    def _cells(self, grading, tables, top, jmax=None, check=False):
+        """Yield (i, w, dim, d) for every cell of layers 0..top (see the module docstring).
 
-    def _cell_diff(self, cell, rows, comul, coaction):
-        """Matrix of d on one cell, one column per tensor of ``cell``.
-
-        ``rows`` maps target tensors to row indices; a target it lacks takes
-        the next free index, which is how the unlisted top layer is indexed.
-        ``comul`` and ``coaction`` are the constants inserted by each term,
-        as pairs from ``_signed``: slot s inserts ``table[s % 2]``.
+        A layer maps each weight W to [dim, {a: (offset, W - w_a)}]; layer 0
+        holds the comodule indices as blocks of dimension one.  A cell of d_(i-1)
+        is dropped after its last copy and its d^2 = 0 check (run if ``check``).
         """
-        f = self.field
-        entries = {}
-        for col, tensor in enumerate(cell):
-            last = len(tensor) - 1
-            for s, a in enumerate(tensor):
-                head = tensor[:s]
-                tail = tensor[s + 1 :]
-                for p, q, v in (coaction if s == last else comul)[s % 2][a]:
-                    key = (rows.setdefault(head + (p, q) + tail, len(rows)), col)
-                    if key in entries:
-                        v = f.add(entries[key], v)
-                        if not v:
-                            del entries[key]
+        wc, wm = grading
+        p = self.field.p
+        layer = {}
+        for m, w in enumerate(wm):
+            if jmax is None or w[0] <= jmax:
+                cell = layer.setdefault(w, [0, {}])
+                cell[1][m] = (cell[0], None)
+                cell[0] += 1
+        prev, uses = {}, Counter()
+        ints = list(range(len(wm)))  # one int object per index, shared by every key
+        for i in range(top + 1):
+            nxt = {}
+            for a, wa in enumerate(wc):
+                for w, (n, _) in layer.items():
+                    key = tuple(map(add, wa, w))
+                    if jmax is None or key[0] <= jmax:
+                        cell = nxt.setdefault(key, [0, {}])
+                        cell[1][a] = (cell[0], w)
+                        cell[0] += n
+            ints += range(len(ints), max([n for n, _ in nxt.values()], default=0))
+            cur = {}
+            for w, (n, blocks) in layer.items():
+                entries = {}
+                rows, target = nxt.get(w, (0, {}))
+                for a, (col, src) in blocks.items():
+                    size, before = (prev[src].ncols, prev[src].entries) if i else (1, None)
+                    if before:
+                        r = target[a][0]
+                        for (x, y), v in before.items():
+                            entries[ints[r + x], ints[col + y]] = p - v if p else -v
+                    for pp, q, v in tables[0][a] if i else tables[1][a]:
+                        off, mid = target[pp]
+                        r = off + layer[mid][1][q][0]
+                        keys = zip(ints[r : r + size], ints[col : col + size])
+                        if pp != a or not before:
+                            entries.update(zip(keys, repeat(v)))
                             continue
-                    entries[key] = v
-        return Matrix(f, len(rows), len(cell), entries)
+                        for key in keys:  # a (x) q in the reduced comultiplication of a meets the copy
+                            s = self.field.add(entries.pop(key, 0), v)
+                            if s:
+                                entries[key] = s
+                d = Matrix(self.field, rows, n, entries)
+                if check and w in prev and not (d @ prev[w]).is_zero():
+                    raise AssertionError("cobar differential does not square to zero at cell (%d,%r)" % (i - 1, w))
+                for src in [src for _, src in blocks.values() if i] + [w] * (w in prev):
+                    uses[src] -= 1
+                    if not uses[src]:
+                        del prev[src]
+                if i < top:
+                    cur[w] = d
+                yield i, w, n, d
+                del d  # a top cell is not kept while the next one is built
+            uses = Counter(src for _, blocks in nxt.values() for _, src in blocks.values())
+            uses.update(w for w in nxt if w in cur)
+            layer, prev = nxt, cur
 
     def _sweep(self):
         """Dimensions and ranks of every cell through imax, checking d^2 = 0.
@@ -193,26 +210,11 @@ class CobarComplex:
         """
         if self._ranks is not None:
             return
-        dims = {}
-        ranks = {}
-        layers = _layers(self._grading, self.imax, self.jmax)
-        layer = next(layers)
-        prev = {}
-        for i in range(self.imax + 1):
-            nxt = next(layers, {})
-            cur = {}
-            for w, cell in layer.items():
-                d = self._cell_diff(cell, {t: r for r, t in enumerate(nxt.get(w, ()))}, *self._int_constants)
-                before = prev.pop(w, None)
-                if before is not None and not (d @ before).is_zero():
-                    raise AssertionError("cobar differential does not square to zero at cell (%d,%r)" % (i - 1, w))
-                dims[(i, w)] = len(cell)
-                ranks[(i, w)] = d.rank()
-                if i < self.imax:
-                    cur[w] = d
-            prev = cur
-            layer = nxt
-        self._dims = dims
+        self._dims, ranks = {}, {}
+        for i, w, n, d in self._cells(self._grading, self._int_constants, self.imax, self.jmax, check=True):
+            self._dims[(i, w)] = n
+            ranks[(i, w)] = d.rank()
+            del d  # the next cell is built without this one held
         self._ranks = ranks
 
     def cell_dim(self, i, j=None):
@@ -229,10 +231,8 @@ class CobarComplex:
         if j is not None:
             raise ValueError("diff builds whole terms; internal degrees are split inside the sweep")
         zero = ([()] * len(self._comul), [()] * len(self._coaction))
-        src = dst = None
-        for layer in _layers(zero, i + 1):
-            src, dst = dst, layer.get((), [])
-        return self._cell_diff(src, {t: r for r, t in enumerate(dst)}, *self._signed((self._comul, self._coaction)))
+        cells = self._cells(zero, (self._comul, self._coaction), i)
+        return next((d for ii, _, _, d in cells if ii == i), Matrix.zeros(self.field, 0, 0))
 
 
 def build_cobar(c, imax, jmax=None):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from cobarlab.coalg import Coalgebra, Comodule, GradedCoalgebra, validate
+from cobarlab.coalg import Coalgebra, Comodule, GradedCoalgebra, validate, validate_comodule
 from cobarlab.cobar import ExtTable
 from cobarlab.exactlin import Matrix, SubspaceBasis, extend_to_basis, kron_identity_matmul, quotient_maps
 
@@ -723,11 +723,16 @@ def compare_theorem1(c, l, m, n):
 
     The two pipelines share only the exact linear algebra layer: the left
     side resolves m by cofree comodules, the right side resolves the
-    transported module by free modules over the dual algebra.
+    transported module by free modules over the dual algebra.  The base must
+    validate as a coalgebra and l and m as comodules.
     """
     report = validate(c)
     if not report.ok:
         raise ValueError("comparison base failed validation: %s" % (report.notes,))
+    for side, com in (("left", l), ("right", m)):
+        failed = validate_comodule(com).failed
+        if failed:
+            raise ValueError("comparison %s comodule failed validation: %s" % (side, ", ".join(failed)))
     left = comodule_ext_dims(c, l, m, n)
     a = dual_algebra(c)
     right = module_ext(a, comodule_to_module(l, a), comodule_to_module(m, a), n)

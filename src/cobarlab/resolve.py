@@ -131,16 +131,20 @@ def _one_step(m, rng=None, need_cokernel=True, check_bound=200000, skipped=None)
 def minimal_coresolution(m, length, rng=None):
     """Resolve a comodule by cofree comodules through the given length.
 
-    The base must validate as a conilpotent coalgebra.  Passing a
-    random.Random makes the retraction choices random; the cogenerator
-    dimensions do not depend on them.  The rechecks that ``_one_step``
-    skips by its size bound are listed in ``skipped_checks`` with their step.
+    The base must validate as a conilpotent coalgebra and m as a comodule.
+    Passing a random.Random makes the retraction choices random; the
+    cogenerator dimensions do not depend on them.  The rechecks that
+    ``_one_step`` skips by its size bound are listed in ``skipped_checks``
+    with their step.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
     report = validate(m.base)
     if not report.ok:
         raise ValueError("coresolution base failed validation: %s" % (report.notes,))
+    failed = validate_comodule(m).failed
+    if failed:
+        raise ValueError("coresolution target failed comodule validation: %s" % ", ".join(failed))
     dims = []
     embeddings = []
     differentials = []

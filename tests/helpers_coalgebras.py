@@ -1,5 +1,7 @@
 """Small coalgebras shared across test modules."""
 
+from operator import add
+
 from cobarlab.coalg import Coalgebra, reduced_coaction_matrix, symmetric_coalgebra, tensor_coalgebra
 from cobarlab.dualalg import Algebra, graded_dual, quadratic_algebra
 from cobarlab.exactlin import QQ, Matrix
@@ -94,6 +96,34 @@ def rescaled(c, factors):
     ]
     counit = [f.mul(x, e) for x, e in zip(factors, c.counit)]
     return Coalgebra(f, c.dim, c.grouplike_index, counit, comul, c.degrees)
+
+
+def sheared(c, k, l):
+    """The same coalgebra in the basis e_k + e_l for e_k, the rest kept; degrees dropped.
+
+    k and l are positive indices.  An old e_k becomes e'_k - e'_l in every
+    factor, so a term e_k (x) e_k in the reduced comultiplication of e_l (as
+    x1 (x) x1 in that of x2 in the divided line, k = 1, l = 2) puts
+    e'_k (x) e'_k into that of e'_k: its weight is zero.
+    """
+    f = c.field
+    minus = f.neg(f.one)
+
+    def new(t):
+        return ((t, f.one),) if t != k else ((k, f.one), (l, minus))
+
+    comul = []
+    for t in range(c.dim):
+        acc = {}
+        for s in (k, l) if t == k else (t,):
+            for i, j, v in c.comul[s]:
+                for i2, x in new(i):
+                    for j2, y in new(j):
+                        acc[(i2, j2)] = f.add(acc.get((i2, j2), f.zero), f.mul(v, f.mul(x, y)))
+        comul.append(tuple((i, j, v) for (i, j), v in sorted(acc.items()) if v))
+    counit = list(c.counit)
+    counit[k] = f.add(counit[k], counit[l])
+    return Coalgebra(f, c.dim, c.grouplike_index, counit, comul)
 
 
 def non_coassociative(scale=QQ.one):
@@ -266,3 +296,80 @@ def field_rref(field, rows, width):
         pivots.append(col)
         pivot_idx.append(best)
     return pivots, [rows[i] for i in pivot_idx]
+
+
+def _layers(grading, top, jmax=None):
+    """Reference cells: layers 0..top, each a dict weight -> sorted tensor list.
+
+    A basis tensor is the tuple (a_1, ..., a_i, m) of positive indices and a
+    comodule index; degrees above jmax are dropped.  Prepending each positive
+    index to the cells of the previous layer, index by index, keeps every cell
+    lexicographically sorted.
+    """
+    wc, wm = grading
+    layer = {}
+    for m, w in enumerate(wm):
+        if jmax is None or w[0] <= jmax:
+            layer.setdefault(w, []).append((m,))
+    yield layer
+    for _ in range(top):
+        nxt = {}
+        for a, wa in enumerate(wc):
+            for w, cell in layer.items():
+                key = tuple(map(add, wa, w))
+                if jmax is None or key[0] <= jmax:
+                    nxt.setdefault(key, []).extend([(a,) + t for t in cell])
+        layer = nxt
+        yield layer
+
+
+def _cell_diff_negating_each_entry(f, cell, rows, comul, coaction):
+    """Reference cell entries, one hash lookup per tensor and slot.
+
+    Slot s of a tensor inserts the constants of its index (the coaction in
+    the last slot), negated when s is odd; ``rows`` maps target tensors to
+    row indices.
+    """
+    entries = {}
+    for col, tensor in enumerate(cell):
+        last = len(tensor) - 1
+        for s, a in enumerate(tensor):
+            for p, q, v in coaction[a] if s == last else comul[a]:
+                key = (rows[tensor[:s] + (p, q) + tensor[s + 1 :]], col)
+                if s % 2:
+                    v = f.neg(v)
+                v = f.add(entries[key], v) if key in entries else v
+                if v:
+                    entries[key] = v
+                else:
+                    del entries[key]
+    return entries
+
+
+def swept_cells(cx):
+    """(i, w, nrows, ncols, entries) for every cell the sweep of ``cx`` builds, in sweep order."""
+    cells = cx._cells(cx._grading, cx._int_constants, cx.imax, cx.jmax, check=True)
+    return [(i, w, d.nrows, n, d.entries) for i, w, n, d in cells]
+
+
+def reference_cells(cx):
+    """(i, w, nrows, ncols, entries) for every cell of a cobar complex's sweep, from tensor tuples.
+
+    Entries are those of the swept cells (the integer constants); rows follow
+    the lexicographic order of the target cell, the top layer included.
+    """
+    comul, coaction = cx._int_constants
+    layers = list(_layers(cx._grading, cx.imax + 1, cx.jmax))
+    for i in range(cx.imax + 1):
+        for w, cell in layers[i].items():
+            rows = {t: r for r, t in enumerate(layers[i + 1].get(w, ()))}
+            yield i, w, len(rows), len(cell), _cell_diff_negating_each_entry(cx.field, cell, rows, comul, coaction)
+
+
+def reference_whole_diff(cx, i):
+    """Entries of d: term i -> term i+1 in tensor index order, with the true constants."""
+    zero = ([()] * len(cx._comul), [()] * len(cx._coaction))
+    layers = list(_layers(zero, i + 1))
+    src = layers[i].get((), [])
+    rows = {t: r for r, t in enumerate(layers[i + 1].get((), []))}
+    return _cell_diff_negating_each_entry(cx.field, src, rows, cx._comul, cx._coaction)

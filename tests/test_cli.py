@@ -240,6 +240,28 @@ def test_validate_comodule_verdict(tmp_path, capsys):
     assert _load_out(good_report)["result"]["ok"] is True
 
 
+def test_resolve_and_compare_refuse_an_invalid_comodule_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(dumps_presentation(extension_comodule(divided_line(), (QQ.zero, QQ.zero, QQ.one))))
+    out = tmp_path / "report.json"
+    assert main(["resolve", str(bad), "--length", "2", "--out", str(out)]) == 2
+    assert "target failed comodule validation: coassociative" in capsys.readouterr().err
+    assert not out.exists()
+    for side in ("--left", "--right"):
+        assert main(["compare", "bundled:c3.json", side, str(bad), "--n", "2"]) == 2
+        assert "%s comodule failed validation: coassociative" % side[2:] in capsys.readouterr().err
+
+
+def test_demo_refuses_fewer_than_one_sample(tmp_path, capsys):
+    out = tmp_path / "demo.json"
+    for which, samples in (("nonrational", "-5"), ("nonrational", "0"), ("contra", "-1"), ("contra", "0")):
+        assert main(["demo", which, "--samples", samples, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "--samples must be >= 1" in captured.err and captured.out == ""
+        assert not out.exists()
+    assert main(["demo", "contra", "--samples", "1"]) == 0
+
+
 def test_bundled_name_with_path_separator_is_rejected():
     assert main(["validate", "bundled:../c3.json"]) == 2
     assert main(["validate", "bundled:nope.json"]) == 2

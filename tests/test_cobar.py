@@ -4,7 +4,18 @@ from importlib import resources
 
 import pytest
 
-from helpers_coalgebras import divided_line, dual_numbers_dual, kron_cobar_diff, non_coassociative, rescaled, strip_degrees
+from helpers_coalgebras import (
+    divided_line,
+    dual_numbers_dual,
+    kron_cobar_diff,
+    non_coassociative,
+    reference_cells,
+    reference_whole_diff,
+    rescaled,
+    sheared,
+    strip_degrees,
+    swept_cells,
+)
 
 from cobarlab.coalg import (
     extension_comodule,
@@ -15,9 +26,9 @@ from cobarlab.coalg import (
     tensor_coalgebra,
     trivial_comodule,
     validate,
+    validate_comodule,
 )
 from cobarlab.cobar import (
-    _layers,
     CobarClass,
     build_cobar,
     class_coordinates,
@@ -265,39 +276,58 @@ def test_rescaled_basis_with_fractional_constants_keeps_the_ext_table():
         assert ext_table(build_cobar(r, imax)) == ext_table(build_cobar(c, imax))
 
 
-def _cell_diff_negating_each_entry(f, cell, rows, comul, coaction):
-    """Cell entries built the plain way: each odd-slot constant is negated as it is inserted."""
-    entries = {}
-    for col, tensor in enumerate(cell):
-        last = len(tensor) - 1
-        for s, a in enumerate(tensor):
-            for p, q, v in coaction[a] if s == last else comul[a]:
-                key = (rows.setdefault(tensor[:s] + (p, q) + tensor[s + 1 :], len(rows)), col)
-                if s % 2:
-                    v = f.neg(v)
-                v = f.add(entries[key], v) if key in entries else v
-                if v:
-                    entries[key] = v
-                else:
-                    del entries[key]
-    return entries
-
-
 def test_cells_with_negated_tables_match_per_entry_negation():
     c3 = loads_presentation(resources.files("cobarlab").joinpath("data", "c3.json").read_text(encoding="utf-8"))
     for c, imax in ((c3, 6), (flatten(symmetric_coalgebra(2, 3, QQ)), 3), (flatten(symmetric_coalgebra(2, 3, GF(7))), 3)):
         cx = build_cobar(c, imax)
-        f = cx.field
-        (comul, _), (coaction, _) = cx._int_constants
-        layers = list(_layers(cx._grading, imax + 1))
+        for (*cell, got), (*ref, want) in zip(swept_cells(cx), reference_cells(cx), strict=True):
+            assert cell == ref
+            assert got == want
+            assert all(type(got[k]) is type(v) for k, v in want.items())
         for i in range(imax + 1):
-            for w, cell in layers[i].items():
-                target = layers[i + 1].get(w, ())
-                got = cx._cell_diff(cell, {t: r for r, t in enumerate(target)}, *cx._int_constants).entries
-                want = _cell_diff_negating_each_entry(f, cell, {t: r for r, t in enumerate(target)}, comul, coaction)
-                assert got == want
-                assert all(type(got[k]) is type(v) for k, v in want.items())
-            whole = cx.diff(i, None)
-            dst = {t: r for r, t in enumerate(sorted(t for cell in layers[i + 1].values() for t in cell))}
-            src = sorted(t for cell in layers[i].values() for t in cell)
-            assert whole.entries == _cell_diff_negating_each_entry(f, src, dst, cx._comul, cx._coaction)
+            assert cx.diff(i, None).entries == reference_whole_diff(cx, i)
+
+
+def _block_corpus():
+    c3 = loads_presentation(resources.files("cobarlab").joinpath("data", "c3.json").read_text(encoding="utf-8"))
+    sym3 = flatten(symmetric_coalgebra(2, 3, QQ))
+    ten = flatten(tensor_coalgebra(2, 2, QQ))
+    line = divided_line()
+    factors = [QQ.one if t == sym3.grouplike_index else Fraction((-1) ** t * (t + 2), 2 * t + 1) for t in range(sym3.dim)]
+    return [
+        build_cobar(c3, 7),
+        build_cobar(sym3, 3),
+        build_cobar(symmetric_coalgebra(2, 4, QQ), 3),
+        build_cobar(symmetric_coalgebra(2, 4, QQ), 3, 2),
+        build_cobar(opposite(sym3), 3),
+        build_cobar(rescaled(sym3, factors), 3),
+        build_cobar(flatten(symmetric_coalgebra(2, 3, GF(7))), 3),
+        build_cobar(flatten(symmetric_coalgebra(2, 3, GF(2**31 - 1))), 3),
+        cobar_with_coefficients(ten, regular_comodule(ten), 3),
+        cobar_with_coefficients(line, extension_comodule(line, (QQ.zero, QQ.one, QQ.zero)), 4),
+        cobar_with_coefficients(line, regular_comodule(line), 4),
+    ]
+
+
+def test_block_cells_match_tuple_reference():
+    for cx in _block_corpus():
+        assert swept_cells(cx) == list(reference_cells(cx))
+
+
+def test_sheared_basis_cells_cancel_on_the_diagonal():
+    # e1 -> e1 + e2 in the divided line: the reduced comultiplication of e1
+    # holds e1 (x) e1, so its diagonal meets the negated copy of d
+    for field in (QQ, GF(5)):
+        line = divided_line(field)
+        c = sheared(line, 1, 2)
+        assert validate(c).ok
+        cx = build_cobar(c, 5)
+        assert any(p == q == 0 for p, q, _ in cx._comul[0])
+        assert swept_cells(cx) == list(reference_cells(cx))
+        for i in range(4):
+            assert cx.diff(i, None) == kron_cobar_diff(c, i)
+        assert ext_table(cx) == ext_table(build_cobar(line, 5))
+        m = extension_comodule(c, (field.zero, field.one, field.neg(field.one)))  # the old e1
+        assert validate_comodule(m).ok
+        mx = cobar_with_coefficients(c, m, 3)
+        assert swept_cells(mx) == list(reference_cells(mx))

@@ -250,6 +250,16 @@ def test_compare_theorem1_trivial_coefficients():
     assert list(report.module_dims) == [1, 1, 1, 1, 1]
 
 
+def test_compare_theorem1_refuses_invalid_comodules():
+    c = divided_line()
+    k = trivial_comodule(c)
+    bad = extension_comodule(c, (QQ.zero, QQ.zero, QQ.one))  # not primitive: coassociativity fails
+    with pytest.raises(ValueError, match="left comodule failed validation: coassociative"):
+        compare_theorem1(c, bad, k, 2)
+    with pytest.raises(ValueError, match="right comodule failed validation: coassociative"):
+        compare_theorem1(c, k, bad, 2)
+
+
 def test_compare_theorem1_injective_coefficients():
     c = dual_numbers_dual()
     report = compare_theorem1(c, trivial_comodule(c), regular_comodule(c), 3)

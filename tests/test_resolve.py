@@ -101,6 +101,13 @@ def test_non_conilpotent_base_rejected():
         minimal_coresolution(trivial_comodule(c), 2)
 
 
+def test_invalid_target_comodule_is_refused_before_the_first_step():
+    c = divided_line()
+    bad = extension_comodule(c, (QQ.zero, QQ.zero, QQ.one))  # not primitive: coassociativity fails
+    with pytest.raises(ValueError, match="target failed comodule validation: coassociative"):
+        minimal_coresolution(bad, 2)
+
+
 def test_betti_requires_minimality_flag():
     c = dual_numbers_dual()
     r = minimal_coresolution(trivial_comodule(c), 1)
