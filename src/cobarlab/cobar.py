@@ -25,6 +25,15 @@ its internal degree as the first weight coordinate, which gives the (i, j)
 tables.  The zero grading has one cell per degree: the whole term, which the
 cohomology and product functions read through ``diff(i, None)``.
 
+Each cell is ranked with clearing (Chen-Kerber, "Persistent homology
+computation with a twist", EuroCG 2011; Bauer-Kerber-Reininghaus, "Clear and
+compress", 2014).  Let S be the pivot rows of d_(i-1) on cell W, the rows of a
+nonsingular maximal minor; they index cell (i, W).  The coordinates outside S
+span a complement of im d_(i-1), and d_i vanishes on that image, because the
+sweep has checked d_i d_(i-1) = 0 before it ranks d_i.  So rank d_i is the
+rank of d_i with the columns in S deleted, and almost every column left is a
+pivot.  The pivot rows of that rank clear the next layer.
+
 A basis tensor is the tuple (a_1, ..., a_i, m) of positive-basis indices and
 a comodule index (0 without coefficients).  Lexicographic order on these
 tuples is the index order of Matrix.kron, first factor most significant, so
@@ -35,11 +44,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from itertools import repeat
+from itertools import islice, repeat
 from math import lcm
 from operator import add
 
-from cobarlab.coalg import Coalgebra, GradedCoalgebra, flatten
+from cobarlab.coalg import Coalgebra, GradedCoalgebra, flatten, validate_comodule
 from cobarlab.exactlin import QQ, Matrix, extend_to_basis
 
 
@@ -137,6 +146,7 @@ class CobarComplex:
         self._grading = (wc, wm)
         self._dims = None
         self._ranks = None
+        self._whole = None
 
     def _cells(self, grading, tables, top, jmax=None, check=False):
         """Yield (i, w, dim, d) for every cell of layers 0..top (see the module docstring).
@@ -207,13 +217,19 @@ class CobarComplex:
         Cells are built from ``_int_constants``, the structure constants times
         L, the lcm of their denominators.  Each term of d inserts one constant,
         so a cell is L * d: same rank, and L^2 * d^2 vanishes iff d^2 does.
+        ``_cells`` checks d_i d_(i-1) = 0 on cell W before it yields d_i, so
+        the pivot rows of d_(i-1) on W may clear the columns of d_i (see the
+        module docstring); they are kept for one layer.
         """
         if self._ranks is not None:
             return
         self._dims, ranks = {}, {}
+        layer, last, pivots = 0, {}, {}
         for i, w, n, d in self._cells(self._grading, self._int_constants, self.imax, self.jmax, check=True):
+            if i > layer:
+                layer, last, pivots = i, pivots, {}
             self._dims[(i, w)] = n
-            ranks[(i, w)] = d.rank()
+            ranks[(i, w)], pivots[w] = d.rank(last.pop(w, ()), pivot_rows=True)
             del d  # the next cell is built without this one held
         self._ranks = ranks
 
@@ -223,16 +239,25 @@ class CobarComplex:
         return sum(n for (ii, w), n in self._dims.items() if ii == i and (j is None or w[0] == j))
 
     def diff(self, i, j=None):
-        """Matrix of d: term i -> term i+1, both in tensor index order.
+        """Matrix of d: term i -> term i+1, both in tensor index order, for i <= imax.
 
         This is the one cell of the zero grading; for a graded input it is
         the differential of the flattened coalgebra.  ``j`` must be None.
+        One pass of ``_cells`` builds the terms up to i and keeps them; a
+        later call for a higher term resumes it.
         """
         if j is not None:
             raise ValueError("diff builds whole terms; internal degrees are split inside the sweep")
-        zero = ([()] * len(self._comul), [()] * len(self._coaction))
-        cells = self._cells(zero, (self._comul, self._coaction), i)
-        return next((d for ii, _, _, d in cells if ii == i), Matrix.zeros(self.field, 0, 0))
+        if i > self.imax:
+            raise ValueError("degree beyond the built window")
+        if self._whole is None:
+            zero = ([()] * len(self._comul), [()] * len(self._coaction))
+            self._whole = [], self._cells(zero, (self._comul, self._coaction), self.imax)
+        built, cells = self._whole
+        if i >= len(built):
+            built.extend(d for _, _, _, d in islice(cells, i + 1 - len(built)))
+        # the pass stops early only when there is no positive part
+        return built[i] if 0 <= i < len(built) else Matrix.zeros(self.field, 0, 0)
 
 
 def build_cobar(c, imax, jmax=None):
@@ -270,6 +295,9 @@ def cobar_with_coefficients(c, m, imax):
         raise TypeError("coefficient complexes are built over finite coalgebras")
     if m.base != c:
         raise ValueError("comodule is not over the given coalgebra")
+    failed = validate_comodule(m).failed
+    if failed:
+        raise ValueError("coefficient comodule failed validation: %s" % ", ".join(failed))
     return CobarComplex(c, imax, coefficients=m)
 
 

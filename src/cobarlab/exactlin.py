@@ -19,7 +19,9 @@ and modular over GF(p), with a Markowitz-style pivot rule: the pivot column
 is the minimum of a heap of column counts, updated lazily (a popped entry
 whose count went stale is pushed back with the current count), then the
 sparsest row in that column, ties broken by row index.  The index column ->
-rows changes only on fill-in and cancellation.  Kernel bases, solving,
+rows changes only on fill-in and cancellation.  The same elimination can
+delete given columns first and report its pivot rows, which is how a chain
+complex's ranks are cleared (see ``Matrix.rank``).  Kernel bases, solving,
 quotient maps and basis extension share one reduced row echelon form with
 the same integer arithmetic (after Bareiss, Math. Comp. 1968) and index; it
 divides each row by its pivot only when the rows are returned.
@@ -416,11 +418,37 @@ class Matrix:
                 entries[(base_r + ib, base_c + jb)] = f.mul(va, vb)
         return Matrix(f, self.nrows * rb, self.ncols * cb, entries)
 
-    def rank(self):
+    def rank(self, cleared=(), pivot_rows=False):
+        """Rank of the matrix with the columns in ``cleared`` deleted.
+
+        With ``pivot_rows`` the result is the pair (rank, rows), where
+        ``rows`` is the set of row indices of a nonsingular square submatrix
+        of that size.  The elimination pairs each of its pivot rows with a
+        pivot column (a peeled row with one of its private columns), and
+        those pairs are the diagonal of a triangular form of that submatrix.
+
+        Clearing (Chen-Kerber, "Persistent homology computation with a
+        twist", EuroCG 2011): if ``self @ a`` is zero and ``cleared`` holds
+        the pivot rows of ``a``, the coordinates outside ``cleared`` span a
+        complement of the image of ``a``, so the cleared rank is the rank.
+        """
         # Elimination keeps one work row per pivot; fewer rows is cheaper,
-        # and rank is transpose-invariant.
-        peeled, rows = _peel(_row_dicts(self) if self.nrows <= self.ncols else self.column_dicts())
-        return peeled + _rank_elim(rows, self.field.p)
+        # and rank is transpose-invariant.  A tall matrix eliminates its
+        # columns, so its pivot rows are the elimination's pivot columns.
+        tall = self.nrows > self.ncols - len(cleared)
+        rows = self.column_dicts() if tall else _row_dicts(self)
+        if cleared and tall:
+            rows = [{} if j in cleared else col for j, col in enumerate(rows)]
+        elif cleared:
+            rows = [{c: v for c, v in row.items() if c not in cleared} for row in rows]
+        pivots = [] if pivot_rows else None
+        # a pivot names the row dict it was given by id; all are alive here
+        at = {id(row): i for i, row in enumerate(rows)} if pivot_rows and not tall else None
+        peeled, rows = _peel(rows, pivots)
+        rank_ = peeled + _rank_elim(rows, self.field.p, pivots)
+        if not pivot_rows:
+            return rank_
+        return rank_, {c if tall else at[r] for r, c in pivots}
 
     def rref(self):
         """Reduced row echelon form.
@@ -622,14 +650,15 @@ def _echelon(rows, p):
     return pivots, [rows[i] for i in order]
 
 
-def _peel(rows):
+def _peel(rows, pivots=None):
     """Count and drop the rows that hold a column no other row holds.
 
     Such rows are independent: each holds its own private column, which
     every other row lacks, so each adds 1 to the rank.  Column counts alone
     find them.  Dropping rows can leave a column private to another row, so
     passes repeat until one drops nothing.  Returns the count and the rows
-    left, empty rows dropped.
+    left, empty rows dropped.  With a list ``pivots``, each dropped row
+    appends the pair (id of the row, one of its private columns).
     """
     rows = [row for row in rows if row]
     peeled = 0
@@ -639,6 +668,8 @@ def _peel(rows):
         if len(left) == len(rows):
             return peeled, rows
         peeled += len(rows) - len(left)
+        if pivots is not None:
+            pivots += [(id(row), min(row, key=counts)) for row in rows if 1 in map(counts, row)]
         rows = left
 
 
@@ -650,15 +681,17 @@ def _coprime(row):
     return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def _rank_elim(rows, p):
+def _rank_elim(rows, p, pivots=None):
     """Rank of rows (dicts col -> value) by Markowitz-style elimination (see ``_eliminate``).
 
     The pivot column is the minimum of a heap of column counts; every live
     column keeps exactly one heap entry, re-pushed with its current count
     when popped stale, so no column is dropped unpivoted.  The pivot row is
     the sparsest holding that column, ties by index, and a column held by
-    one row retires that row without a search.
+    one row retires that row without a search.  With a list ``pivots``,
+    each pivot appends the pair (id of the row as given, column).
     """
+    given = rows
     rows, col_rows = _indexed(rows, p)
     heap = [(len(s), c) for c, s in col_rows.items()]
     heapq.heapify(heap)
@@ -672,6 +705,8 @@ def _rank_elim(rows, p):
             continue
         rank_ += 1
         piv = next(iter(s)) if cnt == 1 else min(s, key=lambda i: (len(rows[i]), i))
+        if pivots is not None:
+            pivots.append((id(given[piv]), col))  # before it is retired: over GF(p) ``given`` is ``rows``
         prow = rows[piv]
         rows[piv] = None
         for c in prow:

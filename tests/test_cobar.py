@@ -30,6 +30,7 @@ from cobarlab.coalg import (
 )
 from cobarlab.cobar import (
     CobarClass,
+    CobarComplex,
     build_cobar,
     class_coordinates,
     cobar_with_coefficients,
@@ -40,7 +41,7 @@ from cobarlab.cobar import (
     product_vector,
     reverse_tensor_vector,
 )
-from cobarlab.exactlin import QQ, GF
+from cobarlab.exactlin import QQ, GF, Matrix
 from cobarlab.presentation import loads_presentation
 
 
@@ -331,3 +332,53 @@ def test_sheared_basis_cells_cancel_on_the_diagonal():
         assert validate_comodule(m).ok
         mx = cobar_with_coefficients(c, m, 3)
         assert swept_cells(mx) == list(reference_cells(mx))
+
+
+def test_invalid_coefficient_comodule_is_refused_with_its_failed_flag():
+    line = divided_line()
+    with pytest.raises(ValueError, match="coassociative"):
+        cobar_with_coefficients(line, extension_comodule(line, (0, 0, 1)), 3)
+
+
+def test_product_table_builds_the_whole_terms_in_one_pass(monkeypatch):
+    c3 = loads_presentation(resources.files("cobarlab").joinpath("data", "c3.json").read_text(encoding="utf-8"))
+    checks = []
+    raw = CobarComplex._cells
+
+    def counted(self, *args, **kwargs):
+        checks.append(kwargs.get("check", False))
+        return raw(self, *args, **kwargs)
+
+    monkeypatch.setattr(CobarComplex, "_cells", counted)
+    dims, products = ext_algebra_table(build_cobar(c3, 8), 8)
+    # the checked sweep, then one pass over the whole terms
+    assert checks == [True, False]
+    assert dims == [1] * 9
+    # the table the per-call rebuild gave: odd times odd is zero
+    assert products == {(a, b): [[(0 if a % 2 and b % 2 else 1,)]] for a in range(1, 8) for b in range(1, 9 - a)}
+
+
+def test_whole_term_diff_stops_at_the_built_window():
+    cx = build_cobar(divided_line(), 2)
+    assert cx.diff(-1, None) == Matrix.zeros(QQ, 0, 0)
+    with pytest.raises(ValueError, match="beyond the built window"):
+        cx.diff(3, None)
+
+
+def test_cleared_cell_ranks_match_whole_term_ranks():
+    # the sweep ranks each cell on the complement of the last layer's pivot
+    # rows; the plain rank of each whole term must give the same table
+    c3 = loads_presentation(resources.files("cobarlab").joinpath("data", "c3.json").read_text(encoding="utf-8"))
+    ten = flatten(tensor_coalgebra(2, 2, QQ))
+    cases = [
+        build_cobar(flatten(symmetric_coalgebra(2, 3, QQ)), 3),
+        build_cobar(c3, 10),
+        build_cobar(ten, 3),
+        build_cobar(opposite(ten), 3),
+        build_cobar(divided_line(GF(5)), 5),
+        cobar_with_coefficients(ten, regular_comodule(ten), 3),
+    ]
+    for cx in cases:
+        ranks = [cx.diff(i, None).rank() for i in range(cx.imax + 1)]
+        expected = [cx.cell_dim(i) - ranks[i] - (ranks[i - 1] if i else 0) for i in range(cx.imax + 1)]
+        assert ext_table(cx).dims() == expected

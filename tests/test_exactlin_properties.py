@@ -9,9 +9,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobarlab.exactlin import GF, QQ, Matrix, kron_identity_matmul
+from test_exactlin import dense_rank_oracle
+
+from cobarlab.exactlin import _peel, GF, QQ, Matrix, kron_identity_matmul
 
 FIELDS = (QQ, GF(2), GF(7), GF(2**31 - 1))
+# QQ draws ints and Fractions (see ``scalars``)
+FIELDS_CLEARED = (QQ, GF(7), GF(2**31 - 1))
 
 # The same examples on every run, and no example database.
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -83,3 +87,81 @@ def test_rref_rows_are_reduced_and_span_the_row_space(field, r, c, data):
     both = Matrix.from_entries(field, r + len(rows), c, stacked)
     # equal ranks of the rows, the input and both together: the row spaces agree
     assert reduced.rank() == len(rows) == a.rank() == both.rank()
+
+
+def left_kernel_pair(data, field, n):
+    """Matrices a (n x k) and b (m x n) with b @ a zero: b's rows combine a basis of the left kernel of a."""
+    k = data.draw(st.integers(0, 6))
+    a = matrices(data, field, n, k, max_size=min(2 * n, n * k))
+    left = a.transpose().kernel_matrix()
+    b = matrices(data, field, data.draw(st.integers(0, 9)), left.ncols) @ left.transpose()
+    assert (b @ a).is_zero()
+    return a, b
+
+
+def assert_pivot_rows_carry_the_rank(m, cleared=frozenset()):
+    """The reported pivot rows of m, its columns in ``cleared`` deleted, hold a minor of full rank."""
+    r, rows = m.rank(cleared, pivot_rows=True)
+    kept = [j for j in range(m.ncols) if j not in cleared]
+    dense = [[row[j] for j in kept] for row in m.to_rows()]
+    assert len(rows) == r == m.rank(cleared) == dense_rank_oracle(m.field, dense)
+    assert dense_rank_oracle(m.field, [dense[i] for i in sorted(rows)]) == r
+
+
+def lines_matrix(field, lines, width, tall):
+    """The matrix that rank eliminates as ``lines``: its rows if wide, its columns if tall.
+
+    The other side is padded with empty lines to make the orientation.
+    """
+    width = max(width, len(lines) + 1 if tall else len(lines))
+    items = [(j, i, v) if tall else (i, j, v) for i, line in enumerate(lines) for j, v in line.items()]
+    nrows, ncols = (width, len(lines)) if tall else (len(lines), width)
+    m = Matrix.from_entries(field, nrows, ncols, items)
+    assert (m.nrows > m.ncols) == tall
+    return m
+
+
+@PROPERTY
+@given(st.sampled_from(FIELDS_CLEARED), st.integers(0, 9), st.data())
+def test_rank_cleared_by_the_pivot_rows_of_a_right_factor_is_the_rank(field, n, data):
+    a, b = left_kernel_pair(data, field, n)
+    _, rows = a.rank(pivot_rows=True)
+    assert b.rank(rows) == b.rank()
+    assert_pivot_rows_carry_the_rank(a)
+    assert_pivot_rows_carry_the_rank(b, rows)
+
+
+@PROPERTY
+@given(st.sampled_from(FIELDS_CLEARED), st.integers(0, 12), st.integers(0, 12), st.data())
+def test_pivot_rows_of_sparse_matrices_carry_the_rank(field, r, c, data):
+    a = matrices(data, field, r, c, max_size=min(r * c, r + c))
+    cleared = data.draw(st.sets(st.integers(0, c - 1)) if c else st.just(set()))
+    for m in (a, a.transpose()):
+        assert_pivot_rows_carry_the_rank(m)
+    assert_pivot_rows_carry_the_rank(a, cleared)
+
+
+@PROPERTY
+@given(st.sampled_from(FIELDS_CLEARED), st.integers(1, 7), st.booleans(), st.data())
+def test_pivot_rows_of_a_staircase_come_from_the_peel(field, k, tall, data):
+    # line i holds column order[i] and columns of later lines only, so the
+    # peel takes every line: the first line's column is private, and so on
+    order = data.draw(st.permutations(range(k)))
+    lines = []
+    for i in range(k):
+        later = data.draw(st.sets(st.sampled_from(order[i:]), max_size=3)) - {order[i]}
+        lines.append({order[i]: data.draw(scalars(field).filter(bool))} | {c: data.draw(scalars(field)) for c in later})
+    lines = [{c: v for c, v in line.items() if v} for line in lines]
+    assert _peel(lines)[1] == []
+    assert_pivot_rows_carry_the_rank(lines_matrix(field, lines, k, tall))
+
+
+@PROPERTY
+@given(st.sampled_from(FIELDS_CLEARED), st.integers(1, 6), st.integers(1, 6), st.booleans(), st.data())
+def test_pivot_rows_of_doubled_lines_come_from_markowitz(field, k, width, tall, data):
+    # every line appears twice, the copy scaled, so no column is private
+    # and the peel takes nothing
+    base = [{c: v for c, v in enumerate(row) if v} for row in matrices(data, field, k, width).to_rows()]
+    lines = base + [{c: field.mul(field.from_int(2), v) for c, v in line.items()} for line in base]
+    assert _peel(lines)[0] == 0
+    assert_pivot_rows_carry_the_rank(lines_matrix(field, lines, width, tall))
