@@ -629,33 +629,6 @@ def symmetric_coalgebra(m, top, field):
     return GradedCoalgebra(field, dims, comps)
 
 
-def symmetric_to_tensor_embedding(m, top, field):
-    """Per-degree matrices of the orbit-sum embedding Sym(m) -> Ten(m).
-
-    s_alpha maps to the sum of all words with exponent profile alpha; the
-    embedding intertwines the comultiplication components of the two
-    constructors degreewise.
-    """
-    bases = [_monomials(m, j) for j in range(top + 1)]
-    out = {}
-    for j in range(top + 1):
-        items = []
-        for col, alpha in enumerate(bases[j]):
-            for widx in range(m**j if m > 0 else (1 if j == 0 else 0)):
-                word = []
-                w = widx
-                for _ in range(j):
-                    word.append(w % m)
-                    w //= m
-                profile = [0] * m
-                for ch_ in word:
-                    profile[ch_] += 1
-                if tuple(profile) == alpha:
-                    items.append((widx, col, field.one))
-        out[j] = Matrix.from_entries(field, m**j if m > 0 else (1 if j == 0 else 0), len(bases[j]), items)
-    return out
-
-
 def opposite(c):
     """The co-opposite: tensor factors of every comultiplication output swap."""
     if isinstance(c, Coalgebra):

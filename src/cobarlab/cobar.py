@@ -440,29 +440,3 @@ def ext_algebra_table(cx, maxdeg):
                 table.append(row)
             products[(ia, ib)] = table
     return dims, products
-
-
-def reverse_tensor_vector(d, degree, vec):
-    """Reorder an i-tensor vector by reversing the tensor factors.
-
-    Index arithmetic in base d: digit sequences reverse.  This identifies the
-    cobar complex of the opposite coalgebra with the original one up to a
-    per-degree sign, so it matches cohomology bases across the two.
-    """
-    if degree <= 1:
-        return tuple(vec)
-    out = list(vec)
-    size = d**degree
-    if len(vec) != size:
-        raise ValueError("vector length is not d**degree")
-    for idx in range(size):
-        digits = []
-        w = idx
-        for _ in range(degree):
-            digits.append(w % d)
-            w //= d
-        ridx = 0
-        for dig in digits:
-            ridx = ridx * d + dig
-        out[ridx] = vec[idx]
-    return tuple(out)

@@ -410,7 +410,8 @@ def bar_ext_table(a, imax, jmax=None):
     Tor and Ext agree dimensionwise over a field.  The terms are ranked one
     internal-degree cell at a time (see ``_BarComplex``); graded input yields
     a bigraded table windowed by jmax <= truncation degree, and finite input
-    sums each term over its cells.
+    sums each term over its cells.  A finite algebra that fails
+    ``validate_algebra`` raises ValueError.
     """
     if imax < 0:
         raise ValueError("imax must be >= 0")
@@ -426,6 +427,8 @@ def bar_ext_table(a, imax, jmax=None):
         raise TypeError("bar_ext_table expects an Algebra or GradedAlgebra")
     elif jmax is not None:
         raise ValueError("jmax applies to graded algebras only")
+    elif not validate_algebra(a):
+        raise ValueError("bar complex input failed validation: algebra_valid")
     bar = _BarComplex(a)
     cells = {}
     sizes, ranks = {}, {}  # of term i - 1: cell dims, and the ranks of d_(i-1) on them

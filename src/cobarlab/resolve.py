@@ -8,6 +8,11 @@ the cokernel and repeating yields a coresolution whose socle differentials
 vanish, so the cogenerator dimensions are independent of the retraction
 choices; for M = k they are the Ext dimensions of the coalgebra.
 
+Each cokernel basis comes from one echelon form of the image, with the C
+factors of C (x) V in descending coradical degree: each image vector pivots
+on its top-degree term and the quotient keeps the sparse low-degree
+coordinates, so random retractions do not fill in the later steps.
+
 Dualizing a finite coresolution termwise gives a resolution by free modules
 over the dual algebra; minimality survives transposition, so the same
 dimension list is read off the dual side.
@@ -35,8 +40,6 @@ class MinimalCoresolution:
     embeddings: tuple  # step embeddings f_i: (i-th cokernel) -> C (x) V_i
     differentials: tuple  # d_i: J_{i-1} -> J_i, each f_i composed with a projection
     minimal: bool
-    # rechecks skipped above the size bound: dicts with step, check, size, bound
-    skipped_checks: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -60,10 +63,11 @@ def _socle_retraction(m, s, rng=None):
     is the solution of s @ phi^T = I with zero free variables: one reduced
     row echelon form of [s | I] (``solve_columns``) carries every unit vector
     at once, and its uniqueness makes phi the same as solving for each unit
-    vector alone.  A generator adds a sparse random correction vanishing on
-    the socle, which exercises the independence of the output from this
-    choice.  Dense corrections would fill in every later step, so each row
-    gets at most three entries.
+    vector alone.  A generator adds a random correction vanishing on the
+    socle: each row of phi gains at most two rows, signed +-1, of the
+    projection onto M / socle.  This exercises the independence of the
+    output from the choice; the cokernel basis of ``_cokernel_maps`` keeps
+    the later steps sparse under it.
     """
     f = m.base.field
     n = m.dim
@@ -83,25 +87,52 @@ def _socle_retraction(m, s, rng=None):
     return phi
 
 
-def _one_step(m, rng=None, need_cokernel=True, check_bound=200000, skipped=None):
+def _coradical_order(c):
+    """The basis indices of c by descending coradical degree, ties by index.
+
+    The degree of e_t is the least m with the m-fold reduced comultiplication
+    of e_t zero.  It is iterated on the first tensor factor with exact
+    cancellation: in a sheared basis a vector can occur in its own reduced
+    comultiplication and cancel later, so a walk over the support would not
+    end.  On a conilpotent c the iteration stops within c.dim rounds.
+    """
+    f = c.field
+    red = c.reduced_comul()
+    degree = {c.grouplike_index: 0}
+    for k, t in enumerate(c.positive_indices()):
+        vec = {(k,): f.one}
+        for m in range(1, c.dim + 1):
+            nxt = {}
+            for (head, *tail), x in vec.items():
+                for i, j, v in red[head]:
+                    key = (i, j, *tail)
+                    nxt[key] = f.add(nxt.get(key, f.zero), f.mul(x, v))
+            vec = {key: x for key, x in nxt.items() if x}
+            if not vec:
+                break
+        degree[t] = m
+    return sorted(range(c.dim), key=lambda t: (-degree[t], t))
+
+
+def _cokernel_maps(emb, v, order):
+    """``quotient_maps`` of the image of emb in C (x) V, with the C factors taken in ``order``."""
+    f, n, q = emb.field, emb.nrows, emb.nrows - emb.ncols
+    cols = [t * v + r for t in order for r in range(v)]  # column k of the span is coordinate cols[k]
+    where = {col: k for k, col in enumerate(cols)}
+    proj, section = quotient_maps(Matrix(f, emb.ncols, n, {(i, where[r]): x for (r, i), x in emb.entries.items()}))
+    proj = Matrix(f, q, n, {(a, cols[k]): x for (a, k), x in proj.entries.items()})
+    return proj, Matrix(f, n, q, {(cols[k], b): x for (k, b), x in section.entries.items()})
+
+
+def _one_step(m, order, rng=None, need_cokernel=True):
     """Embed m into the cofree comodule on its socle; return (v, f, projection, cokernel).
 
-    The morphism and cokernel rechecks are defensive and skipped when the
-    product size (base dimension times nnz) exceeds check_bound, where their
-    products dominate the whole computation.  Each skip is appended to
-    ``skipped`` as a dict naming the check, the size and the bound.
+    ``order`` is ``_coradical_order`` of the base.  The embedding is
+    rechecked to be a comodule morphism and the cokernel's coaction to
+    validate.
     """
     c = m.base
     n = m.dim
-
-    def recheck(check, nnz):
-        size = c.dim * nnz
-        if size <= check_bound:
-            return True
-        if skipped is not None:
-            skipped.append({"check": check, "size": size, "bound": check_bound})
-        return False
-
     s = reduced_coaction_matrix(m).kernel_matrix().transpose()  # socle basis as rows
     v = s.nrows
     if v == 0 and n > 0:
@@ -113,18 +144,17 @@ def _one_step(m, rng=None, need_cokernel=True, check_bound=200000, skipped=None)
         raise AssertionError("cofree hull embedding failed to be injective")
     j = cofree_comodule(c, v)
     nu_j = j.coaction_matrix()
-    if recheck("morphism", emb.nnz()) and not (nu_j @ emb == kron_identity_matmul(c.dim, emb, nu)):
+    if not (nu_j @ emb == kron_identity_matmul(c.dim, emb, nu)):
         raise AssertionError("hull embedding is not a comodule morphism")
     if not need_cokernel:
         return v, emb, None, None
-    proj, section = quotient_maps(emb.transpose())
+    proj, section = _cokernel_maps(emb, v, order)
     q = j.dim - n
     nu_q = kron_identity_matmul(c.dim, proj, nu_j) @ section
     quotient = Comodule.from_coaction_matrix(c, q, nu_q)
-    if recheck("cokernel", nu_q.nnz()):
-        report = validate_comodule(quotient)
-        if not report.ok:
-            raise AssertionError("cokernel coaction failed validation: %s" % (report.notes,))
+    report = validate_comodule(quotient)
+    if not report.ok:
+        raise AssertionError("cokernel coaction failed validation: %s" % (report.notes,))
     return v, emb, proj, quotient
 
 
@@ -133,9 +163,7 @@ def minimal_coresolution(m, length, rng=None):
 
     The base must validate as a conilpotent coalgebra and m as a comodule.
     Passing a random.Random makes the retraction choices random; the
-    cogenerator dimensions do not depend on them.  The rechecks that
-    ``_one_step`` skips by its size bound are listed in ``skipped_checks``
-    with their step.
+    cogenerator dimensions do not depend on them.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
@@ -145,22 +173,20 @@ def minimal_coresolution(m, length, rng=None):
     failed = validate_comodule(m).failed
     if failed:
         raise ValueError("coresolution target failed comodule validation: %s" % ", ".join(failed))
+    order = _coradical_order(m.base)
     dims = []
     embeddings = []
     differentials = []
     current = m
     prev_proj = None
-    skipped = []
     for step in range(length + 1):
-        found = []
-        v, emb, proj, current = _one_step(current, rng, step < length, skipped=found)
-        skipped.extend({"step": step, **skip} for skip in found)
+        v, emb, proj, current = _one_step(current, order, rng, step < length)
         dims.append(v)
         embeddings.append(emb)
         if prev_proj is not None:
             differentials.append(emb @ prev_proj)
         prev_proj = proj
-    return MinimalCoresolution(m.base, m, tuple(dims), tuple(embeddings), tuple(differentials), True, tuple(skipped))
+    return MinimalCoresolution(m.base, m, tuple(dims), tuple(embeddings), tuple(differentials), True)
 
 
 def betti_dims(r):

@@ -2,7 +2,7 @@
 
 from operator import add
 
-from cobarlab.coalg import Coalgebra, reduced_coaction_matrix, symmetric_coalgebra, tensor_coalgebra
+from cobarlab.coalg import Coalgebra, _monomials, reduced_coaction_matrix, symmetric_coalgebra, tensor_coalgebra
 from cobarlab.dualalg import Algebra, graded_dual, quadratic_algebra
 from cobarlab.exactlin import QQ, Matrix
 
@@ -124,6 +124,22 @@ def sheared(c, k, l):
     counit = list(c.counit)
     counit[k] = f.add(counit[k], counit[l])
     return Coalgebra(f, c.dim, c.grouplike_index, counit, comul)
+
+
+def non_associative_algebra(field=QQ):
+    """Dim 3: 1, x, y with x x = y, y x = y and every other product of x, y zero.
+
+    (x x) x = y but x (x x) = 0, so it fails associativity; its bar complex
+    still has ranks, and they give negative "Ext dims".
+    """
+    f = field
+
+    def vec(*v):
+        return tuple(f.from_int(x) for x in v)
+
+    one, x, y, zero = vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1), vec(0, 0, 0)
+    mult = [[one, x, y], [x, y, zero], [y, y, zero]]
+    return Algebra(f, 3, one, mult, one)
 
 
 def non_coassociative(scale=QQ.one):
@@ -373,3 +389,56 @@ def reference_whole_diff(cx, i):
     src = layers[i].get((), [])
     rows = {t: r for r, t in enumerate(layers[i + 1].get((), []))}
     return _cell_diff_negating_each_entry(cx.field, src, rows, cx._comul, cx._coaction)
+
+
+def reverse_tensor_vector(d, degree, vec):
+    """Reorder an i-tensor vector by reversing the tensor factors.
+
+    Index arithmetic in base d: digit sequences reverse.  This identifies the
+    cobar complex of the opposite coalgebra with the original one up to a
+    per-degree sign, so it matches cohomology bases across the two.
+    """
+    if degree <= 1:
+        return tuple(vec)
+    out = list(vec)
+    size = d**degree
+    if len(vec) != size:
+        raise ValueError("vector length is not d**degree")
+    for idx in range(size):
+        digits = []
+        w = idx
+        for _ in range(degree):
+            digits.append(w % d)
+            w //= d
+        ridx = 0
+        for dig in digits:
+            ridx = ridx * d + dig
+        out[ridx] = vec[idx]
+    return tuple(out)
+
+
+def symmetric_to_tensor_embedding(m, top, field):
+    """Per-degree matrices of the orbit-sum embedding Sym(m) -> Ten(m).
+
+    s_alpha maps to the sum of all words with exponent profile alpha; the
+    embedding intertwines the comultiplication components of the two
+    constructors degreewise.
+    """
+    bases = [_monomials(m, j) for j in range(top + 1)]
+    out = {}
+    for j in range(top + 1):
+        items = []
+        for col, alpha in enumerate(bases[j]):
+            for widx in range(m**j if m > 0 else (1 if j == 0 else 0)):
+                word = []
+                w = widx
+                for _ in range(j):
+                    word.append(w % m)
+                    w //= m
+                profile = [0] * m
+                for ch_ in word:
+                    profile[ch_] += 1
+                if tuple(profile) == alpha:
+                    items.append((widx, col, field.one))
+        out[j] = Matrix.from_entries(field, m**j if m > 0 else (1 if j == 0 else 0), len(bases[j]), items)
+    return out

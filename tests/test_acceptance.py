@@ -31,7 +31,6 @@ from cobarlab.cobar import (
     ext_algebra_table,
     ext_product,
     ext_table,
-    reverse_tensor_vector,
 )
 from cobarlab.dualalg import (
     Matrix,
@@ -48,7 +47,7 @@ from cobarlab.dualalg import (
 from cobarlab.exactlin import GF, QQ
 from cobarlab.resolve import betti_dims, minimal_coresolution
 from cobarlab.witness import contra_report, nonrational_report
-from helpers_coalgebras import acceptance_corpus, divided_line, strip_degrees
+from helpers_coalgebras import acceptance_corpus, divided_line, reverse_tensor_vector, strip_degrees
 
 IMAX = 4
 

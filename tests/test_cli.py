@@ -1,13 +1,12 @@
-import functools
 import json
 
-from cobarlab import cli, resolve
+from cobarlab import cli
 from cobarlab.cli import main
 from cobarlab.coalg import extension_comodule
 from cobarlab.dualalg import dual_algebra
 from cobarlab.exactlin import QQ
 from cobarlab.presentation import dumps_presentation, presentation_of
-from helpers_coalgebras import divided_line, dual_numbers_dual
+from helpers_coalgebras import divided_line, dual_numbers_dual, non_associative_algebra
 
 
 def _entries(table_json):
@@ -88,6 +87,17 @@ def test_ext_on_algebra_presentation(tmp_path):
     # the cobar sides need a coalgebra presentation
     assert main(["ext", str(path), "--imax", "4"]) == 2
     assert main(["ext", str(path), "--imax", "4", "--side", "op"]) == 2
+
+
+def test_ext_algebra_side_refuses_an_invalid_algebra(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(dumps_presentation(non_associative_algebra()))
+    assert main(["validate", str(path)]) == 1
+    capsys.readouterr()
+    assert main(["ext", str(path), "--imax", "4", "--side", "algebra"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s failed validation: algebra_valid\n" % path
+    assert captured.out == ""
 
 
 def test_ext_jmax_errors(capsys):
@@ -172,23 +182,6 @@ def test_resolve_command(tmp_path):
     assert main(["resolve", "bundled:c3.json", "--length", "4", "--seed", "7", "--out", str(seeded)]) == 0
     assert _load_out(seeded)["result"]["cogenerator_dims"] == [1, 1, 1, 1, 1]
     assert _load_out(seeded)["seed"] == 7
-
-
-def test_resolve_reports_skipped_rechecks(tmp_path, capsys, monkeypatch):
-    out = tmp_path / "res.json"
-    assert main(["resolve", "bundled:c3.json", "--length", "2", "--out", str(out)]) == 0
-    assert _load_out(out)["result"]["skipped_checks"] == []
-    assert "skipped" not in capsys.readouterr().out
-    monkeypatch.setattr(resolve, "_one_step", functools.partial(resolve._one_step, check_bound=3))
-    assert main(["resolve", "bundled:c3.json", "--length", "2", "--out", str(out)]) == 0
-    skipped = _load_out(out)["result"]["skipped_checks"]
-    assert skipped == [
-        {"bound": 3, "check": "cokernel", "size": 9, "step": 0},
-        {"bound": 3, "check": "morphism", "size": 6, "step": 1},
-    ]
-    assert capsys.readouterr().out.splitlines()[-1] == (
-        "skipped checks: step 0 cokernel (size 9 > bound 3), step 1 morphism (size 6 > bound 3)"
-    )
 
 
 def test_resolve_flattened_graded(tmp_path):

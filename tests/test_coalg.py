@@ -5,6 +5,8 @@ from math import comb
 
 import pytest
 
+from helpers_coalgebras import symmetric_to_tensor_embedding
+
 from cobarlab.coalg import (
     Coalgebra,
     Comodule,
@@ -18,7 +20,6 @@ from cobarlab.coalg import (
     regular_comodule,
     socle,
     symmetric_coalgebra,
-    symmetric_to_tensor_embedding,
     tensor_coalgebra,
     trivial_comodule,
     validate,

@@ -12,6 +12,7 @@ from helpers_coalgebras import (
     reference_cells,
     reference_whole_diff,
     rescaled,
+    reverse_tensor_vector,
     sheared,
     strip_degrees,
     swept_cells,
@@ -39,7 +40,6 @@ from cobarlab.cobar import (
     ext_product,
     ext_table,
     product_vector,
-    reverse_tensor_vector,
 )
 from cobarlab.exactlin import QQ, GF, Matrix
 from cobarlab.presentation import loads_presentation

@@ -9,6 +9,7 @@ from helpers_coalgebras import (
     divided_line,
     dual_numbers_dual,
     kron_bar_boundary,
+    non_associative_algebra,
     per_column_bar_reduced,
     permuted,
     quad_dual,
@@ -476,3 +477,10 @@ def test_degrees_that_do_not_grade_fall_back_to_one_cell():
         assert b.degrees is not None and validate_algebra(b)
         assert _BarComplex(b).dims == (c.dim - 1,)
         assert bar_ext_table(b, 3) == bar_ext_table(dual_algebra(c), 3) == ext_table(build_cobar(c, 3))
+
+
+def test_bar_ext_table_refuses_an_invalid_algebra():
+    a = non_associative_algebra()
+    assert not validate_algebra(a)
+    with pytest.raises(ValueError, match="algebra_valid"):
+        bar_ext_table(a, 4)

@@ -1,4 +1,3 @@
-import functools
 import random
 from fractions import Fraction
 from itertools import chain
@@ -18,11 +17,13 @@ from cobarlab.coalg import (
     symmetric_coalgebra,
     tensor_coalgebra,
     trivial_comodule,
+    validate_comodule,
 )
 from cobarlab.cobar import build_cobar, cobar_with_coefficients, ext_table
-from cobarlab.exactlin import GF, QQ, Matrix
+from cobarlab.exactlin import GF, QQ, Matrix, kron_identity_matmul
 from cobarlab.resolve import (
     MinimalCoresolution,
+    _coradical_order,
     _one_step,
     _socle_retraction,
     betti_dims,
@@ -156,7 +157,7 @@ def test_socle_retraction_matches_per_unit_vector_solves(seed):
                 ours.setstate(walk.getstate())
                 reference.setstate(walk.getstate())
                 assert _socle_retraction(current, rows, ours) == per_unit_socle_retraction(current, s, reference)
-            _, _, _, current = _one_step(current, walk, need_cokernel=step < 3)
+            _, _, _, current = _one_step(current, _coradical_order(c), walk, step < 3)
 
 
 def test_seeded_coresolution_has_no_float_entries():
@@ -182,14 +183,35 @@ def test_seeded_coresolution_matches_field_arithmetic_rref(monkeypatch):
     assert ours.differentials == reference.differentials
 
 
-def test_skipped_rechecks_are_recorded(monkeypatch):
-    k = trivial_comodule(divided_line())
-    assert minimal_coresolution(k, 2).skipped_checks == ()
-    # sizes (base dimension times nnz): morphism 3, 6, 3 and cokernel 9, 3 at steps 0, 1, 2
-    monkeypatch.setattr(resolve, "_one_step", functools.partial(_one_step, check_bound=3))
-    r = minimal_coresolution(k, 2)
-    assert r.skipped_checks == (
-        {"step": 0, "check": "cokernel", "size": 9, "bound": 3},
-        {"step": 1, "check": "morphism", "size": 6, "bound": 3},
-    )
-    assert betti_dims(r) == [1, 1, 1] and verify_coresolution(r)
+def test_every_recheck_runs_on_the_seeded_length_five_run(monkeypatch):
+    c = flatten(symmetric_coalgebra(2, 4, QQ))
+    validated, multiplied = [], []
+
+    def counting_validate(m):
+        validated.append(m.dim)
+        return validate_comodule(m)
+
+    def recording_product(a, b, y):
+        multiplied.append(b)
+        return kron_identity_matmul(a, b, y)
+
+    monkeypatch.setattr(resolve, "validate_comodule", counting_validate)
+    monkeypatch.setattr(resolve, "kron_identity_matmul", recording_product)
+    r = minimal_coresolution(trivial_comodule(c), 5, random.Random(7))
+    assert betti_dims(r) == [1, 2, 7, 17, 52, 137]
+    # the morphism recheck multiplies each step's embedding by the coaction
+    assert len(r.embeddings) == 6 and all(any(b is e for b in multiplied) for e in r.embeddings)
+    # the target, then each of the five cokernels: dim C (x) V_i minus the dim embedded
+    cokernels = [1]
+    for v in r.cogenerator_dims[:-1]:
+        cokernels.append(c.dim * v - cokernels[-1])
+    assert validated == cokernels
+    assert verify_coresolution(r)
+
+
+def test_seeded_embeddings_stay_within_five_times_the_unseeded_fill_in():
+    k = trivial_comodule(flatten(symmetric_coalgebra(2, 4, QQ)))
+    unseeded = [e.nnz() for e in minimal_coresolution(k, 4).embeddings]
+    for seed in range(1, 11):
+        seeded = [e.nnz() for e in minimal_coresolution(k, 4, random.Random(seed)).embeddings]
+        assert all(s <= 5 * u for s, u in zip(seeded, unseeded)), (seed, seeded, unseeded)
