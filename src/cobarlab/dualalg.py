@@ -95,21 +95,26 @@ class Algebra:
 
 
 def validate_algebra(a):
-    """Associativity, unitality, and the augmentation being a character."""
+    """Associativity, unitality, and the augmentation being a character.
+
+    Each product m (x (x) y), with x or y an identity, is compared
+    transposed: (x^T (x) y^T) m^T is what ``kron_identity_matmul`` computes
+    without building the Kronecker product.
+    """
     f = a.field
     n = a.dim
-    m = a.mult_matrix()
-    eye = Matrix.identity(f, n)
-    if not (m @ Matrix.kron(m, eye) == m @ Matrix.kron(eye, m)):
+    mt = a.mult_matrix().transpose()
+    if not (kron_identity_matmul(mt, n, mt) == kron_identity_matmul(n, mt, mt)):
         return False
-    unit_col = Matrix.from_columns(f, [list(a.unit)], n)
-    left = m @ Matrix.kron(unit_col, eye)
-    right = m @ Matrix.kron(eye, unit_col)
-    if not (left == eye and right == eye):
+    unit_row = Matrix.from_rows(f, [list(a.unit)], n)
+    eye = Matrix.identity(f, n)
+    if not (kron_identity_matmul(unit_row, n, mt) == eye and kron_identity_matmul(n, unit_row, mt) == eye):
         return False
     if a.augmentation is not None:
-        aug = Matrix.from_entries(f, 1, n, [(0, i, v) for i, v in enumerate(a.augmentation)])
-        if not (aug @ m == Matrix.kron(aug, aug)):
+        aug = [(i, v) for i, v in enumerate(a.augmentation) if v]
+        # eps(e_x e_y) = eps(e_x) eps(e_y) at row x*n + y
+        pairs = Matrix(f, n * n, 1, {(x * n + y, 0): f.mul(u, v) for x, u in aug for y, v in aug})
+        if not (mt @ Matrix.from_columns(f, [list(a.augmentation)], n) == pairs):
             return False
         got = f.zero
         for i, v in enumerate(a.augmentation):
@@ -180,17 +185,20 @@ class GradedAlgebra:
 
 
 def validate_graded_algebra(a):
+    """Unit components are identities and the product is associative, as ``validate_algebra`` checks it."""
     f = a.field
     top = a.top_degree
+    dims = a.dims
     for q in range(top + 1):
-        eye = Matrix.identity(f, a.dims[q])
+        eye = Matrix.identity(f, dims[q])
         if not (a.component(0, q) == eye and a.component(q, 0) == eye):
             return False
+    mt = {key: m.transpose() for key, m in a.components.items()}
     for p in range(top + 1):
         for q in range(top + 1 - p):
             for r in range(top + 1 - p - q):
-                first = a.component(p + q, r) @ Matrix.kron(a.component(p, q), Matrix.identity(f, a.dims[r]))
-                second = a.component(p, q + r) @ Matrix.kron(Matrix.identity(f, a.dims[p]), a.component(q, r))
+                first = kron_identity_matmul(mt[(p, q)], dims[r], mt[(p + q, r)])
+                second = kron_identity_matmul(dims[p], mt[(q, r)], mt[(p, q + r)])
                 if not (first == second):
                     return False
     return True
@@ -281,8 +289,12 @@ class _BarComplex:
     algebra gives its components.  A finite algebra gives ``reduced``, the
     product on A_+ = ker(augmentation), graded by its ``degrees`` when
     ``_positive_degrees`` accepts them and by the zero grading (one cell per
-    term) otherwise.  ``boundary(i)`` is the zero-grading cell, the whole
-    term indexed row-major over A_+^(x i).
+    term) otherwise.  ``cell(i)`` is the zero-grading cell, the whole term
+    indexed row-major over A_+^(x i).
+
+    A cell is the transpose of the boundary, the cochain map d_i^T:
+    B_(i-1)* -> B_i*, so that ``bar_ext_table`` ranks the cells with
+    clearing in the cohomological direction, as the cobar sweep does.
     """
 
     def __init__(self, a):
@@ -328,10 +340,36 @@ class _BarComplex:
             total += prod(dims[p] for p in comp)
         return total, offsets
 
-    def boundary(self, i, w=None):
-        """d: cell (i, w) -> cell (i-1, w), the alternating sum of adjacent reduced products.
+    def sweep(self, imax, jmax=None):
+        """Sizes and ranks of the cells of terms 0 .. imax + 1, ranked with clearing.
+
+        Returns ({(i, w): size}, {(i, w): rank of d_i on cell (i, w)}), over
+        the degrees w <= jmax, or every degree of term i when jmax is None.
+        Clearing (see ``Matrix.rank``): d_(i+1)^T d_i^T = (d_i d_(i+1))^T is
+        zero because the product of A_+ is associative, which
+        ``bar_ext_table`` validates, so the pivot rows of cell (i, w) may
+        clear the columns of cell (i+1, w).  They are kept for one term, and
+        the top term's are never collected.
+        """
+        sizes, ranks, pivots = {}, {}, {}
+        for i in range(imax + 2):
+            last, pivots = pivots, {}
+            for w in range(i * (len(self.dims) - 1) + 1 if jmax is None else jmax + 1):
+                size = sizes[(i, w)] = self.layout(i, w)[0]
+                if not (i and size and sizes.get((i - 1, w))):
+                    continue
+                if i > imax:
+                    ranks[(i, w)] = self.cell(i, w).rank(last.pop(w, ()))
+                else:
+                    ranks[(i, w)], pivots[w] = self.cell(i, w).rank(last.pop(w, ()), pivot_rows=True)
+        return sizes, ranks
+
+    def cell(self, i, w=None):
+        """d^T: cell (i-1, w)* -> cell (i, w)*, where d is the alternating sum of adjacent reduced products.
 
         ``w=None`` gives the whole term, the one cell of the zero grading.
+        Each entry of d is written under the swapped key, so no transpose is
+        built.
         """
         f = self.f
         dims, mu = (self.dims, self.mu) if w is not None else ((self.d,), {(0, 0): self.reduced})
@@ -352,13 +390,13 @@ class _BarComplex:
                     for b in range(before):
                         row, col = row0 + (b * height + r) * after, col0 + (b * width + c) * after
                         for x in range(after):
-                            key = (row + x, col + x)
+                            key = (col + x, row + x)
                             s = f.add(entries[key], v) if key in entries else v
                             if s:
                                 entries[key] = s
                             else:
                                 del entries[key]
-        return Matrix(f, dst_dim, src_dim, entries)
+        return Matrix(f, src_dim, dst_dim, entries)
 
 
 def _positive_degrees(a, reduced):
@@ -408,10 +446,12 @@ def bar_ext_table(a, imax, jmax=None):
     """Ext dims of the ground field over an algebra, via the reduced bar complex.
 
     Tor and Ext agree dimensionwise over a field.  The terms are ranked one
-    internal-degree cell at a time (see ``_BarComplex``); graded input yields
-    a bigraded table windowed by jmax <= truncation degree, and finite input
-    sums each term over its cells.  A finite algebra that fails
-    ``validate_algebra`` raises ValueError.
+    internal-degree cell at a time, in the cohomological direction with
+    clearing (see ``_BarComplex.sweep``); graded input yields a bigraded
+    table windowed by jmax <= truncation degree, and finite input sums each
+    term over its cells.  Clearing needs the product to be associative, so
+    an algebra that fails ``validate_algebra`` (a graded one,
+    ``validate_graded_algebra``) raises ValueError naming ``algebra_valid``.
     """
     if imax < 0:
         raise ValueError("imax must be >= 0")
@@ -427,18 +467,10 @@ def bar_ext_table(a, imax, jmax=None):
         raise TypeError("bar_ext_table expects an Algebra or GradedAlgebra")
     elif jmax is not None:
         raise ValueError("jmax applies to graded algebras only")
-    elif not validate_algebra(a):
+    if not (validate_graded_algebra(a) if graded else validate_algebra(a)):
         raise ValueError("bar complex input failed validation: algebra_valid")
-    bar = _BarComplex(a)
-    cells = {}
-    sizes, ranks = {}, {}  # of term i - 1: cell dims, and the ranks of d_(i-1) on them
-    for i in range(imax + 2):
-        weights = range(jmax + 1) if graded else range(i * (len(bar.dims) - 1) + 1)
-        here = {w: bar.layout(i, w)[0] for w in weights}
-        out = {w: bar.boundary(i, w).rank() for w, size in here.items() if i and size and sizes.get(w)}
-        for w, size in sizes.items():
-            cells[(i - 1, w)] = size - ranks.get(w, 0) - out.get(w, 0)
-        sizes, ranks = here, out
+    sizes, ranks = _BarComplex(a).sweep(imax, jmax)
+    cells = {(i, w): n - ranks.get((i, w), 0) - ranks.get((i + 1, w), 0) for (i, w), n in sizes.items() if i <= imax}
     if graded:
         return ExtTable("graded", cells, imax, jmax, "entries computed from components of degree <= %d" % top)
     entries = dict.fromkeys(range(imax + 1), 0)

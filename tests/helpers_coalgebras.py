@@ -3,7 +3,7 @@
 from operator import add
 
 from cobarlab.coalg import Coalgebra, _monomials, reduced_coaction_matrix, symmetric_coalgebra, tensor_coalgebra
-from cobarlab.dualalg import Algebra, graded_dual, quadratic_algebra
+from cobarlab.dualalg import Algebra, GradedAlgebra, graded_dual, quadratic_algebra
 from cobarlab.exactlin import QQ, Matrix
 
 
@@ -142,6 +142,62 @@ def non_associative_algebra(field=QQ):
     return Algebra(f, 3, one, mult, one)
 
 
+def non_associative_graded_algebra(field=QQ):
+    """1, x, x^2, x^3 with x x = x^2, x x^2 = x^3 and x^2 x = 0, truncated at degree 3.
+
+    (x x) x = 0 but x (x x) = x^3, so it fails associativity; every unit
+    component is an identity.
+    """
+    f = field
+    nonzero = {(p, q) for p in range(4) for q in range(4 - p) if p == 0 or q == 0} | {(1, 1), (1, 2)}
+    comps = {}
+    for p in range(4):
+        for q in range(4 - p):
+            comps[(p, q)] = Matrix(f, 1, 1, {(0, 0): f.one} if (p, q) in nonzero else {})
+    return GradedAlgebra(f, (1, 1, 1, 1), comps)
+
+
+def kron_validate_algebra(a):
+    """Reference ``validate_algebra``, by Kronecker products: m (m (x) I) = m (I (x) m), unit and augmentation."""
+    f = a.field
+    n = a.dim
+    m = a.mult_matrix()
+    eye = Matrix.identity(f, n)
+    if not (m @ Matrix.kron(m, eye) == m @ Matrix.kron(eye, m)):
+        return False
+    unit_col = Matrix.from_columns(f, [list(a.unit)], n)
+    if not (m @ Matrix.kron(unit_col, eye) == eye and m @ Matrix.kron(eye, unit_col) == eye):
+        return False
+    if a.augmentation is not None:
+        aug = Matrix.from_entries(f, 1, n, [(0, i, v) for i, v in enumerate(a.augmentation)])
+        if not (aug @ m == Matrix.kron(aug, aug)):
+            return False
+        got = f.zero
+        for v, u in zip(a.augmentation, a.unit):
+            got = f.add(got, f.mul(v, u))
+        if got != f.one:
+            return False
+    return True
+
+
+def kron_validate_graded_algebra(a):
+    """Reference ``validate_graded_algebra``, by Kronecker products of the components."""
+    f = a.field
+    top = a.top_degree
+    for q in range(top + 1):
+        eye = Matrix.identity(f, a.dims[q])
+        if not (a.component(0, q) == eye and a.component(q, 0) == eye):
+            return False
+    for p in range(top + 1):
+        for q in range(top + 1 - p):
+            for r in range(top + 1 - p - q):
+                first = a.component(p + q, r) @ Matrix.kron(a.component(p, q), Matrix.identity(f, a.dims[r]))
+                second = a.component(p, q + r) @ Matrix.kron(Matrix.identity(f, a.dims[p]), a.component(q, r))
+                if not (first == second):
+                    return False
+    return True
+
+
 def non_coassociative(scale=QQ.one):
     """Dim 4: g, x1, x2, x3 with reduced comultiplication x2 -> x1 (x) x1, x3 -> x1 (x) x2.
 
@@ -174,6 +230,11 @@ def kron_cobar_diff(c, i, m=None):
         last = Matrix.kron(Matrix.identity(f, d**i), reduced_coaction_matrix(m))
         out = out + (last if i % 2 == 0 else -last)
     return out
+
+
+def bar_boundary(bar, i, w=None):
+    """d: cell (i, w) -> cell (i-1, w) of the bar complex, the transpose of the cell the sweep ranks."""
+    return bar.cell(i, w).transpose()
 
 
 def kron_bar_boundary(bar, i):

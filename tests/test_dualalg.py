@@ -6,10 +6,14 @@ import pytest
 
 from helpers_coalgebras import (
     acceptance_corpus,
+    bar_boundary,
     divided_line,
     dual_numbers_dual,
     kron_bar_boundary,
+    kron_validate_algebra,
+    kron_validate_graded_algebra,
     non_associative_algebra,
+    non_associative_graded_algebra,
     per_column_bar_reduced,
     permuted,
     quad_dual,
@@ -373,7 +377,7 @@ def test_bar_boundary_matches_kron_reference():
     for a in (dual_algebra(divided_line()), dual_algebra(divided_line(GF(5))), ten, opposite_algebra(ten)):
         bar = _BarComplex(a)
         for i in range(1, 5):
-            assert bar.boundary(i) == kron_bar_boundary(bar, i)
+            assert bar_boundary(bar, i) == kron_bar_boundary(bar, i)
 
 
 def test_package_exports_the_module_axiom_check_of_dualalg():
@@ -442,12 +446,12 @@ def test_cell_boundaries_are_the_whole_boundary_restricted():
         degrees = [deg for k, deg in enumerate(c.degrees) if k != c.grouplike_index]
         top = len(bar.dims) - 1
         for i in range(1, 5):
-            whole = bar.boundary(i)
+            whole = bar_boundary(bar, i)
             seen, nnz = [], 0
             for w in range(i * top + 1):
                 src = {idx: k for k, idx in enumerate(_cell_positions(bar, degrees, i, w))}
                 dst = {idx: k for k, idx in enumerate(_cell_positions(bar, degrees, i - 1, w))}
-                cell = bar.boundary(i, w)
+                cell = bar_boundary(bar, i, w)
                 assert (cell.nrows, cell.ncols) == (len(dst), len(src)) == (bar.layout(i - 1, w)[0], bar.layout(i, w)[0])
                 expect = {(dst[r], src[col]): v for (r, col), v in whole.entries.items() if col in src}
                 assert cell.entries == expect
@@ -484,3 +488,53 @@ def test_bar_ext_table_refuses_an_invalid_algebra():
     assert not validate_algebra(a)
     with pytest.raises(ValueError, match="algebra_valid"):
         bar_ext_table(a, 4)
+
+
+def test_bar_ext_table_refuses_a_non_associative_graded_algebra():
+    a = non_associative_graded_algebra()
+    assert not validate_graded_algebra(a)
+    with pytest.raises(ValueError, match="algebra_valid"):
+        bar_ext_table(a, 3)
+
+
+def _with(a, unit=None, augmentation=None):
+    """The same multiplication table with the unit or augmentation replaced."""
+    unit = a.unit if unit is None else unit
+    augmentation = a.augmentation if augmentation is None else augmentation
+    return Algebra(a.field, a.dim, unit, a.mult, augmentation, a.degrees)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(2**31 - 1)], ids=["QQ", "GF7", "GFbig"])
+def test_algebra_validators_match_kron_reference(field):
+    line = dual_algebra(divided_line(field))
+    one, zero = field.one, field.zero
+    ten = dual_algebra(flatten(tensor_coalgebra(2, 2, field)))
+    finite = {
+        "line": line,
+        "ten22": ten,
+        "ten22_op": opposite_algebra(ten),
+        "sym23": dual_algebra(flatten(symmetric_coalgebra(2, 3, field))),
+        "shifted": shifted_by_unit(ten, 3),
+        "non_associative": non_associative_algebra(field),
+        "wrong_unit": _with(line, unit=(one, one, zero)),
+        # eps(x) = 1 but eps(x x) = 0; eps(1) is still 1
+        "non_multiplicative_augmentation": _with(line, augmentation=(one, one, zero)),
+        # multiplicative, but eps(1) = 0
+        "zero_augmentation": _with(line, augmentation=(zero, zero, zero)),
+    }
+    for name, a in finite.items():
+        want = name not in ("non_associative", "wrong_unit", "non_multiplicative_augmentation", "zero_augmentation")
+        assert validate_algebra(a) == kron_validate_algebra(a) == want, name
+    two = field.from_int(2)
+    quad = quadratic_algebra(2, [(zero, one, field.from_int(-1), zero)], 3, field)
+    graded = {
+        "sym23": graded_dual(symmetric_coalgebra(2, 3, field)),
+        "ten23": graded_dual(tensor_coalgebra(2, 3, field)),
+        "commutator": quad,
+        "square_zero": quadratic_algebra(2, [[one if i == k else zero for i in range(4)] for k in range(4)], 3, field),
+        "non_associative": non_associative_graded_algebra(field),
+        "wrong_unit": GradedAlgebra(field, quad.dims, {**quad.components, (0, 1): quad.component(0, 1).scale(two)}),
+    }
+    for name, a in graded.items():
+        want = name not in ("non_associative", "wrong_unit")
+        assert validate_graded_algebra(a) == kron_validate_graded_algebra(a) == want, name
