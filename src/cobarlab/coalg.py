@@ -293,15 +293,6 @@ def cofree_comodule(c, k):
     return Comodule(c, c.dim * k, coaction)
 
 
-def direct_sum_comodules(m1, m2):
-    if m1.base != m2.base:
-        raise ValueError("comodules over different coalgebras")
-    coaction = [list(triples) for triples in m1.coaction]
-    for triples in m2.coaction:
-        coaction.append([(i, j + m1.dim, v) for i, j, v in triples])
-    return Comodule(m1.base, m1.dim + m2.dim, coaction)
-
-
 def extension_comodule(c, primitive, scale=1):
     """Two-dimensional comodule: m_1 trivial, nu(m_2) = g (x) m_2 + w (x) m_1.
 
@@ -497,49 +488,6 @@ def validate_comodule(m):
     coassoc = kron_identity_matmul(mu, m.dim, nu) == kron_identity_matmul(c.dim, nu, nu)
     counit = kron_identity_matmul(c.counit_matrix(), m.dim, nu) == Matrix.identity(f, m.dim)
     return ValidationReport({"coassociative": coassoc, "counital": counit, "coaugmented": True, "conilpotent": True})
-
-
-def comodule_hom_basis(l, m):
-    """Basis of the space of comodule morphisms L -> M, as matrices.
-
-    A linear map F: L -> M is a morphism iff (id (x) F) nu_L = nu_M F; the
-    entries of F satisfy one linear equation per (input index, output
-    coordinate of C (x) M).
-    """
-    if l.base is not m.base and l.base != m.base:
-        raise ValueError("comodules over different coalgebras")
-    f = l.base.field
-    dl, dm = l.dim, m.dim
-    if dl == 0 or dm == 0:
-        return []
-    rows = {}
-
-    def unknown(r, cc):
-        return r * dl + cc
-
-    for t in range(dl):
-        for i, j, v in l.coaction[t]:
-            for r in range(dm):
-                key = (t, i, r)
-                rows.setdefault(key, {})
-                col = unknown(r, j)
-                rows[key][col] = f.add(rows[key].get(col, f.zero), v)
-    for t in range(dl):
-        for r in range(dm):
-            for i, s, v in m.coaction[r]:
-                key = (t, i, s)
-                rows.setdefault(key, {})
-                col = unknown(r, t)
-                rows[key][col] = f.sub(rows[key].get(col, f.zero), v)
-    keys = sorted(rows)
-    items = []
-    for ridx, key in enumerate(keys):
-        for col, v in rows[key].items():
-            if v != f.zero:
-                items.append((ridx, col, v))
-    system = Matrix.from_entries(f, len(keys), dm * dl, items)
-    kernel = system.kernel_matrix().column_dicts()
-    return [Matrix.from_entries(f, dm, dl, [(*divmod(k, dl), v) for k, v in vec.items()]) for vec in kernel]
 
 
 # ---------------------------------------------------------------------------

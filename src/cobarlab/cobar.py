@@ -18,21 +18,26 @@ offsets, never a tensor.  The differential is the derivation
 d(a (x) t) = D(a) (x) t - a (x) d(t) extending the reduced comultiplication D
 (d_0 is the reduced coaction), so block a of d_i on cell W is a shifted
 diagonal of value v per term v p (x) q of D(a), plus d_(i-1) on cell W - w_a
-negated and shifted; entries that meet add.  d preserves W, so one sweep
-builds each layer's cell differentials from the last layer's, checks d^2 = 0
-on every cell pair and ranks each cell.  A graded coalgebra is flattened with
-its internal degree as the first weight coordinate, which gives the (i, j)
-tables.  The zero grading has one cell per degree: the whole term, which the
-cohomology and product functions read through ``diff(i, None)``.
+negated and shifted; entries that meet add.  Each cell is built straight into
+its columns, dicts {row: value}, and handed on as a ``ColumnMatrix``, so block
+a copies whole columns of d_(i-1) and rank reads the columns as they are.  d
+preserves W, so one sweep builds each layer's cell differentials from the last
+layer's, checks d^2 = 0 on every cell pair and ranks each cell.  A graded
+coalgebra is flattened with its internal degree as the first weight
+coordinate, which gives the (i, j) tables.  The zero grading has one cell per
+degree: the whole term, which the cohomology and product functions read
+through ``diff(i, None)``.
 
 Each cell is ranked with clearing (Chen-Kerber, "Persistent homology
 computation with a twist", EuroCG 2011; Bauer-Kerber-Reininghaus, "Clear and
-compress", 2014).  Let S be the pivot rows of d_(i-1) on cell W, the rows of a
-nonsingular maximal minor; they index cell (i, W).  The coordinates outside S
-span a complement of im d_(i-1), and d_i vanishes on that image, because the
-sweep has checked d_i d_(i-1) = 0 before it ranks d_i.  So rank d_i is the
-rank of d_i with the columns in S deleted, and almost every column left is a
-pivot.  The pivot rows of that rank clear the next layer.
+compress", 2014).  Rank reports a nonsingular maximal minor of d_(i-1) on cell
+W: its pivot rows S, which index cell (i, W), and its pivot columns K.  The
+columns K are independent and there are rank d_(i-1) of them, so they span
+im d_(i-1), and d_i d_(i-1) = 0 holds exactly when d_i kills the columns K;
+the sweep checks that before it ranks d_i.  The coordinates outside S span a
+complement of im d_(i-1), on which d_i then vanishes, so rank d_i is the rank
+of d_i with the columns in S deleted, and almost every column left is a pivot.
+The pivots of that rank check and clear the next layer.
 
 A basis tensor is the tuple (a_1, ..., a_i, m) of positive-basis indices and
 a comodule index (0 without coefficients).  Lexicographic order on these
@@ -44,12 +49,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from itertools import islice, repeat
+from itertools import islice
 from math import lcm
 from operator import add
 
 from cobarlab.coalg import Coalgebra, GradedCoalgebra, flatten, validate_comodule
-from cobarlab.exactlin import QQ, Matrix, extend_to_basis
+from cobarlab.exactlin import QQ, ColumnMatrix, Matrix, extend_to_basis
 
 
 @dataclass(frozen=True)
@@ -148,15 +153,19 @@ class CobarComplex:
         self._ranks = None
         self._whole = None
 
-    def _cells(self, grading, tables, top, jmax=None, check=False):
+    def _cells(self, grading, tables, top, jmax=None):
         """Yield (i, w, dim, d) for every cell of layers 0..top (see the module docstring).
 
         A layer maps each weight W to [dim, {a: (offset, W - w_a)}]; layer 0
-        holds the comodule indices as blocks of dimension one.  A cell of d_(i-1)
-        is dropped after its last copy and its d^2 = 0 check (run if ``check``).
+        holds the comodule indices as blocks of dimension one.  Each d is a
+        ``ColumnMatrix``: block a's columns are the negated, shifted columns
+        of d_(i-1) on W - w_a, built as dicts {row: value}, plus one shifted
+        diagonal per term of D(a).  A cell is kept only while the next layer
+        still has a block to copy from it.
         """
         wc, wm = grading
-        p = self.field.p
+        f = self.field
+        p = f.p
         layer = {}
         for m, w in enumerate(wm):
             if jmax is None or w[0] <= jmax:
@@ -175,41 +184,42 @@ class CobarComplex:
                         cell[1][a] = (cell[0], w)
                         cell[0] += n
             ints += range(len(ints), max([n for n, _ in nxt.values()], default=0))
+            needed = Counter(src for _, blocks in nxt.values() for _, src in blocks.values()) if i < top else Counter()
             cur = {}
             for w, (n, blocks) in layer.items():
-                entries = {}
+                cols = []
                 rows, target = nxt.get(w, (0, {}))
                 for a, (col, src) in blocks.items():
-                    size, before = (prev[src].ncols, prev[src].entries) if i else (1, None)
-                    if before:
-                        r = target[a][0]
-                        for (x, y), v in before.items():
-                            entries[ints[r + x], ints[col + y]] = p - v if p else -v
+                    if i:
+                        r = target.get(a, (0,))[0]  # no block a: the copied columns have no rows
+                        if p:
+                            cols += [{ints[r + x]: p - v for x, v in c.items()} for c in prev[src].cols]
+                        else:
+                            cols += [{ints[r + x]: -v for x, v in c.items()} for c in prev[src].cols]
+                    else:
+                        cols.append({})
+                    block = cols[col:]
                     for pp, q, v in tables[0][a] if i else tables[1][a]:
                         off, mid = target[pp]
                         r = off + layer[mid][1][q][0]
-                        keys = zip(ints[r : r + size], ints[col : col + size])
-                        if pp != a or not before:
-                            entries.update(zip(keys, repeat(v)))
+                        if pp != a or not i:
+                            for k, c in enumerate(block, r):
+                                c[ints[k]] = v
                             continue
-                        for key in keys:  # a (x) q in the reduced comultiplication of a meets the copy
-                            s = self.field.add(entries.pop(key, 0), v)
+                        for k, c in enumerate(block, r):  # a (x) q in the reduced comultiplication of a meets the copy
+                            s = f.add(c.pop(k, 0), v)
                             if s:
-                                entries[key] = s
-                d = Matrix(self.field, rows, n, entries)
-                if check and w in prev and not (d @ prev[w]).is_zero():
-                    raise AssertionError("cobar differential does not square to zero at cell (%d,%r)" % (i - 1, w))
-                for src in [src for _, src in blocks.values() if i] + [w] * (w in prev):
+                                c[ints[k]] = s
+                d = ColumnMatrix(f, rows, cols)
+                for _, src in blocks.values() if i else ():
                     uses[src] -= 1
                     if not uses[src]:
                         del prev[src]
-                if i < top:
+                if w in needed:
                     cur[w] = d
                 yield i, w, n, d
-                del d  # a top cell is not kept while the next one is built
-            uses = Counter(src for _, blocks in nxt.values() for _, src in blocks.values())
-            uses.update(w for w in nxt if w in cur)
-            layer, prev = nxt, cur
+                del d, cols, block  # a top cell is not kept while the next one is built
+            layer, prev, uses = nxt, cur, needed
 
     def _sweep(self):
         """Dimensions and ranks of every cell through imax, checking d^2 = 0.
@@ -217,19 +227,27 @@ class CobarComplex:
         Cells are built from ``_int_constants``, the structure constants times
         L, the lcm of their denominators.  Each term of d inserts one constant,
         so a cell is L * d: same rank, and L^2 * d^2 vanishes iff d^2 does.
-        ``_cells`` checks d_i d_(i-1) = 0 on cell W before it yields d_i, so
-        the pivot rows of d_(i-1) on W may clear the columns of d_i (see the
-        module docstring); they are kept for one layer.
+        Before it ranks d_i on cell W, the sweep checks d_i d_(i-1) = 0 there
+        against the pivot columns K of d_(i-1) on W alone.  This is exact:
+        those columns are independent and |K| = rank d_(i-1), so they span
+        im d_(i-1).  Then the pivot rows of d_(i-1) on W may clear the
+        columns of d_i (see the module docstring).  Both are kept for one
+        layer, K as references to columns of d_(i-1).
         """
         if self._ranks is not None:
             return
         self._dims, ranks = {}, {}
-        layer, last, pivots = 0, {}, {}
-        for i, w, n, d in self._cells(self._grading, self._int_constants, self.imax, self.jmax, check=True):
+        layer, last, kept = 0, {}, {}
+        for i, w, n, d in self._cells(self._grading, self._int_constants, self.imax, self.jmax):
             if i > layer:
-                layer, last, pivots = i, pivots, {}
+                layer, last, kept = i, kept, {}
+            cleared, image = last.pop(w, ((), ()))
+            if not d.annihilates(image):
+                raise AssertionError("cobar differential does not square to zero at cell (%d,%r)" % (i - 1, w))
             self._dims[(i, w)] = n
-            ranks[(i, w)], pivots[w] = d.rank(last.pop(w, ()), pivot_rows=True)
+            ranks[(i, w)], rows, cols = d.rank(cleared, pivots=True)
+            if i < self.imax:
+                kept[w] = rows, [d.cols[k] for k in cols]
             del d  # the next cell is built without this one held
         self._ranks = ranks
 

@@ -361,7 +361,7 @@ class _BarComplex:
                 if i > imax:
                     ranks[(i, w)] = self.cell(i, w).rank(last.pop(w, ()))
                 else:
-                    ranks[(i, w)], pivots[w] = self.cell(i, w).rank(last.pop(w, ()), pivot_rows=True)
+                    ranks[(i, w)], pivots[w], _ = self.cell(i, w).rank(last.pop(w, ()), pivots=True)
         return sizes, ranks
 
     def cell(self, i, w=None):
@@ -539,18 +539,6 @@ def free_module(a, rank):
     eye = Matrix.identity(f, rank)
     acts = [Matrix.kron(eye, a.left_action_matrix(s)) for s in range(a.dim)]
     return ModulePresentation(a, rank * a.dim, acts)
-
-
-def direct_sum_modules(p, q):
-    if p.algebra != q.algebra:
-        raise ValueError("modules over different algebras")
-    f = p.algebra.field
-    acts = []
-    for s in range(p.algebra.dim):
-        items = [(r, c, v) for (r, c), v in p.actions[s].entries.items()]
-        items += [(p.dim + r, p.dim + c, v) for (r, c), v in q.actions[s].entries.items()]
-        acts.append(Matrix.from_entries(f, p.dim + q.dim, p.dim + q.dim, items))
-    return ModulePresentation(p.algebra, p.dim + q.dim, acts)
 
 
 def comodule_to_module(m, algebra=None):
@@ -872,73 +860,3 @@ def ext_via_initially_projective(r, y, n):
             raise AssertionError("mismatch inside the projective prefix at degree %d" % i)
     return InitiallyProjectiveReport(tuple(dims), tuple(true_dims), agree, r.projective_prefix_length)
 
-
-# ---------------------------------------------------------------------------
-# module extensions and the image of the comodule functor
-
-
-def module_extension_space(l, m):
-    """Basis of extension data on m (+) l: block maps making the sum a module.
-
-    An element assigns to each algebra basis element s a matrix c_s with
-    action blocks [[act_m[s], c_s], [0, act_l[s]]]; unitality and
-    associativity are linear constraints on the c_s.
-    """
-    a = l.algebra
-    f = a.field
-    rows_per = m.dim * l.dim  # c_s flattened row-major
-    unknowns = a.dim * rows_per
-    eqs = []
-    unit_row = {}
-    for s, v in enumerate(a.unit):
-        if v != f.zero:
-            for k in range(rows_per):
-                key = s * rows_per + k
-                unit_row.setdefault(k, {})[key] = v
-    for k, coeffs in unit_row.items():
-        eqs.append(coeffs)
-    for x in range(a.dim):
-        for y in range(a.dim):
-            # c(xy) = act_m[x] c_y + c_x act_l[y]
-            prod = a.mult[x][y]
-            for r in range(m.dim):
-                for c in range(l.dim):
-                    coeffs = {}
-                    for s, v in enumerate(prod):
-                        if v != f.zero:
-                            key = s * rows_per + r * l.dim + c
-                            coeffs[key] = f.add(coeffs.get(key, f.zero), v)
-                    for (rr, k), v in m.actions[x].entries.items():
-                        if rr == r:
-                            key = y * rows_per + k * l.dim + c
-                            coeffs[key] = f.sub(coeffs.get(key, f.zero), v)
-                    for (k, cc), v in l.actions[y].entries.items():
-                        if cc == c:
-                            key = x * rows_per + r * l.dim + k
-                            coeffs[key] = f.sub(coeffs.get(key, f.zero), v)
-                    if coeffs:
-                        eqs.append(coeffs)
-    items = []
-    for ridx, coeffs in enumerate(eqs):
-        for cidx, v in coeffs.items():
-            if v != f.zero:
-                items.append((ridx, cidx, v))
-    system = Matrix.from_entries(f, len(eqs), unknowns, items)
-    return [vec for vec in system.kernel_basis().vectors]
-
-
-def extension_module(l, m, data):
-    """Assemble the module m (+) l from one extension datum."""
-    a = l.algebra
-    f = a.field
-    rows_per = m.dim * l.dim
-    acts = []
-    for s in range(a.dim):
-        items = [(r, c, v) for (r, c), v in m.actions[s].entries.items()]
-        items += [(m.dim + r, m.dim + c, v) for (r, c), v in l.actions[s].entries.items()]
-        for k in range(rows_per):
-            v = data[s * rows_per + k]
-            if v != f.zero:
-                items.append((k // l.dim, m.dim + k % l.dim, v))
-        acts.append(Matrix.from_entries(f, m.dim + l.dim, m.dim + l.dim, items))
-    return ModulePresentation(a, m.dim + l.dim, acts)

@@ -20,11 +20,15 @@ is the minimum of a heap of column counts, updated lazily (a popped entry
 whose count went stale is pushed back with the current count), then the
 sparsest row in that column, ties broken by row index.  The index column ->
 rows changes only on fill-in and cancellation.  The same elimination can
-delete given columns first and report its pivot rows, which is how a chain
-complex's ranks are cleared (see ``Matrix.rank``).  Kernel bases, solving,
-quotient maps and basis extension share one reduced row echelon form with
-the same integer arithmetic (after Bareiss, Math. Comp. 1968) and index; it
-divides each row by its pivot only when the rows are returned.
+delete given columns first and report the pivot rows and columns of a
+nonsingular maximal minor, which is how a chain complex's ranks are cleared
+and its d^2 = 0 checked (see ``Matrix.rank`` and ``Matrix.annihilates``).  A
+``ColumnMatrix`` is stored as its columns: rank eliminates a tall one's
+columns without rebuilding them, and ``entries`` is built only when read.
+Kernel bases, solving, quotient maps and basis extension share one reduced
+row echelon form with the same integer arithmetic (after Bareiss, Math.
+Comp. 1968) and index; it divides each row by its pivot only when the rows
+are returned.
 
 Spans travel as sparse matrices: ``quotient_maps`` takes a subspace as the
 row space of a matrix, and ``extend_to_basis`` takes vectors as the columns
@@ -418,37 +422,70 @@ class Matrix:
                 entries[(base_r + ib, base_c + jb)] = f.mul(va, vb)
         return Matrix(f, self.nrows * rb, self.ncols * cb, entries)
 
-    def rank(self, cleared=(), pivot_rows=False):
+    def rank(self, cleared=(), pivots=False):
         """Rank of the matrix with the columns in ``cleared`` deleted.
 
-        With ``pivot_rows`` the result is the pair (rank, rows), where
-        ``rows`` is the set of row indices of a nonsingular square submatrix
-        of that size.  The elimination pairs each of its pivot rows with a
-        pivot column (a peeled row with one of its private columns), and
-        those pairs are the diagonal of a triangular form of that submatrix.
+        With ``pivots`` the result is the triple (rank, rows, cols): the row
+        and column indices of a nonsingular square submatrix of that size,
+        so the columns ``cols`` are independent and span the column space.
+        The elimination pairs each pivot line (a row, or a column of a tall
+        matrix) with a pivot index (a peeled line with one of its private
+        indices), and those pairs are the diagonal of a triangular form of
+        that submatrix.
 
         Clearing (Chen-Kerber, "Persistent homology computation with a
         twist", EuroCG 2011): if ``self @ a`` is zero and ``cleared`` holds
         the pivot rows of ``a``, the coordinates outside ``cleared`` span a
         complement of the image of ``a``, so the cleared rank is the rank.
         """
-        # Elimination keeps one work row per pivot; fewer rows is cheaper,
+        # Elimination keeps one work line per pivot; fewer lines is cheaper,
         # and rank is transpose-invariant.  A tall matrix eliminates its
-        # columns, so its pivot rows are the elimination's pivot columns.
+        # columns, so its pivot rows are the elimination's pivot indices.
         tall = self.nrows > self.ncols - len(cleared)
-        rows = self.column_dicts() if tall else _row_dicts(self)
+        lines, shared = self._lines(tall)
         if cleared and tall:
-            rows = [{} if j in cleared else col for j, col in enumerate(rows)]
+            lines = [{} if j in cleared else col for j, col in enumerate(lines)]
         elif cleared:
-            rows = [{c: v for c, v in row.items() if c not in cleared} for row in rows]
-        pivots = [] if pivot_rows else None
-        # a pivot names the row dict it was given by id; all are alive here
-        at = {id(row): i for i, row in enumerate(rows)} if pivot_rows and not tall else None
-        peeled, rows = _peel(rows, pivots)
-        rank_ = peeled + _rank_elim(rows, self.field.p, pivots)
-        if not pivot_rows:
+            lines = [{c: v for c, v in row.items() if c not in cleared} for row in lines]
+        found = [] if pivots else None
+        peeled, left = _peel(lines, found)
+        # the elimination changes its lines and their list in place; a shared line is copied first
+        elim = [] if pivots else None
+        rank_ = peeled + _rank_elim([dict(line) for line in left] if shared else list(left), self.field.p, elim)
+        if not pivots:
             return rank_
-        return rank_, {c if tall else at[r] for r, c in pivots}
+        # a pivot names its line by id; every line is alive here
+        at = {id(line): k for k, line in enumerate(lines)}
+        found += [(id(left[k]), c) for k, c in elim]
+        by_line = {at[line] for line, _ in found}
+        by_index = {c for _, c in found}
+        return (rank_, by_index, by_line) if tall else (rank_, by_line, by_index)
+
+    def _lines(self, tall):
+        """The columns if ``tall``, else the rows, as dicts, and whether they are shared with the matrix.
+
+        Here they are fresh, so rank may change them.
+        """
+        return (self.column_dicts() if tall else _row_dicts(self)), False
+
+    def annihilates(self, vectors):
+        """Whether ``self @ v`` is zero for every v in ``vectors``, each a sparse column {index: value}.
+
+        Over QQ the sums are exact; over GF(p) each is reduced mod p once.
+        """
+        cols = self._lines(True)[0]  # only read
+        p = self.field.p
+        for vec in vectors:
+            acc = {}
+            for k, x in vec.items():
+                for r, y in cols[k].items():
+                    if r in acc:
+                        acc[r] += x * y
+                    else:
+                        acc[r] = x * y
+            if any(s % p for s in acc.values()) if p else any(acc.values()):
+                return False
+        return True
 
     def rref(self):
         """Reduced row echelon form.
@@ -507,6 +544,44 @@ class Matrix:
             return None
         entries = {(p, c - n): v for p, row in zip(pivots, rows) for c, v in row.items() if c >= n}
         return Matrix(self.field, n, rhs.ncols, entries)
+
+
+class ColumnMatrix(Matrix):
+    """A matrix stored as its columns, dicts {row: value} of nonzero field elements.
+
+    ``entries`` is built from the columns on first read and kept, so a
+    consumer that never reads it (rank, ``annihilates``, ``nnz``) never
+    pays for it.  Rank eliminates a tall one's columns directly and copies
+    only those left after the peel, which elimination changes; the columns
+    are owned, and callers must not mutate them.
+    """
+
+    __slots__ = ("cols", "_entries")
+
+    def __init__(self, field, nrows, cols):
+        self.field = field
+        self.nrows = nrows
+        self.ncols = len(cols)
+        self.cols = cols
+        self._entries = None
+
+    @property
+    def entries(self):
+        if self._entries is None:
+            self._entries = {(i, j): v for j, col in enumerate(self.cols) for i, v in col.items()}
+        return self._entries
+
+    def nnz(self):
+        return sum(map(len, self.cols))
+
+    def _lines(self, tall):
+        if tall:
+            return self.cols, True
+        rows = [{} for _ in range(self.nrows)]
+        for j, col in enumerate(self.cols):
+            for i, v in col.items():
+                rows[i][j] = v
+        return rows, False
 
 
 def kron_identity_matmul(a, b, y):
@@ -689,9 +764,9 @@ def _rank_elim(rows, p, pivots=None):
     when popped stale, so no column is dropped unpivoted.  The pivot row is
     the sparsest holding that column, ties by index, and a column held by
     one row retires that row without a search.  With a list ``pivots``,
-    each pivot appends the pair (id of the row as given, column).
+    each pivot appends the pair (index of the row in ``rows``, column).
+    The list ``rows`` and its dicts may be changed in place.
     """
-    given = rows
     rows, col_rows = _indexed(rows, p)
     heap = [(len(s), c) for c, s in col_rows.items()]
     heapq.heapify(heap)
@@ -706,7 +781,7 @@ def _rank_elim(rows, p, pivots=None):
         rank_ += 1
         piv = next(iter(s)) if cnt == 1 else min(s, key=lambda i: (len(rows[i]), i))
         if pivots is not None:
-            pivots.append((id(given[piv]), col))  # before it is retired: over GF(p) ``given`` is ``rows``
+            pivots.append((piv, col))
         prow = rows[piv]
         rows[piv] = None
         for c in prow:

@@ -181,19 +181,6 @@ def is_rational(f: TaggedCofunctional) -> bool:
     return f.tail == f.field.zero
 
 
-def rationalizing_vector(f: TaggedCofunctional):
-    """Coordinates of a vector realizing f, or None when no vector does."""
-    if f.variant == "vector":
-        return f.coords
-    if f.tail != f.field.zero:
-        return None
-    bound = 1 + max((i for i, _ in f.corrections), default=-1)
-    coords = [f.field.zero] * bound
-    for i, v in f.corrections:
-        coords[i] = v
-    return tuple(coords)
-
-
 def rationality_obstruction(f: TaggedCofunctional, probe=16):
     """Defect of the coordinatewise vector read off f.
 
@@ -491,31 +478,6 @@ class ContraWitness:
 
 def build_contra_witness(field=QQ) -> ContraWitness:
     return ContraWitness(field, diagonal_tail_map(field.one, field=field))
-
-
-def module_action(a: SubringElement, q: QElement) -> QElement:
-    """Induced subring action on Q through the contraaction.
-
-    The input fed to the contraaction is c |-> a(c) q.  Its V -> T block has
-    entries t_i * chi(e_j), an honest finite block only when chi has zero
-    tail, so the action is modeled on that dense part of the subring.
-    """
-    f = q.field
-    if a.field != f:
-        raise ValueError("field mismatch")
-    if a.chi.tail != f.zero:
-        raise ValueError("module action needs a finitely supported functional")
-    block = {}
-    for i, t in q.t_part:
-        for j, _ in a.chi.corrections:
-            block[(i, j)] = f.mul(t, a.chi.value(j))
-    h = HomToQ(
-        f,
-        f.mul(a.alpha, q.k_part),
-        tuple((i, f.mul(a.alpha, t)) for i, t in q.t_part),
-        TaggedLinearMap(f, f.zero, tuple(block.items())),
-    )
-    return contraaction(h)
 
 
 def _random_finite_rank(rng, field, span=6):

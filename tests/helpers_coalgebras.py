@@ -2,9 +2,10 @@
 
 from operator import add
 
-from cobarlab.coalg import Coalgebra, _monomials, reduced_coaction_matrix, symmetric_coalgebra, tensor_coalgebra
-from cobarlab.dualalg import Algebra, GradedAlgebra, graded_dual, quadratic_algebra
+from cobarlab.coalg import Coalgebra, Comodule, _monomials, reduced_coaction_matrix, symmetric_coalgebra, tensor_coalgebra
+from cobarlab.dualalg import Algebra, GradedAlgebra, ModulePresentation, graded_dual, quadratic_algebra
 from cobarlab.exactlin import QQ, Matrix
+from cobarlab.witness import HomToQ, QElement, SubringElement, TaggedCofunctional, TaggedLinearMap, contraaction
 
 
 def dual_numbers_dual(field=QQ):
@@ -424,8 +425,13 @@ def _cell_diff_negating_each_entry(f, cell, rows, comul, coaction):
 
 
 def swept_cells(cx):
-    """(i, w, nrows, ncols, entries) for every cell the sweep of ``cx`` builds, in sweep order."""
-    cells = cx._cells(cx._grading, cx._int_constants, cx.imax, cx.jmax, check=True)
+    """(i, w, nrows, ncols, entries) for every cell the sweep of ``cx`` builds, in sweep order.
+
+    The sweep runs first, so its d^2 = 0 check has passed; ``entries`` is
+    read from each cell's columns.
+    """
+    cx._sweep()
+    cells = cx._cells(cx._grading, cx._int_constants, cx.imax, cx.jmax)
     return [(i, w, d.nrows, n, d.entries) for i, w, n, d in cells]
 
 
@@ -503,3 +509,180 @@ def symmetric_to_tensor_embedding(m, top, field):
                     items.append((widx, col, field.one))
         out[j] = Matrix.from_entries(field, m**j if m > 0 else (1 if j == 0 else 0), len(bases[j]), items)
     return out
+
+
+# ---------------------------------------------------------------------------
+# direct sums, comodule morphisms and module extensions (test constructions)
+
+
+def direct_sum_comodules(m1, m2):
+    if m1.base != m2.base:
+        raise ValueError("comodules over different coalgebras")
+    coaction = [list(triples) for triples in m1.coaction]
+    for triples in m2.coaction:
+        coaction.append([(i, j + m1.dim, v) for i, j, v in triples])
+    return Comodule(m1.base, m1.dim + m2.dim, coaction)
+
+
+def comodule_hom_basis(l, m):
+    """Basis of the space of comodule morphisms L -> M, as matrices.
+
+    A linear map F: L -> M is a morphism iff (id (x) F) nu_L = nu_M F; the
+    entries of F satisfy one linear equation per (input index, output
+    coordinate of C (x) M).
+    """
+    if l.base is not m.base and l.base != m.base:
+        raise ValueError("comodules over different coalgebras")
+    f = l.base.field
+    dl, dm = l.dim, m.dim
+    if dl == 0 or dm == 0:
+        return []
+    rows = {}
+
+    def unknown(r, cc):
+        return r * dl + cc
+
+    for t in range(dl):
+        for i, j, v in l.coaction[t]:
+            for r in range(dm):
+                key = (t, i, r)
+                rows.setdefault(key, {})
+                col = unknown(r, j)
+                rows[key][col] = f.add(rows[key].get(col, f.zero), v)
+    for t in range(dl):
+        for r in range(dm):
+            for i, s, v in m.coaction[r]:
+                key = (t, i, s)
+                rows.setdefault(key, {})
+                col = unknown(r, t)
+                rows[key][col] = f.sub(rows[key].get(col, f.zero), v)
+    keys = sorted(rows)
+    items = []
+    for ridx, key in enumerate(keys):
+        for col, v in rows[key].items():
+            if v != f.zero:
+                items.append((ridx, col, v))
+    system = Matrix.from_entries(f, len(keys), dm * dl, items)
+    kernel = system.kernel_matrix().column_dicts()
+    return [Matrix.from_entries(f, dm, dl, [(*divmod(k, dl), v) for k, v in vec.items()]) for vec in kernel]
+
+
+def direct_sum_modules(p, q):
+    if p.algebra != q.algebra:
+        raise ValueError("modules over different algebras")
+    f = p.algebra.field
+    acts = []
+    for s in range(p.algebra.dim):
+        items = [(r, c, v) for (r, c), v in p.actions[s].entries.items()]
+        items += [(p.dim + r, p.dim + c, v) for (r, c), v in q.actions[s].entries.items()]
+        acts.append(Matrix.from_entries(f, p.dim + q.dim, p.dim + q.dim, items))
+    return ModulePresentation(p.algebra, p.dim + q.dim, acts)
+
+
+def module_extension_space(l, m):
+    """Basis of extension data on m (+) l: block maps making the sum a module.
+
+    An element assigns to each algebra basis element s a matrix c_s with
+    action blocks [[act_m[s], c_s], [0, act_l[s]]]; unitality and
+    associativity are linear constraints on the c_s.
+    """
+    a = l.algebra
+    f = a.field
+    rows_per = m.dim * l.dim  # c_s flattened row-major
+    unknowns = a.dim * rows_per
+    eqs = []
+    unit_row = {}
+    for s, v in enumerate(a.unit):
+        if v != f.zero:
+            for k in range(rows_per):
+                key = s * rows_per + k
+                unit_row.setdefault(k, {})[key] = v
+    for k, coeffs in unit_row.items():
+        eqs.append(coeffs)
+    for x in range(a.dim):
+        for y in range(a.dim):
+            # c(xy) = act_m[x] c_y + c_x act_l[y]
+            prod = a.mult[x][y]
+            for r in range(m.dim):
+                for c in range(l.dim):
+                    coeffs = {}
+                    for s, v in enumerate(prod):
+                        if v != f.zero:
+                            key = s * rows_per + r * l.dim + c
+                            coeffs[key] = f.add(coeffs.get(key, f.zero), v)
+                    for (rr, k), v in m.actions[x].entries.items():
+                        if rr == r:
+                            key = y * rows_per + k * l.dim + c
+                            coeffs[key] = f.sub(coeffs.get(key, f.zero), v)
+                    for (k, cc), v in l.actions[y].entries.items():
+                        if cc == c:
+                            key = x * rows_per + r * l.dim + k
+                            coeffs[key] = f.sub(coeffs.get(key, f.zero), v)
+                    if coeffs:
+                        eqs.append(coeffs)
+    items = []
+    for ridx, coeffs in enumerate(eqs):
+        for cidx, v in coeffs.items():
+            if v != f.zero:
+                items.append((ridx, cidx, v))
+    system = Matrix.from_entries(f, len(eqs), unknowns, items)
+    return [vec for vec in system.kernel_basis().vectors]
+
+
+def extension_module(l, m, data):
+    """Assemble the module m (+) l from one extension datum."""
+    a = l.algebra
+    f = a.field
+    rows_per = m.dim * l.dim
+    acts = []
+    for s in range(a.dim):
+        items = [(r, c, v) for (r, c), v in m.actions[s].entries.items()]
+        items += [(m.dim + r, m.dim + c, v) for (r, c), v in l.actions[s].entries.items()]
+        for k in range(rows_per):
+            v = data[s * rows_per + k]
+            if v != f.zero:
+                items.append((k // l.dim, m.dim + k % l.dim, v))
+        acts.append(Matrix.from_entries(f, m.dim + l.dim, m.dim + l.dim, items))
+    return ModulePresentation(a, m.dim + l.dim, acts)
+
+
+# ---------------------------------------------------------------------------
+# the subring action and the rationalizing vector of the witness models
+
+
+def module_action(a: SubringElement, q: QElement) -> QElement:
+    """Induced subring action on Q through the contraaction.
+
+    The input fed to the contraaction is c |-> a(c) q.  Its V -> T block has
+    entries t_i * chi(e_j), an honest finite block only when chi has zero
+    tail, so the action is modeled on that dense part of the subring.
+    """
+    f = q.field
+    if a.field != f:
+        raise ValueError("field mismatch")
+    if a.chi.tail != f.zero:
+        raise ValueError("module action needs a finitely supported functional")
+    block = {}
+    for i, t in q.t_part:
+        for j, _ in a.chi.corrections:
+            block[(i, j)] = f.mul(t, a.chi.value(j))
+    h = HomToQ(
+        f,
+        f.mul(a.alpha, q.k_part),
+        tuple((i, f.mul(a.alpha, t)) for i, t in q.t_part),
+        TaggedLinearMap(f, f.zero, tuple(block.items())),
+    )
+    return contraaction(h)
+
+
+def rationalizing_vector(f: TaggedCofunctional):
+    """Coordinates of a vector realizing f, or None when no vector does."""
+    if f.variant == "vector":
+        return f.coords
+    if f.tail != f.field.zero:
+        return None
+    bound = 1 + max((i for i, _ in f.corrections), default=-1)
+    coords = [f.field.zero] * bound
+    for i, v in f.corrections:
+        coords[i] = v
+    return tuple(coords)

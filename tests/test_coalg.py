@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from helpers_coalgebras import symmetric_to_tensor_embedding
+from helpers_coalgebras import comodule_hom_basis, symmetric_to_tensor_embedding
 
 from cobarlab.coalg import (
     Coalgebra,
@@ -13,7 +13,6 @@ from cobarlab.coalg import (
     UnsupportedCharacteristic,
     coaugmentation_filtration,
     cofree_comodule,
-    comodule_hom_basis,
     extension_comodule,
     flatten,
     opposite,

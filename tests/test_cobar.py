@@ -264,6 +264,35 @@ def test_non_coassociative_input_fails_the_square_check():
             ext_table(build_cobar(non_coassociative(scale), 2))
 
 
+def test_square_check_catches_a_fault_deep_in_the_sweep(monkeypatch):
+    # the sweep multiplies d_i only by the pivot columns of d_(i-1), which
+    # span its image; one changed entry of d_i, in any column that image
+    # reaches, makes the whole product nonzero, so those columns must see it
+    raw = CobarComplex._cells
+    c3 = loads_presentation(resources.files("cobarlab").joinpath("data", "c3.json").read_text(encoding="utf-8"))
+    for c, imax in ((c3, 4), (flatten(symmetric_coalgebra(2, 3, QQ)), 3), (flatten(symmetric_coalgebra(2, 3, GF(7))), 3)):
+        cx = build_cobar(c, imax)
+        cells = {(i, w): d for i, w, _, d in raw(cx, cx._grading, cx._int_constants, imax, cx.jmax)}
+        w = next(w for i, w in cells if i == imax and cells[i, w].nrows and (i - 1, w) in cells and cells[i - 1, w].nnz())
+        reached = sorted({r for col in cells[imax - 1, w].cols for r in col})
+        for fault in reached:
+
+            def perturbed(self, *args, fault=fault, **kwargs):
+                for i, v, n, d in raw(self, *args, **kwargs):
+                    if (i, v) == (imax - 1, w):
+                        before = d
+                    if (i, v) == (imax, w):
+                        col = d.cols[fault]
+                        col[0] = self.field.add(col[0], col[0]) if col.get(0) else 1
+                        assert not (d @ before).is_zero()
+                    yield i, v, n, d
+
+            monkeypatch.setattr(CobarComplex, "_cells", perturbed)
+            with pytest.raises(AssertionError) as info:
+                ext_table(build_cobar(c, imax))
+            assert str(info.value) == "cobar differential does not square to zero at cell (%d,%r)" % (imax - 1, w)
+
+
 def test_rescaled_basis_with_fractional_constants_keeps_the_ext_table():
     rng = random.Random(20260817)
     for c, imax in ((divided_line(), 5), (flatten(tensor_coalgebra(2, 2, QQ)), 4), (flatten(symmetric_coalgebra(2, 3, QQ)), 3)):
@@ -345,9 +374,9 @@ def test_product_table_builds_the_whole_terms_in_one_pass(monkeypatch):
     checks = []
     raw = CobarComplex._cells
 
-    def counted(self, *args, **kwargs):
-        checks.append(kwargs.get("check", False))
-        return raw(self, *args, **kwargs)
+    def counted(self, grading, *args, **kwargs):
+        checks.append(grading is self._grading)  # the weight grading is the checked sweep's
+        return raw(self, grading, *args, **kwargs)
 
     monkeypatch.setattr(CobarComplex, "_cells", counted)
     dims, products = ext_algebra_table(build_cobar(c3, 8), 8)

@@ -7,11 +7,15 @@ import pytest
 from helpers_coalgebras import (
     acceptance_corpus,
     bar_boundary,
+    direct_sum_comodules,
+    direct_sum_modules,
     divided_line,
     dual_numbers_dual,
+    extension_module,
     kron_bar_boundary,
     kron_validate_algebra,
     kron_validate_graded_algebra,
+    module_extension_space,
     non_associative_algebra,
     non_associative_graded_algebra,
     per_column_bar_reduced,
@@ -26,7 +30,6 @@ import cobarlab
 
 from cobarlab.coalg import (
     Coalgebra,
-    direct_sum_comodules,
     extension_comodule,
     flatten,
     opposite,
@@ -47,16 +50,13 @@ from cobarlab.dualalg import (
     comodule_ext_dims,
     comodule_to_module,
     compare_theorem1,
-    direct_sum_modules,
     dual_algebra,
     ext_via_initially_projective,
-    extension_module,
     free_module,
     free_resolution_as_initially_projective,
     graded_dual,
     is_projective,
     module_ext,
-    module_extension_space,
     module_to_comodule,
     opposite_algebra,
     quadratic_algebra,

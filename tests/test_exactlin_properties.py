@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from test_exactlin import dense_rank_oracle
 
-from cobarlab.exactlin import _peel, GF, QQ, Matrix, kron_identity_matmul
+from cobarlab.exactlin import _peel, GF, QQ, ColumnMatrix, Matrix, kron_identity_matmul
 
 FIELDS = (QQ, GF(2), GF(7), GF(2**31 - 1))
 # QQ draws ints and Fractions (see ``scalars``)
@@ -99,13 +99,22 @@ def left_kernel_pair(data, field, n):
     return a, b
 
 
-def assert_pivot_rows_carry_the_rank(m, cleared=frozenset()):
-    """The reported pivot rows of m, its columns in ``cleared`` deleted, hold a minor of full rank."""
-    r, rows = m.rank(cleared, pivot_rows=True)
+def assert_pivots_carry_the_rank(m, cleared=frozenset()):
+    """The reported pivot rows and columns of m, its columns in ``cleared`` deleted, index a minor of full rank.
+
+    The same holds for m stored as its columns (``ColumnMatrix``), whose
+    entries the ranks leave unchanged.
+    """
+    dense = m.to_rows()
     kept = [j for j in range(m.ncols) if j not in cleared]
-    dense = [[row[j] for j in kept] for row in m.to_rows()]
-    assert len(rows) == r == m.rank(cleared) == dense_rank_oracle(m.field, dense)
-    assert dense_rank_oracle(m.field, [dense[i] for i in sorted(rows)]) == r
+    expected = dense_rank_oracle(m.field, [[row[j] for j in kept] for row in dense])
+    for ranked in (m, ColumnMatrix(m.field, m.nrows, m.column_dicts())):
+        r, rows, cols = ranked.rank(cleared, pivots=True)
+        assert len(rows) == len(cols) == r == ranked.rank(cleared) == expected
+        assert cols <= set(kept)
+        assert dense_rank_oracle(m.field, [dense[i] for i in sorted(rows)]) == r
+        assert dense_rank_oracle(m.field, [[dense[i][j] for j in sorted(cols)] for i in sorted(rows)]) == r
+        assert ranked.entries == m.entries
 
 
 def lines_matrix(field, lines, width, tall):
@@ -125,10 +134,10 @@ def lines_matrix(field, lines, width, tall):
 @given(st.sampled_from(FIELDS_CLEARED), st.integers(0, 9), st.data())
 def test_rank_cleared_by_the_pivot_rows_of_a_right_factor_is_the_rank(field, n, data):
     a, b = left_kernel_pair(data, field, n)
-    _, rows = a.rank(pivot_rows=True)
+    _, rows, _ = a.rank(pivots=True)
     assert b.rank(rows) == b.rank()
-    assert_pivot_rows_carry_the_rank(a)
-    assert_pivot_rows_carry_the_rank(b, rows)
+    assert_pivots_carry_the_rank(a)
+    assert_pivots_carry_the_rank(b, rows)
 
 
 @PROPERTY
@@ -137,8 +146,8 @@ def test_pivot_rows_of_sparse_matrices_carry_the_rank(field, r, c, data):
     a = matrices(data, field, r, c, max_size=min(r * c, r + c))
     cleared = data.draw(st.sets(st.integers(0, c - 1)) if c else st.just(set()))
     for m in (a, a.transpose()):
-        assert_pivot_rows_carry_the_rank(m)
-    assert_pivot_rows_carry_the_rank(a, cleared)
+        assert_pivots_carry_the_rank(m)
+    assert_pivots_carry_the_rank(a, cleared)
 
 
 @PROPERTY
@@ -153,7 +162,7 @@ def test_pivot_rows_of_a_staircase_come_from_the_peel(field, k, tall, data):
         lines.append({order[i]: data.draw(scalars(field).filter(bool))} | {c: data.draw(scalars(field)) for c in later})
     lines = [{c: v for c, v in line.items() if v} for line in lines]
     assert _peel(lines)[1] == []
-    assert_pivot_rows_carry_the_rank(lines_matrix(field, lines, k, tall))
+    assert_pivots_carry_the_rank(lines_matrix(field, lines, k, tall))
 
 
 @PROPERTY
@@ -164,4 +173,15 @@ def test_pivot_rows_of_doubled_lines_come_from_markowitz(field, k, width, tall, 
     base = [{c: v for c, v in enumerate(row) if v} for row in matrices(data, field, k, width).to_rows()]
     lines = base + [{c: field.mul(field.from_int(2), v) for c, v in line.items()} for line in base]
     assert _peel(lines)[0] == 0
-    assert_pivot_rows_carry_the_rank(lines_matrix(field, lines, width, tall))
+    assert_pivots_carry_the_rank(lines_matrix(field, lines, width, tall))
+
+
+@PROPERTY
+@given(st.sampled_from(FIELDS_CLEARED), st.integers(0, 9), st.integers(0, 9), st.booleans(), st.data())
+def test_pivot_rows_and_columns_index_a_nonsingular_minor(field, r, c, clear, data):
+    # dense enough that Markowitz elimination runs after the peel, so the
+    # column-backed copy must keep the columns that elimination changes
+    a = matrices(data, field, r, c)
+    for m in (a, a.transpose()):  # tall and wide
+        cleared = data.draw(st.sets(st.integers(0, m.ncols - 1))) if clear and m.ncols else frozenset()
+        assert_pivots_carry_the_rank(m, cleared)

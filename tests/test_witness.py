@@ -1,6 +1,8 @@
 import json
 import random
 
+from helpers_coalgebras import module_action, rationalizing_vector
+
 from cobarlab.exactlin import GF, QQ, SubspaceBasis
 from cobarlab.witness import (
     ContraWitness,
@@ -21,12 +23,10 @@ from cobarlab.witness import (
     from_vector,
     is_rational,
     max_rational_submodule,
-    module_action,
     nonrational_report,
     phi,
     random_subring_element,
     rationality_obstruction,
-    rationalizing_vector,
     subring_unit,
     verify_contra_witness,
     verify_module_axioms,
