@@ -261,8 +261,10 @@ class CobarComplex:
 
         This is the one cell of the zero grading; for a graded input it is
         the differential of the flattened coalgebra.  ``j`` must be None.
-        One pass of ``_cells`` builds the terms up to i and keeps them; a
-        later call for a higher term resumes it.
+        One pass of ``_cells`` builds the terms up to i and keeps them as
+        plain matrices; a later call for a higher term resumes it, and the
+        pass is closed once the term at imax is built, so that it holds no
+        second copy of that term.
         """
         if j is not None:
             raise ValueError("diff builds whole terms; internal degrees are split inside the sweep")
@@ -273,7 +275,9 @@ class CobarComplex:
             self._whole = [], self._cells(zero, (self._comul, self._coaction), self.imax)
         built, cells = self._whole
         if i >= len(built):
-            built.extend(d for _, _, _, d in islice(cells, i + 1 - len(built)))
+            built += (Matrix(d.field, d.nrows, d.ncols, d.entries) for _, _, _, d in islice(cells, i + 1 - len(built)))
+            if len(built) > self.imax:
+                cells.close()
         # the pass stops early only when there is no positive part
         return built[i] if 0 <= i < len(built) else Matrix.zeros(self.field, 0, 0)
 

@@ -18,12 +18,12 @@ for a graded algebra, by its degree metadata for a finite one.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import prod
 
 from cobarlab.coalg import Coalgebra, Comodule, GradedCoalgebra, validate, validate_comodule
 from cobarlab.cobar import ExtTable
-from cobarlab.exactlin import Matrix, SubspaceBasis, extend_to_basis, kron_identity_matmul, quotient_maps
+from cobarlab.exactlin import ColumnMatrix, Matrix, SubspaceBasis, extend_to_basis, kron_identity_matmul, quotient_maps
 
 
 class Algebra:
@@ -282,19 +282,33 @@ def quadratic_algebra(m, relations, top, field):
 class _BarComplex:
     """Reduced bar complex of an augmented algebra, split into internal-degree cells.
 
-    A_+ has ``dims[w]`` basis vectors of degree w, and ``mu[(p, q)]`` is the
-    reduced product A_p (x) A_q -> A_{p+q} (column index a*dims[q] + b).
-    Cell (i, w) of B_i = A_+^(x i) holds one block per composition of w into
-    i degrees, row-major inside; the boundary keeps the degree.  A graded
-    algebra gives its components.  A finite algebra gives ``reduced``, the
-    product on A_+ = ker(augmentation), graded by its ``degrees`` when
+    A_+ has ``dims[p]`` basis vectors of degree p, and ``mu[(p, q)]`` is the
+    reduced product A_p (x) A_q -> A_{p+q} (column index a*dims[q] + b).  A
+    graded algebra gives its components.  A finite algebra gives ``reduced``,
+    the product on A_+ = ker(augmentation), graded by its ``degrees`` when
     ``_positive_degrees`` accepts them and by the zero grading (one cell per
-    term) otherwise.  ``cell(i)`` is the zero-grading cell, the whole term
-    indexed row-major over A_+^(x i).
+    term, the whole term) otherwise.
 
-    A cell is the transpose of the boundary, the cochain map d_i^T:
-    B_(i-1)* -> B_i*, so that ``bar_ext_table`` ranks the cells with
-    clearing in the cohomological direction, as the cobar sweep does.
+    Cell (i, w) of B_i = A_+^(x i) is the concatenation, over first-factor
+    degrees p in ascending order, of the blocks A_p (x) cell (i-1, w-p), each
+    indexed (a, u) -> a * dim cell (i-1, w-p) + u; cell (0, 0) is B_0 = k.
+    The first factor is the most significant index, so the zero grading's
+    cell is A_+^(x i) in Kronecker order.  A term's layout maps each degree w
+    to [dim, {p: (offset, w - p)}], never a tensor.
+
+    The boundary is d_i = mu (x) 1 - 1 (x) d_(i-1), and it keeps the degree.
+    A cell is its transpose, the cochain map d_i^T: cell (i-1, w)* -> cell
+    (i, w)*, built straight into its columns, dicts {row: value}, and handed
+    on as a ``ColumnMatrix``.  So in block p of cell (i-1, w), column (a, u)
+    is column u of d_(i-1)^T on cell (i-1, w-p), negated and shifted into
+    block p of cell (i, w) at row a * dim cell (i-1, w-p), plus one shifted
+    diagonal per entry of ``mu[(p', q')]`` with p' + q' = p, in block p'.
+    The two meet only in the zero grading, where they add.  A cell is kept
+    only while the next term still has a block to copy from it, so no cell
+    of the top term is kept.
+
+    ``bar_ext_table`` ranks the cells with clearing in the cohomological
+    direction, as the cobar sweep does (see ``sweep``).
     """
 
     def __init__(self, a):
@@ -331,15 +345,6 @@ class _BarComplex:
             self.dims = tuple(dims)
             self.mu = {(p, q): Matrix(f, dims[p + q], dims[p] * dims[q], e) for (p, q), e in items.items()}
 
-    def layout(self, i, w, dims=None):
-        """(size, {composition: offset}) of cell (i, w)."""
-        dims = dims or self.dims
-        offsets, total = {}, 0
-        for comp in _compositions(w, i, dims):
-            offsets[comp] = total
-            total += prod(dims[p] for p in comp)
-        return total, offsets
-
     def sweep(self, imax, jmax=None):
         """Sizes and ranks of the cells of terms 0 .. imax + 1, ranked with clearing.
 
@@ -348,55 +353,91 @@ class _BarComplex:
         Clearing (see ``Matrix.rank``): d_(i+1)^T d_i^T = (d_i d_(i+1))^T is
         zero because the product of A_+ is associative, which
         ``bar_ext_table`` validates, so the pivot rows of cell (i, w) may
-        clear the columns of cell (i+1, w).  They are kept for one term, and
-        the top term's are never collected.
+        clear the columns of cell (i+1, w): both index cell (i, w) in the
+        same layout.  They are kept for one term, and the top term's are
+        never collected.
         """
-        sizes, ranks, pivots = {}, {}, {}
-        for i in range(imax + 2):
-            last, pivots = pivots, {}
-            for w in range(i * (len(self.dims) - 1) + 1 if jmax is None else jmax + 1):
-                size = sizes[(i, w)] = self.layout(i, w)[0]
-                if not (i and size and sizes.get((i - 1, w))):
-                    continue
+        sizes, ranks = {}, {}
+        term, last, pivots = 0, {}, {}
+        for i, w, n, d in self._cells(self.dims, self.mu, imax + 1, jmax):
+            if i > term:
+                term, last, pivots = i, pivots, {}
+            sizes[(i, w)] = n
+            if i and n and d.ncols:
                 if i > imax:
-                    ranks[(i, w)] = self.cell(i, w).rank(last.pop(w, ()))
+                    ranks[(i, w)] = d.rank(last.pop(w, ()))
                 else:
-                    ranks[(i, w)], pivots[w], _ = self.cell(i, w).rank(last.pop(w, ()), pivots=True)
+                    ranks[(i, w)], pivots[w], _ = d.rank(last.pop(w, ()), pivots=True)
+            del d  # the next cell is built without this one held
         return sizes, ranks
 
-    def cell(self, i, w=None):
-        """d^T: cell (i-1, w)* -> cell (i, w)*, where d is the alternating sum of adjacent reduced products.
+    def _cells(self, dims, mu, top, jmax=None):
+        """Yield (i, w, dim cell (i, w), d_i^T on it) for every degree w of terms 0 .. top.
 
-        ``w=None`` gives the whole term, the one cell of the zero grading.
-        Each entry of d is written under the swapped key, so no transpose is
-        built.
+        The degrees are w <= jmax, or every degree of term i when jmax is
+        None; an empty cell has dim 0.  d_0^T has no columns.  See the class
+        docstring for the layout and the recursion.
         """
         f = self.f
-        dims, mu = (self.dims, self.mu) if w is not None else ((self.d,), {(0, 0): self.reduced})
-        src_dim, src_off = self.layout(i, w or 0, dims)
-        dst_dim, dst_off = self.layout(i - 1, w or 0, dims)
-        entries = {}
-        for comp, col0 in src_off.items():
-            sizes = [dims[p] for p in comp]
-            for t in range(i - 1):
-                p, q = comp[t], comp[t + 1]
-                row0 = dst_off.get(comp[:t] + (p + q,) + comp[t + 2 :])
-                if row0 is None or (p, q) not in mu:
-                    continue
-                before, after = prod(sizes[:t]), prod(sizes[t + 2 :])
-                height, width = dims[p + q], sizes[t] * sizes[t + 1]
-                for (r, c), v in mu[(p, q)].entries.items():
-                    v = f.neg(v) if t % 2 else v
-                    for b in range(before):
-                        row, col = row0 + (b * height + r) * after, col0 + (b * width + c) * after
-                        for x in range(after):
-                            key = (col + x, row + x)
-                            s = f.add(entries[key], v) if key in entries else v
-                            if s:
-                                entries[key] = s
-                            else:
-                                del entries[key]
-        return Matrix(f, src_dim, dst_dim, entries)
+        p = f.p
+        span = len(dims) - 1
+        products = {}  # p' + q' -> [(p', q', [(a, a', b', value)])]: row a of mu[(p', q')] at column a' (x) b'
+        for (p1, q1), m in mu.items():
+            entries = [(r, *divmod(c, dims[q1]), v) for (r, c), v in m.entries.items()]
+            if entries:
+                products.setdefault(p1 + q1, []).append((p1, q1, entries))
+        rows, cols = {0: [1, {}]}, {}
+        prev, uses = {}, Counter()
+        ints = [0]  # one int object per row index, shared by every key
+        for i in range(top + 1):
+            if i:
+                cols, rows = rows, {}
+                for deg, k in enumerate(dims):
+                    for w, (n, _) in cols.items():
+                        if k and (jmax is None or w + deg <= jmax):
+                            cell = rows.setdefault(w + deg, [0, {}])
+                            cell[1][deg] = (cell[0], w)
+                            cell[0] += k * n
+            ints += range(len(ints), max([n for n, _ in rows.values()], default=0))
+            needed = Counter(src for _, blocks in rows.values() for _, src in blocks.values()) if i < top else Counter()
+            cur = {}
+            for w in range(i * span + 1) if jmax is None else range(jmax + 1):
+                n, targets = rows.get(w, (0, {}))
+                m, blocks = cols.get(w, (0, {}))
+                out = [] if i > 1 else [{} for _ in range(m)]  # d_1 = 0
+                for deg, (col, src) in blocks.items():
+                    source = prev[src]
+                    step, width = source.nrows, source.ncols
+                    start = targets[deg][0] if step else 0  # a source without rows has only empty columns
+                    for r in (start + a * step for a in range(dims[deg])):
+                        if p:
+                            out += [{ints[r + x]: p - v for x, v in c.items()} for c in source.cols]
+                        else:
+                            out += [{ints[r + x]: -v for x, v in c.items()} for c in source.cols]
+                    for p1, q1, entries in products.get(deg, ()):
+                        off, mid = targets[p1]
+                        size, inner = cols[mid]
+                        base = off + inner[q1][0]
+                        for a, x, y, v in entries:
+                            r, c = base + x * size + y * width, col + a * width
+                            diagonal = zip(out[c : c + width], ints[r : r + width])
+                            if p1 != deg:
+                                for column, k in diagonal:
+                                    column[k] = v
+                                continue
+                            for column, k in diagonal:  # the zero grading: the diagonal meets the copy
+                                s = f.add(column.pop(k, 0), v)
+                                if s:
+                                    column[k] = s
+                    uses[src] -= 1
+                    if not uses[src]:
+                        del prev[src]
+                d = ColumnMatrix(f, n, out)
+                if w in needed:
+                    cur[w] = d
+                yield i, w, n, d
+                del d, out  # a top cell is not kept while the next one is built
+            prev, uses = cur, needed
 
 
 def _positive_degrees(a, reduced):
@@ -422,24 +463,6 @@ def _positive_degrees(a, reduced):
         if degrees[r] != degrees[x] + degrees[y]:
             return None
     return degrees
-
-
-def _compositions(total, parts, dims):
-    """Compositions of ``total`` into ``parts`` parts p <= len(dims) - 1 with dims[p] > 0."""
-    top = len(dims) - 1
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            if remaining == 0:
-                out.append(prefix)
-            return
-        for p in range(max(0, remaining - top * (slots - 1)), min(top, remaining) + 1):
-            if dims[p] > 0:
-                rec(prefix + (p,), remaining - p, slots - 1)
-
-    rec((), total, parts)
-    return out
 
 
 def bar_ext_table(a, imax, jmax=None):

@@ -49,12 +49,6 @@ class ContramoduleResolution:
     differentials: tuple  # transposes, arrows reversed: P_i -> P_{i-1}
     minimal: bool
 
-    def ext_dims(self):
-        """Ext dimensions against the ground field, read off minimality."""
-        if not self.minimal:
-            raise ValueError("ext dimensions require a minimal resolution")
-        return list(self.cogenerator_dims)
-
 
 def _socle_retraction(m, s, rng=None):
     """A matrix phi with phi restricted to the socle the identity in its basis.

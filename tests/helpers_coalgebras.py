@@ -1,6 +1,7 @@
 """Small coalgebras shared across test modules."""
 
 from operator import add
+from types import SimpleNamespace
 
 from cobarlab.coalg import Coalgebra, Comodule, _monomials, reduced_coaction_matrix, symmetric_coalgebra, tensor_coalgebra
 from cobarlab.dualalg import Algebra, GradedAlgebra, ModulePresentation, graded_dual, quadratic_algebra
@@ -233,9 +234,79 @@ def kron_cobar_diff(c, i, m=None):
     return out
 
 
-def bar_boundary(bar, i, w=None):
-    """d: cell (i, w) -> cell (i-1, w) of the bar complex, the transpose of the cell the sweep ranks."""
-    return bar.cell(i, w).transpose()
+def bar_cells(bar, top, jmax=None, whole=False):
+    """{(i, w): cell} for the cells (i, w) of bar terms 0 .. top, as the sweep builds them.
+
+    Each cell is d_i^T: cell (i-1, w)* -> cell (i, w)*, a ``ColumnMatrix``.
+    ``whole`` builds the zero grading of a finite algebra instead, whose one
+    cell (i, 0) is the whole term.
+    """
+    dims, mu = ((bar.d,), {(0, 0): bar.reduced}) if whole else (bar.dims, bar.mu)
+    return {(i, w): d for i, w, _, d in bar._cells(dims, mu, top, jmax)}
+
+
+def bar_boundary(bar, i):
+    """d: B_i -> B_(i-1) of a finite algebra's bar complex, the transpose of the zero grading's cell (i, 0)."""
+    d = bar_cells(bar, i, whole=True)[(i, 0)]
+    return Matrix(d.field, d.nrows, d.ncols, d.entries).transpose()
+
+
+def bar_cell_positions(degrees, i, w):
+    """Kronecker index in A_+^(x i) of each position of bar cell (i, w).
+
+    ``degrees`` holds the degree of each basis vector of A_+.  The cell
+    runs over the first factor's degree in ascending order, then over the
+    basis vectors of that degree, then over cell (i-1, w - degree).
+    """
+    if i == 0:
+        return [0] if w == 0 else []
+    step = len(degrees) ** (i - 1)
+    out = []
+    for p in sorted(set(degrees)):
+        rest = bar_cell_positions(degrees, i - 1, w - p)
+        out += [k * step + idx for k, deg in enumerate(degrees) if deg == p for idx in rest]
+    return out
+
+
+def bar_reference(a, bar):
+    """(ref, degrees) for the Kronecker reference of a bar complex, independent of its cells.
+
+    ``ref`` carries ``f``, ``d`` and ``reduced``, the product on A_+ as one
+    d x d^2 matrix, for ``kron_bar_boundary``; ``degrees`` is the degree of
+    each basis vector of A_+ in the bar's split.  A finite algebra's A_+ is
+    the one the bar complex found, with the algebra's own degrees minus the
+    augmentation's index, or all 0 when the bar keeps one cell per term.  A
+    graded algebra's A_+ is A_1 + ... + A_top in degree order, its product
+    assembled from the components (zero above the truncation).
+    """
+    if not isinstance(a, GradedAlgebra):
+        if len(bar.dims) == 1:
+            return bar, [0] * bar.d
+        g = next(k for k, v in enumerate(a.augmentation) if v)
+        return bar, [deg for k, deg in enumerate(a.degrees) if k != g]
+    f, top = a.field, a.top_degree
+    offsets, degrees = {}, []
+    for p in range(1, top + 1):
+        offsets[p] = len(degrees)
+        degrees += [p] * a.dims[p]
+    d = len(degrees)
+    entries = {}
+    for p in range(1, top + 1):
+        for q in range(1, top + 1 - p):
+            for (r, c), v in a.component(p, q).entries.items():
+                x, y = divmod(c, a.dims[q])
+                entries[(offsets[p + q] + r, (offsets[p] + x) * d + offsets[q] + y)] = v
+    return SimpleNamespace(f=f, d=d, reduced=Matrix(f, d, d * d, entries)), degrees
+
+
+def restricted_transpose(whole, rows, cols):
+    """The transpose of ``whole`` on the given row and column positions, as {(col, row): value}.
+
+    Raises KeyError when a column in ``cols`` has an entry outside ``rows``.
+    """
+    rows = {r: k for k, r in enumerate(rows)}
+    cols = {c: k for k, c in enumerate(cols)}
+    return {(cols[c], rows[r]): v for (r, c), v in whole.entries.items() if c in cols}
 
 
 def kron_bar_boundary(bar, i):
@@ -251,6 +322,13 @@ def kron_bar_boundary(bar, i):
         ins = Matrix.kron(Matrix.identity(f, d ** (t - 1)), Matrix.kron(bar.reduced, Matrix.identity(f, d ** (i - 1 - t))))
         out = out + (ins if t % 2 == 1 else -ins)
     return out
+
+
+def contramodule_ext_dims(cr):
+    """Ext dimensions of a contramodule resolution against the ground field, read off minimality."""
+    if not cr.minimal:
+        raise ValueError("ext dimensions require a minimal resolution")
+    return list(cr.cogenerator_dims)
 
 
 def dense_quotient_maps(sub):

@@ -394,6 +394,20 @@ def test_whole_term_diff_stops_at_the_built_window():
         cx.diff(3, None)
 
 
+def test_whole_term_pass_is_closed_once_the_top_term_is_built():
+    c3 = loads_presentation(resources.files("cobarlab").joinpath("data", "c3.json").read_text(encoding="utf-8"))
+    cx = build_cobar(c3, 4)
+    low = cx.diff(2, None)
+    built, cells = cx._whole
+    assert cells.gi_frame is not None  # suspended: a higher term resumes it
+    top = cx.diff(4, None)
+    assert cells.gi_frame is None  # closed: it keeps no cell of the top term
+    assert type(low) is type(top) is Matrix
+    for i in range(5):
+        assert cx.diff(i, None) is built[i]
+        assert cx.diff(i, None) == kron_cobar_diff(c3, i)
+
+
 def test_cleared_cell_ranks_match_whole_term_ranks():
     # the sweep ranks each cell on the complement of the last layer's pivot
     # rows; the plain rank of each whole term must give the same table

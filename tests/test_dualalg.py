@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +6,9 @@ import pytest
 from helpers_coalgebras import (
     acceptance_corpus,
     bar_boundary,
+    bar_cell_positions,
+    bar_cells,
+    bar_reference,
     direct_sum_comodules,
     direct_sum_modules,
     divided_line,
@@ -22,6 +24,8 @@ from helpers_coalgebras import (
     permuted,
     quad_dual,
     rescaled,
+    restricted_transpose,
+    sheared,
     shifted_by_unit,
     strip_degrees,
 )
@@ -42,7 +46,6 @@ from cobarlab.coalg import (
 from cobarlab.cobar import build_cobar, cobar_with_coefficients, ext_table
 from cobarlab.dualalg import (
     _BarComplex,
-    _compositions,
     Algebra,
     GradedAlgebra,
     bar_ext_table,
@@ -374,7 +377,10 @@ def test_betti_of_module_resolution_matches_coresolution():
 
 def test_bar_boundary_matches_kron_reference():
     ten = dual_algebra(flatten(tensor_coalgebra(2, 2, QQ)))
-    for a in (dual_algebra(divided_line()), dual_algebra(divided_line(GF(5))), ten, opposite_algebra(ten)):
+    # shearing puts a basis vector into its own square, so the product's diagonal meets the copied columns
+    line = dual_algebra(sheared(divided_line(GF(5)), 1, 2))
+    sym = dual_algebra(sheared(flatten(symmetric_coalgebra(2, 3, QQ)), 1, 3))
+    for a in (dual_algebra(divided_line()), dual_algebra(divided_line(GF(5))), ten, opposite_algebra(ten), line, sym):
         bar = _BarComplex(a)
         for i in range(1, 5):
             assert bar_boundary(bar, i) == kron_bar_boundary(bar, i)
@@ -418,21 +424,6 @@ def test_degree_split_bar_table_matches_zero_grading_and_cobar(field):
         assert table == ext_table(build_cobar(c, 3))
 
 
-def _cell_positions(bar, degrees, i, w):
-    """Whole-term index of each position of cell (i, w), given the degrees of the A_+ basis."""
-    basis = {}
-    for k, deg in enumerate(degrees):
-        basis.setdefault(deg, []).append(k)
-    out = []
-    for comp in _compositions(w, i, bar.dims):
-        for factors in itertools.product(*(basis[p] for p in comp)):
-            idx = 0
-            for k in factors:
-                idx = idx * bar.d + k
-            out.append(idx)
-    return out
-
-
 def test_cell_boundaries_are_the_whole_boundary_restricted():
     sym = flatten(symmetric_coalgebra(2, 3, QQ))
     cases = (
@@ -442,19 +433,21 @@ def test_cell_boundaries_are_the_whole_boundary_restricted():
         flatten(quad_dual(3, GF(7))),
     )
     for c in cases:
-        bar = _BarComplex(dual_algebra(c))
-        degrees = [deg for k, deg in enumerate(c.degrees) if k != c.grouplike_index]
+        a = dual_algebra(c)
+        bar = _BarComplex(a)
+        ref, degrees = bar_reference(a, bar)
+        assert degrees == [deg for k, deg in enumerate(c.degrees) if k != c.grouplike_index]
         top = len(bar.dims) - 1
+        cells = bar_cells(bar, 4)
+        sizes, _ = bar.sweep(3)
         for i in range(1, 5):
-            whole = bar_boundary(bar, i)
+            whole = kron_bar_boundary(ref, i)
             seen, nnz = [], 0
             for w in range(i * top + 1):
-                src = {idx: k for k, idx in enumerate(_cell_positions(bar, degrees, i, w))}
-                dst = {idx: k for k, idx in enumerate(_cell_positions(bar, degrees, i - 1, w))}
-                cell = bar_boundary(bar, i, w)
-                assert (cell.nrows, cell.ncols) == (len(dst), len(src)) == (bar.layout(i - 1, w)[0], bar.layout(i, w)[0])
-                expect = {(dst[r], src[col]): v for (r, col), v in whole.entries.items() if col in src}
-                assert cell.entries == expect
+                src, dst = bar_cell_positions(degrees, i, w), bar_cell_positions(degrees, i - 1, w)
+                cell = cells[(i, w)]
+                assert (cell.nrows, cell.ncols) == (len(src), len(dst)) == (sizes[(i, w)], sizes.get((i - 1, w), 0))
+                assert cell.entries == restricted_transpose(whole, dst, src)
                 seen += src
                 nnz += cell.nnz()
             # the cells partition the term and the entries of its boundary

@@ -4,7 +4,14 @@ from itertools import chain
 
 import pytest
 
-from helpers_coalgebras import divided_line, dual_numbers_dual, field_rref, per_unit_socle_retraction, rescaled
+from helpers_coalgebras import (
+    contramodule_ext_dims,
+    divided_line,
+    dual_numbers_dual,
+    field_rref,
+    per_unit_socle_retraction,
+    rescaled,
+)
 
 from cobarlab import exactlin, resolve
 from cobarlab.coalg import (
@@ -121,7 +128,7 @@ def test_dualized_resolution_preserves_dims_and_exactness():
     c = divided_line()
     r = minimal_coresolution(trivial_comodule(c), 3)
     cr = dualize_to_contramodule_resolution(r)
-    assert cr.ext_dims() == betti_dims(r)
+    assert contramodule_ext_dims(cr) == betti_dims(r)
     assert verify_contramodule_resolution(cr, r.target.dim)
     assert all(d.nrows == e.ncols and d.ncols == e.nrows for d, e in zip(cr.differentials, r.differentials))
 
@@ -130,7 +137,7 @@ def test_dualized_cofree_resolution_is_free_cover():
     c = dual_numbers_dual()
     m = cofree_comodule(c, 1)
     cr = dualize_to_contramodule_resolution(minimal_coresolution(m, 1))
-    assert cr.ext_dims() == [1, 0]
+    assert contramodule_ext_dims(cr) == [1, 0]
     assert verify_contramodule_resolution(cr, m.dim)
 
 
