@@ -13,6 +13,10 @@ verdict is false, 2 for unreadable or schema-invalid input and violated
 preconditions, 3 for an internal error (such as a failed d^2 = 0 check);
 an internal error still writes --out, as schema, command and the error's
 type and message.
+
+Each subcommand imports its own pipeline when it runs, so a command loads
+only the modules it uses: ``python -X importtime -m cobarlab.cli validate
+bundled:c3.json`` shows it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import random
 import sys
 import time
 from importlib import resources
@@ -37,18 +40,7 @@ from .coalg import (
     validate_comodule,
     validate_graded,
 )
-from .cobar import build_cobar, ext_table
-from .dualalg import (
-    Algebra,
-    bar_ext_table,
-    compare_theorem1,
-    dual_algebra,
-    graded_dual,
-    validate_algebra,
-)
 from .presentation import SCHEMA_TAG, SchemaError, loads_presentation
-from .resolve import betti_dims, minimal_coresolution, verify_coresolution
-from .witness import contra_report, nonrational_report
 
 BUNDLED_PREFIX = "bundled:"
 
@@ -133,9 +125,6 @@ def cmd_validate(args):
         rep = validate(obj).to_json()
     elif isinstance(obj, GradedCoalgebra):
         rep = validate_graded(obj).to_json()
-    elif isinstance(obj, Algebra):
-        ok = validate_algebra(obj)
-        rep = {"flags": {"algebra_valid": ok}, "notes": {}, "ok": ok}
     elif isinstance(obj, Comodule):
         base = validate(obj.base)
         com = validate_comodule(obj).ok
@@ -145,7 +134,12 @@ def cmd_validate(args):
             "ok": base.ok and com,
         }
     else:
-        raise CliError(2, "nothing to validate in %s" % args.path)
+        from .dualalg import Algebra, validate_algebra
+
+        if not isinstance(obj, Algebra):
+            raise CliError(2, "nothing to validate in %s" % args.path)
+        ok = validate_algebra(obj)
+        rep = {"flags": {"algebra_valid": ok}, "notes": {}, "ok": ok}
     lines = []
     for flag, value in sorted(rep["flags"].items()):
         lines.append("%s: %s" % (flag, "true" if value else "false"))
@@ -156,7 +150,9 @@ def cmd_validate(args):
 
 def _require_valid(c, path):
     """Refuse a finite or graded coalgebra, or an algebra, that fails a required axiom."""
-    if isinstance(c, Algebra):
+    if not isinstance(c, (Coalgebra, GradedCoalgebra)):
+        from .dualalg import validate_algebra
+
         if not validate_algebra(c):
             raise CliError(2, "%s failed validation: algebra_valid" % path)
         return
@@ -167,13 +163,21 @@ def _require_valid(c, path):
 
 
 def _ext_algebra_side(obj, args):
-    if isinstance(obj, Algebra):
-        return bar_ext_table(obj, args.imax, args.jmax)
+    from .dualalg import bar_ext_table, dual_algebra, graded_dual
+
     if isinstance(obj, GradedCoalgebra):
         return bar_ext_table(graded_dual(obj), args.imax, args.jmax)
+    if not isinstance(obj, Coalgebra):
+        return bar_ext_table(obj, args.imax, args.jmax)
     if args.jmax is not None:
         raise CliError(2, "--jmax needs a graded presentation")
     return bar_ext_table(dual_algebra(obj), args.imax)
+
+
+def _cobar_table(c, args):
+    from .cobar import build_cobar, ext_table
+
+    return ext_table(build_cobar(c, args.imax, args.jmax))
 
 
 def cmd_ext(args):
@@ -182,7 +186,7 @@ def cmd_ext(args):
     obj = _load(args.path, inputs)
     if isinstance(obj, Comodule):
         raise CliError(2, "ext expects a coalgebra or algebra presentation")
-    if isinstance(obj, Algebra) and args.side != "algebra":
+    if not isinstance(obj, (Coalgebra, GradedCoalgebra)) and args.side != "algebra":
         raise CliError(2, "algebra presentations support only --side algebra")
     obj = _maybe_flatten(obj, args)
     _require_valid(obj, args.path)
@@ -192,15 +196,15 @@ def cmd_ext(args):
         lines = _table_lines(table)
         code = 0
     elif args.side == "co":
-        table = ext_table(build_cobar(obj, args.imax, args.jmax))
+        table = _cobar_table(obj, args)
         result = {"side": "co", "table": table.to_json()}
         lines = _table_lines(table)
         code = 0
     else:
         if isinstance(obj, GradedCoalgebra):
             raise CliError(2, "--side op needs a finite presentation; pass --flatten")
-        table = ext_table(build_cobar(obj, args.imax, args.jmax))
-        other = ext_table(build_cobar(opposite(obj), args.imax, args.jmax))
+        table = _cobar_table(obj, args)
+        other = _cobar_table(opposite(obj), args)
         symmetric = table == other
         result = {
             "side": "op",
@@ -241,6 +245,8 @@ def cmd_compare(args):
         raise CliError(2, "--n must be >= 0")
     left = _comodule_argument(args.left, obj, inputs)
     right = _comodule_argument(args.right, obj, inputs)
+    from .dualalg import compare_theorem1
+
     report = compare_theorem1(obj, left, right, args.n)
     result = report.to_json()
     lines = [
@@ -265,6 +271,10 @@ def cmd_resolve(args):
         target = obj
     else:
         raise CliError(2, "resolve expects a coalgebra or comodule presentation")
+    import random
+
+    from .resolve import betti_dims, minimal_coresolution, verify_coresolution
+
     rng = random.Random(args.seed) if args.seed is not None else None
     res = minimal_coresolution(target, args.length, rng)
     verified = verify_coresolution(res)
@@ -289,6 +299,8 @@ def cmd_demo(args):
     started = time.time()
     if args.samples is not None and args.samples < 1:
         raise CliError(2, "--samples must be >= 1")
+    from .witness import contra_report, nonrational_report
+
     if args.which == "nonrational":
         samples = 200 if args.samples is None else args.samples
         rep = nonrational_report(samples=samples, seed=args.seed)

@@ -13,8 +13,6 @@ has flat index i * dim(C') + j, matching Matrix.kron.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from cobarlab.exactlin import Matrix, SubspaceBasis, kron_identity_matmul, quotient_maps
 
 
@@ -28,12 +26,14 @@ def swap_matrix(field, a, b):
     return Matrix(field, a * b, a * b, {(y * a + x, x * b + y): one for x in range(a) for y in range(b)})
 
 
-@dataclass(frozen=True)
 class ValidationReport:
-    flags: dict
-    notes: dict = dc_field(default_factory=dict)
+    __slots__ = ("flags", "notes")
 
     REQUIRED = ("coassociative", "counital", "coaugmented", "conilpotent")
+
+    def __init__(self, flags, notes=None):
+        self.flags = flags
+        self.notes = {} if notes is None else notes
 
     @property
     def ok(self):
@@ -407,11 +407,13 @@ def validate_graded(g):
 # filtration and socle
 
 
-@dataclass(frozen=True)
 class FiltrationChain:
-    steps: tuple  # SubspaceBasis for F_0, F_1, ... up to stabilization
-    exhaustive: bool
-    stabilized_at: int
+    __slots__ = ("steps", "exhaustive", "stabilized_at")
+
+    def __init__(self, steps, exhaustive, stabilized_at):
+        self.steps = steps  # SubspaceBasis for F_0, F_1, ... up to stabilization
+        self.exhaustive = exhaustive
+        self.stabilized_at = stabilized_at
 
 
 def coaugmentation_filtration(c):

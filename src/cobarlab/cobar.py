@@ -48,7 +48,6 @@ the index of a concatenation u (x) v is idx(u) * dim(v-part) + idx(v).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from itertools import islice
 from math import lcm
 from operator import add
@@ -57,15 +56,17 @@ from cobarlab.coalg import Coalgebra, GradedCoalgebra, flatten, validate_comodul
 from cobarlab.exactlin import QQ, ColumnMatrix, Matrix, extend_to_basis
 
 
-@dataclass(frozen=True)
 class ExtTable:
     """Ext dimensions: keyed by i for finite inputs, by (i, j) for graded."""
 
-    kind: str  # "finite" | "graded"
-    entries: dict
-    imax: int
-    jmax: int | None = None
-    truncation_note: str | None = None
+    __slots__ = ("kind", "entries", "imax", "jmax", "truncation_note")
+
+    def __init__(self, kind, entries, imax, jmax=None, truncation_note=None):
+        self.kind = kind  # "finite" | "graded"
+        self.entries = entries
+        self.imax = imax
+        self.jmax = jmax
+        self.truncation_note = truncation_note
 
     def __eq__(self, other):
         if not isinstance(other, ExtTable):
@@ -351,11 +352,13 @@ def ext_table(cx):
 # cohomology classes and the concatenation product (finite complexes)
 
 
-@dataclass(frozen=True)
 class CobarClass:
-    degree: int
-    vector: tuple
-    coords: tuple = dc_field(default=())
+    __slots__ = ("degree", "vector", "coords")
+
+    def __init__(self, degree, vector, coords=()):
+        self.degree = degree
+        self.vector = vector
+        self.coords = coords
 
 
 def _require_plain_finite(cx):

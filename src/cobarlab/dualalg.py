@@ -19,10 +19,8 @@ for a graded algebra, by its degree metadata for a finite one.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from cobarlab.coalg import Coalgebra, Comodule, GradedCoalgebra, validate, validate_comodule
-from cobarlab.cobar import ExtTable
 from cobarlab.exactlin import ColumnMatrix, Matrix, SubspaceBasis, extend_to_basis, kron_identity_matmul, quotient_maps
 
 
@@ -494,6 +492,8 @@ def bar_ext_table(a, imax, jmax=None):
         raise ValueError("bar complex input failed validation: algebra_valid")
     sizes, ranks = _BarComplex(a).sweep(imax, jmax)
     cells = {(i, w): n - ranks.get((i, w), 0) - ranks.get((i + 1, w), 0) for (i, w), n in sizes.items() if i <= imax}
+    from cobarlab.cobar import ExtTable
+
     if graded:
         return ExtTable("graded", cells, imax, jmax, "entries computed from components of degree <= %d" % top)
     entries = dict.fromkeys(range(imax + 1), 0)
@@ -716,13 +716,15 @@ def _flat_columns(mats):
 # the comparison theorem at finite scale
 
 
-@dataclass(frozen=True)
 class ComparisonReport:
-    degrees: int
-    comodule_dims: tuple
-    module_dims: tuple
-    agree: tuple
-    ok: bool
+    __slots__ = ("degrees", "comodule_dims", "module_dims", "agree", "ok")
+
+    def __init__(self, degrees, comodule_dims, module_dims, agree, ok):
+        self.degrees = degrees
+        self.comodule_dims = comodule_dims
+        self.module_dims = module_dims
+        self.agree = agree
+        self.ok = ok
 
     def to_json(self):
         return {
@@ -790,14 +792,16 @@ def compare_theorem1(c, l, m, n):
 # initially-projective resolutions
 
 
-@dataclass(frozen=True)
 class InitiallyProjectiveResolution:
-    algebra: Algebra
-    target: ModulePresentation
-    modules: tuple
-    augmentation_map: Matrix
-    maps: tuple  # maps[i]: modules[i+1] -> modules[i]
-    projective_prefix_length: int
+    __slots__ = ("algebra", "target", "modules", "augmentation_map", "maps", "projective_prefix_length")
+
+    def __init__(self, algebra, target, modules, augmentation_map, maps, projective_prefix_length):
+        self.algebra = algebra
+        self.target = target  # the ModulePresentation resolved
+        self.modules = modules
+        self.augmentation_map = augmentation_map
+        self.maps = maps  # maps[i]: modules[i+1] -> modules[i]
+        self.projective_prefix_length = projective_prefix_length
 
 
 def build_initially_projective(a, target, modules, augmentation_map, maps):
@@ -839,12 +843,14 @@ def free_resolution_as_initially_projective(l, n):
     return build_initially_projective(a, l, modules, chain[0], tuple(chain[1:]))
 
 
-@dataclass(frozen=True)
 class InitiallyProjectiveReport:
-    dims: tuple
-    true_dims: tuple
-    agree: tuple
-    projective_prefix_length: int
+    __slots__ = ("dims", "true_dims", "agree", "projective_prefix_length")
+
+    def __init__(self, dims, true_dims, agree, projective_prefix_length):
+        self.dims = dims
+        self.true_dims = true_dims
+        self.agree = agree
+        self.projective_prefix_length = projective_prefix_length
 
 
 def ext_via_initially_projective(r, y, n):

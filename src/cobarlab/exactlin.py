@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -848,23 +847,24 @@ def _eliminate(rows, targets, col, pv, rest, p, col_rows):
                     row[c] //= g
 
 
-@dataclass(frozen=True)
 class SubspaceBasis:
     """Spanning vectors of a subspace of field^ambient_dim.
 
     Vectors are stored as given; ``canonical()`` re-expresses the subspace by
     its reduced echelon basis, so subspace equality is data equality of the
-    canonical forms (and ``__eq__`` compares exactly that).
+    canonical forms (and ``__eq__`` compares exactly that).  Equal subspaces
+    may be spanned by different vectors, so a SubspaceBasis is not hashable.
     """
 
-    field: Field
-    ambient_dim: int
-    vectors: tuple
+    __slots__ = ("field", "ambient_dim", "vectors")
 
-    def __post_init__(self):
-        for v in self.vectors:
-            if len(v) != self.ambient_dim:
+    def __init__(self, field, ambient_dim, vectors):
+        for v in vectors:
+            if len(v) != ambient_dim:
                 raise ValueError("vector length != ambient_dim")
+        self.field = field
+        self.ambient_dim = ambient_dim
+        self.vectors = vectors
 
     @property
     def dim(self):

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 
 from .coalg import Coalgebra, Comodule, GradedCoalgebra
-from .dualalg import Algebra
 from .exactlin import Matrix, field_from_label
 
 SCHEMA_TAG = "cobarlab/1"
@@ -191,6 +190,8 @@ def _parse_algebra(doc, loc):
     augmentation = None
     if "augmentation" in doc:
         augmentation = _vector(field, doc["augmentation"], dim, loc + ".augmentation")
+    from .dualalg import Algebra
+
     try:
         return Algebra(field, dim, unit, mult, augmentation, _degrees(doc, dim, loc))
     except ValueError as exc:
@@ -247,12 +248,6 @@ def loads_presentation(text):
     return parse_presentation(doc)
 
 
-def load_presentation(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return loads_presentation(text)
-
-
 def presentation_of(obj):
     """The JSON document presenting ``obj``, inverse to parse_presentation."""
     if isinstance(obj, Coalgebra):
@@ -281,6 +276,17 @@ def presentation_of(obj):
             "dims": list(obj.dims),
             "components": comps,
         }
+    if isinstance(obj, Comodule):
+        fmt = obj.base.field.format
+        return {
+            "schema": SCHEMA_TAG,
+            "kind": "comodule",
+            "base": presentation_of(obj.base),
+            "dim": obj.dim,
+            "coaction": [[[i, j, fmt(v)] for i, j, v in row] for row in obj.coaction],
+        }
+    from .dualalg import Algebra
+
     if isinstance(obj, Algebra):
         fmt = obj.field.format
         doc = {
@@ -296,15 +302,6 @@ def presentation_of(obj):
         if obj.degrees is not None:
             doc["degrees"] = list(obj.degrees)
         return doc
-    if isinstance(obj, Comodule):
-        fmt = obj.base.field.format
-        return {
-            "schema": SCHEMA_TAG,
-            "kind": "comodule",
-            "base": presentation_of(obj.base),
-            "dim": obj.dim,
-            "coaction": [[[i, j, fmt(v)] for i, j, v in row] for row in obj.coaction],
-        }
     raise TypeError("no presentation for %r" % type(obj).__name__)
 
 

@@ -20,8 +20,6 @@ dimension list is read off the dual side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from cobarlab.coalg import (
     Comodule,
     cofree_comodule,
@@ -32,22 +30,26 @@ from cobarlab.coalg import (
 from cobarlab.exactlin import Matrix, kron_identity_matmul, quotient_maps
 
 
-@dataclass(frozen=True)
 class MinimalCoresolution:
-    base: object
-    target: Comodule
-    cogenerator_dims: tuple
-    embeddings: tuple  # step embeddings f_i: (i-th cokernel) -> C (x) V_i
-    differentials: tuple  # d_i: J_{i-1} -> J_i, each f_i composed with a projection
-    minimal: bool
+    __slots__ = ("base", "target", "cogenerator_dims", "embeddings", "differentials", "minimal")
+
+    def __init__(self, base, target, cogenerator_dims, embeddings, differentials, minimal):
+        self.base = base
+        self.target = target  # the Comodule resolved
+        self.cogenerator_dims = cogenerator_dims
+        self.embeddings = embeddings  # step embeddings f_i: (i-th cokernel) -> C (x) V_i
+        self.differentials = differentials  # d_i: J_{i-1} -> J_i, each f_i composed with a projection
+        self.minimal = minimal
 
 
-@dataclass(frozen=True)
 class ContramoduleResolution:
-    cogenerator_dims: tuple
-    augmentation: object  # transpose of the first embedding: P_0 -> M dual
-    differentials: tuple  # transposes, arrows reversed: P_i -> P_{i-1}
-    minimal: bool
+    __slots__ = ("cogenerator_dims", "augmentation", "differentials", "minimal")
+
+    def __init__(self, cogenerator_dims, augmentation, differentials, minimal):
+        self.cogenerator_dims = cogenerator_dims
+        self.augmentation = augmentation  # transpose of the first embedding: P_0 -> M dual
+        self.differentials = differentials  # transposes, arrows reversed: P_i -> P_{i-1}
+        self.minimal = minimal
 
 
 def _socle_retraction(m, s, rng=None):

@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
-from cobarlab import cli
+import cobarlab
 from cobarlab.cli import main
 from cobarlab.coalg import extension_comodule
 from cobarlab.dualalg import dual_algebra
@@ -264,7 +267,7 @@ def test_internal_error_exits_3_not_a_verdict(monkeypatch, capsys, tmp_path):
     def failing_sweep(cx):
         raise AssertionError("cobar differential does not square to zero at cell (0,())")
 
-    monkeypatch.setattr(cli, "ext_table", failing_sweep)
+    monkeypatch.setattr("cobarlab.cobar.ext_table", failing_sweep)
     out = tmp_path / "report.json"
     assert main(["ext", "bundled:c3.json", "--imax", "2", "--out", str(out)]) == 3
     captured = capsys.readouterr()
@@ -276,3 +279,43 @@ def test_internal_error_exits_3_not_a_verdict(monkeypatch, capsys, tmp_path):
     assert out.read_text(encoding="utf-8") == json.dumps(expected, indent=2, sort_keys=True) + "\n"
     # an unwritable --out still exits 3, not with an escaping exception
     assert main(["ext", "bundled:c3.json", "--imax", "2", "--out", str(tmp_path / "missing" / "r.json")]) == 3
+
+
+# Runs in a fresh interpreter: imports the package, runs one command, and
+# prints which cobarlab submodules each step loaded and whether dataclasses was.
+_IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import cobarlab
+bare = sorted(m for m in sys.modules if m.startswith("cobarlab."))
+from cobarlab.cli import main
+code = main(sys.argv[1:])
+new = set(sys.modules) - before
+ours = sorted(m[len("cobarlab."):] for m in new if m.startswith("cobarlab."))
+print(json.dumps({"bare": bare, "code": code, "ours": ours, "dataclasses": "dataclasses" in new}))
+"""
+
+
+def _fresh_process_imports(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cobarlab.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE] + argv, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_each_command_imports_only_its_own_pipeline():
+    validate = _fresh_process_imports(["validate", "bundled:c3.json"])
+    assert validate["bare"] == []
+    assert validate["code"] == 0
+    assert validate["ours"] == ["cli", "coalg", "exactlin", "presentation"]
+    assert validate["dataclasses"] is False
+    ext = _fresh_process_imports(["ext", "bundled:c3.json", "--imax", "2"])
+    assert ext["code"] == 0
+    assert "cobar" in ext["ours"]
+    assert not {"dualalg", "resolve", "witness"} & set(ext["ours"])
+    resolve = _fresh_process_imports(["resolve", "bundled:c3.json", "--length", "2"])
+    assert resolve["code"] == 0
+    assert "resolve" in resolve["ours"]
+    assert not {"cobar", "dualalg", "witness"} & set(resolve["ours"])

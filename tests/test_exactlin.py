@@ -199,6 +199,16 @@ def test_subspace_contains_and_eq():
     assert s == t
 
 
+def test_subspace_basis_is_not_hashable():
+    # equality compares canonical forms, so a hash of the spanning vectors
+    # would put one subspace into a set twice
+    a = SubspaceBasis(QQ, 2, ((Fraction(1), Fraction(0)),))
+    b = SubspaceBasis(QQ, 2, ((Fraction(2), Fraction(0)),))
+    assert a == b
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_quotient_maps():
     s = SubspaceBasis(QQ, 3, ((Fraction(1), Fraction(1), Fraction(0)),))
     proj, section = quotient_maps(Matrix.from_rows(QQ, [list(v) for v in s.vectors]))
