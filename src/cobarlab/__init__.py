@@ -31,7 +31,6 @@ _EXPORTS = {
     "validate_graded": "coalg",
     "CobarClass": "cobar",
     "CobarComplex": "cobar",
-    "ExtTable": "cobar",
     "build_cobar": "cobar",
     "class_coordinates": "cobar",
     "cobar_with_coefficients": "cobar",
@@ -62,6 +61,7 @@ _EXPORTS = {
     "Field": "exactlin",
     "Matrix": "exactlin",
     "SubspaceBasis": "exactlin",
+    "ExtTable": "exttable",
     "SchemaError": "presentation",
     "dumps_presentation": "presentation",
     "loads_presentation": "presentation",

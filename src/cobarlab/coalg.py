@@ -254,11 +254,16 @@ class Comodule:
         triples = [[] for _ in range(dim)]
         for (r, t), v in nu.entries.items():
             triples[t].append((*divmod(r, dim), v))
+        return cls._normalized(base, dim, tuple(tuple(sorted(row)) for row in triples), nu)
+
+    @classmethod
+    def _normalized(cls, base, dim, coaction, matrix=None):
+        """The comodule of ``coaction``, already in the form ``_normal_triples`` returns, taken as it is."""
         m = cls.__new__(cls)
         m.base = base
         m.dim = dim
-        m.coaction = tuple(tuple(sorted(row)) for row in triples)
-        m._matrix = nu
+        m.coaction = coaction
+        m._matrix = matrix
         return m
 
     def coaction_matrix(self):
@@ -285,12 +290,13 @@ def regular_comodule(c):
 
 
 def cofree_comodule(c, k):
-    """C (x) k^k with coaction comul (x) id."""
-    coaction = []
-    for t in range(c.dim):
-        for s in range(k):
-            coaction.append([(i, j * k + s, v) for i, j, v in c.comul[t]])
-    return Comodule(c, c.dim * k, coaction)
+    """C (x) k^k with coaction comul (x) id, whose matrix is comul_matrix() (x) I_k.
+
+    The triples of ``c.comul`` are normal already, and j -> j * k + s keeps
+    their order, so they are used without a second pass.
+    """
+    coaction = tuple(tuple((i, j * k + s, v) for i, j, v in c.comul[t]) for t in range(c.dim) for s in range(k))
+    return Comodule._normalized(c, c.dim * k, coaction)
 
 
 def extension_comodule(c, primitive, scale=1):

@@ -54,47 +54,7 @@ from operator import add
 
 from cobarlab.coalg import Coalgebra, GradedCoalgebra, flatten, validate_comodule
 from cobarlab.exactlin import QQ, ColumnMatrix, Matrix, extend_to_basis
-
-
-class ExtTable:
-    """Ext dimensions: keyed by i for finite inputs, by (i, j) for graded."""
-
-    __slots__ = ("kind", "entries", "imax", "jmax", "truncation_note")
-
-    def __init__(self, kind, entries, imax, jmax=None, truncation_note=None):
-        self.kind = kind  # "finite" | "graded"
-        self.entries = entries
-        self.imax = imax
-        self.jmax = jmax
-        self.truncation_note = truncation_note
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtTable):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.imax == other.imax
-            and self.jmax == other.jmax
-            and self.entries == other.entries
-        )
-
-    def dims(self):
-        """Finite: the list [dim Ext^0, ..., dim Ext^imax]."""
-        if self.kind != "finite":
-            raise ValueError("dims() is for finite tables; use entries for bigraded ones")
-        return [self.entries[i] for i in range(self.imax + 1)]
-
-    def to_json(self):
-        if self.kind == "finite":
-            cells = [[i, self.entries[i]] for i in range(self.imax + 1)]
-        else:
-            cells = [[i, j, v] for (i, j), v in sorted(self.entries.items())]
-        out = {"kind": self.kind, "imax": self.imax, "entries": cells}
-        if self.jmax is not None:
-            out["jmax"] = self.jmax
-        if self.truncation_note:
-            out["truncation_note"] = self.truncation_note
-        return out
+from cobarlab.exttable import ExtTable
 
 
 def _weights(comul, coaction):

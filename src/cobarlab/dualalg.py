@@ -22,6 +22,7 @@ from collections import Counter
 
 from cobarlab.coalg import Coalgebra, Comodule, GradedCoalgebra, validate, validate_comodule
 from cobarlab.exactlin import ColumnMatrix, Matrix, SubspaceBasis, extend_to_basis, kron_identity_matmul, quotient_maps
+from cobarlab.exttable import ExtTable
 
 
 class Algebra:
@@ -492,8 +493,6 @@ def bar_ext_table(a, imax, jmax=None):
         raise ValueError("bar complex input failed validation: algebra_valid")
     sizes, ranks = _BarComplex(a).sweep(imax, jmax)
     cells = {(i, w): n - ranks.get((i, w), 0) - ranks.get((i + 1, w), 0) for (i, w), n in sizes.items() if i <= imax}
-    from cobarlab.cobar import ExtTable
-
     if graded:
         return ExtTable("graded", cells, imax, jmax, "entries computed from components of degree <= %d" % top)
     entries = dict.fromkeys(range(imax + 1), 0)
@@ -557,11 +556,14 @@ def trivial_module(a):
 
 
 def free_module(a, rank):
-    """A^rank with copy-major basis index c*dim + b."""
-    f = a.field
-    eye = Matrix.identity(f, rank)
-    acts = [Matrix.kron(eye, a.left_action_matrix(s)) for s in range(a.dim)]
-    return ModulePresentation(a, rank * a.dim, acts)
+    """A^rank with copy-major basis index c*dim + b: each action is block diagonal, rank copies."""
+    n = a.dim
+    offsets = range(0, rank * n, n)
+    acts = []
+    for s in range(n):
+        block = a.left_action_matrix(s).entries.items()
+        acts.append(Matrix(a.field, rank * n, rank * n, {(k + i, k + j): v for k in offsets for (i, j), v in block}))
+    return ModulePresentation(a, rank * n, acts)
 
 
 def comodule_to_module(m, algebra=None):
@@ -736,31 +738,45 @@ class ComparisonReport:
         }
 
 
+def _hom_differential(c, d, nu_l, v_here, v_next):
+    """The map Hom_k(L, V_i) -> Hom_k(L, V_(i+1)), phi -> (eps (x) 1) d (1 (x) phi) nu_L, as one matrix.
+
+    The map is linear in phi.  With D' = (eps (x) 1) d, v_next x (dim C * v_here),
+    the entry at row (t, s'), column (r, s) is sum_c D'[t, (c, r)] nu_L[(c, s), s'],
+    indices row-major: the product of D' read as rows (t, r) and columns c with
+    nu_L read as rows c and columns (s, s'), both grouped by c.
+    """
+    f = c.field
+    dl = nu_l.ncols
+    d_eps = kron_identity_matmul(c.counit_matrix(), v_next, d)
+    left = {}
+    for (t, col), x in d_eps.entries.items():
+        k, r = divmod(col, v_here)
+        left[(t * v_here + r, k)] = x
+    right = {}
+    for (row, s2), y in nu_l.entries.items():
+        k, s = divmod(row, dl)
+        right[(k, s * dl + s2)] = y
+    z = Matrix(f, v_next * v_here, c.dim, left) @ Matrix(f, c.dim, dl * dl, right)
+    entries = {}
+    for (tr, ss), x in z.entries.items():
+        t, r = divmod(tr, v_here)
+        s, s2 = divmod(ss, dl)
+        entries[(t * dl + s2, r * dl + s)] = x
+    return Matrix(f, v_next * dl, v_here * dl, entries)
+
+
 def comodule_ext_dims(c, l, m, n):
     """Ext in comodules via a minimal cofree coresolution of m and the cofree adjunction."""
     from cobarlab.resolve import minimal_coresolution
 
     res = minimal_coresolution(m, n + 1)
-    f = c.field
     vdims = res.cogenerator_dims
-    eps = c.counit_matrix()
     nu_l = l.coaction_matrix()
-    deltas = []
-    for i in range(n + 1):
-        v_here, v_next = vdims[i], vdims[i + 1]
-        d = res.differentials[i]  # J_i -> J_{i+1}
-        entries = {}
-        for r in range(v_here):
-            for s in range(l.dim):
-                phi = Matrix(f, v_here, l.dim, {(r, s): f.one})
-                composite = kron_identity_matmul(eps, v_next, d @ kron_identity_matmul(c.dim, phi, nu_l))
-                col = r * l.dim + s
-                entries.update(((rr * l.dim + cc, col), v) for (rr, cc), v in composite.entries.items())
-        deltas.append(Matrix(f, v_next * l.dim, v_here * l.dim, entries))
     dims = []
     prev_rank = 0
     for i in range(n + 1):
-        rank_i = deltas[i].rank()
+        rank_i = _hom_differential(c, res.differentials[i], nu_l, vdims[i], vdims[i + 1]).rank()
         dims.append(vdims[i] * l.dim - rank_i - prev_rank)
         prev_rank = rank_i
     return dims

@@ -590,15 +590,16 @@ def kron_identity_matmul(a, b, y):
     other a Matrix x; indices follow ``Matrix.kron``.  For I_n (x) x, row
     ``row`` of y meets column ``row % x.ncols`` of x in block ``row // x.ncols``;
     for x (x) I_n, it meets column ``row // n`` of x at offset ``row % n``.
+    The place is computed per entry of y, so a tall sparse y costs its
+    entries, not its rows.
     """
-    if isinstance(a, int):
+    left = isinstance(a, int)
+    if left:
         x, n, step = b, a, 1
         bases = [k * x.nrows for k in range(n)]
-        place = [(row % x.ncols, row // x.ncols * x.nrows) for row in range(y.nrows)]
     else:
         x, n, step = a, b, b
         bases = range(n)
-        place = [(row // n, row % n) for row in range(y.nrows)]
     if x.field != y.field or n * x.ncols != y.nrows:
         raise ValueError("shape or field mismatch")
     xe, x_dens = _cleared(x.entries, 0)
@@ -608,9 +609,14 @@ def kron_identity_matmul(a, b, y):
     cols = {}
     for (r, c), v in xe.items():
         cols.setdefault(c, []).append((r * step, v))
+    xr, xc = x.nrows, x.ncols
     acc = {}
     for (row, j), w in ye.items():
-        c, base = place[row]
+        if left:
+            base, c = divmod(row, xc)
+            base *= xr
+        else:
+            c, base = divmod(row, n)
         for rs, v in cols.get(c, ()):
             key = (base + rs, j)
             if key in acc:

@@ -20,13 +20,7 @@ dimension list is read off the dual side.
 
 from __future__ import annotations
 
-from cobarlab.coalg import (
-    Comodule,
-    cofree_comodule,
-    reduced_coaction_matrix,
-    validate,
-    validate_comodule,
-)
+from cobarlab.coalg import Comodule, reduced_coaction_matrix, validate, validate_comodule
 from cobarlab.exactlin import Matrix, kron_identity_matmul, quotient_maps
 
 
@@ -123,9 +117,10 @@ def _cokernel_maps(emb, v, order):
 def _one_step(m, order, rng=None, need_cokernel=True):
     """Embed m into the cofree comodule on its socle; return (v, f, projection, cokernel).
 
-    ``order`` is ``_coradical_order`` of the base.  The embedding is
-    rechecked to be a comodule morphism and the cokernel's coaction to
-    validate.
+    ``order`` is ``_coradical_order`` of the base.  The coaction of
+    C (x) V is comul (x) I_v in Kronecker order, so it is applied by
+    ``kron_identity_matmul`` and never built.  The embedding is rechecked to
+    be a comodule morphism and the cokernel's coaction to validate.
     """
     c = m.base
     n = m.dim
@@ -138,16 +133,14 @@ def _one_step(m, order, rng=None, need_cokernel=True):
     emb = kron_identity_matmul(c.dim, phi, nu)
     if emb.rank() != n:
         raise AssertionError("cofree hull embedding failed to be injective")
-    j = cofree_comodule(c, v)
-    nu_j = j.coaction_matrix()
-    if not (nu_j @ emb == kron_identity_matmul(c.dim, emb, nu)):
+    mu = c.comul_matrix()
+    if not (kron_identity_matmul(mu, v, emb) == kron_identity_matmul(c.dim, emb, nu)):
         raise AssertionError("hull embedding is not a comodule morphism")
     if not need_cokernel:
         return v, emb, None, None
     proj, section = _cokernel_maps(emb, v, order)
-    q = j.dim - n
-    nu_q = kron_identity_matmul(c.dim, proj, nu_j) @ section
-    quotient = Comodule.from_coaction_matrix(c, q, nu_q)
+    nu_q = kron_identity_matmul(c.dim, proj, kron_identity_matmul(mu, v, section))
+    quotient = Comodule.from_coaction_matrix(c, c.dim * v - n, nu_q)
     report = validate_comodule(quotient)
     if not report.ok:
         raise AssertionError("cokernel coaction failed validation: %s" % (report.notes,))
@@ -193,15 +186,22 @@ def betti_dims(r):
 
 
 def verify_coresolution(r):
-    """Recheck exactness, the comodule property, and vanishing socle differentials."""
+    """Recheck exactness, the comodule property, and vanishing socle differentials.
+
+    Term i is C (x) V_i with coaction comul (x) I_(v_i), applied by
+    ``kron_identity_matmul``; its reduced coaction is the regular one
+    (x) I_(v_i), so its socle is the socle of C tensored with V_i.
+    """
     c = r.base
-    terms = [cofree_comodule(c, v) for v in r.cogenerator_dims]
+    f = c.field
+    vdims = r.cogenerator_dims
+    mu = c.comul_matrix()
     maps = [r.embeddings[0]] + list(r.differentials)
     if maps[0].rank() != r.target.dim:
         return False
     for i, d in enumerate(maps):
-        src_dim = r.target.dim if i == 0 else terms[i - 1].dim
-        if d.nrows != terms[i].dim or d.ncols != src_dim:
+        src_dim = r.target.dim if i == 0 else c.dim * vdims[i - 1]
+        if d.nrows != c.dim * vdims[i] or d.ncols != src_dim:
             return False
     for i in range(1, len(maps)):
         if not (maps[i] @ maps[i - 1]).is_zero():
@@ -209,13 +209,14 @@ def verify_coresolution(r):
         ker_dim = maps[i - 1].nrows - maps[i].rank()
         if ker_dim != maps[i - 1].rank():
             return False
+    socle_c = kron_identity_matmul(c.projection_matrix(), c.dim, mu).kernel_matrix()
     for i in range(1, len(maps)):
-        j = terms[i - 1]
-        if not (maps[i] @ reduced_coaction_matrix(j).kernel_matrix()).is_zero():
+        v = vdims[i - 1]
+        socle = kron_identity_matmul(socle_c, v, Matrix.identity(f, socle_c.ncols * v))
+        if not (maps[i] @ socle).is_zero():
             return False
-        nu_src = j.coaction_matrix()
-        nu_dst = terms[i].coaction_matrix()
-        if not (nu_dst @ maps[i] == kron_identity_matmul(c.dim, maps[i], nu_src)):
+        nu_src = kron_identity_matmul(mu, v, Matrix.identity(f, c.dim * v))
+        if not (kron_identity_matmul(mu, vdims[i], maps[i]) == kron_identity_matmul(c.dim, maps[i], nu_src)):
             return False
     return True
 

@@ -5,7 +5,8 @@ from types import SimpleNamespace
 
 from cobarlab.coalg import Coalgebra, Comodule, _monomials, reduced_coaction_matrix, symmetric_coalgebra, tensor_coalgebra
 from cobarlab.dualalg import Algebra, GradedAlgebra, ModulePresentation, graded_dual, quadratic_algebra
-from cobarlab.exactlin import QQ, Matrix
+from cobarlab.exactlin import QQ, Matrix, kron_identity_matmul
+from cobarlab.resolve import minimal_coresolution
 from cobarlab.witness import HomToQ, QElement, SubringElement, TaggedCofunctional, TaggedLinearMap, contraaction
 
 
@@ -37,15 +38,15 @@ def quad_dual(top, field=QQ):
     return graded_dual(quadratic_algebra(2, [xy], top, field))
 
 
-def acceptance_corpus():
-    """The six graded coalgebras of the acceptance battery."""
+def acceptance_corpus(field=QQ):
+    """The six graded coalgebras of the acceptance battery, over QQ unless a field of characteristic > 4 is given."""
     return {
-        "c2": tensor_coalgebra(1, 1, QQ),
-        "c3": tensor_coalgebra(1, 2, QQ),
-        "square_zero": tensor_coalgebra(2, 1, QQ),
-        "ten22": tensor_coalgebra(2, 2, QQ),
-        "sym24": symmetric_coalgebra(2, 4, QQ),
-        "quad_dual": quad_dual(4),
+        "c2": tensor_coalgebra(1, 1, field),
+        "c3": tensor_coalgebra(1, 2, field),
+        "square_zero": tensor_coalgebra(2, 1, field),
+        "ten22": tensor_coalgebra(2, 2, field),
+        "sym24": symmetric_coalgebra(2, 4, field),
+        "quad_dual": quad_dual(4, field),
     }
 
 
@@ -591,6 +592,39 @@ def symmetric_to_tensor_embedding(m, top, field):
 
 # ---------------------------------------------------------------------------
 # direct sums, comodule morphisms and module extensions (test constructions)
+
+
+def per_basis_hom_differential(c, d, nu_l, v_here, v_next):
+    """Reference for ``dualalg._hom_differential``: phi -> (eps (x) 1) d (1 (x) phi) nu_L.
+
+    Applies the map to each basis element E_(r,s) of Hom_k(L, V_i) by full
+    products; column (r, s) of the result holds the image, read row-major.
+    """
+    f = c.field
+    dl = nu_l.ncols
+    eps = c.counit_matrix()
+    entries = {}
+    for r in range(v_here):
+        for s in range(dl):
+            phi = Matrix(f, v_here, dl, {(r, s): f.one})
+            composite = kron_identity_matmul(eps, v_next, d @ kron_identity_matmul(c.dim, phi, nu_l))
+            col = r * dl + s
+            entries.update(((rr * dl + cc, col), v) for (rr, cc), v in composite.entries.items())
+    return Matrix(f, v_next * dl, v_here * dl, entries)
+
+
+def per_basis_comodule_ext_dims(c, l, m, n):
+    """Reference for ``dualalg.comodule_ext_dims``, through ``per_basis_hom_differential``."""
+    res = minimal_coresolution(m, n + 1)
+    vdims = res.cogenerator_dims
+    nu_l = l.coaction_matrix()
+    dims = []
+    prev_rank = 0
+    for i in range(n + 1):
+        rank_i = per_basis_hom_differential(c, res.differentials[i], nu_l, vdims[i], vdims[i + 1]).rank()
+        dims.append(vdims[i] * l.dim - rank_i - prev_rank)
+        prev_rank = rank_i
+    return dims
 
 
 def direct_sum_comodules(m1, m2):

@@ -319,3 +319,7 @@ def test_each_command_imports_only_its_own_pipeline():
     assert resolve["code"] == 0
     assert "resolve" in resolve["ours"]
     assert not {"cobar", "dualalg", "witness"} & set(resolve["ours"])
+    bar = _fresh_process_imports(["ext", "bundled:c2.json", "--side", "algebra", "--imax", "3"])
+    assert bar["code"] == 0
+    assert {"dualalg", "exttable"} <= set(bar["ours"])
+    assert not {"cobar", "resolve", "witness"} & set(bar["ours"])
