@@ -37,7 +37,8 @@ im d_(i-1), and d_i d_(i-1) = 0 holds exactly when d_i kills the columns K;
 the sweep checks that before it ranks d_i.  The coordinates outside S span a
 complement of im d_(i-1), on which d_i then vanishes, so rank d_i is the rank
 of d_i with the columns in S deleted, and almost every column left is a pivot.
-The pivots of that rank check and clear the next layer.
+The pivots of that rank check and clear the next layer; no layer follows the
+top one, so its pivots are never collected.
 
 A basis tensor is the tuple (a_1, ..., a_i, m) of positive-basis indices and
 a comodule index (0 without coefficients).  Lexicographic order on these
@@ -193,7 +194,8 @@ class CobarComplex:
         those columns are independent and |K| = rank d_(i-1), so they span
         im d_(i-1).  Then the pivot rows of d_(i-1) on W may clear the
         columns of d_i (see the module docstring).  Both are kept for one
-        layer, K as references to columns of d_(i-1).
+        layer, K as references to columns of d_(i-1), and the top layer's
+        are never collected.
         """
         if self._ranks is not None:
             return
@@ -206,9 +208,11 @@ class CobarComplex:
             if not d.annihilates(image):
                 raise AssertionError("cobar differential does not square to zero at cell (%d,%r)" % (i - 1, w))
             self._dims[(i, w)] = n
-            ranks[(i, w)], rows, cols = d.rank(cleared, pivots=True)
             if i < self.imax:
+                ranks[(i, w)], rows, cols = d.rank(cleared, pivots=True)
                 kept[w] = rows, [d.cols[k] for k in cols]
+            else:
+                ranks[(i, w)] = d.rank(cleared)
             del d  # the next cell is built without this one held
         self._ranks = ranks
 

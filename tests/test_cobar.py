@@ -41,7 +41,7 @@ from cobarlab.cobar import (
     ext_table,
     product_vector,
 )
-from cobarlab.exactlin import QQ, GF, Matrix
+from cobarlab.exactlin import QQ, GF, ColumnMatrix, Matrix
 from cobarlab.presentation import loads_presentation
 
 
@@ -425,3 +425,47 @@ def test_cleared_cell_ranks_match_whole_term_ranks():
         ranks = [cx.diff(i, None).rank() for i in range(cx.imax + 1)]
         expected = [cx.cell_dim(i) - ranks[i] - (ranks[i - 1] if i else 0) for i in range(cx.imax + 1)]
         assert ext_table(cx).dims() == expected
+
+
+def test_top_layer_is_ranked_without_pivots(monkeypatch):
+    # pivot rows clear the next layer and pivot columns feed its square
+    # check; no layer follows imax, so its cells must not ask for pivots,
+    # and the table must be the one that ranking every layer with pivots gives
+    c3 = loads_presentation(resources.files("cobarlab").joinpath("data", "c3.json").read_text(encoding="utf-8"))
+    ten = flatten(tensor_coalgebra(2, 2, QQ))
+    cases = [
+        lambda: build_cobar(c3, 6),
+        lambda: build_cobar(flatten(symmetric_coalgebra(2, 3, QQ)), 3),
+        lambda: build_cobar(symmetric_coalgebra(2, 3, QQ), 3),
+        lambda: cobar_with_coefficients(ten, regular_comodule(ten), 3),
+    ]
+    raw_cells, raw_rank = CobarComplex._cells, ColumnMatrix.rank
+
+    def with_pivots(self, cleared=(), pivots=False):
+        found = raw_rank(self, cleared, True)
+        return found if pivots else found[0]
+
+    for make in cases:
+        with monkeypatch.context() as m:
+            m.setattr(ColumnMatrix, "rank", with_pivots)
+            expected = ext_table(make())
+        calls, layer = [], [None]
+
+        def cells(self, *args, **kwargs):
+            for i, w, n, d in raw_cells(self, *args, **kwargs):
+                layer[0] = i
+                yield i, w, n, d
+
+        def rank(self, cleared=(), pivots=False):
+            calls.append((layer[0], pivots, len(cleared)))
+            return raw_rank(self, cleared, pivots)
+
+        with monkeypatch.context() as m:
+            m.setattr(CobarComplex, "_cells", cells)
+            m.setattr(ColumnMatrix, "rank", rank)
+            cx = make()
+            table = ext_table(cx)
+        assert table == expected
+        assert {i for i, _, _ in calls} == set(range(cx.imax + 1))
+        assert all(pivots == (i < cx.imax) for i, pivots, _ in calls)
+        assert any(i == cx.imax and cleared for i, _, cleared in calls)
