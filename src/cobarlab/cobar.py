@@ -22,8 +22,8 @@ negated and shifted; entries that meet add.  Each cell is built straight into
 its columns, dicts {row: value}, and handed on as a ``ColumnMatrix``, so block
 a copies whole columns of d_(i-1) and rank reads the columns as they are.  d
 preserves W, so one sweep builds each layer's cell differentials from the last
-layer's, checks d^2 = 0 on every cell pair and ranks each cell.  A graded
-coalgebra is flattened with its internal degree as the first weight
+layer's, checks d^2 = 0 on every cell pair it builds and ranks each cell.  A
+graded coalgebra is flattened with its internal degree as the first weight
 coordinate, which gives the (i, j) tables.  The zero grading has one cell per
 degree: the whole term, which the cohomology and product functions read
 through ``diff(i, None)``.
@@ -40,6 +40,20 @@ of d_i with the columns in S deleted, and almost every column left is a pivot.
 The pivots of that rank check and clear the next layer; no layer follows the
 top one, so its pivots are never collected.
 
+The top layer is built only where Ext can live.  In a minimal injective
+coresolution M -> C (x) V_0 -> C (x) V_1 -> ... of a conilpotent C, V_i is
+Ext^i_C(k, M) and a subquotient of C_+ (x) V_(i-1), weights included (Priddy,
+"Koszul resolutions", 1970; Polishchuk-Positselski, "Quadratic algebras",
+ch. 1).  So Ext^imax vanishes in weight W unless W = W' + w_a for a positive
+index a and a weight W' where Ext^(imax-1) does not vanish, and a top cell
+outside that support bound is never built: its Ext is 0, so its rank is
+n - rank d_(imax-1).  The bound needs two things, both read off the input,
+and without either every top cell is built.  C must be conilpotent, which
+the sweep takes from an acyclic term graph of D (t -> i and t -> j for each
+term e_i (x) e_j of D(e_t)); and imax >= 3, so that the full d^2 check of
+layer 2 certifies that D is coassociative, and d^2 = 0 holds on the cells
+left unbuilt, which get no check of their own.
+
 A basis tensor is the tuple (a_1, ..., a_i, m) of positive-basis indices and
 a comodule index (0 without coefficients).  Lexicographic order on these
 tuples is the index order of Matrix.kron, first factor most significant, so
@@ -49,6 +63,7 @@ the index of a concatenation u (x) v is idx(u) * dim(v-part) + idx(v).
 from __future__ import annotations
 
 from collections import Counter
+from graphlib import CycleError, TopologicalSorter
 from itertools import islice
 from math import lcm
 from operator import add
@@ -115,7 +130,7 @@ class CobarComplex:
         self._ranks = None
         self._whole = None
 
-    def _cells(self, grading, tables, top, jmax=None):
+    def _cells(self, grading, tables, top, jmax=None, bound=None):
         """Yield (i, w, dim, d) for every cell of layers 0..top (see the module docstring).
 
         A layer maps each weight W to [dim, {a: (offset, W - w_a)}]; layer 0
@@ -123,7 +138,9 @@ class CobarComplex:
         ``ColumnMatrix``: block a's columns are the negated, shifted columns
         of d_(i-1) on W - w_a, built as dicts {row: value}, plus one shifted
         diagonal per term of D(a).  A cell is kept only while the next layer
-        still has a block to copy from it.
+        still has a block to copy from it.  ``bound``, a set of weights, is
+        read once layer ``top`` is reached: a top cell whose weight is not
+        in it is yielded with d = None and never built.
         """
         wc, wm = grading
         f = self.field
@@ -149,30 +166,33 @@ class CobarComplex:
             needed = Counter(src for _, blocks in nxt.values() for _, src in blocks.values()) if i < top else Counter()
             cur = {}
             for w, (n, blocks) in layer.items():
-                cols = []
-                rows, target = nxt.get(w, (0, {}))
-                for a, (col, src) in blocks.items():
-                    if i:
-                        r = target.get(a, (0,))[0]  # no block a: the copied columns have no rows
-                        if p:
-                            cols += [{ints[r + x]: p - v for x, v in c.items()} for c in prev[src].cols]
+                if bound is not None and i == top and w not in bound:
+                    d = cols = block = None  # outside the support bound: only n is read
+                else:
+                    cols = []
+                    rows, target = nxt.get(w, (0, {}))
+                    for a, (col, src) in blocks.items():
+                        if i:
+                            r = target.get(a, (0,))[0]  # no block a: the copied columns have no rows
+                            if p:
+                                cols += [{ints[r + x]: p - v for x, v in c.items()} for c in prev[src].cols]
+                            else:
+                                cols += [{ints[r + x]: -v for x, v in c.items()} for c in prev[src].cols]
                         else:
-                            cols += [{ints[r + x]: -v for x, v in c.items()} for c in prev[src].cols]
-                    else:
-                        cols.append({})
-                    block = cols[col:]
-                    for pp, q, v in tables[0][a] if i else tables[1][a]:
-                        off, mid = target[pp]
-                        r = off + layer[mid][1][q][0]
-                        if pp != a or not i:
-                            for k, c in enumerate(block, r):
-                                c[ints[k]] = v
-                            continue
-                        for k, c in enumerate(block, r):  # a (x) q in the reduced comultiplication of a meets the copy
-                            s = f.add(c.pop(k, 0), v)
-                            if s:
-                                c[ints[k]] = s
-                d = ColumnMatrix(f, rows, cols)
+                            cols.append({})
+                        block = cols[col:]
+                        for pp, q, v in tables[0][a] if i else tables[1][a]:
+                            off, mid = target[pp]
+                            r = off + layer[mid][1][q][0]
+                            if pp != a or not i:
+                                for k, c in enumerate(block, r):
+                                    c[ints[k]] = v
+                                continue
+                            for k, c in enumerate(block, r):  # a (x) q in the reduced comultiplication of a meets the copy
+                                s = f.add(c.pop(k, 0), v)
+                                if s:
+                                    c[ints[k]] = s
+                    d = ColumnMatrix(f, rows, cols)
                 for _, src in blocks.values() if i else ():
                     uses[src] -= 1
                     if not uses[src]:
@@ -196,25 +216,56 @@ class CobarComplex:
         columns of d_i (see the module docstring).  Both are kept for one
         layer, K as references to columns of d_(i-1), and the top layer's
         are never collected.
+
+        When ``_bounded`` holds, the top layer is built only on the support
+        bound: the weights W' + w_a over the cells W' of layer imax-1 with
+        nonzero Ext and the positive indices a, collected as those cells are
+        ranked.  A top cell outside it has Ext 0 (see the module docstring),
+        so it is recorded with rank n - rank d_(imax-1) and never built.
         """
         if self._ranks is not None:
             return
         self._dims, ranks = {}, {}
         layer, last, kept = 0, {}, {}
-        for i, w, n, d in self._cells(self._grading, self._int_constants, self.imax, self.jmax):
+        wc = self._grading[0]
+        bound = set() if self._bounded() else None
+        for i, w, n, d in self._cells(self._grading, self._int_constants, self.imax, self.jmax, bound):
             if i > layer:
                 layer, last, kept = i, kept, {}
             cleared, image = last.pop(w, ((), ()))
+            self._dims[(i, w)] = n
+            if d is None:  # outside the support bound: Ext 0
+                ranks[(i, w)] = n - ranks.get((i - 1, w), 0)
+                continue
             if not d.annihilates(image):
                 raise AssertionError("cobar differential does not square to zero at cell (%d,%r)" % (i - 1, w))
-            self._dims[(i, w)] = n
             if i < self.imax:
                 ranks[(i, w)], rows, cols = d.rank(cleared, pivots=True)
                 kept[w] = rows, [d.cols[k] for k in cols]
+                if bound is not None and i == self.imax - 1 and n - ranks[(i, w)] - ranks.get((i - 1, w), 0):
+                    bound.update(tuple(map(add, wa, w)) for wa in wc)
             else:
                 ranks[(i, w)] = d.rank(cleared)
             del d  # the next cell is built without this one held
         self._ranks = ranks
+
+    def _bounded(self):
+        """Whether the top layer may be built on the support bound alone.
+
+        Two conditions, each read off the input.  imax >= 3, so that layer 2
+        is built and its d^2 check certifies that D is coassociative, and
+        d^2 = 0 holds on the cells left unbuilt.  And the term graph of D on
+        the positive basis, t -> i and t -> j for each term e_i (x) e_j of
+        D(e_t), has no cycle: then D is conilpotent, which the bound needs.
+        """
+        if self.imax < 3:
+            return False
+        graph = TopologicalSorter({t: {x for i, j, _ in terms for x in (i, j)} for t, terms in enumerate(self._comul)})
+        try:
+            graph.prepare()
+        except CycleError:
+            return False
+        return True
 
     def cell_dim(self, i, j=None):
         """Dimension of term i, or of its internal degree j for graded input."""

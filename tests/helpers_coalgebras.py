@@ -4,6 +4,7 @@ from operator import add
 from types import SimpleNamespace
 
 from cobarlab.coalg import Coalgebra, Comodule, _monomials, reduced_coaction_matrix, symmetric_coalgebra, tensor_coalgebra
+from cobarlab.cobar import ext_table
 from cobarlab.dualalg import Algebra, GradedAlgebra, ModulePresentation, graded_dual, quadratic_algebra
 from cobarlab.exactlin import QQ, Matrix, kron_identity_matmul
 from cobarlab.resolve import minimal_coresolution
@@ -213,6 +214,22 @@ def non_coassociative(scale=QQ.one):
     for t, extra in ((1, ()), (2, ((1, 1, scale),)), (3, ((1, 2, scale),))):
         comul.append(((0, t, one), (t, 0, one)) + extra)
     return Coalgebra(QQ, 4, 0, (one, QQ.zero, QQ.zero, QQ.zero), comul)
+
+
+def path_dual(field=QQ, square_zero=False):
+    """Dim 5: g, u, a*, b*, (ba)*; the dual of the path algebra of 1 <-> 2 with ab = 0.
+
+    Reduced comultiplication u -> u (x) u, a* -> a* (x) u, b* -> u (x) b*
+    and (ba)* -> b* (x) a* + u (x) (ba)* + (ba)* (x) u.  Coassociative and
+    coaugmented, but g + u is a second grouplike, so it is not conilpotent;
+    the term graph of its reduced comultiplication has the loop u -> u.
+    ``square_zero`` drops (ba)*: dim 4, the dual for ab = ba = 0.
+    """
+    one, z = field.one, field.zero
+    reduced = [(), ((1, 1),), ((2, 1),), ((1, 3),), ((3, 2), (1, 4), (4, 1))][: 4 if square_zero else 5]
+    dim = len(reduced)
+    comul = [((0, 0, one),)] + [((0, t, one), (t, 0, one)) + tuple((i, j, one) for i, j in reduced[t]) for t in range(1, dim)]
+    return Coalgebra(field, dim, 0, (one,) + (z,) * (dim - 1), comul)
 
 
 def kron_cobar_diff(c, i, m=None):
@@ -526,6 +543,73 @@ def reference_cells(cx):
         for w, cell in layers[i].items():
             rows = {t: r for r, t in enumerate(layers[i + 1].get(w, ()))}
             yield i, w, len(rows), len(cell), _cell_diff_negating_each_entry(cx.field, cell, rows, comul, coaction)
+
+
+def built_top_weights(cx):
+    """The weights of the top-layer cells that the sweep of a fresh ``cx`` builds; runs the sweep."""
+    raw, built = cx._cells, set()
+
+    def cells(*args):
+        for i, w, n, d in raw(*args):
+            if i == cx.imax and d is not None:
+                built.add(w)
+            yield i, w, n, d
+
+    cx._cells = cells
+    try:
+        cx._sweep()
+    finally:
+        del cx._cells
+    return built
+
+
+def unpruned_sweep(cx):
+    """{(i, w): (Ext dim, d^2 check)} for every cell of ``cx``, the top layer built in full.
+
+    Runs ``_cells`` without the support bound, ranks each cell without
+    clearing, and checks d_i on cell W against the pivot columns K of
+    d_(i-1) on W.
+    """
+    ranks, kept, out = {}, {}, {}
+    for i, w, n, d in cx._cells(cx._grading, cx._int_constants, cx.imax, cx.jmax):
+        ranks[(i, w)], _, cols = d.rank(pivots=True)
+        kept[(i, w)] = [d.cols[k] for k in cols]
+        out[(i, w)] = n - ranks[(i, w)] - ranks.get((i - 1, w), 0), d.annihilates(kept.pop((i - 1, w), ()))
+    return out
+
+
+def support_bound(cx, cells):
+    """The weights W' + w_a, for cells (imax-1, W') with nonzero Ext in ``cells = unpruned_sweep(cx)`` and positive a."""
+    nonzero = [w for (i, w), (ext, _) in cells.items() if i == cx.imax - 1 and ext]
+    return {tuple(map(add, w, wa)) for w in nonzero for wa in cx._grading[0]}
+
+
+def assert_pruned_sweep_is_exact(make):
+    """Check the pruned sweep of ``make()`` against the unpruned sweep of another; returns the number of top cells skipped.
+
+    Ext per cell and the table agree, every cell of the unpruned sweep
+    squares to zero with the layer below, and the pruned sweep builds
+    exactly the top cells in the support bound.
+    """
+    cx = make()
+    built = built_top_weights(cx)
+    cells = unpruned_sweep(make())
+    ranks = cx._ranks
+    assert {key: n - ranks[key] - ranks.get((key[0] - 1, key[1]), 0) for key, n in cx._dims.items()} == {
+        key: ext for key, (ext, _) in cells.items()
+    }
+    table = ext_table(cx).entries
+    unpruned = dict.fromkeys(table, 0)
+    for (i, w), (ext, _) in cells.items():
+        unpruned[(i, w[0]) if cx.jmax is not None else i] += ext
+    assert table == unpruned
+    assert all(ok for _, ok in cells.values())
+    assert cx._bounded()
+    top = {w for i, w in cells if i == cx.imax}
+    assert built == top & support_bound(cx, cells)
+    skipped = top - built
+    assert all(cells[cx.imax, w][0] == 0 for w in skipped)
+    return len(skipped)
 
 
 def reference_whole_diff(cx, i):

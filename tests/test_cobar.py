@@ -5,17 +5,21 @@ from importlib import resources
 import pytest
 
 from helpers_coalgebras import (
+    built_top_weights,
     divided_line,
     dual_numbers_dual,
     kron_cobar_diff,
     non_coassociative,
+    path_dual,
     reference_cells,
     reference_whole_diff,
     rescaled,
     reverse_tensor_vector,
     sheared,
     strip_degrees,
+    support_bound,
     swept_cells,
+    unpruned_sweep,
 )
 
 from cobarlab.coalg import (
@@ -259,21 +263,31 @@ def test_coefficient_differential_matches_kron_reference():
 
 def test_non_coassociative_input_fails_the_square_check():
     # at scale 1/2 the sweep squares 2 * d, and 4 * d^2 must still fail
+    # from imax 3 on the top layer is built on the support bound alone, and
+    # the full layer 2 check must still catch the defect
     for scale in (QQ.one, Fraction(1, 2)):
-        with pytest.raises(AssertionError, match="square to zero"):
-            ext_table(build_cobar(non_coassociative(scale), 2))
+        for imax in (2, 3, 4):
+            with pytest.raises(AssertionError, match="square to zero"):
+                ext_table(build_cobar(non_coassociative(scale), imax))
 
 
 def test_square_check_catches_a_fault_deep_in_the_sweep(monkeypatch):
     # the sweep multiplies d_i only by the pivot columns of d_(i-1), which
     # span its image; one changed entry of d_i, in any column that image
-    # reaches, makes the whole product nonzero, so those columns must see it
+    # reaches, makes the whole product nonzero, so those columns must see it.
+    # The fault goes into a top cell that the sweep builds: the others lie
+    # outside the support bound and are never built
     raw = CobarComplex._cells
     c3 = loads_presentation(resources.files("cobarlab").joinpath("data", "c3.json").read_text(encoding="utf-8"))
-    for c, imax in ((c3, 4), (flatten(symmetric_coalgebra(2, 3, QQ)), 3), (flatten(symmetric_coalgebra(2, 3, GF(7))), 3)):
+    cases = [(c3, 4), (flatten(symmetric_coalgebra(2, 3, QQ)), 3), (flatten(symmetric_coalgebra(2, 3, GF(7))), 3)]
+    for c, imax, built in [(c, imax, built_top_weights(build_cobar(c, imax))) for c, imax in cases]:
         cx = build_cobar(c, imax)
         cells = {(i, w): d for i, w, _, d in raw(cx, cx._grading, cx._int_constants, imax, cx.jmax)}
-        w = next(w for i, w in cells if i == imax and cells[i, w].nrows and (i - 1, w) in cells and cells[i - 1, w].nnz())
+        w = next(
+            w
+            for i, w in cells
+            if i == imax and w in built and cells[i, w].nrows and (i - 1, w) in cells and cells[i - 1, w].nnz()
+        )
         reached = sorted({r for col in cells[imax - 1, w].cols for r in col})
         for fault in reached:
 
@@ -430,14 +444,16 @@ def test_cleared_cell_ranks_match_whole_term_ranks():
 def test_top_layer_is_ranked_without_pivots(monkeypatch):
     # pivot rows clear the next layer and pivot columns feed its square
     # check; no layer follows imax, so its cells must not ask for pivots,
-    # and the table must be the one that ranking every layer with pivots gives
+    # and the table must be the one that ranking every layer with pivots gives.
+    # Regular coefficients are injective: Ext^(>= 1) = 0, so the support
+    # bound is empty and no top cell is built
     c3 = loads_presentation(resources.files("cobarlab").joinpath("data", "c3.json").read_text(encoding="utf-8"))
     ten = flatten(tensor_coalgebra(2, 2, QQ))
     cases = [
-        lambda: build_cobar(c3, 6),
-        lambda: build_cobar(flatten(symmetric_coalgebra(2, 3, QQ)), 3),
-        lambda: build_cobar(symmetric_coalgebra(2, 3, QQ), 3),
-        lambda: cobar_with_coefficients(ten, regular_comodule(ten), 3),
+        (lambda: build_cobar(c3, 6), True),
+        (lambda: build_cobar(flatten(symmetric_coalgebra(2, 3, QQ)), 3), True),
+        (lambda: build_cobar(symmetric_coalgebra(2, 3, QQ), 3), True),
+        (lambda: cobar_with_coefficients(ten, regular_comodule(ten), 3), False),
     ]
     raw_cells, raw_rank = CobarComplex._cells, ColumnMatrix.rank
 
@@ -445,7 +461,7 @@ def test_top_layer_is_ranked_without_pivots(monkeypatch):
         found = raw_rank(self, cleared, True)
         return found if pivots else found[0]
 
-    for make in cases:
+    for make, builds_top in cases:
         with monkeypatch.context() as m:
             m.setattr(ColumnMatrix, "rank", with_pivots)
             expected = ext_table(make())
@@ -466,6 +482,52 @@ def test_top_layer_is_ranked_without_pivots(monkeypatch):
             cx = make()
             table = ext_table(cx)
         assert table == expected
-        assert {i for i, _, _ in calls} == set(range(cx.imax + 1))
+        assert {i for i, _, _ in calls} == set(range(cx.imax + builds_top))
         assert all(pivots == (i < cx.imax) for i, pivots, _ in calls)
-        assert any(i == cx.imax and cleared for i, _, cleared in calls)
+        assert any(i == cx.imax and cleared for i, _, cleared in calls) == builds_top
+
+
+def _top_weights_outside_the_bound(cx):
+    # the top weights that the support bound of an unpruned sweep leaves out
+    cells = unpruned_sweep(cx)
+    return {w for i, w in cells if i == cx.imax} - support_bound(cx, cells)
+
+
+def test_non_conilpotent_input_builds_every_top_cell():
+    # g + u is a second grouplike; the term graph has the loop u -> u, and
+    # pruning would read Ext^imax = 0 at imax 2 (ab = 0) and at even imax
+    # from 4 on (ab = ba = 0, Ext periodic of period 2)
+    for c, want in ((path_dual(), [1, 0, 1, 0, 0, 0]), (path_dual(square_zero=True), [1, 0, 1, 0, 1, 0, 1])):
+        assert validate(c).flags["conilpotent"] is False
+        for imax in range(2, len(want)):
+            cx = build_cobar(c, imax)
+            assert ext_table(cx).dims() == want[: imax + 1]
+            assert not cx._bounded()
+            assert built_top_weights(build_cobar(c, imax)) == {w for i, w in cx._dims if i == imax}
+    assert any(_top_weights_outside_the_bound(build_cobar(path_dual(square_zero=True), imax)) for imax in (4, 6))
+
+
+def test_cyclic_term_graph_builds_every_top_cell():
+    # e1 -> e1 + e3 puts e1 into its own reduced comultiplication: the input
+    # is conilpotent, but the term graph has a cycle, so nothing is pruned
+    sym = flatten(symmetric_coalgebra(2, 3, QQ))
+    c = sheared(sym, 1, 3)
+    assert validate(c).ok
+    cx = build_cobar(c, 3)
+    assert not cx._bounded()
+    assert _top_weights_outside_the_bound(build_cobar(c, 3))
+    assert built_top_weights(cx) == {w for i, w in cx._dims if i == 3}
+    assert ext_table(cx) == ext_table(build_cobar(sym, 3))
+
+
+def test_low_imax_builds_every_top_cell():
+    # below imax 3 the layer 2 check that certifies coassociativity would
+    # run on the pruned layer, so nothing is pruned there
+    sym = flatten(symmetric_coalgebra(2, 3, QQ))
+    assert _top_weights_outside_the_bound(build_cobar(sym, 2))
+    for imax in (0, 1, 2):
+        cx = build_cobar(sym, imax)
+        assert not cx._bounded()
+        assert built_top_weights(cx) == {w for i, w in cx._dims if i == imax}
+        assert ext_table(cx).dims() == [1, 2, 6][: imax + 1]
+    assert build_cobar(sym, 3)._bounded()
