@@ -167,11 +167,7 @@ def _ext_algebra_side(obj, args):
 
     if isinstance(obj, GradedCoalgebra):
         return bar_ext_table(graded_dual(obj), args.imax, args.jmax)
-    if not isinstance(obj, Coalgebra):
-        return bar_ext_table(obj, args.imax, args.jmax)
-    if args.jmax is not None:
-        raise CliError(2, "--jmax needs a graded presentation")
-    return bar_ext_table(dual_algebra(obj), args.imax)
+    return bar_ext_table(dual_algebra(obj) if isinstance(obj, Coalgebra) else obj, args.imax)
 
 
 def _cobar_table(c, args):
@@ -189,6 +185,8 @@ def cmd_ext(args):
     if not isinstance(obj, (Coalgebra, GradedCoalgebra)) and args.side != "algebra":
         raise CliError(2, "algebra presentations support only --side algebra")
     obj = _maybe_flatten(obj, args)
+    if args.jmax is not None and not isinstance(obj, GradedCoalgebra):
+        raise CliError(2, "--jmax applies to graded presentations only, not to a finite, flattened or algebra input")
     _require_valid(obj, args.path)
     if args.side == "algebra":
         table = _ext_algebra_side(obj, args)

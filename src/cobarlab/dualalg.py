@@ -19,6 +19,7 @@ for a graded algebra, by its degree metadata for a finite one.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain, repeat
 
 from cobarlab.coalg import Coalgebra, Comodule, GradedCoalgebra, validate, validate_comodule
 from cobarlab.exactlin import ColumnMatrix, Matrix, SubspaceBasis, extend_to_basis, kron_identity_matmul, quotient_maps
@@ -307,7 +308,10 @@ class _BarComplex:
     of the top term is kept.
 
     ``bar_ext_table`` ranks the cells with clearing in the cohomological
-    direction, as the cobar sweep does (see ``sweep``).
+    direction, as the cobar sweep does, and builds a column of the top
+    term only where rank must read it: not when it is cleared, nor when a
+    row private to it certifies that it is independent (see ``sweep`` and
+    ``_cells``).
     """
 
     def __init__(self, a):
@@ -353,44 +357,80 @@ class _BarComplex:
         zero because the product of A_+ is associative, which
         ``bar_ext_table`` validates, so the pivot rows of cell (i, w) may
         clear the columns of cell (i+1, w): both index cell (i, w) in the
-        same layout.  They are kept for one term, and the top term's are
-        never collected.
+        same layout.  They are kept for one term.
+
+        The top term is ranked for its rank only, and ``_cells`` builds a
+        column of it only where rank must read it.  A cleared column is
+        deleted by the rank, so it is not built: term imax's pivot rows are
+        handed to ``_cells`` as ``cleared`` before term imax + 1 starts.  A
+        column that holds a row no other column of its cell holds is
+        independent of all of them, so it is certified and counted, not
+        built: rank = #certified + rank of the columns built.  The bar
+        layout names such rows without building anything (see ``_cells``);
+        Ripser skips its "apparent pairs" in the same way (Bauer, "Ripser",
+        J. Appl. Comput. Topol. 2021).  Every cell is still built and
+        ranked, and no rank is assumed, so the sweep stays independent of
+        the cobar side.
         """
         sizes, ranks = {}, {}
-        term, last, pivots = 0, {}, {}
-        for i, w, n, d in self._cells(self.dims, self.mu, imax + 1, jmax):
+        term, last, pivots, cleared = 0, {}, {}, {}
+        for i, w, n, d in self._cells(self.dims, self.mu, imax + 1, jmax, cleared):
             if i > term:
-                term, last, pivots = i, pivots, {}
+                term, last, pivots = i, pivots, cleared if i == imax else {}
             sizes[(i, w)] = n
-            if i and n and d.ncols:
-                if i > imax:
-                    ranks[(i, w)] = d.rank(last.pop(w, ()))
-                else:
-                    ranks[(i, w)], pivots[w], _ = d.rank(last.pop(w, ()), pivots=True)
+            if i > imax:
+                certified, _, d = d
+                ranks[(i, w)] = len(certified) + (d.rank() if n and d.ncols else 0)
+            elif i and n and d.ncols:
+                ranks[(i, w)], pivots[w], _ = d.rank(last.pop(w, ()), pivots=True)
             del d  # the next cell is built without this one held
         return sizes, ranks
 
-    def _cells(self, dims, mu, top, jmax=None):
+    def _cells(self, dims, mu, top, jmax=None, cleared=None):
         """Yield (i, w, dim cell (i, w), d_i^T on it) for every degree w of terms 0 .. top.
 
         The degrees are w <= jmax, or every degree of term i when jmax is
         None; an empty cell has dim 0.  d_0^T has no columns.  See the class
         docstring for the layout and the recursion.
+
+        ``cleared``, a dict {w: column indices}, is read once term ``top`` is
+        reached, and then each top cell is yielded as (certified, built, d):
+        the columns in ``cleared[w]`` and the certified ones are not built,
+        and d holds the columns ``built``, in order.  Without it every
+        column is built.
+
+        Column (a, u), a in A_p, copies column u of the source S = cell
+        (top-1, w-p) into rows a (x) r, r a row of S.  Row a (x) r is
+        reached by the copies of the columns of S that hold r, by one
+        diagonal entry per nonzero output of mu(a, y), y the first factor
+        of r, and by no other column.  So when r is held by one column of S
+        and mu(a, y) = 0, the row is private to (a, u), and the column is
+        certified.  Holders of r are
+        counted over every column of S, and counting too many only loses
+        certifications, in every grading.  No cleared column is certified:
+        a pivot row k of d_(top-1)^T is nonzero in some column x of it, and
+        d_top^T x = 0 writes column k of the top cell as a combination of
+        the others, so every row it holds is held by another column.
         """
         f = self.f
-        p = f.p
+        neg = f.p or 0  # -v is neg - v, reduced over GF(p)
         span = len(dims) - 1
         products = {}  # p' + q' -> [(p', q', [(a, a', b', value)])]: row a of mu[(p', q')] at column a' (x) b'
+        first = [sum(dims[:q]) for q in range(span + 1)]  # the index in A_+ of the first basis vector of A_q
+        hits = {}  # (p', a') -> the indices in A_+ of the b' with mu(a', b') nonzero
         for (p1, q1), m in mu.items():
             entries = [(r, *divmod(c, dims[q1]), v) for (r, c), v in m.entries.items()]
             if entries:
                 products.setdefault(p1 + q1, []).append((p1, q1, entries))
-        rows, cols = {0: [1, {}]}, {}
-        prev, uses = {}, Counter()
+            for _, x, y, _ in entries:
+                hits.setdefault((p1, x), set()).add(first[q1] + y)
+        rows, cols, below = {0: [1, {}]}, {}, {}
+        prev, uses, private = {}, Counter(), {}
+        clear = free = ()  # below the top, or without ``cleared``, every column is built
         ints = [0]  # one int object per row index, shared by every key
         for i in range(top + 1):
             if i:
-                cols, rows = rows, {}
+                below, cols, rows = cols, rows, {}
                 for deg, k in enumerate(dims):
                     for w, (n, _) in cols.items():
                         if k and (jmax is None or w + deg <= jmax):
@@ -399,20 +439,30 @@ class _BarComplex:
                             cell[0] += k * n
             ints += range(len(ints), max([n for n, _ in rows.values()], default=0))
             needed = Counter(src for _, blocks in rows.values() for _, src in blocks.values()) if i < top else Counter()
+            skip = cleared is not None and i == top
             cur = {}
             for w in range(i * span + 1) if jmax is None else range(jmax + 1):
                 n, targets = rows.get(w, (0, {}))
                 m, blocks = cols.get(w, (0, {}))
                 out = [] if i > 1 else [{} for _ in range(m)]  # d_1 = 0
+                if skip:
+                    clear, certified, junk = cleared.pop(w, ()), [], {}  # junk takes the diagonals of unbuilt columns
                 for deg, (col, src) in blocks.items():
                     source = prev[src]
                     step, width = source.nrows, source.ncols
                     start = targets[deg][0] if step else 0  # a source without rows has only empty columns
-                    for r in (start + a * step for a in range(dims[deg])):
-                        if p:
-                            out += [{ints[r + x]: p - v for x, v in c.items()} for c in source.cols]
-                        else:
-                            out += [{ints[r + x]: -v for x, v in c.items()} for c in source.cols]
+                    if skip and src not in private:
+                        private[src] = _private_columns(source, cols.get(src, (0, {})), below, first, dims)
+                    for a in range(dims[deg]):
+                        r, c0 = start + a * step, len(out)
+                        if skip:
+                            hit = hits.get((deg, a), frozenset())
+                            free = {u for u, ys in private[src].items() if not ys <= hit}
+                            certified += [c0 + u for u in free]
+                        out += [
+                            junk if u in free or c0 + u in clear else {ints[r + x]: neg - v for x, v in c.items()}
+                            for u, c in enumerate(source.cols)
+                        ]
                     for p1, q1, entries in products.get(deg, ()):
                         off, mid = targets[p1]
                         size, inner = cols[mid]
@@ -431,12 +481,38 @@ class _BarComplex:
                     uses[src] -= 1
                     if not uses[src]:
                         del prev[src]
-                d = ColumnMatrix(f, n, out)
+                        private.pop(src, None)
+                if skip:
+                    built = [k for k, c in enumerate(out) if c is not junk]
+                    d = certified, built, ColumnMatrix(f, n, [out[k] for k in built])
+                else:
+                    d = ColumnMatrix(f, n, out)
                 if w in needed:
                     cur[w] = d
                 yield i, w, n, d
                 del d, out  # a top cell is not kept while the next one is built
             prev, uses = cur, needed
+
+
+def _private_columns(source, layout, below, first, dims):
+    """{u: the first factors of the rows that column u of ``source`` holds alone}, for the u that hold one.
+
+    ``layout`` is the source's row layout [dim, {q: (offset, degree)}],
+    ``below`` the layouts one term down, and ``first`` and ``dims`` the
+    index in A_+ of the first basis vector of each degree and their
+    number; a factor is named by its index in A_+.
+    """
+    counts = Counter(chain.from_iterable(source.cols))
+    factor = []  # the first factor of each row, in order
+    for q, (_, v) in sorted(layout[1].items()):
+        for y in range(first[q], first[q] + dims[q]):
+            factor += repeat(y, below[v][0])
+    owned = {}
+    for u, c in enumerate(source.cols):
+        ys = {factor[r] for r in c if counts[r] == 1}
+        if ys:
+            owned[u] = ys
+    return owned
 
 
 def _positive_degrees(a, reduced):

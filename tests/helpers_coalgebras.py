@@ -1,11 +1,13 @@
 """Small coalgebras shared across test modules."""
 
+from collections import Counter
+from itertools import chain
 from operator import add
 from types import SimpleNamespace
 
 from cobarlab.coalg import Coalgebra, Comodule, _monomials, reduced_coaction_matrix, symmetric_coalgebra, tensor_coalgebra
 from cobarlab.cobar import ext_table
-from cobarlab.dualalg import Algebra, GradedAlgebra, ModulePresentation, graded_dual, quadratic_algebra
+from cobarlab.dualalg import _BarComplex, Algebra, GradedAlgebra, ModulePresentation, graded_dual, quadratic_algebra
 from cobarlab.exactlin import QQ, Matrix, kron_identity_matmul
 from cobarlab.resolve import minimal_coresolution
 from cobarlab.witness import HomToQ, QElement, SubringElement, TaggedCofunctional, TaggedLinearMap, contraaction
@@ -261,6 +263,47 @@ def bar_cells(bar, top, jmax=None, whole=False):
     """
     dims, mu = ((bar.d,), {(0, 0): bar.reduced}) if whole else (bar.dims, bar.mu)
     return {(i, w): d for i, w, _, d in bar._cells(dims, mu, top, jmax)}
+
+
+def skipped_top_sweep(bar, imax, jmax=None):
+    """(ranks, {w: (cleared, certified, built, d)}) from ``bar.sweep(imax, jmax)``, one entry per top cell.
+
+    ``cleared`` is the set of pivot rows of term imax at w that the sweep
+    hands to ``_cells``, read once term imax is ranked; ``certified`` and
+    ``built`` are the column indices that ``_cells`` counts and builds, and
+    d holds the built columns.
+    """
+    raw, top, seen = bar._cells, {}, {}
+
+    def cells(dims, mu, last, jmax=None, cleared=None):
+        for i, w, n, d in raw(dims, mu, last, jmax, cleared):
+            if i == last:
+                top[w] = (seen.get(w, set()), *d)
+            yield i, w, n, d
+            if i == last - 1:  # the sweep has stored this cell's pivot rows
+                seen.update((k, set(v)) for k, v in cleared.items())
+
+    bar._cells = cells
+    _, ranks = bar.sweep(imax, jmax)
+    return ranks, top
+
+
+def assert_top_term_is_skipped_exactly(a, imax, jmax=None):
+    """Check every top cell of ``a``'s bar sweep to imax against the full cell; return the cells as ``skipped_top_sweep`` does."""
+    ranks, top = skipped_top_sweep(_BarComplex(a), imax, jmax)
+    full = {w: d for (i, w), d in bar_cells(_BarComplex(a), imax + 1, jmax).items() if i == imax + 1}
+    assert top.keys() == full.keys()
+    for w, (cleared, certified, built, d) in top.items():
+        cell = full[w]
+        certified = set(certified)
+        assert not certified & cleared and not set(built) & (cleared | certified), w
+        assert sorted(cleared | certified | set(built)) == list(range(cell.ncols)), w
+        assert (d.nrows, d.cols) == (cell.nrows, [cell.cols[k] for k in built]), w
+        holders = Counter(chain.from_iterable(cell.cols))
+        assert all(1 in map(holders.__getitem__, cell.cols[k]) for k in certified), w
+        plain = Matrix(cell.field, cell.nrows, cell.ncols, cell.entries).rank()
+        assert len(certified) + (d.rank() if d.ncols else 0) == plain == ranks.get((imax + 1, w), 0), w
+    return top
 
 
 def bar_boundary(bar, i):

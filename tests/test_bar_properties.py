@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_coalgebras import (
+    assert_top_term_is_skipped_exactly,
     bar_cell_positions,
     bar_cells,
     bar_reference,
@@ -92,3 +93,11 @@ def test_swept_cells_are_the_kronecker_boundary_restricted(field, relations, top
             assert cell.ncols == len(dst)
             assert all(v for col in cell.cols for v in col.values()), (i, w)
             assert cell.entries == restricted_transpose(wholes[i], dst, src), (i, w)
+
+
+@PROPERTY
+@given(*algebras)
+def test_top_term_skips_only_cleared_and_certified_columns(field, relations, top, form, data):
+    """The top term builds every column but the cleared and the certified ones, and its ranks are exact."""
+    a, jmax = _algebra(field, relations, top, form, data)
+    assert_top_term_is_skipped_exactly(a, IMAX, jmax)

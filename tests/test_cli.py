@@ -109,6 +109,31 @@ def test_ext_jmax_errors(capsys):
     assert main(["ext", "bundled:c2.json", "--imax", "3", "--jmax", "2"]) == 2
 
 
+def test_ext_jmax_on_a_finite_input_is_refused_with_one_message(tmp_path, capsys, monkeypatch):
+    algebra = tmp_path / "algebra.json"
+    algebra.write_text(dumps_presentation(dual_algebra(dual_numbers_dual())))
+    cases = [
+        ["bundled:c2.json", "--side", "co"],
+        ["bundled:sym2_d4.json", "--flatten", "--side", "co"],
+        ["bundled:sym2_d4.json", "--flatten", "--side", "op"],
+        ["bundled:sym2_d4.json", "--flatten", "--side", "algebra"],
+        ["bundled:c3.json", "--side", "algebra"],
+        [str(algebra), "--side", "algebra"],
+    ]
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a pipeline ran")
+
+    # the check comes before either pipeline, which would turn this into exit 3
+    monkeypatch.setattr("cobarlab.cobar.build_cobar", unreachable)
+    monkeypatch.setattr("cobarlab.dualalg.bar_ext_table", unreachable)
+    for argv in cases:
+        assert main(["ext", *argv, "--imax", "2", "--jmax", "2"]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == "error: --jmax applies to graded presentations only, not to a finite, flattened or algebra input\n"
+        assert captured.out == ""
+
+
 def test_ext_rejects_negative_bounds(capsys):
     refused = [
         (["bundled:c3.json", "--imax", "-1", "--side", "algebra"], "imax must be >= 0"),
