@@ -54,6 +54,24 @@ term e_i (x) e_j of D(e_t)); and imax >= 3, so that the full d^2 check of
 layer 2 certifies that D is coassociative, and d^2 = 0 holds on the cells
 left unbuilt, which get no check of their own.
 
+The top layer is ranked once per orbit of the coalgebra's permutation
+automorphisms (orbit pruning as in McKay-Piperno, "Practical graph
+isomorphism, II", J. Symbolic Comput. 2014).  Let s permute the positive
+basis so that D(e_s(t)) = (s (x) s) D(e_t), constants included, and map each
+term v e_c (x) m' of the reduced coaction of m to a term v e_s(c) (x) m' of
+the same coaction.  Then s sends the tensor (a_1, ..., a_i, m) to
+(s(a_1), ..., s(a_i), m) and commutes with d, so it maps cell (i, W) onto
+cell (i, sW) by permuting its rows and columns: the two cells have the same
+dimension, rank, d^2 outcome and Ext.  s permutes the weight equations, so it
+acts linearly on the weights, w_s(a) = M w_a with the comodule weights fixed,
+and sW is read off layer by layer as s(w_a + W') = w_s(a) + s(W').  A top
+cell sR that follows a built top cell R is its twin: it is recorded with R's
+rank and never built.  This holds for any coalgebra, non-conilpotent and
+non-coassociative ones included, since d^2 on cell sR is d^2 on cell R
+permuted.  Only top cells are skipped: every lower cell is a copy and
+clearing source for the next layer.  The support bound is s-invariant,
+because Ext^(imax-1) is.  ``diff(i, None)`` builds every cell.
+
 A basis tensor is the tuple (a_1, ..., a_i, m) of positive-basis indices and
 a comodule index (0 without coefficients).  Lexicographic order on these
 tuples is the index order of Matrix.kron, first factor most significant, so
@@ -95,6 +113,67 @@ def _weights(comul, coaction):
     return weights[:d], weights[d:]
 
 
+_AUT_NODES = 1000  # search nodes; past them the sweep keeps the automorphisms found so far
+
+
+def _automorphisms(comul, coaction):
+    """The permutations s != id of the positive basis that preserve D and the coaction.
+
+    s maps each term v e_i (x) e_j of D(e_t) to a term v e_s(i) (x) e_s(j)
+    of D(e_s(t)), and each term v e_c (x) m' of the reduced coaction of m to
+    a term v e_s(c) (x) m' of the same coaction.  Backtracking over the
+    indices in order (McKay-Piperno, "Practical graph isomorphism, II",
+    J. Symbolic Comput. 2014): s(t) ranges over the indices with t's
+    invariants (its coefficients, its counts as a first and as a second
+    factor, its coaction terms), and each term of D is checked once its
+    three indices are assigned.  Every s found is checked again on every
+    term before it is kept.  The search stops after about _AUT_NODES nodes.
+    """
+    d = len(comul)
+    inv = [[sorted(v for _, _, v in row), 0, 0, []] for row in comul]
+    checks = [[] for _ in comul]  # checks[t]: the terms whose largest index is t
+    for t, row in enumerate(comul):
+        for i, j, v in row:
+            inv[i][1] += 1
+            inv[j][2] += 1
+            checks[max(t, i, j)].append((t, i, j, v))
+    for m, row in enumerate(coaction):
+        for c, m2, v in row:
+            inv[c][3].append((m, m2, v))
+    groups = {}
+    keys = [(tuple(cs), left, right, tuple(sorted(co))) for cs, left, right, co in inv]
+    for t, key in enumerate(keys):
+        groups.setdefault(key, []).append(t)
+    terms = [{(i, j): v for i, j, v in row} for row in comul]
+    coacts = [{(c, m2): v for c, m2, v in row} for row in coaction]
+    found, s, used, nodes, ident = [], [], set(), 0, list(range(d))
+    stack = [iter(groups[keys[0]])] if d else []
+    while stack and nodes < _AUT_NODES:
+        t = len(s)
+        for x in stack[-1]:
+            if x in used:
+                continue
+            nodes += 1
+            s.append(x)
+            if all(terms[s[u]].get((s[i], s[j])) == v for u, i, j, v in checks[t]):
+                break
+            s.pop()
+        else:  # no value left for t: back up
+            stack.pop()
+            if s:
+                used.discard(s.pop())
+            continue
+        if t + 1 < d:
+            used.add(x)
+            stack.append(iter(groups[keys[t + 1]]))
+            continue
+        exact = all({(s[i], s[j]): v for i, j, v in row} == terms[s[u]] for u, row in enumerate(comul))
+        if exact and s != ident and all({(s[c], m2): v for c, m2, v in row} == co for row, co in zip(coaction, coacts)):
+            found.append(tuple(s))
+        s.pop()
+    return found
+
+
 class CobarComplex:
     """A reduced cobar complex through degree imax, split into weight cells.
 
@@ -130,7 +209,7 @@ class CobarComplex:
         self._ranks = None
         self._whole = None
 
-    def _cells(self, grading, tables, top, jmax=None, bound=None):
+    def _cells(self, grading, tables, top, jmax=None, bound=None, twins=None):
         """Yield (i, w, dim, d) for every cell of layers 0..top (see the module docstring).
 
         A layer maps each weight W to [dim, {a: (offset, W - w_a)}]; layer 0
@@ -141,20 +220,28 @@ class CobarComplex:
         still has a block to copy from it.  ``bound``, a set of weights, is
         read once layer ``top`` is reached: a top cell whose weight is not
         in it is yielded with d = None and never built.
+
+        ``twins``, a dict, turns on the orbit skip: the automorphisms s of
+        ``tables`` are found once, and each layer maps its weights to their
+        images sW, built from the layer below.  When top cell R is built,
+        each image sR that is still to come in the layer is entered as
+        twins[sR] = R, and is then yielded with d = None and never built.
         """
         wc, wm = grading
         f = self.field
         p = f.p
+        auts = () if twins is None else _automorphisms(*tables)
         layer = {}
         for m, w in enumerate(wm):
             if jmax is None or w[0] <= jmax:
                 cell = layer.setdefault(w, [0, {}])
                 cell[1][m] = (cell[0], None)
                 cell[0] += 1
+        images = {w: [w] * len(auts) for w in layer}  # s fixes the comodule indices
         prev, uses = {}, Counter()
         ints = list(range(len(wm)))  # one int object per index, shared by every key
         for i in range(top + 1):
-            nxt = {}
+            nxt, nimages = {}, {}
             for a, wa in enumerate(wc):
                 for w, (n, _) in layer.items():
                     key = tuple(map(add, wa, w))
@@ -162,13 +249,19 @@ class CobarComplex:
                         cell = nxt.setdefault(key, [0, {}])
                         cell[1][a] = (cell[0], w)
                         cell[0] += n
+                        if auts and i < top and key not in nimages:  # s(w_a + W') = w_s(a) + s(W')
+                            nimages[key] = [tuple(map(add, wc[perm[a]], v)) for perm, v in zip(auts, images[w])]
             ints += range(len(ints), max([n for n, _ in nxt.values()], default=0))
             needed = Counter(src for _, blocks in nxt.values() for _, src in blocks.values()) if i < top else Counter()
+            later = {w: k for k, w in enumerate(layer)} if auts and i == top else {}
             cur = {}
             for w, (n, blocks) in layer.items():
-                if bound is not None and i == top and w not in bound:
-                    d = cols = block = None  # outside the support bound: only n is read
+                if i == top and (twins and w in twins or bound is not None and w not in bound):
+                    d = cols = block = None  # a twin or outside the support bound: only n is read
                 else:
+                    for v in images[w] if later else ():
+                        if later.get(v, 0) > later[w]:  # a top cell still to come is a twin of this one
+                            twins.setdefault(v, w)
                     cols = []
                     rows, target = nxt.get(w, (0, {}))
                     for a, (col, src) in blocks.items():
@@ -201,7 +294,7 @@ class CobarComplex:
                     cur[w] = d
                 yield i, w, n, d
                 del d, cols, block  # a top cell is not kept while the next one is built
-            layer, prev, uses = nxt, cur, needed
+            layer, prev, uses, images = nxt, cur, needed, nimages
 
     def _sweep(self):
         """Dimensions and ranks of every cell through imax, checking d^2 = 0.
@@ -222,6 +315,11 @@ class CobarComplex:
         nonzero Ext and the positive indices a, collected as those cells are
         ranked.  A top cell outside it has Ext 0 (see the module docstring),
         so it is recorded with rank n - rank d_(imax-1) and never built.
+
+        A top cell that ``_cells`` enters as a twin of a built top cell R,
+        the image of R under a permutation automorphism, is recorded with R's
+        rank and never built (see the module docstring).  Its dimension and
+        the rank of d_(imax-1) on it must equal R's, or the sweep raises.
         """
         if self._ranks is not None:
             return
@@ -229,13 +327,21 @@ class CobarComplex:
         layer, last, kept = 0, {}, {}
         wc = self._grading[0]
         bound = set() if self._bounded() else None
-        for i, w, n, d in self._cells(self._grading, self._int_constants, self.imax, self.jmax, bound):
+        twins = {}
+        for i, w, n, d in self._cells(self._grading, self._int_constants, self.imax, self.jmax, bound, twins):
             if i > layer:
                 layer, last, kept = i, kept, {}
             cleared, image = last.pop(w, ((), ()))
             self._dims[(i, w)] = n
-            if d is None:  # outside the support bound: Ext 0
-                ranks[(i, w)] = n - ranks.get((i - 1, w), 0)
+            if d is None:  # a twin has the rank of its representative; outside the support bound, Ext is 0
+                below = ranks.get((i - 1, w), 0)
+                if w in twins:
+                    r = twins[w]
+                    if self._dims[(i, r)] != n or ranks.get((i - 1, r), 0) != below:
+                        raise AssertionError("cobar cell (%d,%r) does not match its representative %r" % (i, w, r))
+                    ranks[(i, w)] = ranks[(i, r)]
+                else:
+                    ranks[(i, w)] = n - below
                 continue
             if not d.annihilates(image):
                 raise AssertionError("cobar differential does not square to zero at cell (%d,%r)" % (i - 1, w))

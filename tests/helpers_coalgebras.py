@@ -6,7 +6,7 @@ from operator import add
 from types import SimpleNamespace
 
 from cobarlab.coalg import Coalgebra, Comodule, _monomials, reduced_coaction_matrix, symmetric_coalgebra, tensor_coalgebra
-from cobarlab.cobar import ext_table
+from cobarlab.cobar import _automorphisms, ext_table
 from cobarlab.dualalg import _BarComplex, Algebra, GradedAlgebra, ModulePresentation, graded_dual, quadratic_algebra
 from cobarlab.exactlin import QQ, Matrix, kron_identity_matmul
 from cobarlab.resolve import minimal_coresolution
@@ -588,22 +588,54 @@ def reference_cells(cx):
             yield i, w, len(rows), len(cell), _cell_diff_negating_each_entry(cx.field, cell, rows, comul, coaction)
 
 
-def built_top_weights(cx):
-    """The weights of the top-layer cells that the sweep of a fresh ``cx`` builds; runs the sweep."""
-    raw, built = cx._cells, set()
+def top_sweep(cx):
+    """(built, twins) for the sweep of a fresh ``cx``: the top weights it builds and its twins {W: R}; runs the sweep.
 
-    def cells(*args):
-        for i, w, n, d in raw(*args):
-            if i == cx.imax and d is not None:
+    Fails unless every cell below the top layer is built.
+    """
+    raw, built, twins = cx._cells, set(), {}
+
+    def cells(grading, tables, top, jmax, bound, found):
+        for i, w, n, d in raw(grading, tables, top, jmax, bound, found):
+            assert d is not None or i == top, "cell (%d,%r) below the top is not built" % (i, w)
+            if i == top and d is not None:
                 built.add(w)
             yield i, w, n, d
+        twins.update(found)
 
     cx._cells = cells
     try:
         cx._sweep()
     finally:
         del cx._cells
-    return built
+    return built, twins
+
+
+def built_top_weights(cx):
+    """The weights of the top-layer cells that the sweep of a fresh ``cx`` builds; runs the sweep."""
+    return top_sweep(cx)[0]
+
+
+def assert_twins_are_images(cx, built, twins):
+    """Each twin W of a built top cell R is the cell s(R) for a structure-preserving permutation s.
+
+    The candidates s come from the sweep's search; each is checked here term
+    by term against the exact structure constants, and the tensors of cell R
+    with every positive index a replaced by s(a) must be those of cell W.
+    """
+    comul, coaction = cx._comul, cx._coaction
+    top = list(_layers(cx._grading, cx.imax, cx.jmax))[-1]
+
+    def preserves(s):
+        same_comul = all(
+            {(s[i], s[j]): v for i, j, v in row} == {(i, j): v for i, j, v in comul[s[t]]} for t, row in enumerate(comul)
+        )
+        return same_comul and all({(s[c], m): v for c, m, v in row} == {(c, m): v for c, m, v in row} for row in coaction)
+
+    auts = [s for s in _automorphisms(*cx._int_constants) if preserves(s)]
+    for w, r in twins.items():
+        assert r in built and w not in built
+        assert any(sorted(tuple(s[a] for a in t[:-1]) + t[-1:] for t in top[r]) == top[w] for s in auts), (w, r)
 
 
 def unpruned_sweep(cx):
@@ -628,14 +660,16 @@ def support_bound(cx, cells):
 
 
 def assert_pruned_sweep_is_exact(make):
-    """Check the pruned sweep of ``make()`` against the unpruned sweep of another; returns the number of top cells skipped.
+    """Check the pruned sweep of ``make()`` against the unpruned sweep of another.
 
     Ext per cell and the table agree, every cell of the unpruned sweep
-    squares to zero with the layer below, and the pruned sweep builds
-    exactly the top cells in the support bound.
+    squares to zero with the layer below, and the top cells in the support
+    bound are each either built or the twin of a built cell, checked by
+    ``assert_twins_are_images``.  Returns the numbers of top cells skipped
+    by the bound and of twins.
     """
     cx = make()
-    built = built_top_weights(cx)
+    built, twins = top_sweep(cx)
     cells = unpruned_sweep(make())
     ranks = cx._ranks
     assert {key: n - ranks[key] - ranks.get((key[0] - 1, key[1]), 0) for key, n in cx._dims.items()} == {
@@ -649,10 +683,12 @@ def assert_pruned_sweep_is_exact(make):
     assert all(ok for _, ok in cells.values())
     assert cx._bounded()
     top = {w for i, w in cells if i == cx.imax}
-    assert built == top & support_bound(cx, cells)
-    skipped = top - built
+    assert not built & twins.keys()
+    assert built | twins.keys() == top & support_bound(cx, cells)
+    assert_twins_are_images(cx, built, twins)
+    skipped = top - built - twins.keys()
     assert all(cells[cx.imax, w][0] == 0 for w in skipped)
-    return len(skipped)
+    return len(skipped), len(twins)
 
 
 def reference_whole_diff(cx, i):
