@@ -60,7 +60,6 @@ _EXPORTS = {
     "QQ": "exactlin",
     "Field": "exactlin",
     "Matrix": "exactlin",
-    "SubspaceBasis": "exactlin",
     "ExtTable": "exttable",
     "SchemaError": "presentation",
     "dumps_presentation": "presentation",

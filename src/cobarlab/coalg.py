@@ -13,7 +13,7 @@ has flat index i * dim(C') + j, matching Matrix.kron.
 
 from __future__ import annotations
 
-from cobarlab.exactlin import Matrix, SubspaceBasis, kron_identity_matmul, quotient_maps
+from cobarlab.exactlin import Matrix, kron_identity_matmul, quotient_maps
 
 
 class UnsupportedCharacteristic(ValueError):
@@ -361,7 +361,7 @@ def validate(c):
         if not chain.exhaustive:
             notes["conilpotent"] = "filtration stabilizes at step %d with dim %d < %d" % (
                 chain.stabilized_at,
-                chain.steps[-1].dim,
+                chain.steps[-1].nrows,
                 n,
             )
     else:
@@ -417,7 +417,7 @@ class FiltrationChain:
     __slots__ = ("steps", "exhaustive", "stabilized_at")
 
     def __init__(self, steps, exhaustive, stabilized_at):
-        self.steps = steps  # SubspaceBasis for F_0, F_1, ... up to stabilization
+        self.steps = steps  # F_0, F_1, ... up to stabilization, each a basis as the rows of a matrix
         self.exhaustive = exhaustive
         self.stabilized_at = stabilized_at
 
@@ -427,60 +427,50 @@ def coaugmentation_filtration(c):
 
     Computed through the reduced coalgebra D = C_+: with G_1 = ker(reduced
     comul) and G_m the preimage of D (x) G_{m-1}, the chain F_m is the pullback
-    of G_m along C -> D plus the grouplike line.  Stabilizes within dim C
+    of G_m along C -> D plus the grouplike line.  Each G_m is kept as the
+    kernel columns that give its basis, and F_m as rows: the grouplike, then
+    each column of G_m at the positive indices.  Stabilizes within dim C
     steps; exhaustive iff the stable term is all of C.
     """
     f = c.field
     n = c.dim
     d = n - 1
-    g = c.grouplike_index
     keep = c.positive_indices()
 
-    def lift(sub_d):
-        vecs = [[f.zero] * n]
-        vecs[0][g] = f.one
-        for v in sub_d.vectors:
-            w = [f.zero] * n
-            for k, i in enumerate(keep):
-                w[i] = v[k]
-            vecs.append(w)
-        return SubspaceBasis(f, n, tuple(tuple(v) for v in vecs)).canonical()
+    def lift(g_m):
+        entries = {(1 + r, keep[k]): x for (k, r), x in g_m.entries.items()}
+        entries[(0, c.grouplike_index)] = f.one
+        return Matrix(f, 1 + g_m.ncols, n, entries)
 
-    steps = [lift(SubspaceBasis(f, d, ()))]
+    steps = [lift(Matrix.zeros(f, d, 0))]
     if d == 0:
         return FiltrationChain(tuple(steps), True, 0)
 
     mu_d = c.reduced_comul_matrix()
-    current = mu_d.kernel_basis().canonical()  # G_1
-    if current.dim > 0:
+    current = mu_d.kernel_basis()  # G_1
+    if current.ncols > 0:
         steps.append(lift(current))
     m = 1
-    while 0 < current.dim < d:
+    while 0 < current.ncols < d:
         # G_{m+1} = preimage of D (x) G_m under the reduced comultiplication;
-        # D (x) G_m is spanned by the rows e_i (x) v
-        vectors = current.vectors
-        items = [
-            (i * len(vectors) + r, i * d + k, x)
-            for i in range(d)
-            for r, v in enumerate(vectors)
-            for k, x in enumerate(v)
-            if x
-        ]
-        proj, _ = quotient_maps(Matrix.from_entries(f, d * len(vectors), d * d, items))
-        nxt = (proj @ mu_d).kernel_basis().canonical()
-        if nxt.dim == current.dim:
+        # D (x) G_m is spanned by the rows e_i (x) v, v a column of G_m
+        k = current.ncols
+        span = {(i * k + r, i * d + j): x for i in range(d) for (j, r), x in current.entries.items()}
+        proj, _ = quotient_maps(Matrix(f, d * k, d * d, span))
+        nxt = (proj @ mu_d).kernel_basis()
+        if nxt.ncols == k:
             break
         current = nxt
         steps.append(lift(current))
         m += 1
         if m > d:
             break
-    return FiltrationChain(tuple(steps), current.dim == d, len(steps) - 1)
+    return FiltrationChain(tuple(steps), current.ncols == d, len(steps) - 1)
 
 
 def socle(m):
-    """Largest trivial subcomodule: ker(M -> C (x) M -> C_+ (x) M)."""
-    return reduced_coaction_matrix(m).kernel_basis()
+    """Largest trivial subcomodule, ker(M -> C (x) M -> C_+ (x) M), a basis of it as the rows of a matrix."""
+    return reduced_coaction_matrix(m).kernel_basis().transpose()
 
 
 def reduced_coaction_matrix(m):

@@ -106,7 +106,7 @@ def _weights(comul, coaction):
         items += [(row, t, 1), (row, i, -1), (row, j, -1)]
     system = Matrix.from_entries(QQ, len(eqs), d + len(coaction), items)
     coords = []
-    for vec in system.kernel_basis().vectors:
+    for vec in system.kernel_basis().columns():
         scale = lcm(*(x.denominator for x in vec))
         coords.append([int(x * scale) for x in vec])
     weights = [tuple(v[k] for v in coords) for k in range(d + len(coaction))]
@@ -497,7 +497,7 @@ def cohomology_basis(cx, i):
     cache = cx.__dict__.setdefault("_cohomology_cache", {})
     if i in cache:
         return cache[i]
-    ker = cx.diff(i, None).kernel_matrix()
+    ker = cx.diff(i, None).kernel_basis()
     image = cx.diff(i - 1, None) if i else Matrix.zeros(cx.field, ker.nrows, 0)
     vectors = ker.columns()
     reps = [CobarClass(i, vectors[k]) for k in extend_to_basis(image, ker)]

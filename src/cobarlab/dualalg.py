@@ -22,7 +22,7 @@ from collections import Counter
 from itertools import chain, repeat
 
 from cobarlab.coalg import Coalgebra, Comodule, GradedCoalgebra, validate, validate_comodule
-from cobarlab.exactlin import ColumnMatrix, Matrix, SubspaceBasis, extend_to_basis, kron_identity_matmul, quotient_maps
+from cobarlab.exactlin import ColumnMatrix, Matrix, extend_to_basis, kron_identity_matmul, quotient_maps
 from cobarlab.exttable import ExtTable
 
 
@@ -244,8 +244,6 @@ def quadratic_algebra(m, relations, top, field):
     the span of word (x) relation (x) word paddings, and multiplication is
     induced by concatenation on chosen representatives.
     """
-    if isinstance(relations, SubspaceBasis):
-        relations = list(relations.vectors)
     f = field
     rels = [tuple(f.coerce(v) for v in vec) for vec in relations]
     if any(len(vec) != m * m for vec in rels):
@@ -325,9 +323,10 @@ class _BarComplex:
             raise ValueError("bar complex needs an augmented algebra")
         n = a.dim
         pos = Matrix.from_entries(f, 1, n, [(0, i, v) for i, v in enumerate(a.augmentation)]).kernel_basis()
-        d = self.d = pos.dim
-        into = Matrix.from_columns(f, [list(a.unit)] + [list(v) for v in pos.vectors], n)  # k (+) A_+ -> A
-        prod_cols = [list(a.multiply(x, y)) for x in pos.vectors for y in pos.vectors]
+        d = self.d = pos.ncols
+        basis = pos.columns()
+        into = Matrix.from_columns(f, [a.unit, *basis], n)  # k (+) A_+ -> A
+        prod_cols = [list(a.multiply(x, y)) for x in basis for y in basis]
         sol = into.solve_columns(Matrix.from_columns(f, prod_cols, n) if prod_cols else Matrix.zeros(f, n, 0))
         if sol is None:
             raise AssertionError("product of augmentation-ideal elements left the algebra")
@@ -686,7 +685,7 @@ def module_hom_basis(p, q):
         for (k, c), v in p.actions[s].entries.items():
             items.extend((base + r * p.dim + c, r * p.dim + k, f.neg(v)) for r in range(q.dim))
     system = Matrix.from_entries(f, a.dim * unknowns, unknowns, items)
-    kernel = system.kernel_matrix().column_dicts()
+    kernel = system.kernel_basis().column_dicts()
     return [Matrix.from_entries(f, q.dim, p.dim, [(*divmod(k, p.dim), v) for k, v in vec.items()]) for vec in kernel]
 
 
@@ -699,11 +698,11 @@ def _free_cover(ambient_actions, basis_matrix, a):
     f = a.field
     ambient_dim = basis_matrix.nrows
     aug = a.augmentation
-    pos_vectors = Matrix.from_entries(f, 1, a.dim, [(0, i, v) for i, v in enumerate(aug)]).kernel_basis()
+    pos = Matrix.from_entries(f, 1, a.dim, [(0, i, v) for i, v in enumerate(aug)]).kernel_basis()
     # images[s] is e_s acting on the spanning columns of K
     images = [act @ basis_matrix for act in ambient_actions]
     radical = [Matrix.zeros(f, ambient_dim, 0)]
-    for alpha in pos_vectors.vectors:
+    for alpha in pos.columns():
         image = Matrix.zeros(f, ambient_dim, basis_matrix.ncols)
         for s, v in enumerate(alpha):
             if v:
@@ -739,7 +738,7 @@ def minimal_free_resolution(l, n):
         if cover.rank() != basis.ncols:
             raise AssertionError("free cover failed to surject onto the kernel")
         ambient_actions = free_module(a, w).actions
-        basis = cover.kernel_matrix()
+        basis = cover.kernel_basis()
     return ws, chain
 
 

@@ -30,10 +30,12 @@ row echelon form with the same integer arithmetic (after Bareiss, Math.
 Comp. 1968) and index; it divides each row by its pivot only when the rows
 are returned.
 
-Spans travel as sparse matrices: ``quotient_maps`` takes a subspace as the
-row space of a matrix, and ``extend_to_basis`` takes vectors as the columns
-of matrices.  ``SubspaceBasis`` is the value type for a subspace handed back
-to a caller, compared through its canonical reduced basis.
+Every span is a sparse matrix, its row space or its column space:
+``kernel_basis`` hands a kernel back as the columns of a matrix,
+``quotient_maps`` takes a subspace as the row space of a matrix, and
+``extend_to_basis`` takes vectors as the columns of matrices.  Two spans are
+compared by rank: A and B span the same row space when both have the rank
+of A stacked on B.
 
 The sparse products (``Matrix.__matmul__``, ``kron_identity_matmul``)
 accumulate in plain ints: over the rationals each row of the left factor and
@@ -496,10 +498,6 @@ class Matrix:
         """
         return _rref(_row_dicts(self), self.field.p)
 
-    def kernel_matrix(self):
-        """The kernel basis vectors (see kernel_basis) as the columns of a matrix."""
-        return self._free_and_kernel()[1]
-
     def _free_and_kernel(self):
         """The free columns of the RREF, in order, and the kernel matrix.
 
@@ -519,8 +517,8 @@ class Matrix:
         return free, Matrix(f, self.ncols, len(free), entries)
 
     def kernel_basis(self):
-        """Basis of the right null space, canonical w.r.t. the RREF free columns."""
-        return SubspaceBasis(self.field, self.ncols, tuple(self.kernel_matrix().columns()))
+        """Basis of the right null space as the columns of a matrix, canonical w.r.t. the RREF free columns."""
+        return self._free_and_kernel()[1]
 
     def solve(self, b):
         """One solution x of self @ x = b, or None if inconsistent."""
@@ -851,61 +849,6 @@ def _eliminate(rows, targets, col, pv, rest, p, col_rows):
             if g > 1:
                 for c in row:
                     row[c] //= g
-
-
-class SubspaceBasis:
-    """Spanning vectors of a subspace of field^ambient_dim.
-
-    Vectors are stored as given; ``canonical()`` re-expresses the subspace by
-    its reduced echelon basis, so subspace equality is data equality of the
-    canonical forms (and ``__eq__`` compares exactly that).  Equal subspaces
-    may be spanned by different vectors, so a SubspaceBasis is not hashable.
-    """
-
-    __slots__ = ("field", "ambient_dim", "vectors")
-
-    def __init__(self, field, ambient_dim, vectors):
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length != ambient_dim")
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.vectors = vectors
-
-    @property
-    def dim(self):
-        if not self.vectors:
-            return 0
-        return Matrix.from_rows(self.field, [list(v) for v in self.vectors], self.ambient_dim).rank()
-
-    def canonical(self):
-        if not self.vectors:
-            return SubspaceBasis(self.field, self.ambient_dim, ())
-        m = Matrix.from_rows(self.field, [list(v) for v in self.vectors], self.ambient_dim)
-        pivots, rows = m.rref()
-        zero = self.field.zero
-        vecs = []
-        for row in rows:
-            v = [zero] * self.ambient_dim
-            for c, x in row.items():
-                v[c] = x
-            vecs.append(tuple(v))
-        return SubspaceBasis(self.field, self.ambient_dim, tuple(vecs))
-
-    def contains(self, vec):
-        if len(vec) != self.ambient_dim:
-            raise ValueError("vector length != ambient_dim")
-        if not self.vectors:
-            return all(x == self.field.zero for x in vec)
-        spanning = Matrix.from_columns(self.field, [list(v) for v in self.vectors], self.ambient_dim)
-        return spanning.solve(tuple(vec)) is not None
-
-    def __eq__(self, other):
-        if not isinstance(other, SubspaceBasis):
-            return NotImplemented
-        if self.field != other.field or self.ambient_dim != other.ambient_dim:
-            return False
-        return self.canonical().vectors == other.canonical().vectors
 
 
 def quotient_maps(span):

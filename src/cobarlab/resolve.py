@@ -20,7 +20,7 @@ dimension list is read off the dual side.
 
 from __future__ import annotations
 
-from cobarlab.coalg import Comodule, reduced_coaction_matrix, validate, validate_comodule
+from cobarlab.coalg import Comodule, regular_comodule, socle, validate, validate_comodule
 from cobarlab.exactlin import Matrix, kron_identity_matmul, quotient_maps
 
 
@@ -124,7 +124,7 @@ def _one_step(m, order, rng=None, need_cokernel=True):
     """
     c = m.base
     n = m.dim
-    s = reduced_coaction_matrix(m).kernel_matrix().transpose()  # socle basis as rows
+    s = socle(m)
     v = s.nrows
     if v == 0 and n > 0:
         raise AssertionError("nonzero comodule with zero socle contradicts conilpotence")
@@ -209,11 +209,11 @@ def verify_coresolution(r):
         ker_dim = maps[i - 1].nrows - maps[i].rank()
         if ker_dim != maps[i - 1].rank():
             return False
-    socle_c = kron_identity_matmul(c.projection_matrix(), c.dim, mu).kernel_matrix()
+    socle_c = socle(regular_comodule(c)).transpose()
     for i in range(1, len(maps)):
         v = vdims[i - 1]
-        socle = kron_identity_matmul(socle_c, v, Matrix.identity(f, socle_c.ncols * v))
-        if not (maps[i] @ socle).is_zero():
+        socle_i = kron_identity_matmul(socle_c, v, Matrix.identity(f, socle_c.ncols * v))
+        if not (maps[i] @ socle_i).is_zero():
             return False
         nu_src = kron_identity_matmul(mu, v, Matrix.identity(f, c.dim * v))
         if not (kron_identity_matmul(mu, vdims[i], maps[i]) == kron_identity_matmul(c.dim, maps[i], nu_src)):

@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exactlin import QQ, Field, SubspaceBasis
+from .exactlin import QQ, Field, Matrix
 
 
 def _pairs(field, items):
@@ -302,17 +302,17 @@ def verify_module_axioms(m: TwoDimModule, samples=100, seed=0) -> bool:
     return True
 
 
-def max_rational_submodule(m: TwoDimModule) -> SubspaceBasis:
-    """Largest submodule whose action comes from a coaction.
+def max_rational_submodule(m: TwoDimModule) -> Matrix:
+    """Largest submodule whose action comes from a coaction, a basis of it as the rows of a matrix.
 
     The whole space when the extension data is evaluation against a vector,
-    otherwise only the line spanned by e_1.
+    otherwise only the line spanned by e_1.  The rows are in reduced echelon
+    form.
     """
     fld = m.field
-    e1 = (fld.one, fld.zero)
     if is_rational(m.f):
-        return SubspaceBasis(fld, 2, (e1, (fld.zero, fld.one)))
-    return SubspaceBasis(fld, 2, (e1,))
+        return Matrix.identity(fld, 2)
+    return Matrix.from_rows(fld, [[fld.one, fld.zero]])
 
 
 def nonrational_report(samples=200, seed=20260816, field=QQ):
@@ -329,7 +329,7 @@ def nonrational_report(samples=200, seed=20260816, field=QQ):
         "is_rational": is_rational(f),
         "rationality_obstruction": field.format(rationality_obstruction(f)),
         "max_rational_submodule": [
-            [field.format(x) for x in v] for v in sub.canonical().vectors
+            [field.format(x) for x in row] for row in sub.to_rows()
         ],
     }
 

@@ -392,19 +392,17 @@ def contramodule_ext_dims(cr):
     return list(cr.cogenerator_dims)
 
 
-def dense_quotient_maps(sub):
-    """Reference projection/section pair for ambient / span(sub), from dense spanning vectors.
+def dense_quotient_maps(f, n, rows):
+    """Reference projection/section pair for f^n / span(rows), from dense spanning rows.
 
     proj is a (q x n) matrix whose kernel is exactly the subspace; section is
     an (n x q) right inverse of proj picking the free coordinates of the
     subspace's RREF as quotient representatives.
     """
-    f = sub.field
-    n = sub.ambient_dim
-    if not sub.vectors:
+    if not rows:
         eye = Matrix.identity(f, n)
         return eye, eye
-    m = Matrix.from_rows(f, [list(v) for v in sub.vectors], n)
+    m = Matrix.from_rows(f, [list(v) for v in rows], n)
     pivots, rows = m.rref()
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
@@ -420,17 +418,17 @@ def dense_quotient_maps(sub):
     return proj, section
 
 
-def per_unit_socle_retraction(m, s, rng=None):
+def per_unit_socle_retraction(m, rows, rng=None):
     """Reference socle retraction: one ``solve`` per socle unit vector.
 
     Row k of phi solves x @ phi[k]^T = e_k, where the rows of x are the socle
-    vectors; the random correction draws from ``rng`` exactly as the
-    coresolution does.
+    basis vectors ``rows``, dense; the random correction draws from ``rng``
+    exactly as the coresolution does.
     """
     f = m.base.field
     n = m.dim
-    v = s.dim
-    x = Matrix.from_columns(f, [list(vec) for vec in s.vectors], n).transpose()
+    v = len(rows)
+    x = Matrix.from_columns(f, [list(vec) for vec in rows], n).transpose()
     cols = []
     for k in range(v):
         unit = [f.zero] * v
@@ -440,7 +438,7 @@ def per_unit_socle_retraction(m, s, rng=None):
         cols.append(list(sol))
     phi = Matrix.from_columns(f, cols, n).transpose()
     if rng is not None and v < n:
-        proj, _ = dense_quotient_maps(s)
+        proj, _ = dense_quotient_maps(f, n, rows)
         w = n - v
         items = []
         for r in range(v):
@@ -459,10 +457,11 @@ def per_column_bar_reduced(a):
     f = a.field
     n = a.dim
     pos = Matrix.from_entries(f, 1, n, [(0, i, v) for i, v in enumerate(a.augmentation)]).kernel_basis()
-    into = Matrix.from_columns(f, [list(a.unit)] + [list(v) for v in pos.vectors], n)
-    d = pos.dim
+    vectors = pos.columns()
+    into = Matrix.from_columns(f, [list(a.unit)] + [list(v) for v in vectors], n)
+    d = pos.rank()
     items = []
-    for c, (x, y) in enumerate((x, y) for x in pos.vectors for y in pos.vectors):
+    for c, (x, y) in enumerate((x, y) for x in vectors for y in vectors):
         sol = into.solve(a.multiply(x, y))
         assert sol is not None, "product of augmentation-ideal elements left the algebra"
         items.extend((r - 1, c, v) for r, v in enumerate(sol) if r >= 1)
@@ -838,7 +837,7 @@ def comodule_hom_basis(l, m):
             if v != f.zero:
                 items.append((ridx, col, v))
     system = Matrix.from_entries(f, len(keys), dm * dl, items)
-    kernel = system.kernel_matrix().column_dicts()
+    kernel = system.kernel_basis().column_dicts()
     return [Matrix.from_entries(f, dm, dl, [(*divmod(k, dl), v) for k, v in vec.items()]) for vec in kernel]
 
 
@@ -901,7 +900,7 @@ def module_extension_space(l, m):
             if v != f.zero:
                 items.append((ridx, cidx, v))
     system = Matrix.from_entries(f, len(eqs), unknowns, items)
-    return [vec for vec in system.kernel_basis().vectors]
+    return system.kernel_basis().columns()
 
 
 def extension_module(l, m, data):

@@ -266,8 +266,8 @@ def test_criterion_11_substrate_properties():
             for m in (m1, m2):
                 total += 1
                 kernel = m.kernel_basis()
-                ok = ok and m.rank() + kernel.dim == m.ncols
-                for vec in kernel.vectors:
+                ok = ok and m.rank() + kernel.rank() == m.ncols
+                for vec in kernel.columns():
                     ok = ok and all(v == field.zero for v in m.apply(vec))
             ok = ok and m1.kron(m2).rank() == m1.rank() * m2.rank()
     ok = ok and total == 1000

@@ -93,7 +93,7 @@ def left_kernel_pair(data, field, n):
     """Matrices a (n x k) and b (m x n) with b @ a zero: b's rows combine a basis of the left kernel of a."""
     k = data.draw(st.integers(0, 6))
     a = matrices(data, field, n, k, max_size=min(2 * n, n * k))
-    left = a.transpose().kernel_matrix()
+    left = a.transpose().kernel_basis()
     b = matrices(data, field, data.draw(st.integers(0, 9)), left.ncols) @ left.transpose()
     assert (b @ a).is_zero()
     return a, b

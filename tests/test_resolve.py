@@ -156,14 +156,13 @@ def test_socle_retraction_matches_per_unit_vector_solves(seed):
         walk = None if seed is None else random.Random(seed)
         for step in range(4):
             s = socle(current)
-            rows = Matrix.from_rows(c.field, [list(v) for v in s.vectors], current.dim)
             if walk is None:
-                assert _socle_retraction(current, rows) == per_unit_socle_retraction(current, s)
+                assert _socle_retraction(current, s) == per_unit_socle_retraction(current, s.to_rows())
             else:
                 ours, reference = random.Random(), random.Random()
                 ours.setstate(walk.getstate())
                 reference.setstate(walk.getstate())
-                assert _socle_retraction(current, rows, ours) == per_unit_socle_retraction(current, s, reference)
+                assert _socle_retraction(current, s, ours) == per_unit_socle_retraction(current, s.to_rows(), reference)
             _, _, _, current = _one_step(current, _coradical_order(c), walk, step < 3)
 
 

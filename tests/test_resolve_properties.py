@@ -61,7 +61,8 @@ def test_seeded_coresolution_in_any_basis_keeps_dims_and_its_cokernel_maps(base,
     # the degree of e_t is the first step of the coaugmentation filtration holding it
     steps = coaugmentation_filtration(c).steps
     units = [tuple(field.one if s == t else field.zero for s in range(c.dim)) for t in range(c.dim)]
-    degree = [next(m for m, step in enumerate(steps) if step.contains(unit)) for unit in units]
+    # a unit lies in F_m when it solves F_m^T x = unit, a combination of the rows of F_m
+    degree = [next(m for m, step in enumerate(steps) if step.transpose().solve(unit) is not None) for unit in units]
     order = _coradical_order(c)
     assert order == sorted(range(c.dim), key=lambda t: (-degree[t], t))
     rng = random.Random(seed)
