@@ -9,7 +9,8 @@ identical invocations produce byte-identical payloads apart from the
 wall_time_s field.
 
 Exit codes: 0 when every computed verdict holds, 1 when a mathematical
-verdict is false, 2 for unreadable or schema-invalid input and violated
+verdict is false, 2 for unreadable or schema-invalid input, an --out path
+that cannot be written (checked before any work) and violated
 preconditions, 3 for an internal error (such as a failed d^2 = 0 check);
 an internal error still writes --out, as schema, command and the error's
 type and message.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from importlib import resources
@@ -90,6 +92,17 @@ def _report(command, inputs, result, started, seed=None):
     if seed is not None:
         out["seed"] = seed
     return out
+
+
+def _check_out(path):
+    """Refuse an --out path that cannot be written, so that no work is done for a report that would be lost."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise CliError(2, "--out %s is a directory" % path)
+    if not os.path.isdir(folder):
+        raise CliError(2, "--out %s: directory %s does not exist" % (path, folder))
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise CliError(2, "--out %s is not writable" % path)
 
 
 def _emit(args, report, lines):
@@ -377,6 +390,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except CliError as exc:
         print("error: %s" % exc.message, file=sys.stderr)

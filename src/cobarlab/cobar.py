@@ -88,7 +88,7 @@ from operator import add
 
 from cobarlab.coalg import Coalgebra, GradedCoalgebra, flatten, validate_comodule
 from cobarlab.exactlin import QQ, ColumnMatrix, Matrix, extend_to_basis
-from cobarlab.exttable import ExtTable
+from cobarlab.exttable import ExtTable, graded_table
 
 
 def _weights(comul, coaction):
@@ -461,12 +461,7 @@ def ext_table(cx):
         entries[key] += n - cx._ranks[(i, w)] - cx._ranks.get((i - 1, w), 0)
     if not graded:
         return ExtTable("finite", entries, cx.imax)
-    top = cx.base.top_degree
-    note = "entries computed from components of degree <= %d; any truncation >= %d agrees on this window" % (
-        top,
-        cx.jmax,
-    )
-    return ExtTable("graded", entries, cx.imax, cx.jmax, note)
+    return graded_table(entries, cx.imax, cx.jmax, cx.base.top_degree)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from itertools import chain, repeat
 
 from cobarlab.coalg import Coalgebra, Comodule, GradedCoalgebra, validate, validate_comodule
 from cobarlab.exactlin import ColumnMatrix, Matrix, extend_to_basis, kron_identity_matmul, quotient_maps
-from cobarlab.exttable import ExtTable
+from cobarlab.exttable import ExtTable, graded_table
 
 
 class Algebra:
@@ -439,19 +439,22 @@ class _BarComplex:
             ints += range(len(ints), max([n for n, _ in rows.values()], default=0))
             needed = Counter(src for _, blocks in rows.values() for _, src in blocks.values()) if i < top else Counter()
             skip = cleared is not None and i == top
-            cur = {}
+            cur, flips = {}, {}  # flips[src]: {v: -v} over the values of source src, so copies share their ints
             for w in range(i * span + 1) if jmax is None else range(jmax + 1):
                 n, targets = rows.get(w, (0, {}))
                 m, blocks = cols.get(w, (0, {}))
                 out = [] if i > 1 else [{} for _ in range(m)]  # d_1 = 0
                 if skip:
-                    clear, certified, junk = cleared.pop(w, ()), [], {}  # junk takes the diagonals of unbuilt columns
+                    clear, certified = cleared.pop(w, ()), []
                 for deg, (col, src) in blocks.items():
                     source = prev[src]
                     step, width = source.nrows, source.ncols
                     start = targets[deg][0] if step else 0  # a source without rows has only empty columns
                     if skip and src not in private:
                         private[src] = _private_columns(source, cols.get(src, (0, {})), below, first, dims)
+                    if src not in flips:
+                        flips[src] = {v: neg - v for v in set(chain.from_iterable(map(dict.values, source.cols)))}
+                    flip = flips[src]
                     for a in range(dims[deg]):
                         r, c0 = start + a * step, len(out)
                         if skip:
@@ -459,7 +462,7 @@ class _BarComplex:
                             free = {u for u, ys in private[src].items() if not ys <= hit}
                             certified += [c0 + u for u in free]
                         out += [
-                            junk if u in free or c0 + u in clear else {ints[r + x]: neg - v for x, v in c.items()}
+                            None if u in free or c0 + u in clear else {ints[r + x]: flip[v] for x, v in c.items()}
                             for u, c in enumerate(source.cols)
                         ]
                     for p1, q1, entries in products.get(deg, ()):
@@ -471,18 +474,20 @@ class _BarComplex:
                             diagonal = zip(out[c : c + width], ints[r : r + width])
                             if p1 != deg:
                                 for column, k in diagonal:
-                                    column[k] = v
+                                    if column is not None:  # None: a top column left unbuilt
+                                        column[k] = v
                                 continue
                             for column, k in diagonal:  # the zero grading: the diagonal meets the copy
-                                s = f.add(column.pop(k, 0), v)
-                                if s:
-                                    column[k] = s
+                                if column is not None:
+                                    s = f.add(column.pop(k, 0), v)
+                                    if s:
+                                        column[k] = s
                     uses[src] -= 1
                     if not uses[src]:
                         del prev[src]
                         private.pop(src, None)
                 if skip:
-                    built = [k for k, c in enumerate(out) if c is not junk]
+                    built = [k for k, c in enumerate(out) if c is not None]
                     d = certified, built, ColumnMatrix(f, n, [out[k] for k in built])
                 else:
                     d = ColumnMatrix(f, n, out)
@@ -569,7 +574,7 @@ def bar_ext_table(a, imax, jmax=None):
     sizes, ranks = _BarComplex(a).sweep(imax, jmax)
     cells = {(i, w): n - ranks.get((i, w), 0) - ranks.get((i + 1, w), 0) for (i, w), n in sizes.items() if i <= imax}
     if graded:
-        return ExtTable("graded", cells, imax, jmax, "entries computed from components of degree <= %d" % top)
+        return graded_table(cells, imax, jmax, top)
     entries = dict.fromkeys(range(imax + 1), 0)
     for (i, _), v in cells.items():
         entries[i] += v

@@ -9,11 +9,16 @@ tested by truthiness, and the constructors coerce only values that are not
 of a native element type (``Field.native``).
 
 Rank builds its row dicts once, straight from the entries, along the
-shorter side (rank is transpose-invariant).  It then peels, as structured
-Gaussian elimination does first (LaMacchia-Odlyzko, CRYPTO 1990): a row
-holding a column that no other row holds is independent, so it is counted
-and dropped, found by column counts alone, until a pass drops nothing.  The
-rows left go through destructive elimination, fraction-free over the
+shorter side (rank is transpose-invariant), and then runs three stages.
+First it peels, as structured Gaussian elimination does first
+(LaMacchia-Odlyzko, CRYPTO 1990): a row holding a column that no other row
+holds is independent, so it is counted and dropped, found by column counts
+alone, until a pass drops nothing.  Second, when every column left sits in
+exactly two rows, the rows are the vertices of a gain graph whose edges are
+the columns, and its rank is the number of rows minus the number of
+balanced components (Zaslavsky, "Biased graphs I", J. Combin. Theory B
+1989), found by one walk that reads the rows and changes none.  Otherwise
+the rows left go through destructive elimination, fraction-free over the
 rationals (integer rows with gcd reduction; a row of ints is used as it is)
 and modular over GF(p), with a Markowitz-style pivot rule: the pivot column
 is the minimum of a heap of column counts, updated lazily (a popped entry
@@ -426,13 +431,21 @@ class Matrix:
     def rank(self, cleared=(), pivots=False):
         """Rank of the matrix with the columns in ``cleared`` deleted.
 
+        Three stages, each on the lines (rows, or the columns of a tall
+        matrix) the one before leaves: the peel counts the lines that hold
+        an index no other line holds (LaMacchia-Odlyzko, CRYPTO 1990); when
+        every index left sits in exactly two lines, ``_rank_two_line``
+        counts the rest by the balance of a gain graph (Zaslavsky, "Biased
+        graphs I", J. Combin. Theory B 1989); otherwise Markowitz
+        elimination does.
+
         With ``pivots`` the result is the triple (rank, rows, cols): the row
         and column indices of a nonsingular square submatrix of that size,
         so the columns ``cols`` are independent and span the column space.
-        The elimination pairs each pivot line (a row, or a column of a tall
-        matrix) with a pivot index (a peeled line with one of its private
-        indices), and those pairs are the diagonal of a triangular form of
-        that submatrix.
+        Each stage pairs pivot lines with pivot indices (a peeled line with
+        one of its private indices, a graph's line with an edge it holds,
+        an elimination's pivot), and those pairs index a block triangular
+        form of that submatrix whose diagonal blocks are nonsingular.
 
         Clearing (Chen-Kerber, "Persistent homology computation with a
         twist", EuroCG 2011): if ``self @ a`` is zero and ``cleared`` holds
@@ -450,9 +463,12 @@ class Matrix:
             lines = [{c: v for c, v in row.items() if c not in cleared} for row in lines]
         found = [] if pivots else None
         peeled, left = _peel(lines, found)
-        # the elimination changes its lines and their list in place; a shared line is copied first
         elim = [] if pivots else None
-        rank_ = peeled + _rank_elim([dict(line) for line in left] if shared else list(left), self.field.p, elim)
+        rest = _rank_two_line(left, self.field.p, elim)
+        if rest is None:
+            # the elimination changes its lines and their list in place; a shared line is copied first
+            rest = _rank_elim([dict(line) for line in left] if shared else list(left), self.field.p, elim)
+        rank_ = peeled + rest
         if not pivots:
             return rank_
         # a pivot names its line by id; every line is alive here
@@ -751,12 +767,87 @@ def _peel(rows, pivots=None):
         rows = left
 
 
+def _rank_two_line(rows, p, pivots=None):
+    """Rank of the rows ``_peel`` leaves when each of their columns sits in exactly two of them, else None.
+
+    The rows are then the vertices of a gain graph, and a column holding a
+    in row u and b in row v is an edge.  A left kernel vector is a set of
+    potentials with l_u a + l_v b = 0 on every edge, so each connected
+    component adds one kernel dimension when it is balanced, that is when
+    such potentials exist, and none otherwise (Zaslavsky, "Biased graphs
+    I", J. Combin. Theory B 1989).  A walk from each component's root sets
+    the potentials along a spanning tree as pairs (num, den), reduced mod p
+    over GF(p), which needs no inverse, and by their gcd over QQ, where a
+    row holding a ``Fraction`` is first scaled to integers, which changes
+    neither rank nor balance.  Every other edge is checked once, against a
+    row whose edges are all read.  The rows are only read.
+
+    With a list ``pivots``, each row but a root appends (its index, the edge
+    that reached it), and the root of an unbalanced component appends
+    (its index, the first edge that failed): the pairs are triangular on
+    the tree, and the failed edge closes a cycle whose gains do not
+    cancel, so they index a nonsingular minor.
+    """
+    last = {}  # column -> the last row holding it
+    for u, row in enumerate(rows):
+        last.update(dict.fromkeys(row, u))
+    # no column is private after the peel, so each sits in two rows iff there are twice as many entries
+    if sum(map(len, rows)) != 2 * len(last):
+        return None
+    first = {}
+    for u in range(len(rows) - 1, -1, -1):
+        first.update(dict.fromkeys(rows[u], u))
+    if p is None:
+        rows = _integral(rows)
+    potential = [None] * len(rows)  # (num, den, the edge from the parent)
+    done = bytearray(len(rows))  # whose edges are all read
+    rank_ = len(rows)
+    for root, seen in enumerate(potential):
+        if seen is not None:
+            continue
+        potential[root] = (1, 1, None)
+        stack, failed = [root], None
+        while stack:
+            u = stack.pop()
+            done[u] = 1
+            n, d, via = potential[u]
+            for c, a in rows[u].items():
+                v = last[c]
+                if v == u:
+                    v = first[c]
+                pv = potential[v]
+                if pv is None:
+                    b = rows[v][c]
+                    if p:
+                        potential[v] = (-n * a % p, d * b % p, c)
+                    else:
+                        g = gcd(n * a, d * b)
+                        potential[v] = (-n * a // g, d * b // g, c)
+                    stack.append(v)
+                    if pivots is not None:
+                        pivots.append((v, c))
+                elif failed is None and done[v] and c != via:
+                    s = n * a * pv[1] + pv[0] * rows[v][c] * d
+                    if s % p if p else s:
+                        failed = c
+        if failed is None:
+            rank_ -= 1
+        elif pivots is not None:
+            pivots.append((root, failed))
+    return rank_
+
+
 def _coprime(row):
     """A row of rationals scaled to coprime integers, which keeps its span."""
     den = lcm(*(v.denominator for v in row.values()))
     row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
     g = gcd(*row.values())
     return {c: v // g for c, v in row.items()} if g > 1 else row
+
+
+def _integral(rows):
+    """Rows of rationals, each holding a ``Fraction`` scaled to coprime integers by ``_coprime``."""
+    return [row if Fraction not in map(type, row.values()) else _coprime(row) for row in rows]
 
 
 def _rank_elim(rows, p, pivots=None):
@@ -796,9 +887,9 @@ def _rank_elim(rows, p, pivots=None):
 
 
 def _indexed(rows, p):
-    """The rows made integral over QQ (``p`` None) by ``_coprime``, and the index column -> rows."""
+    """The rows made integral over QQ (``p`` None) by ``_integral``, and the index column -> rows."""
     if p is None:
-        rows = [row if Fraction not in map(type, row.values()) else _coprime(row) for row in rows]
+        rows = _integral(rows)
     col_rows = {}
     for i, row in enumerate(rows):
         for c in row:

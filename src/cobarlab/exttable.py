@@ -43,3 +43,12 @@ class ExtTable:
         if self.truncation_note:
             out["truncation_note"] = self.truncation_note
         return out
+
+
+def graded_table(entries, imax, jmax, top):
+    """The graded table of ``entries``, computed from components of degree <= ``top``, with its truncation note.
+
+    Both pipelines build a graded table here, so they word the note alike.
+    """
+    note = "entries computed from components of degree <= %d; any truncation >= %d agrees on this window" % (top, jmax)
+    return ExtTable("graded", entries, imax, jmax, note)

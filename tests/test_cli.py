@@ -302,8 +302,24 @@ def test_internal_error_exits_3_not_a_verdict(monkeypatch, capsys, tmp_path):
     expected = {"command": "ext", "error": {"message": message, "type": "AssertionError"}, "schema": "cobarlab/1"}
     assert _load_out(out) == expected
     assert out.read_text(encoding="utf-8") == json.dumps(expected, indent=2, sort_keys=True) + "\n"
-    # an unwritable --out still exits 3, not with an escaping exception
+    # an --out that fails only when the error report is written (here the
+    # check before the work is skipped) still exits 3, not with an escaping exception
+    monkeypatch.setattr("cobarlab.cli._check_out", lambda path: None)
     assert main(["ext", "bundled:c3.json", "--imax", "2", "--out", str(tmp_path / "missing" / "r.json")]) == 3
+
+
+def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys):
+    missing = tmp_path / "missing" / "r.json"
+    cases = [
+        (tmp_path, "error: --out %s is a directory\n" % tmp_path),
+        (missing, "error: --out %s: directory %s does not exist\n" % (missing, missing.parent)),
+    ]
+    for out, message in cases:
+        assert main(["validate", "bundled:c2.json", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        # no verdict, no traceback: one line naming the path
+        assert (captured.out, captured.err) == ("", message)
+    assert not missing.parent.exists()
 
 
 # Runs in a fresh interpreter: imports the package, runs one command, and

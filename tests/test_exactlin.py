@@ -630,22 +630,62 @@ def _rank_draw(kind, rng):
     return GF(p), lambda: rng.randrange(1, p)
 
 
-def _cascading_rows(rng, draw, ncols):
-    """Sparse dense-form rows that exercise the peel and the elimination after it.
+def _two_line_core(rng, field, draw, cols):
+    """Rows in which each column of ``cols`` sits in exactly two rows.
 
-    A chain over shuffled columns cascades through the peel; a few random
-    core rows, some duplicated and some scaled copies, need elimination; empty
-    rows stay in, and columns past every row's support stay empty.
+    The rows fall into components, each a cycle over two to five rows (two
+    rows make a parallel pair) with perhaps one more edge across it.  A
+    column holding a in row u and b in row v is an edge.  About half the
+    components are balanced: b = -l_u a / l_v for random potentials l, so
+    their rows are dependent.  In the rest one edge's b is doubled, which
+    leaves every cycle through it unbalanced.
+    """
+    rows, cols = [], list(cols)
+    while len(cols) >= 2:
+        k = rng.randint(2, min(5, len(cols)))
+        edges = [(i, (i + 1) % k) for i in range(k)]
+        if len(cols) > k and rng.random() < 0.4:
+            edges.append((0, k // 2))
+        base, potentials = len(rows), [draw() for _ in range(k)]
+        rows += [{} for _ in range(k)]
+        balanced = rng.random() < 0.5
+        for e, (u, v) in enumerate(edges):
+            c, a = cols.pop(), draw()
+            b = field.neg(field.div(field.mul(potentials[u], a), potentials[v]))
+            rows[base + u][c] = a
+            rows[base + v][c] = b if balanced or e else field.mul(field.from_int(2), b)
+    return rows
+
+
+def _cascading_rows(rng, field, draw, ncols):
+    """Sparse dense-form rows that exercise the peel and the two stages after it.
+
+    A chain over shuffled columns cascades through the peel.  Then either a
+    few random core rows, some duplicated and some scaled copies, need
+    elimination, or a core from ``_two_line_core`` takes the columns past
+    the chain, and each chain row may also hold one of them, so that a
+    column sits in three rows until the peel drops the chain.  Empty rows
+    stay in, and columns past every row's support stay empty.
     """
     cols = list(range(ncols))
     rng.shuffle(cols)
     used = cols[: max(2, ncols - rng.randint(0, 3))]
-    rows = []
-    for k in range(rng.randint(0, len(used) - 1)):
-        rows.append({used[k]: draw(), used[k + 1]: draw()})
-    core = [{c: draw() for c in rng.sample(used, rng.randint(1, min(4, len(used))))} for _ in range(rng.randint(1, 8))]
-    rows += core + [dict(r) for r in rng.sample(core, rng.randint(0, len(core)))]
-    rows += [{c: v * 2 for c, v in r.items()} for r in core[:1]] + [{}] * rng.randint(0, 2)
+    if rng.random() < 0.5:
+        split = rng.randint(0, len(used) - 2)
+        chain, graph = used[:split], used[split:]
+        rows = [
+            {chain[k]: draw(), chain[k + 1]: draw()} | ({rng.choice(graph): draw()} if rng.random() < 0.5 else {})
+            for k in range(rng.randint(0, max(0, split - 1)))
+        ]
+        rows += _two_line_core(rng, field, draw, graph)
+    else:
+        rows = []
+        for k in range(rng.randint(0, len(used) - 1)):
+            rows.append({used[k]: draw(), used[k + 1]: draw()})
+        core = [{c: draw() for c in rng.sample(used, rng.randint(1, min(4, len(used))))} for _ in range(rng.randint(1, 8))]
+        rows += core + [dict(r) for r in rng.sample(core, rng.randint(0, len(core)))]
+        rows += [{c: v * 2 for c, v in r.items()} for r in core[:1]]
+    rows += [{}] * rng.randint(0, 2)
     rng.shuffle(rows)
     return [[row.get(j, 0) for j in range(ncols)] for row in rows]
 
@@ -660,7 +700,7 @@ def test_rank_on_cascading_sparse_matrices_matches_oracles(kind):
     rng = random.Random("rank-cascade-" + kind)
     field, draw = _rank_draw(kind, rng)
     for _ in range(60):
-        rows = _cascading_rows(rng, draw, rng.randint(2, 14))
+        rows = _cascading_rows(rng, field, draw, rng.randint(2, 14))
         ncols = len(rows[0])
         if field.p is not None:
             rows = [[v % field.p for v in row] for row in rows]
@@ -697,7 +737,7 @@ def test_rank_leaves_entries_unchanged():
     for field in (QQ, GF(7)):
         _, draw = _rank_draw("qq_mixed" if field == QQ else "gf7", rng)
         for _ in range(20):
-            rows = _cascading_rows(rng, draw, rng.randint(2, 10))
+            rows = _cascading_rows(rng, field, draw, rng.randint(2, 10))
             m = Matrix.from_rows(field, rows, len(rows[0]))
             for a in (m, m.transpose()):
                 before = [(k, type(v), v) for k, v in a.entries.items()]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from test_exactlin import dense_rank_oracle
 
-from cobarlab.exactlin import _peel, GF, QQ, ColumnMatrix, Matrix, kron_identity_matmul
+from cobarlab.exactlin import _peel, _rank_two_line, GF, QQ, ColumnMatrix, Matrix, kron_identity_matmul
 
 FIELDS = (QQ, GF(2), GF(7), GF(2**31 - 1))
 # QQ draws ints and Fractions (see ``scalars``)
@@ -167,13 +167,48 @@ def test_pivot_rows_of_a_staircase_come_from_the_peel(field, k, tall, data):
 
 @PROPERTY
 @given(st.sampled_from(FIELDS_CLEARED), st.integers(1, 6), st.integers(1, 6), st.booleans(), st.data())
-def test_pivot_rows_of_doubled_lines_come_from_markowitz(field, k, width, tall, data):
+def test_pivot_rows_of_doubled_lines_carry_the_rank(field, k, width, tall, data):
     # every line appears twice, the copy scaled, so no column is private
-    # and the peel takes nothing
+    # and the peel takes nothing; at k = 1 each column sits in two lines,
+    # so the two-line stage ranks them, and Markowitz ranks the rest
     base = [{c: v for c, v in enumerate(row) if v} for row in matrices(data, field, k, width).to_rows()]
     lines = base + [{c: field.mul(field.from_int(2), v) for c, v in line.items()} for line in base]
     assert _peel(lines)[0] == 0
     assert_pivots_carry_the_rank(lines_matrix(field, lines, width, tall))
+
+
+def two_line_lines(data, field):
+    """Lines in which each index sits in exactly two, and their width: a gain graph on the lines.
+
+    Index c joins lines u and v with values a and b.  Mostly b follows
+    random potentials l, b = -l_u a / l_v, so that a component whose edges
+    all follow them is balanced and its lines are dependent; else b is
+    drawn free.  Lines with no index stay in, empty.
+    """
+    nonzero = scalars(field).filter(bool)
+    n = data.draw(st.integers(2, 8))
+    potentials = [data.draw(nonzero) for _ in range(n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    ends = data.draw(st.lists(pair, min_size=1, max_size=12))
+    lines = [{} for _ in range(n)]
+    for c, (u, v) in enumerate(ends):
+        a = data.draw(nonzero)
+        follows = data.draw(st.integers(0, 3))
+        b = field.neg(field.div(field.mul(potentials[u], a), potentials[v])) if follows else data.draw(nonzero)
+        lines[u][c], lines[v][c] = a, b
+    return lines, len(ends)
+
+
+@PROPERTY
+@given(st.sampled_from(FIELDS), st.data())
+def test_pivot_rows_of_two_line_graphs_carry_the_rank(field, data):
+    # no index is private, so the peel takes nothing, and the balance of
+    # each component of the gain graph gives the rank and its pivots
+    lines, width = two_line_lines(data, field)
+    assert _peel(lines)[0] == 0
+    assert _rank_two_line([line for line in lines if line], field.p) is not None
+    for tall in (False, True):
+        assert_pivots_carry_the_rank(lines_matrix(field, lines, width, tall))
 
 
 @PROPERTY
