@@ -69,6 +69,9 @@ CASES = [
     ["ext", "inputs/sym2_d3_p31.json", "--imax", "3", "--jmax", "3"],
     ["ext", "inputs/quad_dual4.json", "--imax", "4"],
     ["ext", "inputs/quad_dual4.json", "--flatten", "--imax", "3"],
+    # a --jmax below the truncation caps the cells of every layer
+    ["ext", "bundled:sym2_d4.json", "--imax", "4", "--jmax", "2"],
+    ["ext", "inputs/quad_dual4.json", "--imax", "4", "--jmax", "3"],
     # ext, opposite side
     ["ext", "bundled:c3.json", "--imax", "4", "--side", "op"],
     ["ext", "bundled:sym2_d4.json", "--flatten", "--imax", "3", "--side", "op"],
@@ -84,6 +87,8 @@ CASES = [
     ["ext", "inputs/ten22_gf5.json", "--imax", "3", "--side", "algebra"],
     ["ext", "inputs/sym2_d3_p31.json", "--flatten", "--imax", "3", "--side", "algebra"],
     ["ext", "inputs/quad_dual4.json", "--imax", "3", "--side", "algebra"],
+    ["ext", "bundled:sym2_d4.json", "--imax", "4", "--jmax", "2", "--side", "algebra"],
+    ["ext", "inputs/quad_dual4.json", "--imax", "4", "--jmax", "3", "--side", "algebra"],
     ["ext", "inputs/algebra_c3.json", "--imax", "4", "--side", "algebra"],
     ["ext", "inputs/algebra_zero.json", "--imax", "3", "--side", "algebra"],
     # ext, refused
