@@ -6,27 +6,25 @@ the alternating sum of reduced-comultiplication insertions, slot t of an
 i-tensor carrying sign (-1)^(t+1); with coefficients the reduced coaction is
 inserted in the last slot with sign (-1)^(i+2).  H^i is Ext^i_C(k, M).
 
-Every complex is split into cells by the finest additive weight grading of
-its structure constants (Adams, "On the cobar construction", PNAS 1956): the
-rational solutions of w_t = w_i + w_j, one equation per nonzero term
-e_i (x) e_j of the reduced comultiplication of e_t, and w_m = w_c + w_m' per
-nonzero term c (x) m' of the reduced coaction of m.  Cell (i, W) is the
-lexicographically sorted list of i-tensors of total weight W: the
-concatenation, over positive indices a in ascending order, of the blocks
-a (x) cell (i-1, W - w_a).  A layer keeps each cell's dimension and block
-offsets, never a tensor.  The differential is the derivation
-d(a (x) t) = D(a) (x) t - a (x) d(t) extending the reduced comultiplication D
-(d_0 is the reduced coaction), so block a of d_i on cell W is a shifted
-diagonal of value v per term v p (x) q of D(a), plus d_(i-1) on cell W - w_a
-negated and shifted; entries that meet add.  Each cell is built straight into
-its columns, dicts {row: value}, and handed on as a ``ColumnMatrix``, so block
-a copies whole columns of d_(i-1) and rank reads the columns as they are.  d
-preserves W, so one sweep builds each layer's cell differentials from the last
-layer's, checks d^2 = 0 on every cell pair it builds and ranks each cell.  A
-graded coalgebra is flattened with its internal degree as the first weight
-coordinate, which gives the (i, j) tables.  The zero grading has one cell per
-degree: the whole term, which the cohomology and product functions read
-through ``diff(i, None)``.
+Every complex is split into cells by the finest additive weight grading of its
+structure constants (Adams, "On the cobar construction", PNAS 1956): the
+rational solutions of w_t = w_i + w_j, one equation per nonzero term e_i (x)
+e_j of the reduced comultiplication of e_t, and w_m = w_c + w_m' per nonzero
+term c (x) m' of the reduced coaction of m.  Cell (i, W) is the
+lexicographically sorted list of i-tensors of total weight W, laid out by
+``exttable.layouts`` with one factor (w_a, 1) per positive index a.  The
+differential is the derivation d(a (x) t) = D(a) (x) t - a (x) d(t) extending
+the reduced comultiplication D (d_0 is the reduced coaction), so block a of
+d_i on cell W is a shifted diagonal of value v per term v p (x) q of D(a),
+plus d_(i-1) on cell W - w_a negated and shifted; entries that meet add.  Each
+cell is built straight into its columns, dicts {row: value}, and handed on as
+a ``ColumnMatrix``, so block a copies whole columns of d_(i-1) and rank reads
+the columns as they are.  d preserves W, so one sweep builds each layer's cell
+differentials from the last layer's, checks d^2 = 0 on every cell pair it
+builds and ranks each cell.  A graded coalgebra is flattened with its internal
+degree as the first weight coordinate, which gives the (i, j) tables.  The
+zero grading has one cell per degree: the whole term, which the cohomology and
+product functions read through ``diff(i, None)``.
 
 Each cell is ranked with clearing (Chen-Kerber, "Persistent homology
 computation with a twist", EuroCG 2011; Bauer-Kerber-Reininghaus, "Clear and
@@ -59,28 +57,26 @@ automorphisms (orbit pruning as in McKay-Piperno, "Practical graph
 isomorphism, II", J. Symbolic Comput. 2014).  Let s permute the positive
 basis so that D(e_s(t)) = (s (x) s) D(e_t), constants included, and map each
 term v e_c (x) m' of the reduced coaction of m to a term v e_s(c) (x) m' of
-the same coaction.  Then s sends the tensor (a_1, ..., a_i, m) to
-(s(a_1), ..., s(a_i), m) and commutes with d, so it maps cell (i, W) onto
-cell (i, sW) by permuting its rows and columns: the two cells have the same
-dimension, rank, d^2 outcome and Ext.  s permutes the weight equations, so it
-acts linearly on the weights, w_s(a) = M w_a with the comodule weights fixed,
-and sW is read off layer by layer as s(w_a + W') = w_s(a) + s(W').  A top
-cell sR that follows a built top cell R is its twin: it is recorded with R's
-rank and never built.  This holds for any coalgebra, non-conilpotent and
-non-coassociative ones included, since d^2 on cell sR is d^2 on cell R
-permuted.  Only top cells are skipped: every lower cell is a copy and
-clearing source for the next layer.  The support bound is s-invariant,
-because Ext^(imax-1) is.  ``diff(i, None)`` builds every cell.
+the same coaction.  Then s sends the tensor (a_1, ..., a_i, m) to (s(a_1),
+..., s(a_i), m) and commutes with d, so it maps cell (i, W) onto cell (i, sW)
+by permuting its rows and columns: the two cells have the same dimension,
+rank, d^2 outcome and Ext.  s permutes the weight equations, so it acts
+linearly on the weights, w_s(a) = M w_a with the comodule weights fixed, and
+sW is read off the layouts as s(w_a + W') = w_s(a) + s(W'), a the first block
+of W, down to layer 0.  A top cell sR that follows a built top cell R is its
+twin: it is recorded with R's rank and never built.  This holds for any
+coalgebra, non-conilpotent and non-coassociative ones included, since d^2 on
+cell sR is d^2 on cell R permuted.  Only top cells are skipped: every lower
+cell is a copy and clearing source for the next layer.  The support bound is
+s-invariant, because Ext^(imax-1) is.  ``diff(i, None)`` builds every cell.
 
 A basis tensor is the tuple (a_1, ..., a_i, m) of positive-basis indices and
-a comodule index (0 without coefficients).  Lexicographic order on these
-tuples is the index order of Matrix.kron, first factor most significant, so
-the index of a concatenation u (x) v is idx(u) * dim(v-part) + idx(v).
+a comodule index (0 without coefficients).  The layouts order these tuples
+as Matrix.kron does, so u (x) v has index idx(u) * dim(v-part) + idx(v).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from graphlib import CycleError, TopologicalSorter
 from itertools import islice
 from math import lcm
@@ -88,7 +84,7 @@ from operator import add
 
 from cobarlab.coalg import Coalgebra, GradedCoalgebra, flatten, validate_comodule
 from cobarlab.exactlin import QQ, ColumnMatrix, Matrix, extend_to_basis
-from cobarlab.exttable import ExtTable, graded_table
+from cobarlab.exttable import ExtTable, graded_table, layouts
 
 
 def _weights(comul, coaction):
@@ -174,6 +170,15 @@ def _automorphisms(comul, coaction):
     return found
 
 
+def _images(auts, wc, down, w):
+    """The images sW under ``auts`` of cell W of ``down[0]``, read down the first blocks of the layouts ``down``."""
+    first = []
+    for layer in down:
+        a, (_, w) = next(iter(layer[w][1].items()))
+        first.append(a)
+    return [tuple(map(sum, zip(w, *(wc[perm[a]] for a in first)))) for perm in auts]
+
+
 class CobarComplex:
     """A reduced cobar complex through degree imax, split into weight cells.
 
@@ -212,54 +217,36 @@ class CobarComplex:
     def _cells(self, grading, tables, top, jmax=None, bound=None, twins=None):
         """Yield (i, w, dim, d) for every cell of layers 0..top (see the module docstring).
 
-        A layer maps each weight W to [dim, {a: (offset, W - w_a)}]; layer 0
-        holds the comodule indices as blocks of dimension one.  Each d is a
-        ``ColumnMatrix``: block a's columns are the negated, shifted columns
-        of d_(i-1) on W - w_a, built as dicts {row: value}, plus one shifted
-        diagonal per term of D(a).  A cell is kept only while the next layer
-        still has a block to copy from it.  ``bound``, a set of weights, is
-        read once layer ``top`` is reached: a top cell whose weight is not
-        in it is yielded with d = None and never built.
+        The cells fill the layouts of ``exttable.layouts``, layer i once
+        layer i + 1, its rows, is laid out; layer 0 holds the comodule
+        indices as blocks of dimension one.  ``bound``, a set of weights, is
+        read at layer ``top``: a top cell outside it is yielded with d = None.
 
         ``twins``, a dict, turns on the orbit skip: the automorphisms s of
-        ``tables`` are found once, and each layer maps its weights to their
-        images sW, built from the layer below.  When top cell R is built,
-        each image sR that is still to come in the layer is entered as
+        ``tables`` are found once.  When top cell R is built, each image sR
+        (see ``_images``) that is still to come in the layer is entered as
         twins[sR] = R, and is then yielded with d = None and never built.
         """
         wc, wm = grading
         f = self.field
-        p = f.p
+        neg = f.p or 0  # -v is neg - v, reduced over GF(p)
         auts = () if twins is None else _automorphisms(*tables)
-        layer = {}
+        base = {}
         for m, w in enumerate(wm):
-            if jmax is None or w[0] <= jmax:
-                cell = layer.setdefault(w, [0, {}])
-                cell[1][m] = (cell[0], None)
-                cell[0] += 1
-        images = {w: [w] * len(auts) for w in layer}  # s fixes the comodule indices
-        prev, uses = {}, Counter()
-        ints = list(range(len(wm)))  # one int object per index, shared by every key
-        for i in range(top + 1):
-            nxt, nimages = {}, {}
-            for a, wa in enumerate(wc):
-                for w, (n, _) in layer.items():
-                    key = tuple(map(add, wa, w))
-                    if jmax is None or key[0] <= jmax:
-                        cell = nxt.setdefault(key, [0, {}])
-                        cell[1][a] = (cell[0], w)
-                        cell[0] += n
-                        if auts and i < top and key not in nimages:  # s(w_a + W') = w_s(a) + s(W')
-                            nimages[key] = [tuple(map(add, wc[perm[a]], v)) for perm, v in zip(auts, images[w])]
-            ints += range(len(ints), max([n for n, _ in nxt.values()], default=0))
-            needed = Counter(src for _, blocks in nxt.values() for _, src in blocks.values()) if i < top else Counter()
+            cell = base.setdefault(w, [0, {}])
+            cell[1][m] = (cell[0], None)
+            cell[0] += 1
+        shapes = layouts(base, [(wa, 1) for wa in wc], top + 1, jmax)
+        prev, uses = {}, {}
+        for i, (lower, needed, ints) in enumerate(islice(shapes, 1, None)):
+            layer, nxt = lower[-2:]
             later = {w: k for k, w in enumerate(layer)} if auts and i == top else {}
             cur = {}
             for w, (n, blocks) in layer.items():
                 if i == top and (twins and w in twins or bound is not None and w not in bound):
                     d = cols = block = None  # a twin or outside the support bound: only n is read
                 else:
-                    for v in images[w] if later else ():
+                    for v in _images(auts, wc, lower[i:0:-1], w) if later else ():
                         if later.get(v, 0) > later[w]:  # a top cell still to come is a twin of this one
                             twins.setdefault(v, w)
                     cols = []
@@ -267,10 +254,7 @@ class CobarComplex:
                     for a, (col, src) in blocks.items():
                         if i:
                             r = target.get(a, (0,))[0]  # no block a: the copied columns have no rows
-                            if p:
-                                cols += [{ints[r + x]: p - v for x, v in c.items()} for c in prev[src].cols]
-                            else:
-                                cols += [{ints[r + x]: -v for x, v in c.items()} for c in prev[src].cols]
+                            cols += [{ints[r + x]: neg - v for x, v in c.items()} for c in prev[src].cols]
                         else:
                             cols.append({})
                         block = cols[col:]
@@ -294,7 +278,7 @@ class CobarComplex:
                     cur[w] = d
                 yield i, w, n, d
                 del d, cols, block  # a top cell is not kept while the next one is built
-            layer, prev, uses, images = nxt, cur, needed, nimages
+            prev, uses = cur, needed
 
     def _sweep(self):
         """Dimensions and ranks of every cell through imax, checking d^2 = 0.
@@ -303,12 +287,10 @@ class CobarComplex:
         L, the lcm of their denominators.  Each term of d inserts one constant,
         so a cell is L * d: same rank, and L^2 * d^2 vanishes iff d^2 does.
         Before it ranks d_i on cell W, the sweep checks d_i d_(i-1) = 0 there
-        against the pivot columns K of d_(i-1) on W alone.  This is exact:
-        those columns are independent and |K| = rank d_(i-1), so they span
-        im d_(i-1).  Then the pivot rows of d_(i-1) on W may clear the
-        columns of d_i (see the module docstring).  Both are kept for one
-        layer, K as references to columns of d_(i-1), and the top layer's
-        are never collected.
+        against the pivot columns K of d_(i-1) on W alone, and then the pivot
+        rows of d_(i-1) on W clear the columns of d_i (both exact, see the
+        module docstring).  Both are kept for one layer, K as references to
+        columns of d_(i-1), and the top layer's are never collected.
 
         When ``_bounded`` holds, the top layer is built only on the support
         bound: the weights W' + w_a over the cells W' of layer imax-1 with

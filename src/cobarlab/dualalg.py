@@ -23,7 +23,7 @@ from itertools import chain, repeat
 
 from cobarlab.coalg import Coalgebra, Comodule, GradedCoalgebra, validate, validate_comodule
 from cobarlab.exactlin import ColumnMatrix, Matrix, extend_to_basis, kron_identity_matmul, quotient_maps
-from cobarlab.exttable import ExtTable, graded_table
+from cobarlab.exttable import ExtTable, graded_table, layouts
 
 
 class Algebra:
@@ -287,23 +287,17 @@ class _BarComplex:
     ``_positive_degrees`` accepts them and by the zero grading (one cell per
     term, the whole term) otherwise.
 
-    Cell (i, w) of B_i = A_+^(x i) is the concatenation, over first-factor
-    degrees p in ascending order, of the blocks A_p (x) cell (i-1, w-p), each
-    indexed (a, u) -> a * dim cell (i-1, w-p) + u; cell (0, 0) is B_0 = k.
-    The first factor is the most significant index, so the zero grading's
-    cell is A_+^(x i) in Kronecker order.  A term's layout maps each degree w
-    to [dim, {p: (offset, w - p)}], never a tensor.
+    Cell (i, w) of B_i = A_+^(x i) is laid out by ``exttable.layouts``, one
+    factor ((p,), dims[p]) per degree p and keyed (w,); cell (0, 0) is k.
 
     The boundary is d_i = mu (x) 1 - 1 (x) d_(i-1), and it keeps the degree.
     A cell is its transpose, the cochain map d_i^T: cell (i-1, w)* -> cell
     (i, w)*, built straight into its columns, dicts {row: value}, and handed
     on as a ``ColumnMatrix``.  So in block p of cell (i-1, w), column (a, u)
     is column u of d_(i-1)^T on cell (i-1, w-p), negated and shifted into
-    block p of cell (i, w) at row a * dim cell (i-1, w-p), plus one shifted
-    diagonal per entry of ``mu[(p', q')]`` with p' + q' = p, in block p'.
-    The two meet only in the zero grading, where they add.  A cell is kept
-    only while the next term still has a block to copy from it, so no cell
-    of the top term is kept.
+    the rows a (x) . of block p of cell (i, w), plus one shifted diagonal
+    per entry of ``mu[(p', q')]`` with p' + q' = p, in block p'.  The two
+    meet only in the zero grading, where they add.
 
     ``bar_ext_table`` ranks the cells with clearing in the cohomological
     direction, as the cobar sweep does, and builds a column of the top
@@ -390,7 +384,7 @@ class _BarComplex:
 
         The degrees are w <= jmax, or every degree of term i when jmax is
         None; an empty cell has dim 0.  d_0^T has no columns.  See the class
-        docstring for the layout and the recursion.
+        docstring for the recursion.
 
         ``cleared``, a dict {w: column indices}, is read once term ``top`` is
         reached, and then each top cell is yielded as (certified, built, d):
@@ -401,15 +395,15 @@ class _BarComplex:
         Column (a, u), a in A_p, copies column u of the source S = cell
         (top-1, w-p) into rows a (x) r, r a row of S.  Row a (x) r is
         reached by the copies of the columns of S that hold r, by one
-        diagonal entry per nonzero output of mu(a, y), y the first factor
-        of r, and by no other column.  So when r is held by one column of S
-        and mu(a, y) = 0, the row is private to (a, u), and the column is
-        certified.  Holders of r are
-        counted over every column of S, and counting too many only loses
-        certifications, in every grading.  No cleared column is certified:
-        a pivot row k of d_(top-1)^T is nonzero in some column x of it, and
-        d_top^T x = 0 writes column k of the top cell as a combination of
-        the others, so every row it holds is held by another column.
+        diagonal entry per nonzero output of mu(a, y), y the first factor of
+        r, and by no other column.  So when r is held by one column of S and
+        mu(a, y) = 0, the row is private to (a, u), and the column is
+        certified.  Holders of r are counted over every column of S, and
+        counting too many only loses certifications, in every grading.  No
+        cleared column is certified: a pivot row k of d_(top-1)^T is nonzero
+        in some column x of it, and d_top^T x = 0 writes column k of the top
+        cell as a combination of the others, so every row it holds is held
+        by another column.
         """
         f = self.f
         neg = f.p or 0  # -v is neg - v, reduced over GF(p)
@@ -423,26 +417,16 @@ class _BarComplex:
                 products.setdefault(p1 + q1, []).append((p1, q1, entries))
             for _, x, y, _ in entries:
                 hits.setdefault((p1, x), set()).add(first[q1] + y)
-        rows, cols, below = {0: [1, {}]}, {}, {}
-        prev, uses, private = {}, Counter(), {}
+        shapes = layouts({(0,): [1, {}]}, [((deg,), k) for deg, k in enumerate(dims)], top, jmax)
+        prev, uses, private = {}, {}, {}
         clear = free = ()  # below the top, or without ``cleared``, every column is built
-        ints = [0]  # one int object per row index, shared by every key
-        for i in range(top + 1):
-            if i:
-                below, cols, rows = cols, rows, {}
-                for deg, k in enumerate(dims):
-                    for w, (n, _) in cols.items():
-                        if k and (jmax is None or w + deg <= jmax):
-                            cell = rows.setdefault(w + deg, [0, {}])
-                            cell[1][deg] = (cell[0], w)
-                            cell[0] += k * n
-            ints += range(len(ints), max([n for n, _ in rows.values()], default=0))
-            needed = Counter(src for _, blocks in rows.values() for _, src in blocks.values()) if i < top else Counter()
+        for i, (lower, needed, ints) in enumerate(shapes):
+            cols, rows = lower[i - 1] if i else {}, lower[i]
             skip = cleared is not None and i == top
             cur, flips = {}, {}  # flips[src]: {v: -v} over the values of source src, so copies share their ints
             for w in range(i * span + 1) if jmax is None else range(jmax + 1):
-                n, targets = rows.get(w, (0, {}))
-                m, blocks = cols.get(w, (0, {}))
+                n, targets = rows.get((w,), (0, {}))
+                m, blocks = cols.get((w,), (0, {}))
                 out = [] if i > 1 else [{} for _ in range(m)]  # d_1 = 0
                 if skip:
                     clear, certified = cleared.pop(w, ()), []
@@ -451,7 +435,7 @@ class _BarComplex:
                     step, width = source.nrows, source.ncols
                     start = targets[deg][0] if step else 0  # a source without rows has only empty columns
                     if skip and src not in private:
-                        private[src] = _private_columns(source, cols.get(src, (0, {})), below, first, dims)
+                        private[src] = _private_columns(source, cols.get(src, (0, {})), lower[i - 2], first, dims)
                     if src not in flips:
                         flips[src] = {v: neg - v for v in set(chain.from_iterable(map(dict.values, source.cols)))}
                     flip = flips[src]
@@ -491,8 +475,8 @@ class _BarComplex:
                     d = certified, built, ColumnMatrix(f, n, [out[k] for k in built])
                 else:
                     d = ColumnMatrix(f, n, out)
-                if w in needed:
-                    cur[w] = d
+                if (w,) in needed:
+                    cur[(w,)] = d
                 yield i, w, n, d
                 del d, out  # a top cell is not kept while the next one is built
             prev, uses = cur, needed
@@ -501,7 +485,7 @@ class _BarComplex:
 def _private_columns(source, layout, below, first, dims):
     """{u: the first factors of the rows that column u of ``source`` holds alone}, for the u that hold one.
 
-    ``layout`` is the source's row layout [dim, {q: (offset, degree)}],
+    ``layout`` is the source's row layout [dim, {q: (offset, (degree,))}],
     ``below`` the layouts one term down, and ``first`` and ``dims`` the
     index in A_+ of the first basis vector of each degree and their
     number; a factor is named by its index in A_+.

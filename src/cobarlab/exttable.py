@@ -1,7 +1,10 @@
-"""The Ext table record that the cobar and bar pipelines both return.
+"""What the cobar and bar pipelines share: the Ext table record and the cell layout.
 
 It lives apart from both, so that each pipeline loads only its own module.
 """
+
+from collections import Counter
+from operator import add
 
 
 class ExtTable:
@@ -52,3 +55,33 @@ def graded_table(entries, imax, jmax, top):
     """
     note = "entries computed from components of degree <= %d; any truncation >= %d agrees on this window" % (top, jmax)
     return ExtTable("graded", entries, imax, jmax, note)
+
+
+def layouts(base, factors, last, jmax=None):
+    """Yield (lower, uses, ints) once per layer i = 0 .. ``last`` of a tensor complex split into weight cells.
+
+    ``lower`` is one list, grown to the layouts of layers 0..i; layer 0 is
+    ``base``.  Cell (i, W) is the blocks a (x) cell (i-1, W - w_a) over the
+    entries (w_a, k_a) of ``factors``, a weight tuple and a multiplicity, in
+    order; block a indexes (x, u), x < k_a, at offset + x * dim cell
+    (i-1, W - w_a) + u, so a layer of one cell is in Kronecker order.  A
+    layout maps each W to [dim, {a: (offset, W - w_a)}], never a tensor.  No
+    block has k_a = 0 and no W a first coordinate above ``jmax``.  ``uses``
+    counts the blocks of layer i that read each cell below, none for layer
+    ``last``; ``ints`` holds one int object per index up to the largest
+    dimension so far, for every key to share.
+    """
+    lower, ints = [], []
+    for i in range(last + 1):
+        layer = {} if i else base
+        for a, (wa, k) in enumerate(factors if i else ()):
+            for w, (n, _) in lower[-1].items() if k else ():
+                key = tuple(map(add, wa, w))
+                if jmax is None or key[0] <= jmax:
+                    cell = layer.setdefault(key, [0, {}])
+                    cell[1][a] = (cell[0], w)
+                    cell[0] += k * n
+        lower.append(layer)
+        ints += range(len(ints), max([n for n, _ in layer.values()], default=0))
+        uses = Counter(src for _, blocks in layer.values() for _, src in blocks.values()) if i < last else Counter()
+        yield lower, uses, ints
