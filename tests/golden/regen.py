@@ -12,7 +12,8 @@ check and must be named as such.
 
 Before writing, every ``ext`` table in the corpus is recomputed by a second
 pipeline: the bar complex of the dual algebra for ``--side co`` and ``op``,
-the cobar complex of the dual coalgebra for ``--side algebra``, and a minimal
+the cobar complex of the dual coalgebra for ``--side algebra`` (for the
+shifted algebra, of the coalgebra it was shifted from), and a minimal
 coresolution of k for every finite table of a coalgebra.  A table that the
 second pipeline does not reproduce stops the script before ``cli.json`` is
 written, so the corpus never freezes a number that only one pipeline
@@ -46,6 +47,8 @@ CASES = [
     ["validate", "inputs/quad_dual4.json"],
     ["validate", "inputs/algebra_c3.json"],
     ["validate", "inputs/nonassoc.json"],
+    ["validate", "inputs/algebra_sym23.json"],
+    ["validate", "inputs/algebra_shifted.json"],
     ["validate", "inputs/comodule_c3.json"],
     ["validate", "inputs/bad_schema.json"],
     ["validate", "inputs/missing.json"],
@@ -91,6 +94,8 @@ CASES = [
     ["ext", "inputs/quad_dual4.json", "--imax", "4", "--jmax", "3", "--side", "algebra"],
     ["ext", "inputs/algebra_c3.json", "--imax", "4", "--side", "algebra"],
     ["ext", "inputs/algebra_zero.json", "--imax", "3", "--side", "algebra"],
+    ["ext", "inputs/algebra_sym23.json", "--imax", "3", "--side", "algebra"],
+    ["ext", "inputs/algebra_shifted.json", "--imax", "3", "--side", "algebra"],
     # ext, refused
     ["ext", "bundled:c2.json", "--imax", "-1"],
     ["ext", "bundled:c2.json", "--imax", "3", "--jmax", "2"],
@@ -143,7 +148,14 @@ CASES = [
 def _inputs():
     """File name -> presented object for every generated input of ``CASES``."""
     sys.path.insert(0, str(HERE.parent))
-    from helpers_coalgebras import divided_line, non_associative_algebra, path_dual, quad_dual, sheared
+    from helpers_coalgebras import (
+        divided_line,
+        non_associative_algebra,
+        path_dual,
+        quad_dual,
+        sheared,
+        shifted_by_unit,
+    )
 
     from cobarlab.coalg import Coalgebra, extension_comodule, flatten, symmetric_coalgebra, tensor_coalgebra
     from cobarlab.dualalg import dual_algebra
@@ -166,10 +178,22 @@ def _inputs():
         "algebra_c3.json": dual_algebra(c3),
         # no degrees, so the bar complex takes the zero grading
         "algebra_zero.json": dual_algebra(sheared(divided_line(QQ), 1, 2)),
+        # degree metadata that grades A_+, so the bar complex splits by it
+        "algebra_sym23.json": dual_algebra(flatten(symmetric_coalgebra(2, 3, QQ))),
+        # an augmentation that is not a coordinate vector: the zero grading
+        "algebra_shifted.json": shifted_by_unit(dual_algebra(_shift_source()), 1),
         "nonassoc.json": non_associative_algebra(),
         "comodule_c3.json": extension_comodule(c3, [0, 1, 0]),
         "comodule_c2.json": extension_comodule(c2, [0, 1]),
     }
+
+
+def _shift_source():
+    """The coalgebra whose dual algebra ``algebra_shifted.json`` presents in a shifted basis."""
+    from cobarlab.coalg import flatten, tensor_coalgebra
+    from cobarlab.exactlin import QQ
+
+    return flatten(tensor_coalgebra(2, 2, QQ))
 
 
 def _load(path):
@@ -235,7 +259,10 @@ def _cross_check(record):
         obj = flatten(obj)
     result = record["report"]["result"]
     if args.side == "algebra":
-        c = obj if isinstance(obj, (Coalgebra, GradedCoalgebra)) else _dual_coalgebra(obj)
+        if args.path == "inputs/algebra_shifted.json":
+            c = _shift_source()
+        else:
+            c = obj if isinstance(obj, (Coalgebra, GradedCoalgebra)) else _dual_coalgebra(obj)
         tables = [(result["table"], ext_table(build_cobar(c, args.imax, args.jmax)))]
     else:
         c = obj
