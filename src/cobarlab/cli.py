@@ -171,8 +171,7 @@ def _require_valid(c, path):
         return
     rep = validate(c) if isinstance(c, Coalgebra) else validate_graded(c)
     if not rep.ok:
-        reasons = ["%s (%s)" % (name, rep.notes[name]) if name in rep.notes else name for name in rep.failed]
-        raise CliError(2, "%s failed validation: %s" % (path, "; ".join(reasons)))
+        raise CliError(2, "%s failed validation: %s" % (path, rep.reasons))
 
 
 def _ext_algebra_side(obj, args):

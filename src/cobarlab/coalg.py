@@ -44,6 +44,11 @@ class ValidationReport:
         """The required flags that do not hold, in ``REQUIRED`` order."""
         return [name for name in self.REQUIRED if not self.flags.get(name, False)]
 
+    @property
+    def reasons(self):
+        """The failed flags, each followed by its note in parentheses when it has one, joined by "; "."""
+        return "; ".join("%s (%s)" % (name, self.notes[name]) if name in self.notes else name for name in self.failed)
+
     def to_json(self):
         return {"flags": dict(sorted(self.flags.items())), "notes": dict(sorted(self.notes.items())), "ok": self.ok}
 

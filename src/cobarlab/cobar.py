@@ -421,9 +421,9 @@ def cobar_with_coefficients(c, m, imax):
         raise TypeError("coefficient complexes are built over finite coalgebras")
     if m.base != c:
         raise ValueError("comodule is not over the given coalgebra")
-    failed = validate_comodule(m).failed
-    if failed:
-        raise ValueError("coefficient comodule failed validation: %s" % ", ".join(failed))
+    report = validate_comodule(m)
+    if not report.ok:
+        raise ValueError("coefficient comodule failed validation: %s" % report.reasons)
     return CobarComplex(c, imax, coefficients=m)
 
 

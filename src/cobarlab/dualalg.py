@@ -856,11 +856,11 @@ def compare_theorem1(c, l, m, n):
     """
     report = validate(c)
     if not report.ok:
-        raise ValueError("comparison base failed validation: %s" % (report.notes,))
+        raise ValueError("comparison base failed validation: %s" % report.reasons)
     for side, com in (("left", l), ("right", m)):
-        failed = validate_comodule(com).failed
-        if failed:
-            raise ValueError("comparison %s comodule failed validation: %s" % (side, ", ".join(failed)))
+        report = validate_comodule(com)
+        if not report.ok:
+            raise ValueError("comparison %s comodule failed validation: %s" % (side, report.reasons))
     left = comodule_ext_dims(c, l, m, n)
     a = dual_algebra(c)
     right = module_ext(a, comodule_to_module(l, a), comodule_to_module(m, a), n)

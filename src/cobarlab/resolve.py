@@ -143,7 +143,7 @@ def _one_step(m, order, rng=None, need_cokernel=True):
     quotient = Comodule.from_coaction_matrix(c, c.dim * v - n, nu_q)
     report = validate_comodule(quotient)
     if not report.ok:
-        raise AssertionError("cokernel coaction failed validation: %s" % (report.notes,))
+        raise AssertionError("cokernel coaction failed validation: %s" % report.reasons)
     return v, emb, proj, quotient
 
 
@@ -158,10 +158,10 @@ def minimal_coresolution(m, length, rng=None):
         raise ValueError("length must be >= 0")
     report = validate(m.base)
     if not report.ok:
-        raise ValueError("coresolution base failed validation: %s" % (report.notes,))
-    failed = validate_comodule(m).failed
-    if failed:
-        raise ValueError("coresolution target failed comodule validation: %s" % ", ".join(failed))
+        raise ValueError("coresolution base failed validation: %s" % report.reasons)
+    report = validate_comodule(m)
+    if not report.ok:
+        raise ValueError("coresolution target failed comodule validation: %s" % report.reasons)
     order = _coradical_order(m.base)
     dims = []
     embeddings = []

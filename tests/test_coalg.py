@@ -99,6 +99,7 @@ def test_validate_counit_failure():
     assert not rep.flags["counital"]
     assert not rep.ok
     assert "counital" in rep.notes
+    assert rep.reasons == "counital (%s); conilpotent (%s)" % (rep.notes["counital"], rep.notes["conilpotent"])
 
 
 def test_validate_non_conilpotent():

@@ -9,6 +9,7 @@ from helpers_coalgebras import (
     divided_line,
     dual_numbers_dual,
     field_rref,
+    path_dual,
     per_unit_socle_retraction,
     rescaled,
 )
@@ -16,6 +17,7 @@ from helpers_coalgebras import (
 from cobarlab import exactlin, resolve
 from cobarlab.coalg import (
     Coalgebra,
+    ValidationReport,
     cofree_comodule,
     extension_comodule,
     flatten,
@@ -114,6 +116,25 @@ def test_invalid_target_comodule_is_refused_before_the_first_step():
     bad = extension_comodule(c, (QQ.zero, QQ.zero, QQ.one))  # not primitive: coassociativity fails
     with pytest.raises(ValueError, match="target failed comodule validation: coassociative"):
         minimal_coresolution(bad, 2)
+
+
+def test_a_failed_base_is_worded_by_its_flags_and_notes():
+    with pytest.raises(ValueError, match=r"base failed validation: conilpotent \(filtration stabilizes at step 0"):
+        minimal_coresolution(trivial_comodule(path_dual()), 2)
+
+
+def test_a_failed_cokernel_names_the_failed_flag(monkeypatch):
+    # the target passes; every later check, the cokernel's, reports counital false
+    calls = []
+
+    def patched(m):
+        calls.append(m)
+        report = validate_comodule(m)
+        return report if len(calls) == 1 else ValidationReport(dict(report.flags, counital=False))
+
+    monkeypatch.setattr(resolve, "validate_comodule", patched)
+    with pytest.raises(AssertionError, match="^cokernel coaction failed validation: counital$"):
+        minimal_coresolution(trivial_comodule(divided_line()), 2)
 
 
 def test_betti_requires_minimality_flag():
