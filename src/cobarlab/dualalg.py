@@ -29,26 +29,24 @@ from cobarlab.exttable import ExtTable, graded_table, layouts
 class Algebra:
     """Finite-dimensional associative unital algebra, optionally augmented.
 
-    mult[a][b] is the coordinate tuple of e_a e_b; unit and augmentation are
-    coordinate vectors (the augmentation may be None).  ``degrees`` is
-    optional metadata, one int per basis index, as on ``Coalgebra``; the bar
-    complex splits by it when it grades the augmentation ideal.
+    ``mult`` is the product A (x) A -> A as one sparse dim x dim^2
+    ``Matrix``, whose column a*dim + b holds e_a e_b: the mirror of
+    ``Coalgebra.comul_matrix``, so the dual and opposite algebras cost the
+    number of its nonzeros.  unit and augmentation are coordinate vectors
+    (the augmentation may be None).  ``degrees`` is optional metadata, one
+    int per basis index, as on ``Coalgebra``; the bar complex splits by it
+    when it grades the augmentation ideal.
     """
 
     def __init__(self, field, dim, unit, mult, augmentation=None, degrees=None):
         if dim < 1:
             raise ValueError("algebra dimension must be >= 1")
-        if len(unit) != dim or len(mult) != dim:
-            raise ValueError("unit or multiplication table has wrong shape")
+        if len(unit) != dim or mult.field != field or (mult.nrows, mult.ncols) != (dim, dim * dim):
+            raise ValueError("unit or multiplication matrix has wrong shape")
         self.field = field
         self.dim = dim
         self.unit = tuple(field.coerce(v) for v in unit)
-        rows = []
-        for a in range(dim):
-            if len(mult[a]) != dim:
-                raise ValueError("multiplication table has wrong shape")
-            rows.append(tuple(tuple(field.coerce(v) for v in mult[a][b]) for b in range(dim)))
-        self.mult = tuple(rows)
+        self.mult = mult
         self.augmentation = None if augmentation is None else tuple(field.coerce(v) for v in augmentation)
         if degrees is not None:
             degrees = tuple(int(d) for d in degrees)
@@ -56,31 +54,16 @@ class Algebra:
                 raise ValueError("degrees length != dim")
         self.degrees = degrees
 
-    def mult_matrix(self):
-        """A (x) A -> A with column index a*dim + b."""
-        n = self.dim
-        items = [(t, a * n + b, v) for a in range(n) for b in range(n) for t, v in enumerate(self.mult[a][b]) if v]
-        return Matrix.from_entries(self.field, n, n * n, items)
-
     def multiply(self, u, v):
-        f = self.field
-        out = [f.zero] * self.dim
-        for a, ua in enumerate(u):
-            if ua == f.zero:
-                continue
-            for b, vb in enumerate(v):
-                if vb == f.zero:
-                    continue
-                coeff = f.mul(ua, vb)
-                for t, w in enumerate(self.mult[a][b]):
-                    if w != f.zero:
-                        out[t] = f.add(out[t], f.mul(coeff, w))
-        return tuple(out)
+        """The product of two coordinate vectors: ``mult`` applied to u (x) v."""
+        mul = self.field.mul
+        return self.mult.apply([mul(x, y) for x in u for y in v])
 
     def left_action_matrix(self, a):
-        """Left multiplication by basis element a."""
-        items = [(t, b, v) for b in range(self.dim) for t, v in enumerate(self.mult[a][b]) if v]
-        return Matrix.from_entries(self.field, self.dim, self.dim, items)
+        """Left multiplication by basis element a: columns a*dim .. a*dim + dim - 1 of ``mult``."""
+        n = self.dim
+        lo = a * n
+        return Matrix(self.field, n, n, {(t, c - lo): v for (t, c), v in self.mult.entries.items() if lo <= c < lo + n})
 
     def __eq__(self, other):
         if not isinstance(other, Algebra):
@@ -103,7 +86,7 @@ def validate_algebra(a):
     """
     f = a.field
     n = a.dim
-    mt = a.mult_matrix().transpose()
+    mt = a.mult.transpose()
     if not (kron_identity_matmul(mt, n, mt) == kron_identity_matmul(n, mt, mt)):
         return False
     unit_row = Matrix.from_rows(f, [list(a.unit)], n)
@@ -130,20 +113,19 @@ def dual_algebra(c):
         raise TypeError("dual_algebra expects a finite coalgebra")
     f = c.field
     n = c.dim
-    mult = [[[f.zero] * n for _ in range(n)] for _ in range(n)]
-    for t in range(n):
-        for i, j, v in c.comul[t]:
-            # v e_i (x) e_j in comul(e_t): the second factor is eaten first,
-            # so the coefficient lands in e^j e^i
-            mult[j][i][t] = f.add(mult[j][i][t], v)
+    # v e_i (x) e_j in comul(e_t): the second factor is eaten first, so the
+    # coefficient lands in e^j e^i; the triples are distinct and nonzero
+    mult = Matrix(f, n, n * n, {(t, j * n + i): v for t in range(n) for i, j, v in c.comul[t]})
     aug = [f.zero] * n
     aug[c.grouplike_index] = f.one
     return Algebra(f, n, c.counit, mult, aug, c.degrees)
 
 
 def opposite_algebra(a):
-    flipped = [[a.mult[y][x] for y in range(a.dim)] for x in range(a.dim)]
-    return Algebra(a.field, a.dim, a.unit, flipped, a.augmentation, a.degrees)
+    """The same basis with e_x e_y read as e_y e_x: column x*dim + y of the product moves to y*dim + x."""
+    n = a.dim
+    flipped = Matrix(a.field, n, n * n, {(t, c % n * n + c // n): v for (t, c), v in a.mult.entries.items()})
+    return Algebra(a.field, n, a.unit, flipped, a.augmentation, a.degrees)
 
 
 class GradedAlgebra:
@@ -318,10 +300,12 @@ class _BarComplex:
         n = a.dim
         pos = Matrix.from_entries(f, 1, n, [(0, i, v) for i, v in enumerate(a.augmentation)]).kernel_basis()
         d = self.d = pos.ncols
-        basis = pos.columns()
-        into = Matrix.from_columns(f, [a.unit, *basis], n)  # k (+) A_+ -> A
-        prod_cols = [list(a.multiply(x, y)) for x in basis for y in basis]
-        sol = into.solve_columns(Matrix.from_columns(f, prod_cols, n) if prod_cols else Matrix.zeros(f, n, 0))
+        into = Matrix.from_columns(f, [a.unit, *pos.columns()], n)  # k (+) A_+ -> A
+        # (P^T (x) P^T) mult^T, P the basis of A_+ as columns: row x*d + y holds the product of x and y
+        pt = pos.transpose()
+        products = kron_identity_matmul(pt, d, kron_identity_matmul(n, pt, a.mult.transpose()))
+        # transposed in column-major order: the order of the cells' entries follows that of the solve's rows
+        sol = into.solve_columns(Matrix(f, n, d * d, {(t, c): v for (c, t), v in sorted(products.entries.items())}))
         if sol is None:
             raise AssertionError("product of augmentation-ideal elements left the algebra")
         self.reduced = Matrix(f, d, d * d, {(r - 1, c): v for (r, c), v in sol.entries.items() if r >= 1})
@@ -583,11 +567,10 @@ class ModulePresentation:
         self.actions = tuple(actions)
 
     def action_of(self, vec):
-        f = self.algebra.field
-        out = Matrix.zeros(f, self.dim, self.dim)
-        for s, v in enumerate(vec):
-            if v != f.zero:
-                out = out + self.actions[s].scale(v)
+        """The action of sum_s vec[s] e_s, for a sparse vector vec = {s: nonzero value}."""
+        out = Matrix.zeros(self.algebra.field, self.dim, self.dim)
+        for s, v in vec.items():
+            out = out + self.actions[s].scale(v)
         return out
 
     def __eq__(self, other):
@@ -597,15 +580,14 @@ class ModulePresentation:
 
 
 def verify_module_axioms(p):
-    """Unit acts as identity and the action respects the multiplication table."""
+    """Unit acts as identity and the action respects the product."""
     a = p.algebra
-    f = a.field
-    if not (p.action_of(a.unit) == Matrix.identity(f, p.dim)):
+    if not (p.action_of({s: v for s, v in enumerate(a.unit) if v}) == Matrix.identity(a.field, p.dim)):
         return False
+    products = a.mult.column_dicts()  # column x*dim + y: e_x e_y
     for x in range(a.dim):
         for y in range(a.dim):
-            composed = p.actions[x] @ p.actions[y]
-            if not (p.action_of(a.mult[x][y]) == composed):
+            if not (p.action_of(products[x * a.dim + y]) == p.actions[x] @ p.actions[y]):
                 return False
     return True
 
@@ -620,14 +602,19 @@ def trivial_module(a):
 
 
 def free_module(a, rank):
-    """A^rank with copy-major basis index c*dim + b: each action is block diagonal, rank copies."""
+    """A^rank with copy-major basis index c*dim + b: each action is block diagonal, rank copies.
+
+    The block of e_s is its left action, columns s*dim .. s*dim + dim - 1
+    of the product, all read in one pass.
+    """
     n = a.dim
     offsets = range(0, rank * n, n)
-    acts = []
-    for s in range(n):
-        block = a.left_action_matrix(s).entries.items()
-        acts.append(Matrix(a.field, rank * n, rank * n, {(k + i, k + j): v for k in offsets for (i, j), v in block}))
-    return ModulePresentation(a, rank * n, acts)
+    blocks = [[] for _ in range(n)]
+    for (t, c), v in a.mult.entries.items():
+        s, b = divmod(c, n)
+        blocks[s].append((t, b, v))
+    acts = [{(k + t, k + b): v for k in offsets for t, b, v in block} for block in blocks]
+    return ModulePresentation(a, rank * n, [Matrix(a.field, rank * n, rank * n, e) for e in acts])
 
 
 def comodule_to_module(m, algebra=None):
@@ -639,16 +626,11 @@ def comodule_to_module(m, algebra=None):
     """
     c = m.base
     a = algebra if algebra is not None else dual_algebra(c)
-    f = c.field
-    acts = []
-    for s in range(c.dim):
-        items = []
-        for t in range(m.dim):
-            for i, j, v in m.coaction[t]:
-                if i == s:
-                    items.append((j, t, v))
-        acts.append(Matrix.from_entries(f, m.dim, m.dim, items))
-    return ModulePresentation(a, m.dim, acts)
+    items = [[] for _ in range(c.dim)]
+    for t in range(m.dim):
+        for i, j, v in m.coaction[t]:
+            items[i].append((j, t, v))
+    return ModulePresentation(a, m.dim, [Matrix.from_entries(c.field, m.dim, m.dim, s) for s in items])
 
 
 def module_to_comodule(c, p):

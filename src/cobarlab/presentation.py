@@ -178,22 +178,19 @@ def _parse_algebra(doc, loc):
             _fail("%s.%s" % (loc, key), "missing")
     dim = _expect_int(doc["dim"], loc + ".dim", minimum=1)
     unit = _vector(field, doc["unit"], dim, loc + ".unit")
-    mult = []
+    mult = {}  # the product as one matrix: column a*dim + b holds mult[a][b]
     for a, row in enumerate(_expect_list(doc["mult"], loc + ".mult", length=dim)):
         here = "%s.mult[%d]" % (loc, a)
-        mult.append(
-            [
-                _vector(field, prod, dim, "%s[%d]" % (here, b))
-                for b, prod in enumerate(_expect_list(row, here, length=dim))
-            ]
-        )
+        for b, prod in enumerate(_expect_list(row, here, length=dim)):
+            col = a * dim + b
+            mult.update(((t, col), v) for t, v in enumerate(_vector(field, prod, dim, "%s[%d]" % (here, b))) if v)
     augmentation = None
     if "augmentation" in doc:
         augmentation = _vector(field, doc["augmentation"], dim, loc + ".augmentation")
     from .dualalg import Algebra
 
     try:
-        return Algebra(field, dim, unit, mult, augmentation, _degrees(doc, dim, loc))
+        return Algebra(field, dim, unit, Matrix(field, dim, dim * dim, mult), augmentation, _degrees(doc, dim, loc))
     except ValueError as exc:
         _fail(loc, str(exc))
 
@@ -289,13 +286,15 @@ def presentation_of(obj):
 
     if isinstance(obj, Algebra):
         fmt = obj.field.format
+        n = obj.dim
+        products = obj.mult.columns()
         doc = {
             "schema": SCHEMA_TAG,
             "kind": "algebra",
             "field": obj.field.label(),
             "dim": obj.dim,
             "unit": [fmt(v) for v in obj.unit],
-            "mult": [[[fmt(v) for v in prod] for prod in row] for row in obj.mult],
+            "mult": [[[fmt(v) for v in products[a * n + b]] for b in range(n)] for a in range(n)],
         }
         if obj.augmentation is not None:
             doc["augmentation"] = [fmt(v) for v in obj.augmentation]

@@ -237,11 +237,9 @@ def _dual_coalgebra(a):
     f = a.field
     (g,) = [k for k, v in enumerate(a.augmentation) if v]
     comul = [[] for _ in range(a.dim)]
-    for x in range(a.dim):
-        for y in range(a.dim):
-            for t, v in enumerate(a.mult[x][y]):
-                if v:
-                    comul[t].append((y, x, v))
+    for (t, c), v in a.mult.entries.items():
+        x, y = divmod(c, a.dim)
+        comul[t].append((y, x, v))
     return Coalgebra(f, a.dim, g, a.unit, comul, a.degrees)
 
 

@@ -79,7 +79,7 @@ def shifted_by_unit(a, k):
     basis = [[f.one if s == t else f.zero for s in range(a.dim)] for t in range(a.dim)]
     basis[k] = [f.add(u, e) for u, e in zip(a.unit, basis[k])]
     change = Matrix.from_columns(f, basis, a.dim)
-    mult = [[change.solve(a.multiply(x, y)) for y in basis] for x in basis]
+    mult = Matrix.from_columns(f, [change.solve(a.multiply(x, y)) for x in basis for y in basis], a.dim)
     aug = [sum((f.mul(e, v) for e, v in zip(a.augmentation, vec)), f.zero) for vec in basis]
     return Algebra(f, a.dim, change.solve(a.unit), mult, aug, a.degrees)
 
@@ -144,7 +144,8 @@ def non_associative_algebra(field=QQ):
         return tuple(f.from_int(x) for x in v)
 
     one, x, y, zero = vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1), vec(0, 0, 0)
-    mult = [[one, x, y], [x, y, zero], [y, y, zero]]
+    # column a*3 + b holds e_a e_b
+    mult = Matrix.from_columns(f, [one, x, y, x, y, zero, y, y, zero], 3)
     return Algebra(f, 3, one, mult, one)
 
 
@@ -167,7 +168,7 @@ def kron_validate_algebra(a):
     """Reference ``validate_algebra``, by Kronecker products: m (m (x) I) = m (I (x) m), unit and augmentation."""
     f = a.field
     n = a.dim
-    m = a.mult_matrix()
+    m = a.mult
     eye = Matrix.identity(f, n)
     if not (m @ Matrix.kron(m, eye) == m @ Matrix.kron(eye, m)):
         return False
@@ -873,10 +874,11 @@ def module_extension_space(l, m):
                 unit_row.setdefault(k, {})[key] = v
     for k, coeffs in unit_row.items():
         eqs.append(coeffs)
+    products = a.mult.columns()
     for x in range(a.dim):
         for y in range(a.dim):
             # c(xy) = act_m[x] c_y + c_x act_l[y]
-            prod = a.mult[x][y]
+            prod = products[x * a.dim + y]
             for r in range(m.dim):
                 for c in range(l.dim):
                     coeffs = {}

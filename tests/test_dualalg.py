@@ -69,6 +69,7 @@ from cobarlab.dualalg import (
     verify_module_axioms,
 )
 from cobarlab.exactlin import GF, QQ, Matrix
+from cobarlab.exttable import ExtTable
 from cobarlab.resolve import betti_dims, minimal_coresolution
 
 
@@ -109,6 +110,33 @@ def test_dual_of_opposite_is_opposite_algebra():
     left = dual_algebra(opposite(flat))
     right = opposite_algebra(dual_algebra(flat))
     assert left == right
+
+
+def test_dual_algebra_product_is_one_sparse_matrix_with_an_entry_per_comultiplication_term():
+    c = flatten(symmetric_coalgebra(2, 3, QQ))
+    n = c.dim
+    a = dual_algebra(c)
+    assert isinstance(a.mult, Matrix)
+    assert (a.mult.nrows, a.mult.ncols) == (n, n * n)
+    assert a.mult.nnz() == sum(map(len, c.comul))
+    # v e_i (x) e_j in the comultiplication of e_t puts v e^t into e^j e^i, column j*n + i
+    assert all(a.mult.entries[(t, j * n + i)] == v for t in range(n) for i, j, v in c.comul[t])
+
+
+def test_opposite_algebra_permutes_the_product_columns_and_is_an_involution():
+    a = dual_algebra(flatten(tensor_coalgebra(2, 2, QQ)))
+    n = a.dim
+    op = opposite_algebra(a)
+    assert all(op.mult.column(y * n + x) == a.mult.column(x * n + y) for x in range(n) for y in range(n))
+    assert op != a
+    assert opposite_algebra(op) == a
+
+
+def test_bar_ext_of_the_dual_of_flattened_tensor_2_5_matches_the_cobar_table():
+    c = flatten(tensor_coalgebra(2, 5, QQ))
+    expected = ExtTable("finite", {0: 1, 1: 2, 2: 64, 3: 128}, 3)
+    assert ext_table(build_cobar(c, 3)) == expected
+    assert bar_ext_table(dual_algebra(c), 3) == expected
 
 
 def test_action_convention_pinned_by_associativity():

@@ -12,7 +12,7 @@ from cobarlab.coalg import (
     trivial_comodule,
     validate,
 )
-from cobarlab.dualalg import dual_algebra
+from cobarlab.dualalg import dual_algebra, opposite_algebra
 from cobarlab.exactlin import GF, QQ
 from cobarlab.presentation import (
     SchemaError,
@@ -21,7 +21,7 @@ from cobarlab.presentation import (
     parse_presentation,
     presentation_of,
 )
-from helpers_coalgebras import divided_line, dual_numbers_dual
+from helpers_coalgebras import divided_line, dual_numbers_dual, non_associative_algebra, shifted_by_unit
 
 
 def _bundled(name):
@@ -41,8 +41,20 @@ def test_graded_coalgebra_round_trip():
     assert parse_presentation(presentation_of(g)) == g
 
 
-def test_algebra_round_trip():
-    a = dual_algebra(divided_line())
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: dual_algebra(divided_line()),
+        lambda: opposite_algebra(dual_algebra(flatten(tensor_coalgebra(2, 2, QQ)))),
+        lambda: shifted_by_unit(dual_algebra(flatten(tensor_coalgebra(2, 2, QQ))), 3),
+        non_associative_algebra,
+        lambda: dual_algebra(flatten(symmetric_coalgebra(2, 3, GF(7)))),
+        lambda: dual_algebra(flatten(tensor_coalgebra(2, 2, GF(2**31 - 1)))),
+    ],
+    ids=["dual", "opposite", "shifted", "nonassoc", "dual-GF7", "dual-GFbig"],
+)
+def test_algebra_round_trip(make):
+    a = make()
     assert parse_presentation(presentation_of(a)) == a
 
 
