@@ -138,10 +138,7 @@ CASES = [
     ["resolve", "inputs/two_grouplikes.json", "--length", "2"],
     # demo
     ["demo", "nonrational"],
-    ["demo", "nonrational", "--samples", "1"],
     ["demo", "contra"],
-    ["demo", "contra", "--samples", "3", "--seed", "5"],
-    ["demo", "nonrational", "--samples", "0"],
 ]
 
 

@@ -10,7 +10,7 @@ from cobarlab.cobar import _automorphisms, ext_table
 from cobarlab.dualalg import _BarComplex, Algebra, GradedAlgebra, ModulePresentation, graded_dual, quadratic_algebra
 from cobarlab.exactlin import QQ, Matrix, kron_identity_matmul
 from cobarlab.resolve import minimal_coresolution
-from cobarlab.witness import HomToQ, QElement, SubringElement, TaggedCofunctional, TaggedLinearMap, contraaction
+from cobarlab.witness import EventuallyConstant, HomToQ, QElement, SubringElement, TaggedCofunctional, TaggedLinearMap, contraaction
 
 
 def dual_numbers_dual(field=QQ):
@@ -923,7 +923,18 @@ def extension_module(l, m, data):
 
 
 # ---------------------------------------------------------------------------
-# the subring action and the rationalizing vector of the witness models
+# random subring elements, the subring action and the rationalizing vector of
+# the witness models
+
+
+def random_subring_element(rng, field=QQ):
+    """Small integer value at the grouplike, tail and up to three corrections below index 8."""
+    alpha = field.from_int(rng.randrange(-4, 5))
+    tail = field.from_int(rng.randrange(-4, 5))
+    items = {}
+    for _ in range(rng.randrange(0, 4)):
+        items[rng.randrange(0, 8)] = field.from_int(rng.randrange(-4, 5))
+    return SubringElement(alpha, EventuallyConstant(field, tail, tuple(items.items())))
 
 
 def module_action(a: SubringElement, q: QElement) -> QElement:
@@ -957,8 +968,7 @@ def rationalizing_vector(f: TaggedCofunctional):
         return f.coords
     if f.tail != f.field.zero:
         return None
-    bound = 1 + max((i for i, _ in f.corrections), default=-1)
-    coords = [f.field.zero] * bound
+    coords = [f.field.zero] * f.support_bound()
     for i, v in f.corrections:
         coords[i] = v
     return tuple(coords)

@@ -46,7 +46,13 @@ from cobarlab.dualalg import (
 )
 from cobarlab.exactlin import GF, QQ
 from cobarlab.resolve import betti_dims, minimal_coresolution
-from cobarlab.witness import contra_report, nonrational_report
+from cobarlab.witness import (
+    TwoDimModule,
+    contra_report,
+    default_nonrational_cofunctional,
+    nonrational_report,
+    verify_module_axioms,
+)
 from helpers_coalgebras import acceptance_corpus, divided_line, reverse_tensor_vector, strip_degrees
 
 IMAX = 4
@@ -202,10 +208,11 @@ def test_criterion_07_ext_algebra_antiisomorphism(corpus_finite):
 
 
 def test_criterion_08_nonrational_witness():
-    rep = nonrational_report(samples=200, seed=20260816)
+    rep = nonrational_report()
+    corrupt = TwoDimModule(default_nonrational_cofunctional(), corrupt=True)
     ok = (
         rep["module_axioms_verified"] is True
-        and rep["samples"] == 200
+        and verify_module_axioms(corrupt) is False
         and rep["is_rational"] is False
         and rep["max_rational_submodule"] == [[1, 0]]
         and cli_main(["demo", "nonrational"]) == 0
@@ -216,7 +223,9 @@ def test_criterion_08_nonrational_witness():
 def test_criterion_09_contraaction_witness():
     rep = contra_report()
     ok = (
-        rep["module_trivial"] is True
+        rep["contraassociative"] is True
+        and rep["contraunital"] is True
+        and rep["module_trivial"] is True
         and rep["contra_nontrivial"] is True
         and rep["splitting_not_contra_linear"] is True
         and cli_main(["demo", "contra"]) == 0

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import cobarlab
 from cobarlab.cli import main
 from cobarlab.coalg import extension_comodule
@@ -226,13 +228,16 @@ def test_demo_commands(tmp_path):
     rep = _load_out(non)
     assert rep["result"]["is_rational"] is False
     assert rep["result"]["module_axioms_verified"] is True
-    assert rep["result"]["samples"] == 200
-    assert rep["seed"] == 20260816
+    # the checks are exhaustive: no sample count, no seed
+    assert "samples" not in rep["result"] and "seed" not in rep
     contra = tmp_path / "contra.json"
     assert main(["demo", "contra", "--out", str(contra)]) == 0
-    result = _load_out(contra)["result"]
+    rep = _load_out(contra)
+    result = rep["result"]
+    assert result["contraassociative"] and result["contraunital"]
     assert result["module_trivial"] and result["contra_nontrivial"]
     assert result["splitting_not_contra_linear"]
+    assert "samples" not in result and "seed" not in rep
 
 
 def test_comodule_input_to_ext_is_rejected(tmp_path):
@@ -273,14 +278,16 @@ def test_resolve_and_compare_refuse_an_invalid_comodule_file(tmp_path, capsys):
         assert "%s comodule failed validation: coassociative" % side[2:] in capsys.readouterr().err
 
 
-def test_demo_refuses_fewer_than_one_sample(tmp_path, capsys):
+def test_demo_has_no_samples_or_seed_option(tmp_path, capsys):
     out = tmp_path / "demo.json"
-    for which, samples in (("nonrational", "-5"), ("nonrational", "0"), ("contra", "-1"), ("contra", "0")):
-        assert main(["demo", which, "--samples", samples, "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert "--samples must be >= 1" in captured.err and captured.out == ""
-        assert not out.exists()
-    assert main(["demo", "contra", "--samples", "1"]) == 0
+    for which in ("nonrational", "contra"):
+        for option in ("--samples", "--seed"):
+            with pytest.raises(SystemExit) as exc:
+                main(["demo", which, option, "1", "--out", str(out)])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert "unrecognized arguments: %s 1" % option in captured.err and captured.out == ""
+            assert not out.exists()
 
 
 def test_bundled_name_with_path_separator_is_rejected():
@@ -308,6 +315,33 @@ def test_internal_error_exits_3_not_a_verdict(monkeypatch, capsys, tmp_path):
     assert main(["ext", "bundled:c3.json", "--imax", "2", "--out", str(tmp_path / "missing" / "r.json")]) == 3
 
 
+def test_out_of_memory_exits_3_from_every_subcommand(monkeypatch, capsys, tmp_path):
+    # an import in the handler would fail here; it must not escape and exit 1
+    monkeypatch.setitem(sys.modules, "traceback", None)
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    commands = [
+        ("cobarlab.cli.validate", ["validate", "bundled:c3.json"]),
+        ("cobarlab.cobar.ext_table", ["ext", "bundled:c3.json", "--imax", "2"]),
+        ("cobarlab.dualalg.bar_ext_table", ["ext", "bundled:c3.json", "--imax", "2", "--side", "algebra"]),
+        ("cobarlab.dualalg.compare_theorem1", ["compare", "bundled:c3.json", "--n", "2"]),
+        ("cobarlab.resolve.minimal_coresolution", ["resolve", "bundled:c3.json", "--length", "2"]),
+        ("cobarlab.witness.nonrational_report", ["demo", "nonrational"]),
+        ("cobarlab.witness.contra_report", ["demo", "contra"]),
+    ]
+    for target, argv in commands:
+        with monkeypatch.context() as patch:
+            patch.setattr(target, exhausted)
+            out = tmp_path / "report.json"
+            assert main(argv + ["--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "internal error: MemoryError\n")
+        error = {"message": "", "type": "MemoryError"}
+        assert _load_out(out) == {"command": argv[0], "error": error, "schema": "cobarlab/1"}
+
+
 def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys):
     missing = tmp_path / "missing" / "r.json"
     cases = [
@@ -323,7 +357,9 @@ def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys):
 
 
 # Runs in a fresh interpreter: imports the package, runs one command, and
-# prints which cobarlab submodules each step loaded and whether dataclasses was.
+# prints which cobarlab submodules each step loaded and whether dataclasses and
+# random were.  The interpreter runs with -S, since a site hook may load either
+# of them before the probe starts.
 _IMPORT_PROBE = """
 import json, sys
 before = set(sys.modules)
@@ -333,14 +369,14 @@ from cobarlab.cli import main
 code = main(sys.argv[1:])
 new = set(sys.modules) - before
 ours = sorted(m[len("cobarlab."):] for m in new if m.startswith("cobarlab."))
-print(json.dumps({"bare": bare, "code": code, "ours": ours, "dataclasses": "dataclasses" in new}))
+print(json.dumps({"bare": bare, "code": code, "ours": ours, "dataclasses": "dataclasses" in new, "random": "random" in new}))
 """
 
 
 def _fresh_process_imports(argv):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cobarlab.__file__)))
     done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE] + argv, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-S", "-c", _IMPORT_PROBE] + argv, env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -364,3 +400,9 @@ def test_each_command_imports_only_its_own_pipeline():
     assert bar["code"] == 0
     assert {"dualalg", "exttable"} <= set(bar["ours"])
     assert not {"cobar", "resolve", "witness"} & set(bar["ours"])
+    # the demos check on finite probe families and draw no random number
+    for which in ("nonrational", "contra"):
+        demo = _fresh_process_imports(["demo", which])
+        assert demo["code"] == 0
+        assert "witness" in demo["ours"]
+        assert demo["random"] is False

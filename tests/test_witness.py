@@ -1,8 +1,9 @@
 import json
 import random
 
-from helpers_coalgebras import module_action, rationalizing_vector
+from helpers_coalgebras import module_action, random_subring_element, rationalizing_vector
 
+from cobarlab import witness
 from cobarlab.exactlin import GF, QQ, Matrix
 from cobarlab.witness import (
     ContraWitness,
@@ -25,7 +26,6 @@ from cobarlab.witness import (
     max_rational_submodule,
     nonrational_report,
     phi,
-    random_subring_element,
     rationality_obstruction,
     subring_unit,
     verify_contra_witness,
@@ -109,15 +109,18 @@ def test_module_axioms_hold_for_all_variants():
         eventual_value(2, {3: 5}),
     ):
         m = build_nonrational_module(f)
-        assert verify_module_axioms(m, samples=100, seed=11)
-    # the documented invariant at the larger sample count
+        assert verify_module_axioms(m)
     m = build_nonrational_module(default_nonrational_cofunctional())
-    assert verify_module_axioms(m, samples=200, seed=20260816)
+    assert verify_module_axioms(m)
 
 
 def test_corrupted_action_fails_the_checker():
     m = TwoDimModule(default_nonrational_cofunctional(), corrupt=True)
-    assert not verify_module_axioms(m, samples=20, seed=20260816)
+    assert not verify_module_axioms(m)
+    # the spurious term is f(chi_a) f(chi_b) e_2, so every nonzero f exposes it
+    for f in (from_vector([0, 1]), eventual_value(2, {3: 5}), eventual_value(0, {4: 1}), eventual_value(1, field=GF(5))):
+        assert not verify_module_axioms(TwoDimModule(f, corrupt=True))
+    assert verify_module_axioms(TwoDimModule(from_vector([0, 0]), corrupt=True))
 
 
 def test_is_rational():
@@ -146,6 +149,12 @@ def test_rationality_obstruction():
     assert rationality_obstruction(eventual_value(-3, {1: 7})) == QQ.from_int(-3)
 
 
+def test_rationality_obstruction_reads_the_whole_support():
+    # the window is f's own support bound, however far out it lies
+    assert rationality_obstruction(from_vector([0] * 40 + [3])) == zero
+    assert rationality_obstruction(eventual_value(2, {40: 3})) == two
+
+
 def test_max_rational_submodule():
     # equal reduced echelon forms: the same row space
     whole = Matrix.from_rows(QQ, [[one, zero], [zero, one]]).rref()
@@ -158,7 +167,8 @@ def test_max_rational_submodule():
 def test_nonrational_report():
     rep = nonrational_report()
     assert rep["module_axioms_verified"] is True
-    assert rep["samples"] == 200
+    # nothing is sampled, so the report names no sample count and no seed
+    assert not {"samples", "seed"} & set(rep)
     assert rep["is_rational"] is False
     assert rep["rationality_obstruction"] == 1
     assert rep["max_rational_submodule"] == [[1, 0]]
@@ -242,6 +252,8 @@ def test_splitting_module_linear_but_not_contraaction_linear():
 
 def test_contra_report():
     rep = contra_report()
+    assert rep["contraassociative"] is True
+    assert rep["contraunital"] is True
     assert rep["module_trivial"] is True
     assert rep["contra_nontrivial"] is True
     assert rep["splitting_not_contra_linear"] is True
@@ -251,12 +263,35 @@ def test_contra_report():
     flat = verify_contra_witness(ContraWitness(QQ, finite_rank_map({(0, 0): 1})))
     assert flat["contra_nontrivial"] is False
     assert flat["splitting_not_contra_linear"] is False
+    assert not {"samples", "seed"} & set(rep)
+
+
+def test_nonadditive_phi_fails_contraassociativity(monkeypatch):
+    # tail^2 still kills finite rank maps and 0, but phi(I + I) = 4 != 2
+    monkeypatch.setattr(witness, "phi", lambda m: m.field.mul(m.tail, m.tail))
+    rep = contra_report()
+    assert rep["contraassociative"] is False
+    assert rep["contraunital"] and rep["module_trivial"]
+
+
+def test_phi_reading_a_block_entry_fails_module_trivial(monkeypatch):
+    # additive, but it does not kill the finite rank map E_00
+    monkeypatch.setattr(witness, "phi", lambda m: m.entry(0, 0))
+    rep = contra_report()
+    assert rep["module_trivial"] is False
+    assert rep["contraassociative"] and rep["contraunital"] and rep["contra_nontrivial"]
+
+
+def test_affine_phi_fails_contraunit(monkeypatch):
+    monkeypatch.setattr(witness, "phi", lambda m: m.field.add(m.tail, m.field.one))
+    assert contra_report()["contraunital"] is False
 
 
 def test_witness_over_prime_field():
     field = GF(5)
     m = build_nonrational_module(eventual_value(1, field=field))
-    assert verify_module_axioms(m, samples=60, seed=3)
+    assert verify_module_axioms(m)
     assert not is_rational(m.f)
     rep = contra_report(field=field)
     assert rep["module_trivial"] and rep["contra_nontrivial"]
+    assert rep["contraassociative"] and rep["contraunital"]
