@@ -219,7 +219,9 @@ class CobarComplex:
 
         The cells fill the layouts of ``exttable.layouts``, layer i once
         layer i + 1, its rows, is laid out; layer 0 holds the comodule
-        indices as blocks of dimension one.  ``bound``, a set of weights, is
+        indices as blocks of dimension one.  The rows of layers below the
+        top share the layouts' ints; the top layer's cells are never kept,
+        and their rows are keyed by plain ints.  ``bound``, a set of weights, is
         read at layer ``top``: a top cell outside it is yielded with d = None.
 
         ``twins``, a dict, turns on the orbit skip: the automorphisms s of
@@ -252,23 +254,26 @@ class CobarComplex:
                     cols = []
                     rows, target = nxt.get(w, (0, {}))
                     for a, (col, src) in blocks.items():
-                        if i:
-                            r = target.get(a, (0,))[0]  # no block a: the copied columns have no rows
-                            cols += [{ints[r + x]: neg - v for x, v in c.items()} for c in prev[src].cols]
-                        else:
+                        r = target.get(a, (0,))[0]  # no block a: the copied columns have no rows
+                        if not i:
                             cols.append({})
+                        elif i < top:
+                            cols += [{ints[r + x]: neg - v for x, v in c.items()} for c in prev[src].cols]
+                        else:  # the top layer's rows, layout layer top + 1, have no shared ints
+                            cols += [{r + x: neg - v for x, v in c.items()} for c in prev[src].cols]
                         block = cols[col:]
                         for pp, q, v in tables[0][a] if i else tables[1][a]:
                             off, mid = target[pp]
                             r = off + layer[mid][1][q][0]
+                            keys = ints[r : r + len(block)] if i < top else range(r, r + len(block))
                             if pp != a or not i:
-                                for k, c in enumerate(block, r):
-                                    c[ints[k]] = v
+                                for k, c in zip(keys, block):
+                                    c[k] = v
                                 continue
-                            for k, c in enumerate(block, r):  # a (x) q in the reduced comultiplication of a meets the copy
+                            for k, c in zip(keys, block):  # a (x) q in the reduced comultiplication of a meets the copy
                                 s = f.add(c.pop(k, 0), v)
                                 if s:
-                                    c[ints[k]] = s
+                                    c[k] = s
                     d = ColumnMatrix(f, rows, cols)
                 for _, src in blocks.values() if i else ():
                     uses[src] -= 1

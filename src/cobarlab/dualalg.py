@@ -11,18 +11,21 @@ what pins it.
 Module Ext is computed from minimal free resolutions: over these algebras
 the augmentation ideal is nilpotent, so covers by A (x) (K / A_+ K) are
 surjective and kernels stay finite.  The bar complex gives an independent
-route to the same numbers, split into internal-degree cells whenever the
-algebra is graded (Priddy, "Koszul resolutions", 1970): by its components
-for a graded algebra, by its degree metadata for a finite one.
+route to the same numbers, split into the weight cells of the finest grading
+that its reduced product respects, after the degree when the algebra has one
+(Priddy, "Koszul resolutions", 1970; Peeva, "Graded syzygies", 2011): the
+grading is read off the algebra's own product, never off the cobar side.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, repeat
+from math import lcm
+from operator import add
 
 from cobarlab.coalg import Coalgebra, Comodule, GradedCoalgebra, validate, validate_comodule
-from cobarlab.exactlin import ColumnMatrix, Matrix, extend_to_basis, kron_identity_matmul, quotient_maps
+from cobarlab.exactlin import QQ, ColumnMatrix, Matrix, extend_to_basis, kron_identity_matmul, quotient_maps
 from cobarlab.exttable import ExtTable, graded_table, layouts
 
 
@@ -260,26 +263,40 @@ def quadratic_algebra(m, relations, top, field):
 
 
 class _BarComplex:
-    """Reduced bar complex of an augmented algebra, split into internal-degree cells.
+    """Reduced bar complex of an augmented algebra, split into weight cells.
 
-    A_+ has ``dims[p]`` basis vectors of degree p, and ``mu[(p, q)]`` is the
-    reduced product A_p (x) A_q -> A_{p+q} (column index a*dims[q] + b).  A
-    graded algebra gives its components.  A finite algebra gives ``reduced``,
-    the product on A_+ = ker(augmentation), graded by its ``degrees`` when
-    ``_positive_degrees`` accepts them and by the zero grading (one cell per
-    term, the whole term) otherwise.
+    A_+ has ``d`` basis vectors: a graded algebra's components A_1, ...,
+    A_top in order, a finite algebra's basis of ker(augmentation).
+    ``reduced`` is the product on A_+ as one d x d^2 matrix, whose column
+    x*d + y holds e_x e_y (for a graded algebra, zero above the truncation).
+    ``weights`` holds one weight tuple per basis vector of A_+: its degree
+    when the algebra has one that grades A_+ (a graded algebra's component,
+    a finite algebra's ``degrees`` when ``_positive_degrees`` accepts them),
+    then its weight in the finest grading that the reduced product respects
+    (``_product_weights``).  The grading is read off the algebra alone,
+    never off the cobar weights, so that the two sides stay independent.
 
-    Cell (i, w) of B_i = A_+^(x i) is laid out by ``exttable.layouts``, one
-    factor ((p,), dims[p]) per degree p and keyed (w,); cell (0, 0) is k.
+    ``factors`` lists the distinct weights in ascending order, each with the
+    number of basis vectors of that weight, which keep their order in A_+;
+    cell (i, W) of B_i = A_+^(x i) is laid out by ``exttable.layouts`` with
+    these factors, and the one cell of term 0, at the zero weight, is k.
+    ``mu[(p, q)]`` is the reduced product of factor p by factor q, into the
+    factor of weight w_p + w_q, in local coordinates (column a*k_q + b).  ``grading`` holds (the zero
+    weight, factors, mu).  A product that respects no grading has the one
+    weight (): one cell per term, the whole term.
 
-    The boundary is d_i = mu (x) 1 - 1 (x) d_(i-1), and it keeps the degree.
-    A cell is its transpose, the cochain map d_i^T: cell (i-1, w)* -> cell
-    (i, w)*, built straight into its columns, dicts {row: value}, and handed
-    on as a ``ColumnMatrix``.  So in block p of cell (i-1, w), column (a, u)
-    is column u of d_(i-1)^T on cell (i-1, w-p), negated and shifted into
-    the rows a (x) . of block p of cell (i, w), plus one shifted diagonal
-    per entry of ``mu[(p', q')]`` with p' + q' = p, in block p'.  The two
-    meet only in the zero grading, where they add.
+    The boundary is d_i = (-1)^i mu (x) 1 + 1 (x) d_(i-1), the sum over t
+    of (-1)^(i-t+1) times the product of slots t and t+1: its signs count
+    from the right, so it is (-1)^i times the boundary whose signs count
+    from the left, with the same ranks, and a copy keeps its values.  It
+    keeps the weight.  A cell is its transpose, the cochain map d_i^T: cell
+    (i-1, W)* -> cell (i, W)*, built straight into its columns, dicts {row:
+    value}, and handed on as a ``ColumnMatrix``.  So in block p of cell
+    (i-1, W), column (a, u) is column u of d_(i-1)^T on cell (i-1, W - w_p),
+    shifted into the rows a (x) . of block p of cell (i, W), plus one
+    shifted diagonal per entry of ``mu[(p', q')]`` with w_p' + w_q' = w_p,
+    times (-1)^i, in block p'.  The two meet only where w_q' = 0, where
+    they add.
 
     ``bar_ext_table`` ranks the cells with clearing in the cohomological
     direction, as the cobar sweep does, and builds a column of the top
@@ -291,50 +308,63 @@ class _BarComplex:
     def __init__(self, a):
         f = self.f = a.field
         if isinstance(a, GradedAlgebra):
-            top = a.top_degree
-            self.dims = (0,) + a.dims[1:]
-            self.mu = {(p, q): a.component(p, q) for p in range(1, top + 1) for q in range(1, top + 1 - p)}
-            return
-        if a.augmentation is None:
-            raise ValueError("bar complex needs an augmented algebra")
-        n = a.dim
-        pos = Matrix.from_entries(f, 1, n, [(0, i, v) for i, v in enumerate(a.augmentation)]).kernel_basis()
-        d = self.d = pos.ncols
-        into = Matrix.from_columns(f, [a.unit, *pos.columns()], n)  # k (+) A_+ -> A
-        # (P^T (x) P^T) mult^T, P the basis of A_+ as columns: row x*d + y holds the product of x and y
-        pt = pos.transpose()
-        products = kron_identity_matmul(pt, d, kron_identity_matmul(n, pt, a.mult.transpose()))
-        # transposed in column-major order: the order of the cells' entries follows that of the solve's rows
-        sol = into.solve_columns(Matrix(f, n, d * d, {(t, c): v for (c, t), v in sorted(products.entries.items())}))
-        if sol is None:
-            raise AssertionError("product of augmentation-ideal elements left the algebra")
-        self.reduced = Matrix(f, d, d * d, {(r - 1, c): v for (r, c), v in sol.entries.items() if r >= 1})
-        self.dims, self.mu = (d,), {(0, 0): self.reduced}
-        degrees = _positive_degrees(a, self.reduced)
+            dims = (0,) + a.dims[1:]
+            first = [sum(dims[:p]) for p in range(len(dims))]  # the index in A_+ of the first basis vector of A_p
+            degrees = [p for p, k in enumerate(dims) for _ in range(k)]
+            d = self.d = len(degrees)
+            entries = {}
+            for (p, q), m in a.components.items():
+                for (r, c), v in m.entries.items() if p and q else ():
+                    x, y = divmod(c, a.dims[q])
+                    entries[(first[p + q] + r, (first[p] + x) * d + first[q] + y)] = v
+            self.reduced = Matrix(f, d, d * d, entries)
+        else:
+            if a.augmentation is None:
+                raise ValueError("bar complex needs an augmented algebra")
+            n = a.dim
+            pos = Matrix.from_entries(f, 1, n, [(0, i, v) for i, v in enumerate(a.augmentation)]).kernel_basis()
+            d = self.d = pos.ncols
+            into = Matrix.from_columns(f, [a.unit, *pos.columns()], n)  # k (+) A_+ -> A
+            # (P^T (x) P^T) mult^T, P the basis of A_+ as columns: row x*d + y holds the product of x and y
+            pt = pos.transpose()
+            sol = into.solve_columns(kron_identity_matmul(pt, d, kron_identity_matmul(n, pt, a.mult.transpose())).transpose())
+            if sol is None:
+                raise AssertionError("product of augmentation-ideal elements left the algebra")
+            self.reduced = Matrix(f, d, d * d, {(r - 1, c): v for (r, c), v in sol.entries.items() if r >= 1})
+            degrees = _positive_degrees(a, self.reduced)
+        weights = _product_weights(self.reduced, d)
         if degrees is not None:
-            dims = [0] * (max(degrees, default=0) + 1)
-            local = []  # position of each basis vector among those of its degree
-            for w in degrees:
-                local.append(dims[w])
-                dims[w] += 1
-            items = {}
-            for (r, c), v in self.reduced.entries.items():
-                x, y = divmod(c, d)
-                p, q = degrees[x], degrees[y]
-                items.setdefault((p, q), {})[(local[r], local[x] * dims[q] + local[y])] = v
-            self.dims = tuple(dims)
-            self.mu = {(p, q): Matrix(f, dims[p + q], dims[p] * dims[q], e) for (p, q), e in items.items()}
+            weights = [(deg,) + w for deg, w in zip(degrees, weights)]
+        self.weights = weights
+        factors, index, local = [], {}, [0] * d  # local: a basis vector's position among those of its weight
+        for k in sorted(range(d), key=weights.__getitem__):
+            if weights[k] not in index:
+                index[weights[k]] = len(factors)
+                factors.append([weights[k], 0])
+            local[k] = factors[-1][1]
+            factors[-1][1] += 1
+        items = {}
+        for (r, c), v in self.reduced.entries.items():
+            x, y = divmod(c, d)
+            if weights[r] != tuple(map(add, weights[x], weights[y])):
+                raise AssertionError("the reduced product is not homogeneous in its detected grading")
+            p, q = index[weights[x]], index[weights[y]]
+            items.setdefault((p, q, index[weights[r]]), {})[(local[r], local[x] * factors[q][1] + local[y])] = v
+        mu = {(p, q): Matrix(f, factors[s][1], factors[p][1] * factors[q][1], e) for (p, q, s), e in items.items()}
+        zero = tuple(0 for _ in weights[0]) if weights else (0,) * (degrees is not None)
+        self.grading = zero, [tuple(fa) for fa in factors], mu
 
     def sweep(self, imax, jmax=None):
         """Sizes and ranks of the cells of terms 0 .. imax + 1, ranked with clearing.
 
-        Returns ({(i, w): size}, {(i, w): rank of d_i on cell (i, w)}), over
-        the degrees w <= jmax, or every degree of term i when jmax is None.
-        Clearing (see ``Matrix.rank``): d_(i+1)^T d_i^T = (d_i d_(i+1))^T is
-        zero because the product of A_+ is associative, which
-        ``bar_ext_table`` validates, so the pivot rows of cell (i, w) may
-        clear the columns of cell (i+1, w): both index cell (i, w) in the
-        same layout.  They are kept for one term.
+        Returns ({(i, W): size}, {(i, W): rank of d_i on cell (i, W)}) over
+        the cells of the layouts, none empty, whose degree W[0] is <= jmax
+        when jmax is set; a missing rank is 0.  Clearing (see
+        ``Matrix.rank``): d_(i+1)^T d_i^T = (d_i d_(i+1))^T is zero because
+        the product of A_+ is associative, which ``bar_ext_table``
+        validates, so the pivot rows of cell (i, W) may clear the columns of
+        cell (i+1, W): both index cell (i, W) in the same layout.  They are
+        kept for one term.
 
         The top term is ranked for its rank only, and ``_cells`` builds a
         column of it only where rank must read it.  A cleared column is
@@ -351,36 +381,39 @@ class _BarComplex:
         """
         sizes, ranks = {}, {}
         term, last, pivots, cleared = 0, {}, {}, {}
-        for i, w, n, d in self._cells(self.dims, self.mu, imax + 1, jmax, cleared):
+        for i, w, n, d in self._cells(self.grading, imax + 1, jmax, cleared):
             if i > term:
                 term, last, pivots = i, pivots, cleared if i == imax else {}
             sizes[(i, w)] = n
             if i > imax:
                 certified, _, d = d
-                ranks[(i, w)] = len(certified) + (d.rank() if n and d.ncols else 0)
-            elif i and n and d.ncols:
+                ranks[(i, w)] = len(certified) + (d.rank() if d.ncols else 0)
+            elif i and d.ncols:
                 ranks[(i, w)], pivots[w], _ = d.rank(last.pop(w, ()), pivots=True)
             del d  # the next cell is built without this one held
         return sizes, ranks
 
-    def _cells(self, dims, mu, top, jmax=None, cleared=None):
-        """Yield (i, w, dim cell (i, w), d_i^T on it) for every degree w of terms 0 .. top.
+    def _cells(self, grading, top, jmax=None, cleared=None):
+        """Yield (i, W, dim cell (i, W), d_i^T on it) for every cell of terms 0 .. top.
 
-        The degrees are w <= jmax, or every degree of term i when jmax is
-        None; an empty cell has dim 0.  d_0^T has no columns.  See the class
-        docstring for the recursion.
+        ``grading`` is (zero weight, factors, mu), as the constructor sets
+        it.  The cells are the layouts' cells, none empty, with a first
+        weight coordinate <= jmax when jmax is set; d_0^T has no columns.
+        See the class docstring for the recursion.  The rows of the cells
+        below the top term are keyed by the layouts' shared ints; the top
+        term's cells are never kept, and their rows are keyed by plain ints.
 
-        ``cleared``, a dict {w: column indices}, is read once term ``top`` is
+        ``cleared``, a dict {W: column indices}, is read once term ``top`` is
         reached, and then each top cell is yielded as (certified, built, d):
-        the columns in ``cleared[w]`` and the certified ones are not built,
+        the columns in ``cleared[W]`` and the certified ones are not built,
         and d holds the columns ``built``, in order.  Without it every
         column is built.
 
-        Column (a, u), a in A_p, copies column u of the source S = cell
-        (top-1, w-p) into rows a (x) r, r a row of S.  Row a (x) r is
-        reached by the copies of the columns of S that hold r, by one
-        diagonal entry per nonzero output of mu(a, y), y the first factor of
-        r, and by no other column.  So when r is held by one column of S and
+        Column (a, u), a in factor p, copies column u of the source S, d^T
+        on cell (top-1, W - w_p), into rows a (x) r, r a row of S.  Row
+        a (x) r is reached by the copies of the columns of S that hold r, by
+        one diagonal entry per nonzero output of mu(a, y), y the first
+        factor of r, and by no other column.  So when r is held by one column of S and
         mu(a, y) = 0, the row is private to (a, u), and the column is
         certified.  Holders of r are counted over every column of S, and
         counting too many only loses certifications, in every grading.  No
@@ -389,29 +422,44 @@ class _BarComplex:
         cell as a combination of the others, so every row it holds is held
         by another column.
         """
+        zero, factors, mu = grading
         f = self.f
         neg = f.p or 0  # -v is neg - v, reduced over GF(p)
-        span = len(dims) - 1
-        products = {}  # p' + q' -> [(p', q', [(a, a', b', value)])]: row a of mu[(p', q')] at column a' (x) b'
-        first = [sum(dims[:q]) for q in range(span + 1)]  # the index in A_+ of the first basis vector of A_q
-        hits = {}  # (p', a') -> the indices in A_+ of the b' with mu(a', b') nonzero
+        dims = [k for _, k in factors]
+        into = {w: s for s, (w, _) in enumerate(factors)}
+        first = [sum(dims[:q]) for q in range(len(dims))]  # the index in A_+, by weight, of the first basis vector of factor q
+        products = [[] for _ in factors]  # products[s]: (p', q', a, a', b', value), row a of mu[(p', q')] at column a' (x) b'
+        hits = [[set() for _ in range(k)] for k in dims]  # hits[p'][a']: the indices in A_+, by weight, of the b' with mu(a', b') nonzero
         for (p1, q1), m in mu.items():
-            entries = [(r, *divmod(c, dims[q1]), v) for (r, c), v in m.entries.items()]
-            if entries:
-                products.setdefault(p1 + q1, []).append((p1, q1, entries))
-            for _, x, y, _ in entries:
-                hits.setdefault((p1, x), set()).add(first[q1] + y)
-        shapes = layouts({(0,): [1, {}]}, [((deg,), k) for deg, k in enumerate(dims)], top, jmax)
+            entries = products[into[tuple(map(add, factors[p1][0], factors[q1][0]))]]
+            for (r, c), v in m.entries.items():
+                x, y = divmod(c, dims[q1])
+                entries.append((p1, q1, r, x, y, v))
+                hits[p1][x].add(first[q1] + y)
+        shapes = layouts({zero: [1, {}]}, factors, top, jmax)
         prev, uses, private = {}, {}, {}
         clear = free = ()  # below the top, or without ``cleared``, every column is built
+
+        def release(blocks):
+            for _, src in blocks.values():
+                uses[src] -= 1
+                if not uses[src]:
+                    del prev[src]
+                    private.pop(src, None)
+
         for i, (lower, needed, ints) in enumerate(shapes):
             cols, rows = lower[i - 1] if i else {}, lower[i]
             skip = cleared is not None and i == top
-            cur, flips = {}, {}  # flips[src]: {v: -v} over the values of source src, so copies share their ints
-            for w in range(i * span + 1) if jmax is None else range(jmax + 1):
-                n, targets = rows.get((w,), (0, {}))
-                m, blocks = cols.get((w,), (0, {}))
+            # the diagonal values of d_i, (-1)^i times those of mu
+            diagonals = [[(p1, q1, a, x, y, neg - v if i % 2 else v) for p1, q1, a, x, y, v in e] for e in products]
+            for w in cols.keys() - rows.keys():  # a cell with no rows above it reads its sources for nothing
+                release(cols[w][1])
+            cur = {}
+            for w, (n, targets) in rows.items():
+                m, blocks = cols.get(w, (0, {}))
                 out = [] if i > 1 else [{} for _ in range(m)]  # d_1 = 0
+                if i == top:  # only the columns built, as pairs (index, column)
+                    out = list(enumerate(out))
                 if skip:
                     clear, certified = cleared.pop(w, ()), []
                 for deg, (col, src) in blocks.items():
@@ -420,49 +468,53 @@ class _BarComplex:
                     start = targets[deg][0] if step else 0  # a source without rows has only empty columns
                     if skip and src not in private:
                         private[src] = _private_columns(source, cols.get(src, (0, {})), lower[i - 2], first, dims)
-                    if src not in flips:
-                        flips[src] = {v: neg - v for v in set(chain.from_iterable(map(dict.values, source.cols)))}
-                    flip = flips[src]
+                    runs = []  # runs[a]: the columns (a, u); at the top only those built, as pairs (index, column)
                     for a in range(dims[deg]):
-                        r, c0 = start + a * step, len(out)
-                        if skip:
-                            hit = hits.get((deg, a), frozenset())
-                            free = {u for u, ys in private[src].items() if not ys <= hit}
-                            certified += [c0 + u for u in free]
-                        out += [
-                            None if u in free or c0 + u in clear else {ints[r + x]: flip[v] for x, v in c.items()}
-                            for u, c in enumerate(source.cols)
-                        ]
-                    for p1, q1, entries in products.get(deg, ()):
+                        r, c0 = start + a * step, col + a * width
+                        if i < top:
+                            run = [{ints[r + x]: v for x, v in c.items()} for c in source.cols]
+                        else:
+                            if skip:
+                                hit, owned = hits[deg][a], private[src]
+                                free = {u for u, ys in owned.items() if not ys <= hit} if hit else owned.keys()
+                                certified += [c0 + u for u in free]
+                            run = [
+                                (c0 + u, {r + x: v for x, v in c.items()})
+                                for u, c in enumerate(source.cols)
+                                if u not in free and c0 + u not in clear
+                            ]
+                        runs.append(run)
+                        out += run
+                    for p1, q1, a, x, y, v in diagonals[deg]:
                         off, mid = targets[p1]
                         size, inner = cols[mid]
-                        base = off + inner[q1][0]
-                        for a, x, y, v in entries:
-                            r, c = base + x * size + y * width, col + a * width
-                            diagonal = zip(out[c : c + width], ints[r : r + width])
-                            if p1 != deg:
-                                for column, k in diagonal:
-                                    if column is not None:  # None: a top column left unbuilt
-                                        column[k] = v
-                                continue
-                            for column, k in diagonal:  # the zero grading: the diagonal meets the copy
-                                if column is not None:
-                                    s = f.add(column.pop(k, 0), v)
-                                    if s:
-                                        column[k] = s
-                    uses[src] -= 1
-                    if not uses[src]:
-                        del prev[src]
-                        private.pop(src, None)
+                        r = off + inner[q1][0] + x * size + y * width
+                        if p1 != deg and i < top:
+                            for column, k in zip(runs[a], ints[r : r + width]):
+                                column[k] = v
+                        elif p1 != deg:
+                            r -= col + a * width  # column index k holds row r + k
+                            for k, column in runs[a]:
+                                column[r + k] = v
+                        else:  # w_q' = 0: the diagonal meets the copy
+                            r0 = r - col - a * width
+                            for k, column in enumerate(runs[a]) if i < top else runs[a]:
+                                k = ints[r + k] if i < top else r0 + k
+                                s = f.add(column.pop(k, 0), v)
+                                if s:
+                                    column[k] = s
+                release(blocks)
+                if i == top:
+                    built, out = [k for k, _ in out], [column for _, column in out]
+                d = ColumnMatrix(f, n, out)
                 if skip:
-                    built = [k for k, c in enumerate(out) if c is not None]
-                    d = certified, built, ColumnMatrix(f, n, [out[k] for k in built])
-                else:
-                    d = ColumnMatrix(f, n, out)
-                if (w,) in needed:
-                    cur[(w,)] = d
+                    d = certified, built, d
+                if w in needed:
+                    cur[w] = d
                 yield i, w, n, d
                 del d, out  # a top cell is not kept while the next one is built
+            for w in needed.keys() - cur.keys():  # an empty cell (i, W): no rows, and the columns of cell (i-1, W)
+                cur[w] = ColumnMatrix(f, 0, [{} for _ in range(cols[w][0])])
             prev, uses = cur, needed
 
 
@@ -485,6 +537,25 @@ def _private_columns(source, layout, below, first, dims):
         if ys:
             owned[u] = ys
     return owned
+
+
+def _product_weights(reduced, d):
+    """Integer weights of the finest grading of A_+ that the reduced product respects, one tuple per basis vector.
+
+    The weights solve one equation w(c) = w(a) + w(b) per nonzero
+    coefficient of e_c in e_a e_b; the coordinates are a rational basis of
+    the solutions, each scaled to integers.  A product that respects no
+    grading leaves no solution but 0, and every weight is ().
+    """
+    items = []
+    for row, (c, col) in enumerate(reduced.entries):
+        a, b = divmod(col, d)
+        items += [(row, c, 1), (row, a, -1), (row, b, -1)]
+    coords = []
+    for vec in Matrix.from_entries(QQ, len(reduced.entries), d, items).kernel_basis().columns():
+        scale = lcm(*(x.denominator for x in vec))
+        coords.append([int(x * scale) for x in vec])
+    return [tuple(v[k] for v in coords) for k in range(d)]
 
 
 def _positive_degrees(a, reduced):
@@ -516,7 +587,7 @@ def bar_ext_table(a, imax, jmax=None):
     """Ext dims of the ground field over an algebra, via the reduced bar complex.
 
     Tor and Ext agree dimensionwise over a field.  The terms are ranked one
-    internal-degree cell at a time, in the cohomological direction with
+    weight cell at a time, in the cohomological direction with
     clearing (see ``_BarComplex.sweep``); graded input yields a bigraded
     table windowed by jmax <= truncation degree, and finite input sums each
     term over its cells.  Clearing needs the product to be associative, so
@@ -540,13 +611,14 @@ def bar_ext_table(a, imax, jmax=None):
     if not (validate_graded_algebra(a) if graded else validate_algebra(a)):
         raise ValueError("bar complex input failed validation: algebra_valid")
     sizes, ranks = _BarComplex(a).sweep(imax, jmax)
-    cells = {(i, w): n - ranks.get((i, w), 0) - ranks.get((i + 1, w), 0) for (i, w), n in sizes.items() if i <= imax}
     if graded:
-        return graded_table(cells, imax, jmax, top)
-    entries = dict.fromkeys(range(imax + 1), 0)
-    for (i, _), v in cells.items():
-        entries[i] += v
-    return ExtTable("finite", entries, imax)
+        entries = {(i, j): 0 for i in range(imax + 1) for j in range(jmax + 1)}
+    else:
+        entries = dict.fromkeys(range(imax + 1), 0)
+    for (i, w), n in sizes.items():
+        if i <= imax:
+            entries[(i, w[0]) if graded else i] += n - ranks.get((i, w), 0) - ranks.get((i + 1, w), 0)
+    return graded_table(entries, imax, jmax, top) if graded else ExtTable("finite", entries, imax)
 
 
 # ---------------------------------------------------------------------------

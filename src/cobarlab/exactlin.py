@@ -464,7 +464,7 @@ class Matrix:
         found = [] if pivots else None
         peeled, left = _peel(lines, found)
         elim = [] if pivots else None
-        rest = _rank_two_line(left, self.field.p, elim)
+        rest = _rank_two_line(left, self.field.p, elim) if left else 0
         if rest is None:
             # the elimination changes its lines and their list in place; a shared line is copied first
             rest = _rank_elim([dict(line) for line in left] if shared else list(left), self.field.p, elim)
@@ -756,15 +756,16 @@ def _peel(rows, pivots=None):
     """
     rows = [row for row in rows if row]
     peeled = 0
-    while True:
+    while rows:
         counts = Counter(chain.from_iterable(rows)).__getitem__
         left = [row for row in rows if 1 not in map(counts, row)]
         if len(left) == len(rows):
-            return peeled, rows
+            break
         peeled += len(rows) - len(left)
         if pivots is not None:
             pivots += [(id(row), min(row, key=counts)) for row in rows if 1 in map(counts, row)]
         rows = left
+    return peeled, rows
 
 
 def _rank_two_line(rows, p, pivots=None):

@@ -67,9 +67,11 @@ def layouts(base, factors, last, jmax=None):
     (i-1, W - w_a) + u, so a layer of one cell is in Kronecker order.  A
     layout maps each W to [dim, {a: (offset, W - w_a)}], never a tensor.  No
     block has k_a = 0 and no W a first coordinate above ``jmax``.  ``uses``
-    counts the blocks of layer i that read each cell below, none for layer
-    ``last``; ``ints`` holds one int object per index up to the largest
-    dimension so far, for every key to share.
+    counts the blocks of layer i that read each cell below.  ``ints`` holds
+    one int object per index up to the largest dimension of layers
+    0..min(i, last - 1), for every key of a kept cell to share.  The cells
+    of layer ``last`` are never kept: it gets no uses and no ints, and its
+    keys are fresh ints.
     """
     lower, ints = [], []
     for i in range(last + 1):
@@ -78,10 +80,14 @@ def layouts(base, factors, last, jmax=None):
             for w, (n, _) in lower[-1].items() if k else ():
                 key = tuple(map(add, wa, w))
                 if jmax is None or key[0] <= jmax:
-                    cell = layer.setdefault(key, [0, {}])
+                    cell = layer.get(key)
+                    if cell is None:
+                        cell = layer[key] = [0, {}]
                     cell[1][a] = (cell[0], w)
                     cell[0] += k * n
         lower.append(layer)
-        ints += range(len(ints), max([n for n, _ in layer.values()], default=0))
-        uses = Counter(src for _, blocks in layer.values() for _, src in blocks.values()) if i < last else Counter()
+        uses = Counter()
+        if i < last:
+            ints += range(len(ints), max([n for n, _ in layer.values()], default=0))
+            uses.update(src for _, blocks in layer.values() for _, src in blocks.values())
         yield lower, uses, ints

@@ -1,6 +1,7 @@
 """Small coalgebras shared across test modules."""
 
 from collections import Counter
+from functools import lru_cache
 from itertools import chain
 from operator import add
 from types import SimpleNamespace
@@ -255,15 +256,26 @@ def kron_cobar_diff(c, i, m=None):
     return out
 
 
+def zero_grading(bar):
+    """The grading of ``bar`` with one weight, (): one cell per term, the whole term in Kronecker order."""
+    return (), [((), bar.d)], {(0, 0): bar.reduced}
+
+
 def bar_cells(bar, top, jmax=None, whole=False):
     """{(i, w): cell} for the cells (i, w) of bar terms 0 .. top, as the sweep builds them.
 
     Each cell is d_i^T: cell (i-1, w)* -> cell (i, w)*, a ``ColumnMatrix``.
-    ``whole`` builds the zero grading of a finite algebra instead, whose one
-    cell (i, 0) is the whole term.
+    ``whole`` builds the zero grading instead, whose one cell (i, ()) is the
+    whole term.
     """
-    dims, mu = ((bar.d,), {(0, 0): bar.reduced}) if whole else (bar.dims, bar.mu)
-    return {(i, w): d for i, w, _, d in bar._cells(dims, mu, top, jmax)}
+    return {(i, w): d for i, w, _, d in bar._cells(zero_grading(bar) if whole else bar.grading, top, jmax)}
+
+
+def zero_grading_dims(bar, imax):
+    """[dim Ext^0, ..., dim Ext^imax] from the sweep of ``bar`` with its grading replaced by the zero grading."""
+    bar.grading = zero_grading(bar)
+    sizes, ranks = bar.sweep(imax)
+    return [sum(n - ranks.get((j, w), 0) - ranks.get((j + 1, w), 0) for (j, w), n in sizes.items() if j == i) for i in range(imax + 1)]
 
 
 def skipped_top_sweep(bar, imax, jmax=None):
@@ -276,8 +288,8 @@ def skipped_top_sweep(bar, imax, jmax=None):
     """
     raw, top, seen = bar._cells, {}, {}
 
-    def cells(dims, mu, last, jmax=None, cleared=None):
-        for i, w, n, d in raw(dims, mu, last, jmax, cleared):
+    def cells(grading, last, jmax=None, cleared=None):
+        for i, w, n, d in raw(grading, last, jmax, cleared):
             if i == last:
                 top[w] = (seen.get(w, set()), *d)
             yield i, w, n, d
@@ -309,48 +321,51 @@ def assert_top_term_is_skipped_exactly(a, imax, jmax=None):
 
 def bar_boundary(bar, i):
     """d: B_i -> B_(i-1) of a finite algebra's bar complex, the transpose of the zero grading's cell (i, 0)."""
-    d = bar_cells(bar, i, whole=True)[(i, 0)]
+    d = bar_cells(bar, i, whole=True)[(i, ())]
     return Matrix(d.field, d.nrows, d.ncols, d.entries).transpose()
 
 
-def bar_cell_positions(degrees, i, w):
+def bar_cell_positions(weights, i, w):
     """Kronecker index in A_+^(x i) of each position of bar cell (i, w).
 
-    ``degrees`` holds the degree of each basis vector of A_+.  The cell
-    runs over the first factor's degree in ascending order, then over the
-    basis vectors of that degree, then over cell (i-1, w - degree).
+    ``weights`` holds the weight of each basis vector of A_+.  The cell
+    runs over the first factor's weight in ascending order, then over the
+    basis vectors of that weight, then over cell (i-1, w - weight).
     """
+    return _positions(tuple(weights), i, tuple(w))
+
+
+@lru_cache(maxsize=None)
+def _positions(weights, i, w):
     if i == 0:
-        return [0] if w == 0 else []
-    step = len(degrees) ** (i - 1)
+        return () if any(w) else (0,)
+    step = len(weights) ** (i - 1)
     out = []
-    for p in sorted(set(degrees)):
-        rest = bar_cell_positions(degrees, i - 1, w - p)
-        out += [k * step + idx for k, deg in enumerate(degrees) if deg == p for idx in rest]
-    return out
+    for p in sorted(set(weights)):
+        rest = _positions(weights, i - 1, tuple(x - y for x, y in zip(w, p)))
+        out += [k * step + idx for k, wk in enumerate(weights) if wk == p for idx in rest]
+    return tuple(out)
 
 
 def bar_reference(a, bar):
-    """(ref, degrees) for the Kronecker reference of a bar complex, independent of its cells.
+    """(ref, weights) for the Kronecker reference of a bar complex, independent of its cells.
 
     ``ref`` carries ``f``, ``d`` and ``reduced``, the product on A_+ as one
-    d x d^2 matrix, for ``kron_bar_boundary``; ``degrees`` is the degree of
+    d x d^2 matrix, for ``kron_bar_boundary``; ``weights`` is the weight of
     each basis vector of A_+ in the bar's split.  A finite algebra's A_+ is
-    the one the bar complex found, with the algebra's own degrees minus the
-    augmentation's index, or all 0 when the bar keeps one cell per term.  A
-    graded algebra's A_+ is A_1 + ... + A_top in degree order, its product
-    assembled from the components (zero above the truncation).
+    the one the bar complex found.  A graded algebra's A_+ is A_1 + ... +
+    A_top in degree order, its product assembled here from the components
+    (zero above the truncation), and the first weight coordinate must be
+    the degree.
     """
     if not isinstance(a, GradedAlgebra):
-        if len(bar.dims) == 1:
-            return bar, [0] * bar.d
-        g = next(k for k, v in enumerate(a.augmentation) if v)
-        return bar, [deg for k, deg in enumerate(a.degrees) if k != g]
+        return bar, bar.weights
     f, top = a.field, a.top_degree
     offsets, degrees = {}, []
     for p in range(1, top + 1):
         offsets[p] = len(degrees)
         degrees += [p] * a.dims[p]
+    assert [w[0] for w in bar.weights] == degrees
     d = len(degrees)
     entries = {}
     for p in range(1, top + 1):
@@ -358,7 +373,7 @@ def bar_reference(a, bar):
             for (r, c), v in a.component(p, q).entries.items():
                 x, y = divmod(c, a.dims[q])
                 entries[(offsets[p + q] + r, (offsets[p] + x) * d + offsets[q] + y)] = v
-    return SimpleNamespace(f=f, d=d, reduced=Matrix(f, d, d * d, entries)), degrees
+    return SimpleNamespace(f=f, d=d, reduced=Matrix(f, d, d * d, entries)), bar.weights
 
 
 def restricted_transpose(whole, rows, cols):
@@ -374,15 +389,16 @@ def restricted_transpose(whole, rows, cols):
 def kron_bar_boundary(bar, i):
     """Reference d: B_i -> B_(i-1) of the reduced bar complex, by Kronecker products.
 
-    The sum over t = 1..i-1 of (-1)^(t+1) I (x) reduced product (x) I on
-    (A_+)^(x i), with the reduced product in slots t and t+1.
+    The sum over t = 1..i-1 of (-1)^(i-t+1) I (x) reduced product (x) I on
+    (A_+)^(x i), with the reduced product in slots t and t+1: the signs are
+    counted from the right, as the bar cells count them.
     """
     f = bar.f
     d = bar.d
     out = Matrix.zeros(f, d ** (i - 1), d**i)
     for t in range(1, i):
         ins = Matrix.kron(Matrix.identity(f, d ** (t - 1)), Matrix.kron(bar.reduced, Matrix.identity(f, d ** (i - 1 - t))))
-        out = out + (ins if t % 2 == 1 else -ins)
+        out = out + (ins if (i - t) % 2 else -ins)
     return out
 
 

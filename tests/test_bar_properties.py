@@ -45,15 +45,15 @@ def _algebra(field, relations, top, form, data):
     if form == "permuted":
         c = permuted(c, data.draw(st.permutations(range(c.dim))))
     if form == "sheared":
-        # no degrees, so one cell per term; with e_k (x) e_k in the reduced comultiplication of e_l,
-        # the new e_k is in its own square, and the product's diagonal meets the copied columns
+        # no degrees; with e_k (x) e_k in the reduced comultiplication of e_l, the new e_k is in its
+        # own square, so its weight is 0, and the product's diagonal meets the copied columns
         positive = [t for t in range(c.dim) if t != c.grouplike_index]
         k = data.draw(st.sampled_from(positive))
         squares = [t for t in positive if any(i == j == k for i, j, _ in c.comul[t])]
         c = sheared(c, k, data.draw(st.sampled_from(squares or [t for t in positive if t != k])))
     a = dual_algebra(c)
     if form == "shifted":
-        # the augmentation is no longer a coordinate vector: one cell per term
+        # the augmentation is no longer a coordinate vector, so the degrees are not a weight coordinate
         a = shifted_by_unit(a, data.draw(st.integers(0, a.dim - 1)))
     return a, None
 
@@ -64,7 +64,8 @@ def test_cleared_bar_ranks_equal_plain_ranks(field, relations, top, form, data):
     a, jmax = _algebra(field, relations, top, form, data)
     bar = _BarComplex(a)
     sizes, ranks = bar.sweep(IMAX, jmax)
-    assert max(i for i, _ in sizes) == IMAX + 1
+    # every term of a graded algebra's bar complex above jmax is empty
+    assert max(i for i, _ in sizes) == (IMAX + 1 if jmax is None else min(IMAX + 1, jmax))
     for (i, w), d in bar_cells(bar, IMAX + 1, jmax).items():
         if i:
             assert ranks.get((i, w), 0) == Matrix(d.field, d.nrows, d.ncols, d.entries).transpose().rank(), (i, w)
@@ -75,21 +76,21 @@ def test_cleared_bar_ranks_equal_plain_ranks(field, relations, top, form, data):
 def test_swept_cells_are_the_kronecker_boundary_restricted(field, relations, top, form, data):
     """Every cell the sweep ranks is the transposed Kronecker boundary on its positions, with no stored zero.
 
-    In the sheared form the bar keeps one cell per term, where the product's
-    diagonal meets the copied columns and sums may cancel.
+    In the sheared form a basis vector of weight 0 is in its own square, so
+    the product's diagonal meets the copied columns and sums may cancel.
     """
     a, jmax = _algebra(field, relations, top, form, data)
     bar = _BarComplex(a)
-    ref, degrees = bar_reference(a, bar)
+    ref, weights = bar_reference(a, bar)
     sizes, _ = bar.sweep(IMAX, jmax)
     cells = bar_cells(bar, IMAX + 1, jmax)
     assert cells.keys() == sizes.keys()
     wholes = {i: kron_bar_boundary(ref, i) for i in range(1, IMAX + 2)}
     for (i, w), cell in cells.items():
-        src = bar_cell_positions(degrees, i, w)
+        src = bar_cell_positions(weights, i, w)
         assert cell.nrows == sizes[(i, w)] == len(src)
         if i:
-            dst = bar_cell_positions(degrees, i - 1, w)
+            dst = bar_cell_positions(weights, i - 1, w)
             assert cell.ncols == len(dst)
             assert all(v for col in cell.cols for v in col.values()), (i, w)
             assert cell.entries == restricted_transpose(wholes[i], dst, src), (i, w)

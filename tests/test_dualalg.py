@@ -28,6 +28,7 @@ from helpers_coalgebras import (
     sheared,
     shifted_by_unit,
     strip_degrees,
+    zero_grading_dims,
 )
 
 import cobarlab
@@ -444,11 +445,15 @@ def _bar_corpus(field):
 def test_degree_split_bar_table_matches_zero_grading_and_cobar(field):
     for c in _bar_corpus(field):
         a = dual_algebra(c)
-        assert len(_BarComplex(a).dims) == max(c.degrees) + 1 > 2  # the split is in use
-        plain = dual_algebra(strip_degrees(c))
-        assert _BarComplex(plain).dims == (c.dim - 1,)
+        bar = _BarComplex(a)
+        degrees = [deg for k, deg in enumerate(c.degrees) if k != c.grouplike_index]
+        assert [w[0] for w in bar.weights] == degrees  # the degree is the first weight coordinate
+        assert len(bar.grading[1]) > max(c.degrees) > 1  # and the split is finer than the degree
+        plain = _BarComplex(dual_algebra(strip_degrees(c)))
+        assert [w[1:] for w in bar.weights] == plain.weights  # without degrees, the product's own grading
         table = bar_ext_table(a, 3)
-        assert table == bar_ext_table(plain, 3)
+        assert table == bar_ext_table(dual_algebra(strip_degrees(c)), 3)
+        assert table.dims() == zero_grading_dims(plain, 3)
         assert table == ext_table(build_cobar(c, 3))
 
 
@@ -463,16 +468,15 @@ def test_cell_boundaries_are_the_whole_boundary_restricted():
     for c in cases:
         a = dual_algebra(c)
         bar = _BarComplex(a)
-        ref, degrees = bar_reference(a, bar)
-        assert degrees == [deg for k, deg in enumerate(c.degrees) if k != c.grouplike_index]
-        top = len(bar.dims) - 1
+        ref, weights = bar_reference(a, bar)
+        assert [w[0] for w in weights] == [deg for k, deg in enumerate(c.degrees) if k != c.grouplike_index]
         cells = bar_cells(bar, 4)
         sizes, _ = bar.sweep(3)
         for i in range(1, 5):
             whole = kron_bar_boundary(ref, i)
             seen, nnz = [], 0
-            for w in range(i * top + 1):
-                src, dst = bar_cell_positions(degrees, i, w), bar_cell_positions(degrees, i - 1, w)
+            for w in [w for j, w in cells if j == i]:
+                src, dst = bar_cell_positions(weights, i, w), bar_cell_positions(weights, i - 1, w)
                 cell = cells[(i, w)]
                 assert (cell.nrows, cell.ncols) == (len(src), len(dst)) == (sizes[(i, w)], sizes.get((i - 1, w), 0))
                 assert cell.entries == restricted_transpose(whole, dst, src)
@@ -483,7 +487,7 @@ def test_cell_boundaries_are_the_whole_boundary_restricted():
             assert nnz == whole.nnz()
 
 
-def test_degrees_that_do_not_grade_fall_back_to_one_cell():
+def test_degrees_that_do_not_grade_are_left_out_of_the_weights():
     sym = flatten(symmetric_coalgebra(2, 3, QQ))
     ten = flatten(tensor_coalgebra(2, 2, GF(7)))
     a = dual_algebra(sym)
@@ -500,8 +504,19 @@ def test_degrees_that_do_not_grade_fall_back_to_one_cell():
     ]
     for c, b in bad:
         assert b.degrees is not None and validate_algebra(b)
-        assert _BarComplex(b).dims == (c.dim - 1,)
+        plain = Algebra(b.field, b.dim, b.unit, b.mult, b.augmentation)
+        assert _BarComplex(b).weights == _BarComplex(plain).weights
         assert bar_ext_table(b, 3) == bar_ext_table(dual_algebra(c), 3) == ext_table(build_cobar(c, 3))
+
+
+def test_a_product_that_respects_no_grading_keeps_one_cell_per_term():
+    # e_1 in its own square forces w_1 = 0, and then w_2 = 2 w_1 = 0
+    for c in (sheared(divided_line(GF(5)), 1, 2), sheared(divided_line(), 1, 2)):
+        bar = _BarComplex(dual_algebra(c))
+        assert bar.weights == [(), ()] and bar.grading[1] == [((), 2)]
+        sizes, _ = bar.sweep(4)
+        assert sizes == {(i, ()): 2**i for i in range(6)}
+        assert bar_ext_table(dual_algebra(c), 4) == ext_table(build_cobar(c, 4))
 
 
 def test_bar_ext_table_refuses_an_invalid_algebra():

@@ -50,6 +50,19 @@ def test_bar_layouts_give_the_swept_sizes(name, form, field):
     g = acceptance_corpus(field)[name]
     a, jmax = (graded_dual(g), g.top_degree) if form == "graded" else (dual_algebra(flatten(g)), None)
     bar = _BarComplex(a)
-    sizes = layout_sizes({(0,): [1, {}]}, [((p,), k) for p, k in enumerate(bar.dims)], IMAX + 1, jmax)
+    zero, factors, _ = bar.grading
+    sizes = layout_sizes({zero: [1, {}]}, factors, IMAX + 1, jmax)
     swept, _ = bar.sweep(IMAX, jmax)
-    assert sizes == {(i, (w,)): n for (i, w), n in swept.items() if n}
+    assert sizes == swept
+
+
+def test_layouts_share_ints_only_for_the_kept_layers():
+    """``ints`` reaches the largest cell of layers 0..min(i, last - 1) and stops there, below the last layer's largest cell."""
+    bar = _BarComplex(dual_algebra(flatten(acceptance_corpus()["sym24"])))
+    zero, factors, _ = bar.grading
+    last = IMAX + 1
+    for i, (lower, uses, ints) in enumerate(layouts({zero: [1, {}]}, factors, last)):
+        kept = max(n for layer in lower[: min(i, last - 1) + 1] for n, _ in layer.values())
+        assert ints == list(range(kept)), i
+        assert bool(uses) == (0 < i < last), i  # layer 0 has no blocks
+    assert max(n for n, _ in lower[last].values()) > len(ints)
