@@ -351,7 +351,7 @@ class _BarComplex:
             p, q = index[weights[x]], index[weights[y]]
             items.setdefault((p, q, index[weights[r]]), {})[(local[r], local[x] * factors[q][1] + local[y])] = v
         mu = {(p, q): Matrix(f, factors[s][1], factors[p][1] * factors[q][1], e) for (p, q, s), e in items.items()}
-        zero = tuple(0 for _ in weights[0]) if weights else (0,) * (degrees is not None)
+        zero = tuple(0 for _ in weights[0]) if weights else (0,) * (degrees is not None)  # the weight of term 0
         self.grading = zero, [tuple(fa) for fa in factors], mu
 
     def sweep(self, imax, jmax=None):
@@ -488,21 +488,24 @@ class _BarComplex:
                     for p1, q1, a, x, y, v in diagonals[deg]:
                         off, mid = targets[p1]
                         size, inner = cols[mid]
-                        r = off + inner[q1][0] + x * size + y * width
-                        if p1 != deg and i < top:
-                            for column, k in zip(runs[a], ints[r : r + width]):
-                                column[k] = v
-                        elif p1 != deg:
-                            r -= col + a * width  # column index k holds row r + k
-                            for k, column in runs[a]:
-                                column[r + k] = v
-                        else:  # w_q' = 0: the diagonal meets the copy
-                            r0 = r - col - a * width
-                            for k, column in enumerate(runs[a]) if i < top else runs[a]:
-                                k = ints[r + k] if i < top else r0 + k
-                                s = f.add(column.pop(k, 0), v)
-                                if s:
-                                    column[k] = s
+                        r = off + inner[q1][0] + x * size + y * width  # the row of the entry in column (a, 0)
+                        if i < top:
+                            pairs = zip(runs[a], ints[r : r + width])
+                            if p1 != deg:
+                                for column, k in pairs:
+                                    column[k] = v
+                                continue
+                        else:  # column (a, u) is built as the pair (k, column), k = col + a * width + u
+                            r -= col + a * width
+                            if p1 != deg:
+                                for k, column in runs[a]:
+                                    column[r + k] = v
+                                continue
+                            pairs = [(column, r + k) for k, column in runs[a]]
+                        for column, k in pairs:  # w_q' = 0: the diagonal meets the copy
+                            s = f.add(column.pop(k, 0), v)
+                            if s:
+                                column[k] = s
                 release(blocks)
                 if i == top:
                     built, out = [k for k, _ in out], [column for _, column in out]

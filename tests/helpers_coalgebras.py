@@ -335,7 +335,7 @@ def bar_cell_positions(weights, i, w):
     return _positions(tuple(weights), i, tuple(w))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _positions(weights, i, w):
     if i == 0:
         return () if any(w) else (0,)
