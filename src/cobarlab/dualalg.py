@@ -281,9 +281,10 @@ class _BarComplex:
     cell (i, W) of B_i = A_+^(x i) is laid out by ``exttable.layouts`` with
     these factors, and the one cell of term 0, at the zero weight, is k.
     ``mu[(p, q)]`` is the reduced product of factor p by factor q, into the
-    factor of weight w_p + w_q, in local coordinates (column a*k_q + b).  ``grading`` holds (the zero
-    weight, factors, mu).  A product that respects no grading has the one
-    weight (): one cell per term, the whole term.
+    factor of weight w_p + w_q, in local coordinates (column a*k_q + b).
+    ``grading`` holds (the zero weight, factors, mu).  A product that
+    respects no grading has the one weight (): one cell per term, the whole
+    term.
 
     The boundary is d_i = (-1)^i mu (x) 1 + 1 (x) d_(i-1), the sum over t
     of (-1)^(i-t+1) times the product of slots t and t+1: its signs count
@@ -327,7 +328,8 @@ class _BarComplex:
             into = Matrix.from_columns(f, [a.unit, *pos.columns()], n)  # k (+) A_+ -> A
             # (P^T (x) P^T) mult^T, P the basis of A_+ as columns: row x*d + y holds the product of x and y
             pt = pos.transpose()
-            sol = into.solve_columns(kron_identity_matmul(pt, d, kron_identity_matmul(n, pt, a.mult.transpose())).transpose())
+            products = kron_identity_matmul(pt, d, kron_identity_matmul(n, pt, a.mult.transpose()))
+            sol = into.solve_columns(products.transpose())
             if sol is None:
                 raise AssertionError("product of augmentation-ideal elements left the algebra")
             self.reduced = Matrix(f, d, d * d, {(r - 1, c): v for (r, c), v in sol.entries.items() if r >= 1})
@@ -427,9 +429,12 @@ class _BarComplex:
         neg = f.p or 0  # -v is neg - v, reduced over GF(p)
         dims = [k for _, k in factors]
         into = {w: s for s, (w, _) in enumerate(factors)}
-        first = [sum(dims[:q]) for q in range(len(dims))]  # the index in A_+, by weight, of the first basis vector of factor q
-        products = [[] for _ in factors]  # products[s]: (p', q', a, a', b', value), row a of mu[(p', q')] at column a' (x) b'
-        hits = [[set() for _ in range(k)] for k in dims]  # hits[p'][a']: the indices in A_+, by weight, of the b' with mu(a', b') nonzero
+        # the index in A_+, ordered by weight, of the first basis vector of each factor
+        first = [sum(dims[:q]) for q in range(len(dims))]
+        # products[s]: (p', q', a, a', b', value) for row a of mu[(p', q')], in factor s, at column a' (x) b'
+        products = [[] for _ in factors]
+        # hits[p'][a']: the indices in A_+ of the b' with mu(a', b') nonzero
+        hits = [[set() for _ in range(k)] for k in dims]
         for (p1, q1), m in mu.items():
             entries = products[into[tuple(map(add, factors[p1][0], factors[q1][0]))]]
             for (r, c), v in m.entries.items():

@@ -275,7 +275,11 @@ def zero_grading_dims(bar, imax):
     """[dim Ext^0, ..., dim Ext^imax] from the sweep of ``bar`` with its grading replaced by the zero grading."""
     bar.grading = zero_grading(bar)
     sizes, ranks = bar.sweep(imax)
-    return [sum(n - ranks.get((j, w), 0) - ranks.get((j + 1, w), 0) for (j, w), n in sizes.items() if j == i) for i in range(imax + 1)]
+    dims = [0] * (imax + 1)
+    for (i, w), n in sizes.items():
+        if i <= imax:
+            dims[i] += n - ranks.get((i, w), 0) - ranks.get((i + 1, w), 0)
+    return dims
 
 
 def skipped_top_sweep(bar, imax, jmax=None):

@@ -61,7 +61,7 @@ def test_top_bar_term_of_c2_and_c3_to_imax_6(field):
 
 
 def test_top_bar_term_of_flattened_sym24_to_imax_4():
-    """The top term of flattened Sym(2)<=4 at imax 4, with the low cells of degree 5 and 6 whose sources have no rows."""
+    """The top term of flattened Sym(2)<=4 at imax 4, with the cells of degree 5 and 6 whose sources have no rows."""
     c = flatten(bundled("sym2_d4.json"))
     a = dual_algebra(c)
     top = assert_top_term_is_skipped_exactly(a, 4)

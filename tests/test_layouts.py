@@ -57,7 +57,7 @@ def test_bar_layouts_give_the_swept_sizes(name, form, field):
 
 
 def test_layouts_share_ints_only_for_the_kept_layers():
-    """``ints`` reaches the largest cell of layers 0..min(i, last - 1) and stops there, below the last layer's largest cell."""
+    """``ints`` reaches the largest cell of layers 0..min(i, last - 1), and the last layer's largest cell is past it."""
     bar = _BarComplex(dual_algebra(flatten(acceptance_corpus()["sym24"])))
     zero, factors, _ = bar.grading
     last = IMAX + 1
