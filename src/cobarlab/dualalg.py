@@ -415,9 +415,9 @@ class _BarComplex:
         on cell (top-1, W - w_p), into rows a (x) r, r a row of S.  Row
         a (x) r is reached by the copies of the columns of S that hold r, by
         one diagonal entry per nonzero output of mu(a, y), y the first
-        factor of r, and by no other column.  So when r is held by one column of S and
-        mu(a, y) = 0, the row is private to (a, u), and the column is
-        certified.  Holders of r are counted over every column of S, and
+        factor of r, and by no other column.  So when r is held by one
+        column of S and mu(a, y) = 0, the row is private to (a, u), and the
+        column is certified.  Holders of r are counted over every column of S, and
         counting too many only loses certifications, in every grading.  No
         cleared column is certified: a pivot row k of d_(top-1)^T is nonzero
         in some column x of it, and d_top^T x = 0 writes column k of the top
