@@ -6,7 +6,8 @@ package (bundled:c2.json, bundled:c3.json, bundled:sym2_d4.json,
 bundled:broken_counit.json).  Text summaries go to standard output; the full
 JSON report is written to the --out path when given, with sorted keys so that
 identical invocations produce byte-identical payloads apart from the
-wall_time_s field.
+wall_time_s field.  The report records each input by the sha256 of its
+bytes as read, before they are decoded as UTF-8.
 
 Exit codes: 0 when every computed verdict holds, 1 when a mathematical
 verdict is false, 2 for unreadable or schema-invalid input, an --out path
@@ -17,17 +18,27 @@ type and message.
 
 Each subcommand imports its own pipeline when it runs, so a command loads
 only the modules it uses: ``python -X importtime -m cobarlab.cli validate
-bundled:c3.json`` shows it.
+bundled:c3.json`` shows it.  The digest comes from the interpreter's builtin
+SHA-256 module (_sha2 on 3.12+, _sha256 before), so no command loads
+OpenSSL through hashlib unless the interpreter was built without it.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 import time
+
+# hashlib.sha256 would load OpenSSL's libcrypto, a few MB and ms per process
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .coalg import (
     Coalgebra,
@@ -54,7 +65,7 @@ class CliError(Exception):
 
 
 def _read_input(path):
-    """Resolve a path or bundled: name to (display name, file text)."""
+    """Resolve a path or bundled: name to (display name, file bytes)."""
     if path.startswith(BUNDLED_PREFIX):
         # importlib.resources loads tempfile, shutil and random; only bundled names need it
         from importlib import resources
@@ -64,19 +75,23 @@ def _read_input(path):
             raise CliError(2, "bad bundled name %r" % name)
         record = resources.files("cobarlab").joinpath("data", name)
         try:
-            return path, record.read_text(encoding="utf-8")
+            return path, record.read_bytes()
         except (FileNotFoundError, OSError):
             raise CliError(2, "no bundled file %r" % name)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             return path, handle.read()
     except OSError as exc:
         raise CliError(2, "cannot read %s (%s)" % (path, exc))
 
 
 def _load(path, inputs):
-    name, text = _read_input(path)
-    inputs[name] = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+    name, data = _read_input(path)
+    inputs[name] = "sha256:" + sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(2, "%s is not UTF-8 text (%s)" % (name, exc))
     try:
         return loads_presentation(text)
     except SchemaError as exc:

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -43,6 +45,72 @@ def test_validate_report_payload(tmp_path):
     assert set(rep["inputs"]) == {"bundled:c2.json"}
     digest = rep["inputs"]["bundled:c2.json"]
     assert digest.startswith("sha256:") and len(digest) == 7 + 64
+
+
+def _recorded_digest(tmp_path, path):
+    out = tmp_path / "digest.json"
+    assert main(["validate", str(path), "--out", str(out)]) == 0
+    return _load_out(out)["inputs"][str(path)]
+
+
+def _bundled_bytes(name):
+    with open(os.path.join(os.path.dirname(cobarlab.__file__), "data", name), "rb") as handle:
+        return handle.read()
+
+
+def test_inputs_are_recorded_by_the_sha256_of_their_bytes(tmp_path):
+    lf = _bundled_bytes("c3.json")
+    doc = json.loads(lf)
+    doc["counit"][0] = "\u0661"  # ARABIC-INDIC DIGIT ONE: a rational scalar written in non-ASCII
+    cases = {
+        "lf.json": lf,
+        "crlf.json": lf.replace(b"\n", b"\r\n"),
+        "non_ascii.json": json.dumps(doc, ensure_ascii=False).encode("utf-8"),
+    }
+    assert b"\r\n" in cases["crlf.json"] and max(cases["non_ascii.json"]) > 127
+    for name, data in cases.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert _recorded_digest(tmp_path, path) == "sha256:" + hashlib.sha256(data).hexdigest()
+    # a CRLF copy is a different file, not the LF file's digest
+    assert _recorded_digest(tmp_path, tmp_path / "crlf.json") != _recorded_digest(tmp_path, tmp_path / "lf.json")
+    assert _recorded_digest(tmp_path, "bundled:c2.json") == "sha256:" + hashlib.sha256(_bundled_bytes("c2.json")).hexdigest()
+
+
+# Blocks both builtin SHA-256 modules before cobarlab.cli is imported, so the
+# digest comes from hashlib, and prints the digest that validate records.
+_FALLBACK_PROBE = """
+import hashlib, json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from cobarlab import cli
+assert cli.sha256 is hashlib.sha256
+assert cli.main(["validate", sys.argv[1], "--out", sys.argv[2]]) == 0
+with open(sys.argv[2], encoding="utf-8") as handle:
+    print(json.load(handle)["inputs"][sys.argv[1]])
+"""
+
+
+def test_digest_falls_back_to_hashlib_without_a_builtin_sha256(tmp_path):
+    path = tmp_path / "crlf.json"
+    path.write_bytes(_bundled_bytes("c2.json").replace(b"\n", b"\r\n"))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cobarlab.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _FALLBACK_PROBE, str(path), str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == _recorded_digest(tmp_path, path)
+
+
+def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff" + _bundled_bytes("c3.json"))
+    for argv in (["validate", str(bad)], ["compare", "bundled:c3.json", "--left", str(bad)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: %s is not UTF-8 text (" % bad)
+        assert "\n" not in captured.err.rstrip("\n")
 
 
 def test_ext_finite_dims(tmp_path):
@@ -357,9 +425,9 @@ def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys):
 
 
 # Runs in a fresh interpreter: imports the package, runs one command, and
-# prints which cobarlab submodules each step loaded and whether dataclasses and
-# random were.  The interpreter runs with -S, since a site hook may load either
-# of them before the probe starts.
+# prints which cobarlab submodules each step loaded, whether dataclasses and
+# random were, and whether OpenSSL's _hashlib was.  The interpreter runs with
+# -S, since a site hook may load any of them before the probe starts.
 _IMPORT_PROBE = """
 import json, sys
 before = set(sys.modules)
@@ -369,7 +437,8 @@ from cobarlab.cli import main
 code = main(sys.argv[1:])
 new = set(sys.modules) - before
 ours = sorted(m[len("cobarlab."):] for m in new if m.startswith("cobarlab."))
-print(json.dumps({"bare": bare, "code": code, "ours": ours, "dataclasses": "dataclasses" in new, "random": "random" in new}))
+print(json.dumps({"bare": bare, "code": code, "ours": ours, "dataclasses": "dataclasses" in new, "random": "random" in new,
+                  "hashlib": "_hashlib" in sys.modules}))
 """
 
 
@@ -380,6 +449,10 @@ def _fresh_process_imports(argv):
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
+
+
+# the report's digests need no OpenSSL where the interpreter has a builtin SHA-256
+_BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
 
 
 def test_each_command_imports_only_its_own_pipeline():
@@ -400,9 +473,16 @@ def test_each_command_imports_only_its_own_pipeline():
     assert bar["code"] == 0
     assert {"dualalg", "exttable"} <= set(bar["ours"])
     assert not {"cobar", "resolve", "witness"} & set(bar["ours"])
+    compare = _fresh_process_imports(["compare", "bundled:c3.json", "--left", "regular", "--n", "2"])
+    assert compare["code"] == 0
+    assert "dualalg" in compare["ours"]
+    runs = [validate, ext, resolve, bar, compare]
     # the demos check on finite probe families and draw no random number
     for which in ("nonrational", "contra"):
         demo = _fresh_process_imports(["demo", which])
         assert demo["code"] == 0
         assert "witness" in demo["ours"]
         assert demo["random"] is False
+        runs.append(demo)
+    if _BUILTIN_SHA256:
+        assert [run["hashlib"] for run in runs] == [False] * len(runs)
