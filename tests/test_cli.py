@@ -437,7 +437,7 @@ code = main(sys.argv[1:])
 new = set(sys.modules) - before
 ours = sorted(m[len("cobarlab."):] for m in new if m.startswith("cobarlab."))
 print(json.dumps({"bare": bare, "code": code, "ours": ours, "dataclasses": "dataclasses" in new, "random": "random" in new,
-                  "hashlib": "_hashlib" in sys.modules}))
+                  "_hashlib": "_hashlib" in sys.modules}))
 """
 
 
@@ -484,4 +484,4 @@ def test_each_command_imports_only_its_own_pipeline():
         assert demo["random"] is False
         runs.append(demo)
     if _BUILTIN_SHA256:
-        assert [run["hashlib"] for run in runs] == [False] * len(runs)
+        assert [run["_hashlib"] for run in runs] == [False] * len(runs)
