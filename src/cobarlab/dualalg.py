@@ -8,9 +8,12 @@ the dual algebra via the contracted coaction; the transposed convention
 breaks associativity of that action on noncocommutative examples, which is
 what pins it.
 
-Module Ext is computed from minimal free resolutions: over these algebras
-the augmentation ideal is nilpotent, so covers by A (x) (K / A_+ K) are
-surjective and kernels stay finite.  The bar complex gives an independent
+A module is one action matrix, the mirror of the algebra's product, and the
+free module A (x) k^w acts by mult (x) I_w.  Module Ext is computed from
+minimal free resolutions: over these algebras the augmentation ideal is
+nilpotent, so covers by A (x) (K / A_+ K) are surjective and kernels stay
+finite.  Each step applies the ambient action block by block through
+``kron_identity_matmul``, so no free module is built.  The bar complex gives an independent
 route to the same numbers, split into the weight cells of the finest grading
 that its reduced product respects, after the degree when the algebra has one
 (Priddy, "Koszul resolutions", 1970; Peeva, "Graded syzygies", 2011): the
@@ -254,7 +257,10 @@ def quadratic_algebra(m, relations, top, field):
     comps = {}
     for p in range(top + 1):
         for q in range(top + 1 - p):
-            comps[(p, q)] = projs[p + q] @ Matrix.kron(sections[p], sections[q])
+            # P (S_p (x) S_q), transposed: (I (x) S_q^T) (S_p^T (x) I) P^T
+            left, right = sections[p], sections[q]
+            inner = kron_identity_matmul(left.transpose(), right.nrows, projs[p + q].transpose())
+            comps[(p, q)] = kron_identity_matmul(left.ncols, right.transpose(), inner).transpose()
     return GradedAlgebra(f, dims, comps)
 
 
@@ -634,161 +640,149 @@ def bar_ext_table(a, imax, jmax=None):
 
 
 class ModulePresentation:
-    """A left module given by one action matrix per algebra basis element."""
+    """A left module given by one sparse action matrix, the mirror of ``Algebra.mult``.
 
-    def __init__(self, algebra, dim, actions):
-        if len(actions) != algebra.dim:
-            raise ValueError("need one action matrix per algebra basis element")
-        for m in actions:
-            if m.nrows != dim or m.ncols != dim:
-                raise ValueError("action matrix has wrong shape")
+    ``action`` is dim x (algebra.dim * dim); its column s*dim + j holds
+    e_s . m_j.  So the regular module's action is the product itself, and a
+    comodule's coaction matrix is the same entries re-indexed.
+    """
+
+    def __init__(self, algebra, dim, action):
+        if action.field != algebra.field or (action.nrows, action.ncols) != (dim, algebra.dim * dim):
+            raise ValueError("action matrix has wrong shape")
         self.algebra = algebra
         self.dim = dim
-        self.actions = tuple(actions)
-
-    def action_of(self, vec):
-        """The action of sum_s vec[s] e_s, for a sparse vector vec = {s: nonzero value}."""
-        out = Matrix.zeros(self.algebra.field, self.dim, self.dim)
-        for s, v in vec.items():
-            out = out + self.actions[s].scale(v)
-        return out
+        self.action = action
 
     def __eq__(self, other):
         if not isinstance(other, ModulePresentation):
             return NotImplemented
-        return self.algebra == other.algebra and self.dim == other.dim and self.actions == other.actions
+        return self.algebra == other.algebra and self.dim == other.dim and self.action == other.action
 
 
 def verify_module_axioms(p):
-    """Unit acts as identity and the action respects the product."""
+    """Unit acts as identity and the action respects the product.
+
+    rho (unit (x) 1) = 1 and rho (1 (x) rho) = rho (mult (x) 1), compared transposed as ``validate_algebra`` does.
+    """
     a = p.algebra
-    if not (p.action_of({s: v for s, v in enumerate(a.unit) if v}) == Matrix.identity(a.field, p.dim)):
+    rt = p.action.transpose()
+    unit_row = Matrix.from_rows(a.field, [list(a.unit)], a.dim)
+    if not (kron_identity_matmul(unit_row, p.dim, rt) == Matrix.identity(a.field, p.dim)):
         return False
-    products = a.mult.column_dicts()  # column x*dim + y: e_x e_y
-    for x in range(a.dim):
-        for y in range(a.dim):
-            if not (p.action_of(products[x * a.dim + y]) == p.actions[x] @ p.actions[y]):
-                return False
-    return True
+    return kron_identity_matmul(a.mult.transpose(), p.dim, rt) == kron_identity_matmul(a.dim, rt, rt)
 
 
 def trivial_module(a):
-    """The ground field through the augmentation."""
+    """The ground field through the augmentation: a 1 x dim row."""
     if a.augmentation is None:
         raise ValueError("trivial module needs an augmented algebra")
-    f = a.field
-    acts = [Matrix(f, 1, 1, {(0, 0): v} if v != f.zero else {}) for v in a.augmentation]
-    return ModulePresentation(a, 1, acts)
+    return ModulePresentation(a, 1, Matrix.from_rows(a.field, [list(a.augmentation)], a.dim))
 
 
 def free_module(a, rank):
-    """A^rank with copy-major basis index c*dim + b: each action is block diagonal, rank copies.
-
-    The block of e_s is its left action, columns s*dim .. s*dim + dim - 1
-    of the product, all read in one pass.
-    """
-    n = a.dim
-    offsets = range(0, rank * n, n)
-    blocks = [[] for _ in range(n)]
-    for (t, c), v in a.mult.entries.items():
-        s, b = divmod(c, n)
-        blocks[s].append((t, b, v))
-    acts = [{(k + t, k + b): v for k in offsets for t, b, v in block} for block in blocks]
-    return ModulePresentation(a, rank * n, [Matrix(a.field, rank * n, rank * n, e) for e in acts])
+    """A (x) k^rank with basis index b*rank + c, so that its action is mult (x) I_rank."""
+    entries = {(t * rank + c, col * rank + c): v for (t, col), v in a.mult.entries.items() for c in range(rank)}
+    return ModulePresentation(a, a.dim * rank, Matrix(a.field, a.dim * rank, a.dim * a.dim * rank, entries))
 
 
 def comodule_to_module(m, algebra=None):
     """Contract the coaction against dual-basis functionals.
 
-    e^s . m_t picks the coefficients of e_s (x) m_j in the coaction of m_t;
-    associativity of the result is exactly the stated multiplication
-    convention on the dual algebra.
+    e^i . m_t picks the coefficients of e_i (x) m_j in the coaction of m_t,
+    at entry (j, i*dim + t); associativity of the result is exactly the
+    stated multiplication convention on the dual algebra.
     """
     c = m.base
     a = algebra if algebra is not None else dual_algebra(c)
-    items = [[] for _ in range(c.dim)]
-    for t in range(m.dim):
-        for i, j, v in m.coaction[t]:
-            items[i].append((j, t, v))
-    return ModulePresentation(a, m.dim, [Matrix.from_entries(c.field, m.dim, m.dim, s) for s in items])
+    d = m.dim
+    entries = {(j, i * d + t): v for t in range(d) for i, j, v in m.coaction[t]}
+    return ModulePresentation(a, d, Matrix(c.field, d, c.dim * d, entries))
 
 
 def module_to_comodule(c, p):
     """Inverse of comodule_to_module at finite dimension: nu(m) = sum e_t (x) e^t.m."""
     triples = [[] for _ in range(p.dim)]
-    for s in range(c.dim):
-        for (j, t), v in p.actions[s].entries.items():
-            triples[t].append((s, j, v))
+    for (j, col), v in p.action.entries.items():
+        s, t = divmod(col, p.dim)
+        triples[t].append((s, j, v))
     return Comodule(c, p.dim, triples)
 
 
 def module_hom_basis(p, q):
-    """Basis of the space of module morphisms p -> q."""
-    a = p.algebra
-    f = a.field
-    unknowns = q.dim * p.dim  # h[r, c] at index r*p.dim + c
-    # one equation (q_s h - h p_s)[r, c] = 0 per (s, r, c), numbered in that order
+    """Basis of the space of module morphisms h: p -> q, that is of rho_q (1 (x) h) = h rho_p."""
+    f = p.algebra.field
+    pd = p.dim
+    width = p.algebra.dim * pd
+    # h[r, c] is unknown r*pd + c; entry (r, s*pd + c) of rho_q (1 (x) h) - h rho_p is equation r*width + s*pd + c
     items = []
-    for s in range(a.dim):
-        base = s * unknowns
-        for (r, k), v in q.actions[s].entries.items():
-            items.extend((base + r * p.dim + c, k * p.dim + c, v) for c in range(p.dim))
-        for (k, c), v in p.actions[s].entries.items():
-            items.extend((base + r * p.dim + c, r * p.dim + k, f.neg(v)) for r in range(q.dim))
-    system = Matrix.from_entries(f, a.dim * unknowns, unknowns, items)
+    for (r, col), v in q.action.entries.items():
+        s, k = divmod(col, q.dim)
+        base = r * width + s * pd
+        items.extend((base + c, k * pd + c, v) for c in range(pd))
+    for (k, col), v in p.action.entries.items():
+        items.extend((r * width + col, r * pd + k, f.neg(v)) for r in range(q.dim))
+    system = Matrix.from_entries(f, q.dim * width, q.dim * pd, items)
     kernel = system.kernel_basis().column_dicts()
-    return [Matrix.from_entries(f, q.dim, p.dim, [(*divmod(k, p.dim), v) for k, v in vec.items()]) for vec in kernel]
+    return [Matrix.from_entries(f, q.dim, pd, [(*divmod(k, pd), v) for k, v in vec.items()]) for vec in kernel]
 
 
-def _free_cover(ambient_actions, basis_matrix, a):
-    """Cover a submodule (given by a spanning matrix) by a free module.
+def _action_blocks(x, n):
+    """The n column blocks of an action x with d rows: entry (t, s*d + j) lands at (t, j) of block s."""
+    d = x.nrows
+    blocks = [{} for _ in range(n)]
+    for (t, col), v in x.entries.items():
+        s, j = divmod(col, d)
+        blocks[s][(t, j)] = v
+    return blocks
 
-    Returns (w, cover) where w = dim(K / A_+ K) and cover maps A^w into the
-    ambient space with image exactly the submodule.
+
+def _free_cover(x, w, basis_matrix, a):
+    """Cover the column span K of ``basis_matrix`` in the module with action x (x) I_w by a free module.
+
+    Returns (w', cover) where w' = dim(K / A_+ K) and cover maps A (x) k^w'
+    (basis b*w' + k) onto K.  e_s acts by column block s of x tensored with
+    I_w, applied by ``kron_identity_matmul``: the ambient module is never built.
     """
+    if a.augmentation is None:
+        raise ValueError("free resolutions here require an augmented algebra")
     f = a.field
-    ambient_dim = basis_matrix.nrows
-    aug = a.augmentation
-    pos = Matrix.from_entries(f, 1, a.dim, [(0, i, v) for i, v in enumerate(aug)]).kernel_basis()
+    d, m = basis_matrix.nrows, basis_matrix.ncols
     # images[s] is e_s acting on the spanning columns of K
-    images = [act @ basis_matrix for act in ambient_actions]
-    radical = [Matrix.zeros(f, ambient_dim, 0)]
-    for alpha in pos.columns():
-        image = Matrix.zeros(f, ambient_dim, basis_matrix.ncols)
-        for s, v in enumerate(alpha):
-            if v:
-                image = image + images[s].scale(v)
-        radical.append(image)
-    chosen = extend_to_basis(Matrix.hstack(radical), basis_matrix)
-    image_cols = [m.column_dicts() for m in images]
+    images = [kron_identity_matmul(Matrix(f, x.nrows, x.nrows, e), w, basis_matrix) for e in _action_blocks(x, a.dim)]
+    pos = Matrix.from_entries(f, 1, a.dim, [(0, i, v) for i, v in enumerate(a.augmentation)]).kernel_basis()
+    # A_+ K, one block of m columns per basis vector alpha of A_+, in a single pass
+    terms = ((k * m, u, images[s]) for k, alpha in enumerate(pos.column_dicts()) for s, u in alpha.items())
+    span = ((r, off + c, f.mul(u, v)) for off, u, image in terms for (r, c), v in image.entries.items())
+    chosen = extend_to_basis(Matrix.from_entries(f, d, pos.ncols * m, span), basis_matrix)
+    w_cover = len(chosen)
+    where = {col: k for k, col in enumerate(chosen)}
     entries = {}
-    for k, l in enumerate(chosen):
-        for b in range(a.dim):
-            entries.update(((r, k * a.dim + b), v) for r, v in image_cols[b][l].items())
-    return len(chosen), Matrix(f, ambient_dim, len(chosen) * a.dim, entries)
+    for b, image in enumerate(images):
+        entries.update(((r, b * w_cover + where[c]), v) for (r, c), v in image.entries.items() if c in where)
+    return w_cover, Matrix(f, d, a.dim * w_cover, entries)
 
 
 def minimal_free_resolution(l, n):
     """Free-module betti numbers and chain maps for a module over its algebra.
 
-    Returns (ws, chain) where ws[i] = rank of F_i for 0 <= i <= n and
-    chain[0] maps F_0 onto the module, chain[i] maps F_i into F_{i-1}.
+    Returns (ws, chain) where ws[i] = rank of F_i = A (x) k^ws[i] for
+    0 <= i <= n and chain[0] maps F_0 onto the module, chain[i] maps F_i
+    into F_(i-1).  Past step 0 the ambient action is mult (x) I_w, so no
+    free module is built.
     """
     a = l.algebra
-    f = a.field
-    if a.augmentation is None:
-        raise ValueError("free resolutions here require an augmented algebra")
-    ambient_actions = l.actions
-    basis = Matrix.identity(f, l.dim)
+    x, w = l.action, 1
+    basis = Matrix.identity(a.field, l.dim)
     ws = []
     chain = []
     for _ in range(n + 1):
-        w, cover = _free_cover(ambient_actions, basis, a)
+        w, cover = _free_cover(x, w, basis, a)
         ws.append(w)
         chain.append(cover)
         if cover.rank() != basis.ncols:
             raise AssertionError("free cover failed to surject onto the kernel")
-        ambient_actions = free_module(a, w).actions
+        x = a.mult
         basis = cover.kernel_basis()
     return ws, chain
 
@@ -799,16 +793,17 @@ def module_ext(a, l, m, n):
         raise ValueError("modules are not over the given algebra")
     ws, chain = minimal_free_resolution(l, n + 1)
     f = a.field
+    blocks = _action_blocks(m.action, a.dim)
+    unit = [(b, v) for b, v in enumerate(a.unit) if v]
     deltas = []
     for i in range(n + 1):
         w_next, w_here = ws[i + 1], ws[i]
-        # column lp: the unit of the lp-th copy of A in F_{i+1}
-        units = {(lp * a.dim + b, lp): v for lp in range(w_next) for b, v in enumerate(a.unit) if v}
-        gens = Matrix(f, w_next * a.dim, w_next, units)
+        # column lp: the unit times the lp-th generator of F_(i+1)
+        gens = Matrix(f, a.dim * w_next, w_next, {(b * w_next + lp, lp): v for lp in range(w_next) for b, v in unit})
         items = []
         for (idx, lp), coeff in (chain[i + 1] @ gens).entries.items():
-            lcopy, b = divmod(idx, a.dim)
-            for (r, rp), v in m.actions[b].entries.items():
+            b, lcopy = divmod(idx, w_here)
+            for (r, rp), v in blocks[b].items():
                 items.append((lp * m.dim + r, lcopy * m.dim + rp, f.mul(coeff, v)))
         deltas.append(Matrix.from_entries(f, w_next * m.dim, w_here * m.dim, items))
     dims = []
@@ -824,9 +819,8 @@ def is_projective(p):
     """Projective iff the free cover splits; solved as a linear system."""
     a = p.algebra
     f = a.field
-    w, cover = _free_cover(p.actions, Matrix.identity(f, p.dim), a)
-    free = free_module(a, w)
-    homs = module_hom_basis(p, free)
+    w, cover = _free_cover(p.action, 1, Matrix.identity(f, p.dim), a)
+    homs = module_hom_basis(p, free_module(a, w))
     if not homs:
         return p.dim == 0
     system = _flat_columns([cover @ h for h in homs])
@@ -914,12 +908,14 @@ def compare_theorem1(c, l, m, n):
     The two pipelines share only the exact linear algebra layer: the left
     side resolves m by cofree comodules, the right side resolves the
     transported module by free modules over the dual algebra.  The base must
-    validate as a coalgebra and l and m as comodules.
+    validate as a coalgebra and l and m as comodules over it.
     """
     report = validate(c)
     if not report.ok:
         raise ValueError("comparison base failed validation: %s" % report.reasons)
     for side, com in (("left", l), ("right", m)):
+        if com.base is not c and com.base != c:
+            raise ValueError("comparison %s comodule is not over the given coalgebra" % side)
         report = validate_comodule(com)
         if not report.ok:
             raise ValueError("comparison %s comodule failed validation: %s" % (side, report.reasons))
@@ -957,9 +953,10 @@ def build_initially_projective(a, target, modules, augmentation_map, maps):
     for (dst, src), mat in zip(pairs, chain):
         if mat.nrows != dst.dim or mat.ncols != src.dim:
             raise ValueError("chain map has wrong shape")
-        for s in range(a.dim):
-            if not (dst.actions[s] @ mat == mat @ src.actions[s]):
-                raise ValueError("chain map is not a module morphism")
+        # rho_dst (1 (x) mat) = mat rho_src, compared transposed
+        mt = mat.transpose()
+        if not (kron_identity_matmul(a.dim, mt, dst.action.transpose()) == src.action.transpose() @ mt):
+            raise ValueError("chain map is not a module morphism")
     if augmentation_map.rank() != target.dim:
         raise ValueError("augmentation is not surjective")
     for i in range(1, len(chain)):

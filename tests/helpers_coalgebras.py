@@ -862,16 +862,54 @@ def comodule_hom_basis(l, m):
     return [Matrix.from_entries(f, dm, dl, [(*divmod(k, dl), v) for k, v in vec.items()]) for vec in kernel]
 
 
+def module_actions(p):
+    """The action of each algebra basis element on p, as p.dim x p.dim matrices: column block s of ``p.action``."""
+    d = p.dim
+    entries = [{} for _ in range(p.algebra.dim)]
+    for (r, col), v in p.action.entries.items():
+        s, c = divmod(col, d)
+        entries[s][(r, c)] = v
+    return [Matrix(p.algebra.field, d, d, e) for e in entries]
+
+
+def module_from_actions(a, dim, acts):
+    """The module on which e_s acts by acts[s]: the blocks side by side as one action matrix."""
+    entries = {(r, s * dim + c): v for s, m in enumerate(acts) for (r, c), v in m.entries.items()}
+    return ModulePresentation(a, dim, Matrix(a.field, dim, a.dim * dim, entries))
+
+
+def per_basis_module_axioms(p):
+    """Reference for ``dualalg.verify_module_axioms``: the unit, then every pair of basis elements by one matmul."""
+    a = p.algebra
+    f = a.field
+    acts = module_actions(p)
+
+    def action_of(vec):
+        out = Matrix.zeros(f, p.dim, p.dim)
+        for s, v in vec.items():
+            out = out + acts[s].scale(v)
+        return out
+
+    if not (action_of({s: v for s, v in enumerate(a.unit) if v}) == Matrix.identity(f, p.dim)):
+        return False
+    products = a.mult.column_dicts()  # column x*dim + y: e_x e_y
+    for x in range(a.dim):
+        for y in range(a.dim):
+            if not (action_of(products[x * a.dim + y]) == acts[x] @ acts[y]):
+                return False
+    return True
+
+
 def direct_sum_modules(p, q):
     if p.algebra != q.algebra:
         raise ValueError("modules over different algebras")
     f = p.algebra.field
     acts = []
-    for s in range(p.algebra.dim):
-        items = [(r, c, v) for (r, c), v in p.actions[s].entries.items()]
-        items += [(p.dim + r, p.dim + c, v) for (r, c), v in q.actions[s].entries.items()]
+    for pa, qa in zip(module_actions(p), module_actions(q)):
+        items = [(r, c, v) for (r, c), v in pa.entries.items()]
+        items += [(p.dim + r, p.dim + c, v) for (r, c), v in qa.entries.items()]
         acts.append(Matrix.from_entries(f, p.dim + q.dim, p.dim + q.dim, items))
-    return ModulePresentation(p.algebra, p.dim + q.dim, acts)
+    return module_from_actions(p.algebra, p.dim + q.dim, acts)
 
 
 def module_extension_space(l, m):
@@ -895,6 +933,7 @@ def module_extension_space(l, m):
     for k, coeffs in unit_row.items():
         eqs.append(coeffs)
     products = a.mult.columns()
+    m_acts, l_acts = module_actions(m), module_actions(l)
     for x in range(a.dim):
         for y in range(a.dim):
             # c(xy) = act_m[x] c_y + c_x act_l[y]
@@ -906,11 +945,11 @@ def module_extension_space(l, m):
                         if v != f.zero:
                             key = s * rows_per + r * l.dim + c
                             coeffs[key] = f.add(coeffs.get(key, f.zero), v)
-                    for (rr, k), v in m.actions[x].entries.items():
+                    for (rr, k), v in m_acts[x].entries.items():
                         if rr == r:
                             key = y * rows_per + k * l.dim + c
                             coeffs[key] = f.sub(coeffs.get(key, f.zero), v)
-                    for (k, cc), v in l.actions[y].entries.items():
+                    for (k, cc), v in l_acts[y].entries.items():
                         if cc == c:
                             key = x * rows_per + r * l.dim + k
                             coeffs[key] = f.sub(coeffs.get(key, f.zero), v)
@@ -931,15 +970,15 @@ def extension_module(l, m, data):
     f = a.field
     rows_per = m.dim * l.dim
     acts = []
-    for s in range(a.dim):
-        items = [(r, c, v) for (r, c), v in m.actions[s].entries.items()]
-        items += [(m.dim + r, m.dim + c, v) for (r, c), v in l.actions[s].entries.items()]
+    for s, (ma, la) in enumerate(zip(module_actions(m), module_actions(l))):
+        items = [(r, c, v) for (r, c), v in ma.entries.items()]
+        items += [(m.dim + r, m.dim + c, v) for (r, c), v in la.entries.items()]
         for k in range(rows_per):
             v = data[s * rows_per + k]
             if v != f.zero:
                 items.append((k // l.dim, m.dim + k % l.dim, v))
         acts.append(Matrix.from_entries(f, m.dim + l.dim, m.dim + l.dim, items))
-    return ModulePresentation(a, m.dim + l.dim, acts)
+    return module_from_actions(a, m.dim + l.dim, acts)
 
 
 # ---------------------------------------------------------------------------

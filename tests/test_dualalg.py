@@ -20,6 +20,7 @@ from helpers_coalgebras import (
     module_extension_space,
     non_associative_algebra,
     non_associative_graded_algebra,
+    per_basis_module_axioms,
     per_column_bar_reduced,
     permuted,
     quad_dual,
@@ -49,6 +50,7 @@ from cobarlab.dualalg import (
     _BarComplex,
     Algebra,
     GradedAlgebra,
+    ModulePresentation,
     bar_ext_table,
     build_initially_projective,
     comodule_ext_dims,
@@ -60,6 +62,7 @@ from cobarlab.dualalg import (
     free_resolution_as_initially_projective,
     graded_dual,
     is_projective,
+    minimal_free_resolution,
     module_ext,
     module_to_comodule,
     opposite_algebra,
@@ -69,7 +72,7 @@ from cobarlab.dualalg import (
     validate_graded_algebra,
     verify_module_axioms,
 )
-from cobarlab.exactlin import GF, QQ, Matrix
+from cobarlab.exactlin import GF, QQ, Matrix, kron_identity_matmul
 from cobarlab.exttable import ExtTable
 from cobarlab.resolve import betti_dims, minimal_coresolution
 
@@ -149,6 +152,33 @@ def test_action_convention_pinned_by_associativity():
     assert not verify_module_axioms(wrong)
 
 
+def test_one_changed_action_entry_breaks_the_module_axioms():
+    c = strip_degrees(flatten(tensor_coalgebra(2, 2, QQ)))
+    p = comodule_to_module(regular_comodule(c))
+    assert verify_module_axioms(p)
+    for key, v in p.action.entries.items():
+        entries = dict(p.action.entries)
+        entries[key] = v + 1
+        if not entries[key]:
+            del entries[key]
+        changed = ModulePresentation(p.algebra, p.dim, Matrix(QQ, p.dim, p.action.ncols, entries))
+        assert not verify_module_axioms(changed), key
+        assert not per_basis_module_axioms(changed), key
+
+
+def test_module_axioms_agree_with_the_per_pair_reference_on_the_acceptance_corpus():
+    for name, g in acceptance_corpus().items():
+        c = flatten(g)
+        a = dual_algebra(c)
+        for m in (trivial_comodule(c), regular_comodule(c)):
+            for algebra in (a, opposite_algebra(a)):
+                p = comodule_to_module(m, algebra)
+                assert verify_module_axioms(p) == per_basis_module_axioms(p), name
+    # the opposite product fails on the noncommutative members, so both outcomes are exercised
+    flat = flatten(acceptance_corpus()["ten22"])
+    assert not verify_module_axioms(comodule_to_module(regular_comodule(flat), opposite_algebra(dual_algebra(flat))))
+
+
 def test_graded_dual_of_symmetric_is_truncated_polynomial():
     a = graded_dual(symmetric_coalgebra(2, 3, QQ))
     assert a.dims == (1, 2, 3, 4)
@@ -178,6 +208,24 @@ def test_graded_dual_round_trips():
         assert graded_dual(graded_dual(g)) == g
     a = quadratic_algebra(2, [(QQ.zero, QQ.one, QQ.from_int(-1), QQ.zero)], 3, QQ)
     assert graded_dual(graded_dual(a)) == a
+
+
+def test_product_with_a_kronecker_product_by_index_arithmetic_matches_matrix_kron():
+    # quadratic_algebra forms P (S_p (x) S_q) this way, without building the Kronecker product
+    rng = random.Random(29)
+    for field in (QQ, GF(7)):
+        for _ in range(60):
+            shape = [rng.randrange(1, 4) for _ in range(4)]
+            left, right = (
+                Matrix.from_entries(field, r, c, [(i, j, rng.randrange(-3, 4)) for i in range(r) for j in range(c) if rng.random() < 0.6])
+                for r, c in (shape[:2], shape[2:])
+            )
+            rows, cols = rng.randrange(1, 4), left.nrows * right.nrows
+            p = Matrix.from_entries(
+                field, rows, cols, [(i, j, rng.randrange(-3, 4)) for i in range(rows) for j in range(cols) if rng.random() < 0.6]
+            )
+            inner = kron_identity_matmul(left.transpose(), right.nrows, p.transpose())
+            assert kron_identity_matmul(left.ncols, right.transpose(), inner).transpose() == p @ left.kron(right)
 
 
 def test_quadratic_commutator_gives_polynomial_dims():
@@ -270,6 +318,41 @@ def test_projective_source_kills_higher_ext():
     assert module_ext(a, free_module(a, 1), trivial_module(a), 3) == [1, 0, 0, 0]
 
 
+def test_free_module_acts_by_the_product_tensored_with_an_identity():
+    a = dual_algebra(flatten(tensor_coalgebra(2, 2, QQ)))
+    assert free_module(a, 1).action == a.mult
+    for w in (2, 3):
+        free = free_module(a, w)
+        assert free.dim == a.dim * w
+        assert free.action == a.mult.kron(Matrix.identity(QQ, w))
+        assert verify_module_axioms(free)
+
+
+def test_module_side_never_builds_a_free_module(monkeypatch):
+    c = flatten(symmetric_coalgebra(2, 3, QQ))
+    a = dual_algebra(c)
+    k = trivial_comodule(c)
+
+    def unreachable(*args):
+        raise AssertionError("free module built")
+
+    monkeypatch.setattr("cobarlab.dualalg.free_module", unreachable)
+    assert module_ext(a, trivial_module(a), trivial_module(a), 4) == [1, 2, 6, 14, 38]
+    assert module_ext(a, trivial_module(a), trivial_module(a), 4) == comodule_ext_dims(c, k, k, 4)
+    report = compare_theorem1(c, regular_comodule(c), k, 4)
+    assert report.ok
+    assert list(report.module_dims) == [4, 5, 20, 40, 120]
+
+
+def test_free_resolutions_refuse_an_algebra_without_augmentation():
+    a = Algebra(QQ, 1, (QQ.one,), Matrix.identity(QQ, 1))
+    p = free_module(a, 1)
+    with pytest.raises(ValueError, match="require an augmented algebra"):
+        is_projective(p)
+    with pytest.raises(ValueError, match="require an augmented algebra"):
+        minimal_free_resolution(p, 1)
+
+
 def test_is_projective_classifies_small_modules():
     a = dual_algebra(dual_numbers_dual())
     assert is_projective(free_module(a, 1))
@@ -295,6 +378,17 @@ def test_compare_theorem1_refuses_invalid_comodules():
         compare_theorem1(c, bad, k, 2)
     with pytest.raises(ValueError, match="right comodule failed validation: coassociative"):
         compare_theorem1(c, k, bad, 2)
+
+
+def test_compare_theorem1_refuses_comodules_over_another_coalgebra():
+    # both of dimension 3: comparing would resolve over one base and transport over the other
+    c = flatten(tensor_coalgebra(2, 1, QQ))
+    d = divided_line()
+    assert c.dim == d.dim
+    with pytest.raises(ValueError, match="comparison left comodule is not over the given coalgebra"):
+        compare_theorem1(c, trivial_comodule(d), trivial_comodule(c), 3)
+    with pytest.raises(ValueError, match="comparison right comodule is not over the given coalgebra"):
+        compare_theorem1(c, trivial_comodule(c), trivial_comodule(d), 3)
 
 
 def test_compare_theorem1_injective_coefficients():
