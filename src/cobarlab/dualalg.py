@@ -17,7 +17,9 @@ finite.  Each step applies the ambient action block by block through
 route to the same numbers, split into the weight cells of the finest grading
 that its reduced product respects, after the degree when the algebra has one
 (Priddy, "Koszul resolutions", 1970; Peeva, "Graded syzygies", 2011): the
-grading is read off the algebra's own product, never off the cobar side.
+grading is read off the algebra's own product, never off the cobar side.  A
+graded algebra enters as its flattening, which keeps the degrees, just as
+the cobar complex flattens a graded coalgebra.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from itertools import chain, repeat
 from math import lcm
 from operator import add
 
-from cobarlab.coalg import Coalgebra, Comodule, GradedCoalgebra, validate, validate_comodule
+from cobarlab.coalg import Coalgebra, Comodule, GradedCoalgebra, flatten, validate, validate_comodule
 from cobarlab.exactlin import QQ, ColumnMatrix, Matrix, extend_to_basis, kron_identity_matmul, quotient_maps
 from cobarlab.exttable import ExtTable, graded_table, layouts
 
@@ -64,12 +66,6 @@ class Algebra:
         """The product of two coordinate vectors: ``mult`` applied to u (x) v."""
         mul = self.field.mul
         return self.mult.apply([mul(x, y) for x in u for y in v])
-
-    def left_action_matrix(self, a):
-        """Left multiplication by basis element a: columns a*dim .. a*dim + dim - 1 of ``mult``."""
-        n = self.dim
-        lo = a * n
-        return Matrix(self.field, n, n, {(t, c - lo): v for (t, c), v in self.mult.entries.items() if lo <= c < lo + n})
 
     def __eq__(self, other):
         if not isinstance(other, Algebra):
@@ -172,26 +168,6 @@ class GradedAlgebra:
         )
 
 
-def validate_graded_algebra(a):
-    """Unit components are identities and the product is associative, as ``validate_algebra`` checks it."""
-    f = a.field
-    top = a.top_degree
-    dims = a.dims
-    for q in range(top + 1):
-        eye = Matrix.identity(f, dims[q])
-        if not (a.component(0, q) == eye and a.component(q, 0) == eye):
-            return False
-    mt = {key: m.transpose() for key, m in a.components.items()}
-    for p in range(top + 1):
-        for q in range(top + 1 - p):
-            for r in range(top + 1 - p - q):
-                first = kron_identity_matmul(mt[(p, q)], dims[r], mt[(p + q, r)])
-                second = kron_identity_matmul(dims[p], mt[(q, r)], mt[(p, q + r)])
-                if not (first == second):
-                    return False
-    return True
-
-
 def graded_dual(g):
     """Transpose-with-swap duality between graded coalgebras and algebras."""
     if isinstance(g, GradedCoalgebra):
@@ -268,19 +244,24 @@ def quadratic_algebra(m, relations, top, field):
 # bar complexes
 
 
+def _flat(a):
+    """A graded algebra as one finite algebra that keeps its degrees, as ``flatten`` does a coalgebra; others as given."""
+    return dual_algebra(flatten(graded_dual(a))) if isinstance(a, GradedAlgebra) else a
+
+
 class _BarComplex:
     """Reduced bar complex of an augmented algebra, split into weight cells.
 
-    A_+ has ``d`` basis vectors: a graded algebra's components A_1, ...,
-    A_top in order, a finite algebra's basis of ker(augmentation).
-    ``reduced`` is the product on A_+ as one d x d^2 matrix, whose column
-    x*d + y holds e_x e_y (for a graded algebra, zero above the truncation).
-    ``weights`` holds one weight tuple per basis vector of A_+: its degree
-    when the algebra has one that grades A_+ (a graded algebra's component,
-    a finite algebra's ``degrees`` when ``_positive_degrees`` accepts them),
-    then its weight in the finest grading that the reduced product respects
-    (``_product_weights``).  The grading is read off the algebra alone,
-    never off the cobar weights, so that the two sides stay independent.
+    A graded algebra is read as its flattening (``_flat``), as the cobar
+    complex reads a graded coalgebra.  A_+ has ``d`` basis vectors, a basis
+    of ker(augmentation), and ``reduced`` is the product on A_+ as one
+    d x d^2 matrix, whose column x*d + y holds e_x e_y.  ``weights`` holds
+    one weight tuple per basis vector of A_+: its degree when the algebra's
+    ``degrees`` grade A_+ (``_positive_degrees``; a flattened graded algebra
+    keeps its degrees), then its weight in the finest grading that the
+    reduced product respects (``_product_weights``).  The grading is read
+    off the algebra alone, never off the cobar weights, so that the two
+    sides stay independent.
 
     ``factors`` lists the distinct weights in ascending order, each with the
     number of basis vectors of that weight, which keep their order in A_+;
@@ -313,33 +294,22 @@ class _BarComplex:
     """
 
     def __init__(self, a):
+        a = _flat(a)
         f = self.f = a.field
-        if isinstance(a, GradedAlgebra):
-            dims = (0,) + a.dims[1:]
-            first = [sum(dims[:p]) for p in range(len(dims))]  # the index in A_+ of the first basis vector of A_p
-            degrees = [p for p, k in enumerate(dims) for _ in range(k)]
-            d = self.d = len(degrees)
-            entries = {}
-            for (p, q), m in a.components.items():
-                for (r, c), v in m.entries.items() if p and q else ():
-                    x, y = divmod(c, a.dims[q])
-                    entries[(first[p + q] + r, (first[p] + x) * d + first[q] + y)] = v
-            self.reduced = Matrix(f, d, d * d, entries)
-        else:
-            if a.augmentation is None:
-                raise ValueError("bar complex needs an augmented algebra")
-            n = a.dim
-            pos = Matrix.from_entries(f, 1, n, [(0, i, v) for i, v in enumerate(a.augmentation)]).kernel_basis()
-            d = self.d = pos.ncols
-            into = Matrix.from_columns(f, [a.unit, *pos.columns()], n)  # k (+) A_+ -> A
-            # (P^T (x) P^T) mult^T, P the basis of A_+ as columns: row x*d + y holds the product of x and y
-            pt = pos.transpose()
-            products = kron_identity_matmul(pt, d, kron_identity_matmul(n, pt, a.mult.transpose()))
-            sol = into.solve_columns(products.transpose())
-            if sol is None:
-                raise AssertionError("product of augmentation-ideal elements left the algebra")
-            self.reduced = Matrix(f, d, d * d, {(r - 1, c): v for (r, c), v in sol.entries.items() if r >= 1})
-            degrees = _positive_degrees(a, self.reduced)
+        if a.augmentation is None:
+            raise ValueError("bar complex needs an augmented algebra")
+        n = a.dim
+        pos = Matrix.from_entries(f, 1, n, [(0, i, v) for i, v in enumerate(a.augmentation)]).kernel_basis()
+        d = self.d = pos.ncols
+        into = Matrix.from_columns(f, [a.unit, *pos.columns()], n)  # k (+) A_+ -> A
+        # (P^T (x) P^T) mult^T, P the basis of A_+ as columns: row x*d + y holds the product of x and y
+        pt = pos.transpose()
+        products = kron_identity_matmul(pt, d, kron_identity_matmul(n, pt, a.mult.transpose()))
+        sol = into.solve_columns(products.transpose())
+        if sol is None:
+            raise AssertionError("product of augmentation-ideal elements left the algebra")
+        self.reduced = Matrix(f, d, d * d, {(r - 1, c): v for (r, c), v in sol.entries.items() if r >= 1})
+        degrees = _positive_degrees(a, self.reduced)
         weights = _product_weights(self.reduced, d)
         if degrees is not None:
             weights = [(deg,) + w for deg, w in zip(degrees, weights)]
@@ -605,8 +575,9 @@ def bar_ext_table(a, imax, jmax=None):
     clearing (see ``_BarComplex.sweep``); graded input yields a bigraded
     table windowed by jmax <= truncation degree, and finite input sums each
     term over its cells.  Clearing needs the product to be associative, so
-    an algebra that fails ``validate_algebra`` (a graded one,
-    ``validate_graded_algebra``) raises ValueError naming ``algebra_valid``.
+    an algebra that fails ``validate_algebra`` (a graded one, once
+    flattened) raises ValueError naming ``algebra_valid``; it is checked
+    before the bar complex is built.
     """
     if imax < 0:
         raise ValueError("imax must be >= 0")
@@ -622,7 +593,8 @@ def bar_ext_table(a, imax, jmax=None):
         raise TypeError("bar_ext_table expects an Algebra or GradedAlgebra")
     elif jmax is not None:
         raise ValueError("jmax applies to graded algebras only")
-    if not (validate_graded_algebra(a) if graded else validate_algebra(a)):
+    a = _flat(a)
+    if not validate_algebra(a):
         raise ValueError("bar complex input failed validation: algebra_valid")
     sizes, ranks = _BarComplex(a).sweep(imax, jmax)
     if graded:

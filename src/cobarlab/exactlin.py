@@ -209,7 +209,7 @@ class Matrix:
 
     Over QQ an entry is an ``int`` when integral and otherwise a
     ``Fraction``.  Products and the echelon form always store that form;
-    sums, scaling and ``kron`` may leave an integral ``Fraction``, which is
+    sums and ``kron`` may leave an integral ``Fraction``, which is
     equal and hashes alike.  The constructors below store values that already
     are field elements as given and coerce only the others (strings, ints
     out of range over GF(p)); a bool is rejected.
@@ -332,13 +332,6 @@ class Matrix:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, a):
-        f = self.field
-        a = f.coerce(a)
-        if not a:
-            return Matrix.zeros(f, self.nrows, self.ncols)
-        return Matrix(f, self.nrows, self.ncols, {k: f.mul(a, v) for k, v in self.entries.items()})
 
     def _check_shape(self, other):
         if self.field != other.field or self.nrows != other.nrows or self.ncols != other.ncols:

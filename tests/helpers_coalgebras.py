@@ -189,7 +189,11 @@ def kron_validate_algebra(a):
 
 
 def kron_validate_graded_algebra(a):
-    """Reference ``validate_graded_algebra``, by Kronecker products of the components."""
+    """Reference validation of a graded algebra, by Kronecker products of its components.
+
+    The bar side validates a graded algebra as its flattening with
+    ``validate_algebra``; the two must agree.
+    """
     f = a.field
     top = a.top_degree
     for q in range(top + 1):
@@ -487,6 +491,26 @@ def per_column_bar_reduced(a):
         assert sol is not None, "product of augmentation-ideal elements left the algebra"
         items.extend((r - 1, c, v) for r, v in enumerate(sol) if r >= 1)
     return Matrix.from_entries(f, d, d * d, items)
+
+
+def component_bar_reduced(a):
+    """Reference reduced product of the bar complex of a graded algebra, and the degrees of A_+.
+
+    Assembled from the components A_p (x) A_q -> A_(p+q) with p, q >= 1:
+    A_+ has the bases of A_1, ..., A_top in order, and the product is zero
+    above the truncation.  Returns (the d x d^2 matrix, the degree of each
+    basis vector of A_+).
+    """
+    dims = (0,) + a.dims[1:]
+    first = [sum(dims[:p]) for p in range(len(dims))]  # the index in A_+ of the first basis vector of A_p
+    degrees = [p for p, k in enumerate(dims) for _ in range(k)]
+    d = len(degrees)
+    entries = {}
+    for (p, q), m in a.components.items():
+        for (r, c), v in m.entries.items() if p and q else ():
+            x, y = divmod(c, a.dims[q])
+            entries[(first[p + q] + r, (first[p] + x) * d + first[q] + y)] = v
+    return Matrix(a.field, d, d * d, entries), degrees
 
 
 def field_rref(field, rows, width):
@@ -862,6 +886,13 @@ def comodule_hom_basis(l, m):
     return [Matrix.from_entries(f, dm, dl, [(*divmod(k, dl), v) for k, v in vec.items()]) for vec in kernel]
 
 
+def scaled(m, c):
+    """c times the matrix m, entry by entry."""
+    f = m.field
+    c = f.coerce(c)
+    return Matrix.from_entries(f, m.nrows, m.ncols, [(r, k, f.mul(c, v)) for (r, k), v in m.entries.items()])
+
+
 def module_actions(p):
     """The action of each algebra basis element on p, as p.dim x p.dim matrices: column block s of ``p.action``."""
     d = p.dim
@@ -887,7 +918,7 @@ def per_basis_module_axioms(p):
     def action_of(vec):
         out = Matrix.zeros(f, p.dim, p.dim)
         for s, v in vec.items():
-            out = out + acts[s].scale(v)
+            out = out + scaled(acts[s], v)
         return out
 
     if not (action_of({s: v for s, v in enumerate(a.unit) if v}) == Matrix.identity(f, p.dim)):

@@ -53,7 +53,7 @@ from cobarlab.witness import (
     nonrational_report,
     verify_module_axioms,
 )
-from helpers_coalgebras import acceptance_corpus, divided_line, reverse_tensor_vector, strip_degrees
+from helpers_coalgebras import acceptance_corpus, divided_line, module_actions, reverse_tensor_vector, strip_degrees
 
 IMAX = 4
 
@@ -241,7 +241,7 @@ def test_criterion_10_initially_projective_window():
     ok = all(full_report.agree) and full.projective_prefix_length == len(full.modules)
     f1 = free_module(a, 1)
     aug = Matrix.from_entries(QQ, 1, 2, [(0, 0, QQ.one)])
-    times_x = a.left_action_matrix(1)
+    times_x = module_actions(free_module(a, 1))[1]
     include_socle = Matrix.from_entries(QQ, 2, 1, [(1, 0, QQ.one)])
     degraded = build_initially_projective(a, k, (f1, f1, k), aug, (times_x, include_socle))
     report = ext_via_initially_projective(degraded, k, 3)

@@ -472,10 +472,15 @@ def test_each_command_imports_only_its_own_pipeline():
     assert bar["code"] == 0
     assert {"dualalg", "exttable"} <= set(bar["ours"])
     assert not {"cobar", "resolve", "witness"} & set(bar["ours"])
+    # a graded algebra goes through its flattening, still without the cobar pipeline
+    graded_bar = _fresh_process_imports(["ext", "bundled:sym2_d4.json", "--side", "algebra", "--imax", "3"])
+    assert graded_bar["code"] == 0
+    assert {"dualalg", "exttable"} <= set(graded_bar["ours"])
+    assert not {"cobar", "resolve", "witness"} & set(graded_bar["ours"])
     compare = _fresh_process_imports(["compare", "bundled:c3.json", "--left", "regular", "--n", "2"])
     assert compare["code"] == 0
     assert "dualalg" in compare["ours"]
-    runs = [validate, ext, resolve, bar, compare]
+    runs = [validate, ext, resolve, bar, graded_bar, compare]
     # the demos check on finite probe families and draw no random number
     for which in ("nonrational", "contra"):
         demo = _fresh_process_imports(["demo", which])

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from helpers_coalgebras import comodule_hom_basis, quad_dual, sheared, symmetric_to_tensor_embedding
+from helpers_coalgebras import comodule_hom_basis, quad_dual, scaled, sheared, symmetric_to_tensor_embedding
 
 from cobarlab.coalg import (
     Coalgebra,
@@ -277,7 +277,7 @@ def test_comodule_hom_space_and_socle_injectivity():
     for _ in range(25):
         f = Matrix.zeros(QQ, m.dim, l.dim)
         for b in basis:
-            f = f + b.scale(rng.randint(-2, 2))
+            f = f + scaled(b, rng.randint(-2, 2))
         injective = f.rank() == l.dim
         socle_injective = (f @ soc_cols).rank() == soc_l.rank()
         assert injective == socle_injective

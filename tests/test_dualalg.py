@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from helpers_coalgebras import (
     bar_cell_positions,
     bar_cells,
     bar_reference,
+    component_bar_reduced,
     direct_sum_comodules,
     direct_sum_modules,
     divided_line,
@@ -17,6 +19,7 @@ from helpers_coalgebras import (
     kron_bar_boundary,
     kron_validate_algebra,
     kron_validate_graded_algebra,
+    module_actions,
     module_extension_space,
     non_associative_algebra,
     non_associative_graded_algebra,
@@ -26,6 +29,7 @@ from helpers_coalgebras import (
     quad_dual,
     rescaled,
     restricted_transpose,
+    scaled,
     sheared,
     shifted_by_unit,
     strip_degrees,
@@ -48,6 +52,8 @@ from cobarlab.coalg import (
 from cobarlab.cobar import build_cobar, cobar_with_coefficients, ext_table
 from cobarlab.dualalg import (
     _BarComplex,
+    _flat,
+    _product_weights,
     Algebra,
     GradedAlgebra,
     ModulePresentation,
@@ -69,7 +75,6 @@ from cobarlab.dualalg import (
     quadratic_algebra,
     trivial_module,
     validate_algebra,
-    validate_graded_algebra,
     verify_module_axioms,
 )
 from cobarlab.exactlin import GF, QQ, Matrix, kron_identity_matmul
@@ -182,7 +187,7 @@ def test_module_axioms_agree_with_the_per_pair_reference_on_the_acceptance_corpu
 def test_graded_dual_of_symmetric_is_truncated_polynomial():
     a = graded_dual(symmetric_coalgebra(2, 3, QQ))
     assert a.dims == (1, 2, 3, 4)
-    assert validate_graded_algebra(a)
+    assert validate_algebra(_flat(a))
     m11 = a.component(1, 1)
     assert m11.entries == {(0, 0): QQ.one, (1, 1): QQ.one, (1, 2): QQ.one, (2, 3): QQ.one}
 
@@ -191,7 +196,7 @@ def test_graded_dual_of_tensor_is_reversed_concatenation():
     # dual basis vectors of word coalgebras multiply by concatenating in
     # reversed order, so each component is the block swap, not the identity
     a = graded_dual(tensor_coalgebra(2, 3, QQ))
-    assert validate_graded_algebra(a)
+    assert validate_algebra(_flat(a))
     for p in range(4):
         for q in range(4 - p):
             expect = {}
@@ -231,7 +236,7 @@ def test_product_with_a_kronecker_product_by_index_arithmetic_matches_matrix_kro
 def test_quadratic_commutator_gives_polynomial_dims():
     a = quadratic_algebra(2, [(QQ.zero, QQ.one, QQ.from_int(-1), QQ.zero)], 4, QQ)
     assert a.dims == (1, 2, 3, 4, 5)
-    assert validate_graded_algebra(a)
+    assert validate_algebra(_flat(a))
 
 
 def test_quadratic_all_relations_gives_square_zero():
@@ -243,7 +248,7 @@ def test_quadratic_all_relations_gives_square_zero():
 def test_quadratic_single_monomial_relation():
     a = quadratic_algebra(2, [(QQ.zero, QQ.one, QQ.zero, QQ.zero)], 3, QQ)
     assert a.dims == (1, 2, 3, 4)
-    assert validate_graded_algebra(a)
+    assert validate_algebra(_flat(a))
 
 
 def test_bar_table_of_ground_field():
@@ -437,7 +442,7 @@ def test_degraded_resolution_matches_only_through_prefix():
     k = trivial_module(a)
     f1 = free_module(a, 1)
     aug = Matrix.from_entries(QQ, 1, 2, [(0, 0, QQ.one)])
-    times_x = a.left_action_matrix(1)
+    times_x = module_actions(free_module(a, 1))[1]
     include_socle = Matrix.from_entries(QQ, 2, 1, [(1, 0, QQ.one)])
     r = build_initially_projective(a, k, (f1, f1, k), aug, (times_x, include_socle))
     assert r.projective_prefix_length == 2
@@ -455,6 +460,33 @@ def test_inexact_sequence_rejected():
     zero_map = Matrix.zeros(QQ, 2, 2)
     with pytest.raises(ValueError):
         build_initially_projective(a, k, (f1, f1), aug, (zero_map,))
+
+
+@pytest.mark.parametrize("which", ["dual_numbers", "divided_line"])
+def test_build_initially_projective_names_each_refusal(which):
+    a = dual_algebra(dual_numbers_dual() if which == "dual_numbers" else divided_line())
+    k = trivial_module(a)
+    ws, chain = minimal_free_resolution(k, 3)
+    modules = tuple(free_module(a, w) for w in ws)
+    aug, d1, d2, *rest = chain
+    n = d1.nrows
+    # reversing the basis of F_1 in d_1, and undoing it in d_2, keeps the sequence exact but is no module map
+    flip = Matrix(QQ, d1.ncols, d1.ncols, {(d1.ncols - 1 - i, i): QQ.one for i in range(d1.ncols)})
+    changed = Matrix(QQ, n, d1.ncols, {**d1.entries, (0, 0): QQ.one})
+    broken = {
+        "zeroed augmentation": ("augmentation is not surjective", Matrix.zeros(QQ, aug.nrows, aug.ncols), [d1, d2]),
+        "wrong shape": ("chain map has wrong shape", aug, [Matrix(QQ, n, d1.ncols + 1, d1.entries), d2]),
+        "changed entry": ("chain map is not a module morphism", aug, [changed, d2]),
+        # F_1 = F_0 = A here, and the identity is a module map
+        "identity d_1": ("input sequence is not a complex", aug, [Matrix.identity(QQ, n), d2]),
+        "zeroed d_2": ("input sequence is not exact", aug, [d1, Matrix.zeros(QQ, d2.nrows, d2.ncols)]),
+        "permuted columns": ("chain map is not a module morphism", aug, [d1 @ flip, flip @ d2]),
+    }
+    for name, (message, first, maps) in broken.items():
+        with pytest.raises(ValueError, match=message):
+            build_initially_projective(a, k, modules, first, tuple(maps + rest))
+    doubled = Matrix(QQ, d2.nrows, d2.ncols, {key: 2 * v for key, v in d2.entries.items()})
+    assert build_initially_projective(a, k, modules, aug, (d1, doubled, *rest)).projective_prefix_length == len(modules)
 
 
 def test_module_extensions_all_come_from_comodules():
@@ -522,6 +554,31 @@ def test_bar_reduced_product_matches_per_column_solves():
         reduced = _BarComplex(a).reduced
         assert reduced.entries == per_column_bar_reduced(a).entries
         assert reduced.nrows == c.dim - 1 and reduced.ncols == (c.dim - 1) ** 2
+
+
+def _graded_algebras():
+    """(name, graded algebra): the acceptance corpus duals, three quadratic algebras over QQ and GF(7), T(2)<=5 and Sym(3)<=3."""
+    out = [(name + "_dual", graded_dual(g)) for name, g in acceptance_corpus().items()]
+    for field in (QQ, GF(7)):
+        one, zero = field.one, field.zero
+        quadratic = {
+            "sym2": [(zero, one, field.from_int(-1), zero)],
+            "xy_zero": [(zero, one, zero, zero)],
+            "square_zero": [[one if i == k else zero for i in range(4)] for k in range(4)],
+        }
+        out += [("%s_%s" % (name, field), quadratic_algebra(2, rels, 4, field)) for name, rels in quadratic.items()]
+    return out + [("ten2_d5", graded_dual(tensor_coalgebra(2, 5, QQ))), ("sym3_d3", graded_dual(symmetric_coalgebra(3, 3, QQ)))]
+
+
+def test_graded_bar_complex_reads_the_flattening_as_the_components_assemble_it():
+    for name, g in _graded_algebras():
+        bar = _BarComplex(g)
+        reduced, degrees = component_bar_reduced(g)
+        assert bar.reduced == reduced, name
+        assert [w[0] for w in bar.weights] == degrees, name  # the degree is the first weight coordinate
+        weights = [(deg,) + w for deg, w in zip(degrees, _product_weights(reduced, bar.d))]
+        assert bar.weights == weights, name
+        assert bar.grading[1] == sorted(Counter(weights).items()), name
 
 
 def _bar_corpus(field):
@@ -614,15 +671,17 @@ def test_a_product_that_respects_no_grading_keeps_one_cell_per_term():
 
 
 def test_bar_ext_table_refuses_an_invalid_algebra():
-    a = non_associative_algebra()
-    assert not validate_algebra(a)
-    with pytest.raises(ValueError, match="algebra_valid"):
-        bar_ext_table(a, 4)
+    line = dual_algebra(divided_line())
+    # eps = 0 puts the unit into A_+ = ker(eps), and the bar complex would build on that unchecked; validation runs first
+    for a in (non_associative_algebra(), _with(line, augmentation=(QQ.zero,) * 3)):
+        assert not validate_algebra(a)
+        with pytest.raises(ValueError, match="algebra_valid"):
+            bar_ext_table(a, 4)
 
 
 def test_bar_ext_table_refuses_a_non_associative_graded_algebra():
     a = non_associative_graded_algebra()
-    assert not validate_graded_algebra(a)
+    assert not validate_algebra(_flat(a))
     with pytest.raises(ValueError, match="algebra_valid"):
         bar_ext_table(a, 3)
 
@@ -663,8 +722,8 @@ def test_algebra_validators_match_kron_reference(field):
         "commutator": quad,
         "square_zero": quadratic_algebra(2, [[one if i == k else zero for i in range(4)] for k in range(4)], 3, field),
         "non_associative": non_associative_graded_algebra(field),
-        "wrong_unit": GradedAlgebra(field, quad.dims, {**quad.components, (0, 1): quad.component(0, 1).scale(two)}),
+        "wrong_unit": GradedAlgebra(field, quad.dims, {**quad.components, (0, 1): scaled(quad.component(0, 1), two)}),
     }
     for name, a in graded.items():
         want = name not in ("non_associative", "wrong_unit")
-        assert validate_graded_algebra(a) == kron_validate_graded_algebra(a) == want, name
+        assert validate_algebra(_flat(a)) == kron_validate_graded_algebra(a) == want, name

@@ -162,6 +162,97 @@ def test_dualized_cofree_resolution_is_free_cover():
     assert verify_contramodule_resolution(cr, m.dim)
 
 
+def _replaced(r, dims=None, embedding=None, differentials=None):
+    """r with its cogenerator dims, first embedding or differentials replaced."""
+    return MinimalCoresolution(
+        r.base,
+        r.target,
+        r.cogenerator_dims if dims is None else dims,
+        r.embeddings if embedding is None else (embedding,) + r.embeddings[1:],
+        r.differentials if differentials is None else differentials,
+        r.minimal,
+    )
+
+
+def _with_cofree_summand(r):
+    """r with C (x) k added to J_0 and J_1 and carried across by the identity.
+
+    Still exact, and every map is a comodule map, but d_1 is the identity
+    on the socle g (x) k of the new summand, so it is not minimal.  Index
+    c*v + j of C (x) V moves to c*(v+1) + j, and the summand sits at
+    c*(v+1) + v.
+    """
+    n = r.base.dim
+    v0, v1 = r.cogenerator_dims[:2]
+
+    def widen(m, rows, cols):
+        def move(k, v):
+            return k if v is None else k // v * (v + 1) + k % v
+
+        nrows = m.nrows if rows is None else n * (rows + 1)
+        ncols = m.ncols if cols is None else n * (cols + 1)
+        return Matrix(m.field, nrows, ncols, {(move(i, rows), move(j, cols)): x for (i, j), x in m.entries.items()})
+
+    d1, d2, *rest = r.differentials
+    d1 = widen(d1, v1, v0)
+    summand = {(c * (v1 + 1) + v1, c * (v0 + 1) + v0): d1.field.one for c in range(n)}
+    d1 = Matrix(d1.field, d1.nrows, d1.ncols, {**d1.entries, **summand})
+    dims = (v0 + 1, v1 + 1, *r.cogenerator_dims[2:])
+    return _replaced(r, dims, widen(r.embeddings[0], v0, None), (d1, widen(d2, None, v1), *rest))
+
+
+def _broken_coresolutions(r):
+    """{name: r with one defect}; each must fail ``verify_coresolution``."""
+    f = r.base.field
+    e0 = r.embeddings[0]
+    d1, d2, *rest = r.differentials
+    # d_1 is zero on the image of the first embedding, the socle; an entry set there breaks d_1 e_0 = 0
+    col = min(row for row, _ in e0.entries)
+    n = d1.nrows
+    # reversing the rows of J_1, and undoing it in d_2, keeps the sequence exact but is no comodule map
+    flip = Matrix(f, n, n, {(n - 1 - k, k): f.one for k in range(n)})
+    return {
+        "zeroed_embedding": _replaced(r, embedding=Matrix.zeros(f, e0.nrows, e0.ncols)),
+        "wrong_shape": _replaced(r, differentials=(Matrix(f, n, d1.ncols + 1, d1.entries), d2, *rest)),
+        "changed_entry": _replaced(r, differentials=(Matrix(f, n, d1.ncols, {**d1.entries, (0, col): f.one}), d2, *rest)),
+        "zeroed_d2": _replaced(r, differentials=(d1, Matrix.zeros(f, d2.nrows, d2.ncols), *rest)),
+        "permuted_rows": _replaced(r, differentials=(flip @ d1, d2 @ flip, *rest)),
+        "cofree_summand": _with_cofree_summand(r),
+    }
+
+
+def _doubled_d2(r):
+    f = r.base.field
+    d1, d2, *rest = r.differentials
+    doubled = Matrix(f, d2.nrows, d2.ncols, {k: f.add(v, v) for k, v in d2.entries.items()})
+    return _replaced(r, differentials=(d1, doubled, *rest))
+
+
+_MUTATED_BASES = {"divided_line": divided_line, "ten22": lambda: flatten(tensor_coalgebra(2, 2, QQ))}
+
+
+@pytest.mark.parametrize("which", sorted(_MUTATED_BASES))
+def test_verify_coresolution_refuses_each_defect(which):
+    r = minimal_coresolution(trivial_comodule(_MUTATED_BASES[which]()), 3)
+    assert verify_coresolution(r)
+    for name, broken in _broken_coresolutions(r).items():
+        assert verify_coresolution(broken) is False, name
+    # a rescaled differential is still an exact, minimal complex of comodule maps
+    assert verify_coresolution(_doubled_d2(r))
+
+
+@pytest.mark.parametrize("which", sorted(_MUTATED_BASES))
+def test_verify_contramodule_resolution_refuses_each_broken_dual(which):
+    r = minimal_coresolution(trivial_comodule(_MUTATED_BASES[which]()), 3)
+    broken = _broken_coresolutions(r)
+    # the check reads exactness by ranks only, so the permuted rows and the cofree summand, both exact, do not apply
+    for name in ("zeroed_embedding", "changed_entry", "zeroed_d2"):
+        assert verify_contramodule_resolution(dualize_to_contramodule_resolution(broken[name]), 1) is False, name
+    with pytest.raises(ValueError, match="cannot multiply"):
+        verify_contramodule_resolution(dualize_to_contramodule_resolution(broken["wrong_shape"]), 1)
+    assert verify_contramodule_resolution(dualize_to_contramodule_resolution(_doubled_d2(r)), 1)
+
+
 def _sym3_and_rescaled():
     sym3 = flatten(symmetric_coalgebra(2, 3, QQ))
     rng = random.Random(20260818)
