@@ -10,7 +10,8 @@ Every complex is split into cells by the finest additive weight grading of its
 structure constants (Adams, "On the cobar construction", PNAS 1956): the
 rational solutions of w_t = w_i + w_j, one equation per nonzero term e_i (x)
 e_j of the reduced comultiplication of e_t, and w_m = w_c + w_m' per nonzero
-term c (x) m' of the reduced coaction of m.  Cell (i, W) is the
+term c (x) m' of the reduced coaction of m (``exttable.finest_grading``); a
+term off that grading raises AssertionError.  Cell (i, W) is the
 lexicographically sorted list of i-tensors of total weight W, laid out by
 ``exttable.layouts`` with one factor (w_a, 1) per positive index a.  The
 differential is the derivation d(a (x) t) = D(a) (x) t - a (x) d(t) extending
@@ -83,30 +84,8 @@ from math import lcm
 from operator import add
 
 from cobarlab.coalg import Coalgebra, GradedCoalgebra, flatten, validate_comodule
-from cobarlab.exactlin import QQ, ColumnMatrix, Matrix, extend_to_basis
-from cobarlab.exttable import ExtTable, graded_table, layouts
-
-
-def _weights(comul, coaction):
-    """Integer weights of the finest grading the reduced structure respects.
-
-    Returns one weight tuple per positive basis index and one per comodule
-    index: the coordinates are a rational basis of the solutions of the
-    weight equations, each scaled to integers.
-    """
-    d = len(comul)
-    eqs = [(t, i, j) for t, terms in enumerate(comul) for i, j, _ in terms]
-    eqs += [(d + m, c, d + m2) for m, terms in enumerate(coaction) for c, m2, _ in terms]
-    items = []
-    for row, (t, i, j) in enumerate(eqs):
-        items += [(row, t, 1), (row, i, -1), (row, j, -1)]
-    system = Matrix.from_entries(QQ, len(eqs), d + len(coaction), items)
-    coords = []
-    for vec in system.kernel_basis().columns():
-        scale = lcm(*(x.denominator for x in vec))
-        coords.append([int(x * scale) for x in vec])
-    weights = [tuple(v[k] for v in coords) for k in range(d + len(coaction))]
-    return weights[:d], weights[d:]
+from cobarlab.exactlin import ColumnMatrix, Matrix, extend_to_basis
+from cobarlab.exttable import finest_grading, layouts, table_from_ranks
 
 
 _AUT_NODES = 1000  # search nodes; past them the sweep keeps the automorphisms found so far
@@ -205,11 +184,16 @@ class CobarComplex:
             [tuple((p, q, v.numerator * (scale // v.denominator)) for p, q, v in terms) for terms in table]
             for table in (self._comul, self._coaction)
         ]
-        wc, wm = _weights(self._comul, self._coaction)
+        d = len(self._comul)
+        eqs = [(t, i, j) for t, terms in enumerate(self._comul) for i, j, _ in terms]
+        eqs += [(d + m, a, d + m2) for m, terms in enumerate(self._coaction) for a, m2, _ in terms]
+        weights = finest_grading(eqs, d + len(self._coaction))
         if jmax is not None:
-            wc = [(c.degrees[i],) + w for i, w in zip(c.positive_indices(), wc)]
-            wm = [(0,) + w for w in wm]
-        self._grading = (wc, wm)
+            degrees = [c.degrees[i] for i in c.positive_indices()] + [0] * len(self._coaction)
+            weights = [(deg,) + w for deg, w in zip(degrees, weights)]
+        if any(weights[t] != tuple(map(add, weights[i], weights[j])) for t, i, j in eqs):
+            raise AssertionError("the reduced structure constants are not homogeneous in their detected grading")
+        self._grading = weights[:d], weights[d:]
         self._dims = None
         self._ranks = None
         self._whole = None
@@ -438,17 +422,8 @@ def ext_table(cx):
     Finite complexes give {i: dim Ext^i}; graded ones give {(i, j): dim}.
     """
     cx._sweep()
-    graded = cx.jmax is not None
-    if graded:
-        entries = {(i, j): 0 for i in range(cx.imax + 1) for j in range(cx.jmax + 1)}
-    else:
-        entries = dict.fromkeys(range(cx.imax + 1), 0)
-    for (i, w), n in cx._dims.items():
-        key = (i, w[0]) if graded else i
-        entries[key] += n - cx._ranks[(i, w)] - cx._ranks.get((i - 1, w), 0)
-    if not graded:
-        return ExtTable("finite", entries, cx.imax)
-    return graded_table(entries, cx.imax, cx.jmax, cx.base.top_degree)
+    top = None if cx.jmax is None else cx.base.top_degree
+    return table_from_ranks(cx._dims, cx._ranks, -1, cx.imax, cx.jmax, top)
 
 
 # ---------------------------------------------------------------------------

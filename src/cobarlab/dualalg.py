@@ -26,12 +26,11 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, repeat
-from math import lcm
 from operator import add
 
 from cobarlab.coalg import Coalgebra, Comodule, GradedCoalgebra, flatten, validate, validate_comodule
-from cobarlab.exactlin import QQ, ColumnMatrix, Matrix, extend_to_basis, kron_identity_matmul, quotient_maps
-from cobarlab.exttable import ExtTable, graded_table, layouts
+from cobarlab.exactlin import ColumnMatrix, Matrix, cohomology_dims, extend_to_basis, kron_identity_matmul, quotient_maps
+from cobarlab.exttable import finest_grading, layouts, table_from_ranks
 
 
 class Algebra:
@@ -259,9 +258,11 @@ class _BarComplex:
     one weight tuple per basis vector of A_+: its degree when the algebra's
     ``degrees`` grade A_+ (``_positive_degrees``; a flattened graded algebra
     keeps its degrees), then its weight in the finest grading that the
-    reduced product respects (``_product_weights``).  The grading is read
-    off the algebra alone, never off the cobar weights, so that the two
-    sides stay independent.
+    reduced product respects: ``exttable.finest_grading`` of one equation
+    w(c) = w(a) + w(b) per nonzero coefficient of e_c in e_a e_b, with the
+    product checked homogeneous in it here.  The grading is read off the
+    algebra alone, never off the cobar weights, so that the two sides stay
+    independent.
 
     ``factors`` lists the distinct weights in ascending order, each with the
     number of basis vectors of that weight, which keep their order in A_+;
@@ -310,7 +311,7 @@ class _BarComplex:
             raise AssertionError("product of augmentation-ideal elements left the algebra")
         self.reduced = Matrix(f, d, d * d, {(r - 1, c): v for (r, c), v in sol.entries.items() if r >= 1})
         degrees = _positive_degrees(a, self.reduced)
-        weights = _product_weights(self.reduced, d)
+        weights = finest_grading([(r, *divmod(c, d)) for r, c in self.reduced.entries], d)
         if degrees is not None:
             weights = [(deg,) + w for deg, w in zip(degrees, weights)]
         self.weights = weights
@@ -523,25 +524,6 @@ def _private_columns(source, layout, below, first, dims):
     return owned
 
 
-def _product_weights(reduced, d):
-    """Integer weights of the finest grading of A_+ that the reduced product respects, one tuple per basis vector.
-
-    The weights solve one equation w(c) = w(a) + w(b) per nonzero
-    coefficient of e_c in e_a e_b; the coordinates are a rational basis of
-    the solutions, each scaled to integers.  A product that respects no
-    grading leaves no solution but 0, and every weight is ().
-    """
-    items = []
-    for row, (c, col) in enumerate(reduced.entries):
-        a, b = divmod(col, d)
-        items += [(row, c, 1), (row, a, -1), (row, b, -1)]
-    coords = []
-    for vec in Matrix.from_entries(QQ, len(reduced.entries), d, items).kernel_basis().columns():
-        scale = lcm(*(x.denominator for x in vec))
-        coords.append([int(x * scale) for x in vec])
-    return [tuple(v[k] for v in coords) for k in range(d)]
-
-
 def _positive_degrees(a, reduced):
     """Degrees of the basis of A_+ from ``a.degrees``, or None when they cannot grade the bar complex.
 
@@ -597,14 +579,7 @@ def bar_ext_table(a, imax, jmax=None):
     if not validate_algebra(a):
         raise ValueError("bar complex input failed validation: algebra_valid")
     sizes, ranks = _BarComplex(a).sweep(imax, jmax)
-    if graded:
-        entries = {(i, j): 0 for i in range(imax + 1) for j in range(jmax + 1)}
-    else:
-        entries = dict.fromkeys(range(imax + 1), 0)
-    for (i, w), n in sizes.items():
-        if i <= imax:
-            entries[(i, w[0]) if graded else i] += n - ranks.get((i, w), 0) - ranks.get((i + 1, w), 0)
-    return graded_table(entries, imax, jmax, top) if graded else ExtTable("finite", entries, imax)
+    return table_from_ranks(sizes, ranks, 1, imax, jmax, top if graded else None)
 
 
 # ---------------------------------------------------------------------------
@@ -778,13 +753,7 @@ def module_ext(a, l, m, n):
             for (r, rp), v in blocks[b].items():
                 items.append((lp * m.dim + r, lcopy * m.dim + rp, f.mul(coeff, v)))
         deltas.append(Matrix.from_entries(f, w_next * m.dim, w_here * m.dim, items))
-    dims = []
-    prev_rank = 0
-    for i in range(n + 1):
-        rank_i = deltas[i].rank()
-        dims.append(ws[i] * m.dim - rank_i - prev_rank)
-        prev_rank = rank_i
-    return dims
+    return cohomology_dims(deltas)
 
 
 def is_projective(p):
@@ -863,15 +832,8 @@ def comodule_ext_dims(c, l, m, n):
     from cobarlab.resolve import minimal_coresolution
 
     res = minimal_coresolution(m, n + 1)
-    vdims = res.cogenerator_dims
-    nu_l = l.coaction_matrix()
-    dims = []
-    prev_rank = 0
-    for i in range(n + 1):
-        rank_i = _hom_differential(c, res.differentials[i], nu_l, vdims[i], vdims[i + 1]).rank()
-        dims.append(vdims[i] * l.dim - rank_i - prev_rank)
-        prev_rank = rank_i
-    return dims
+    v, nu_l = res.cogenerator_dims, l.coaction_matrix()
+    return cohomology_dims(_hom_differential(c, d, nu_l, v[i], v[i + 1]) for i, d in enumerate(res.differentials))
 
 
 def compare_theorem1(c, l, m, n):
@@ -987,12 +949,7 @@ def ext_via_initially_projective(r, y, n):
         if sol is None:
             raise AssertionError("composite escaped the morphism space")
         deltas.append(sol)
-    dims = []
-    prev_rank = 0
-    for i in range(n + 1):
-        rank_i = deltas[i].rank()
-        dims.append(len(hom_bases[i]) - rank_i - prev_rank)
-        prev_rank = rank_i
+    dims = cohomology_dims(deltas)
     true_dims = module_ext(a, r.target, y, n)
     agree = tuple(x == t for x, t in zip(dims, true_dims))
     for i in range(min(r.projective_prefix_length, n) + 1):

@@ -78,10 +78,6 @@ class Field:
         self.native = frozenset((int, Fraction)) if kind == "rationals" else frozenset()
 
     @staticmethod
-    def rationals():
-        return _QQ
-
-    @staticmethod
     def prime(p):
         if not isinstance(p, int) or p < 2 or p >= 2**31:
             raise ValueError("prime field characteristic must be an int in [2, 2**31)")
@@ -187,8 +183,7 @@ def _normal(x):
     return x.numerator if x.denominator == 1 else x
 
 
-_QQ = Field("rationals")
-QQ = _QQ
+QQ = Field("rationals")
 
 
 def GF(p):
@@ -949,6 +944,21 @@ def quotient_maps(span):
     f = span.field
     free, kernel = span._free_and_kernel()
     return kernel.transpose(), Matrix(f, span.ncols, len(free), {(j, k): f.one for k, j in enumerate(free)})
+
+
+def cohomology_dims(maps):
+    """dim H^i of the complex whose map out of term i is ``maps[i]``, term i of dimension ``maps[i].ncols``.
+
+    H^i is the kernel of maps[i] modulo the image of maps[i - 1], so its
+    dimension is maps[i].ncols less both ranks.  ``maps`` may be any
+    iterable; each map is ranked once, in order.
+    """
+    dims, before = [], 0
+    for m in maps:
+        r = m.rank()
+        dims.append(m.ncols - r - before)
+        before = r
+    return dims
 
 
 def extend_to_basis(base, candidates):

@@ -1,10 +1,13 @@
-"""What the cobar and bar pipelines share: the Ext table record and the cell layout.
+"""What the cobar and bar pipelines share: the Ext table record, its assembly, the grading solver and the cell layout.
 
 It lives apart from both, so that each pipeline loads only its own module.
 """
 
 from collections import Counter
+from math import lcm
 from operator import add
+
+from cobarlab.exactlin import QQ, Matrix
 
 
 class ExtTable:
@@ -48,13 +51,45 @@ class ExtTable:
         return out
 
 
-def graded_table(entries, imax, jmax, top):
-    """The graded table of ``entries``, computed from components of degree <= ``top``, with its truncation note.
+def table_from_ranks(sizes, ranks, step, imax, jmax=None, top=None):
+    """The Ext table of a complex split into cells, with the cells of terms 0..``imax`` summed.
 
-    Both pipelines build a graded table here, so they word the note alike.
+    ``sizes`` maps each cell (i, W) to its dimension and ``ranks`` a cell to
+    the rank of the map that leaves it; the map that enters cell (i, W)
+    leaves cell (i + ``step``, W), and a missing rank is 0.  So Ext in the
+    cell is its size less both ranks.  Finite tables sum by i; with ``jmax``
+    set, by (i, W[0]), and the note says they were computed from components
+    of degree <= ``top``, so that both pipelines word it alike.
     """
+    if jmax is None:
+        entries = dict.fromkeys(range(imax + 1), 0)
+    else:
+        entries = {(i, j): 0 for i in range(imax + 1) for j in range(jmax + 1)}
+    for (i, w), n in sizes.items():
+        if i <= imax:
+            entries[i if jmax is None else (i, w[0])] += n - ranks.get((i, w), 0) - ranks.get((i + step, w), 0)
+    if jmax is None:
+        return ExtTable("finite", entries, imax)
     note = "entries computed from components of degree <= %d; any truncation >= %d agrees on this window" % (top, jmax)
     return ExtTable("graded", entries, imax, jmax, note)
+
+
+def finest_grading(equations, n):
+    """Integer weights of the finest additive grading of n unknowns that ``equations`` allow, one tuple per unknown.
+
+    Each equation (t, i, j) asks w_t = w_i + w_j.  The coordinates are a
+    rational basis of the solutions, each scaled to integers; where 0 is the
+    only solution every weight is ().  Each pipeline passes the equations of
+    its own structure constants and checks its own homogeneity.
+    """
+    items = []
+    for row, (t, i, j) in enumerate(equations):
+        items += [(row, t, 1), (row, i, -1), (row, j, -1)]
+    coords = []
+    for vec in Matrix.from_entries(QQ, len(equations), n, items).kernel_basis().columns():
+        scale = lcm(*(x.denominator for x in vec))
+        coords.append([int(x * scale) for x in vec])
+    return [tuple(v[k] for v in coords) for k in range(n)]
 
 
 def layouts(base, factors, last, jmax=None):

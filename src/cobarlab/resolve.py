@@ -185,6 +185,19 @@ def betti_dims(r):
     return list(r.cogenerator_dims)
 
 
+def _exact(maps):
+    """Whether each maps[i + 1] composes with maps[i] to zero and its kernel is the image of maps[i], by ranks.
+
+    Two maps whose shapes do not compose make the sequence not exact.
+    """
+    for before, after in zip(maps, maps[1:]):
+        if after.ncols != before.nrows or not (after @ before).is_zero():
+            return False
+        if before.nrows - after.rank() != before.rank():
+            return False
+    return True
+
+
 def verify_coresolution(r):
     """Recheck exactness, the comodule property, and vanishing socle differentials.
 
@@ -203,12 +216,8 @@ def verify_coresolution(r):
         src_dim = r.target.dim if i == 0 else c.dim * vdims[i - 1]
         if d.nrows != c.dim * vdims[i] or d.ncols != src_dim:
             return False
-    for i in range(1, len(maps)):
-        if not (maps[i] @ maps[i - 1]).is_zero():
-            return False
-        ker_dim = maps[i - 1].nrows - maps[i].rank()
-        if ker_dim != maps[i - 1].rank():
-            return False
+    if not _exact(maps):
+        return False
     socle_c = socle(regular_comodule(c)).transpose()
     for i in range(1, len(maps)):
         v = vdims[i - 1]
@@ -242,13 +251,6 @@ def verify_contramodule_resolution(cr, target_dim):
     The chain runs P_n -> ... -> P_1 -> P_0 -> M dual; the augmentation must
     be surjective and each kernel must match the incoming image.
     """
-    chain = [cr.augmentation] + list(cr.differentials)
     if cr.augmentation.rank() != target_dim:
         return False
-    for i in range(1, len(chain)):
-        outgoing, incoming = chain[i - 1], chain[i]
-        if not (outgoing @ incoming).is_zero():
-            return False
-        if outgoing.ncols - outgoing.rank() != incoming.rank():
-            return False
-    return True
+    return _exact([cr.augmentation, *cr.differentials][::-1])

@@ -6,7 +6,17 @@ from itertools import chain
 from operator import add
 from types import SimpleNamespace
 
-from cobarlab.coalg import Coalgebra, Comodule, _monomials, reduced_coaction_matrix, symmetric_coalgebra, tensor_coalgebra
+from cobarlab.coalg import (
+    Coalgebra,
+    Comodule,
+    GradedCoalgebra,
+    ValidationReport,
+    _monomials,
+    reduced_coaction_matrix,
+    swap_matrix,
+    symmetric_coalgebra,
+    tensor_coalgebra,
+)
 from cobarlab.cobar import _automorphisms, ext_table
 from cobarlab.dualalg import _BarComplex, Algebra, GradedAlgebra, ModulePresentation, graded_dual, quadratic_algebra
 from cobarlab.exactlin import QQ, Matrix, kron_identity_matmul
@@ -208,6 +218,58 @@ def kron_validate_graded_algebra(a):
                 if not (first == second):
                     return False
     return True
+
+
+def componentwise_validate_graded(g):
+    """Reference axiom check of a GradedCoalgebra, one component at a time, with no flattening.
+
+    ``validate_graded`` reads the flattening with ``validate``; the two must
+    agree on coassociative, counital and cocommutative.  This one takes
+    coaugmented and conilpotent as given.
+    """
+    f = g.field
+    flags = {"coaugmented": True, "conilpotent": True}
+    notes = {}
+    coassoc = counital = cocomm = True
+    for j in range(g.top_degree + 1):
+        dj = g.dims[j]
+        if dj == 0:
+            continue
+        eye_j = Matrix.identity(f, dj)
+        if g.component(j, 0, j) != eye_j or g.component(j, j, 0) != eye_j:
+            counital = False
+            notes.setdefault("counital", "unit component at degree %d is not the identity" % j)
+        for p in range(j + 1):
+            q = j - p
+            if swap_matrix(f, g.dims[p], g.dims[q]) @ g.component(j, p, q) != g.component(j, q, p):
+                cocomm = False
+        for p in range(j + 1):
+            for q in range(j - p + 1):
+                r = j - p - q
+                left = kron_identity_matmul(g.component(p + q, p, q), g.dims[r], g.component(j, p + q, r))
+                right = kron_identity_matmul(g.dims[p], g.component(q + r, q, r), g.component(j, p, q + r))
+                if left != right:
+                    coassoc = False
+                    notes.setdefault("coassociative", "fails at (j,p,q,r)=(%d,%d,%d,%d)" % (j, p, q, r))
+    flags.update(coassociative=coassoc, counital=counital, cocommutative=cocomm)
+    return ValidationReport(flags, notes)
+
+
+def perturbed_graded(field=QQ):
+    """Sym(2)<=3 and T(2)<=3 with one defect each, by name.
+
+    ``_entry`` doubles one entry of Delta_(1,1) on degree 2, which breaks
+    coassociativity; ``_unit`` doubles one entry of Delta_(0,2), the
+    identity, which breaks the counit.
+    """
+    out = {}
+    for name, g in (("sym23", symmetric_coalgebra(2, 3, field)), ("ten23", tensor_coalgebra(2, 3, field))):
+        for suffix, key in (("_entry", (2, 1, 1)), ("_unit", (2, 0, 2))):
+            m = g.component(*key)
+            (first, v), *_ = sorted(m.entries.items())
+            changed = Matrix(field, m.nrows, m.ncols, {**m.entries, first: field.add(v, v)})
+            out[name + suffix] = GradedCoalgebra(field, g.dims, {**g.components, key: changed})
+    return out
 
 
 def non_coassociative(scale=QQ.one):

@@ -5,7 +5,16 @@ from math import comb
 
 import pytest
 
-from helpers_coalgebras import comodule_hom_basis, quad_dual, scaled, sheared, symmetric_to_tensor_embedding
+from helpers_coalgebras import (
+    acceptance_corpus,
+    comodule_hom_basis,
+    componentwise_validate_graded,
+    perturbed_graded,
+    quad_dual,
+    scaled,
+    sheared,
+    symmetric_to_tensor_embedding,
+)
 
 from cobarlab.coalg import (
     Coalgebra,
@@ -170,6 +179,25 @@ def test_symmetric_coalgebra_dims_and_characteristic():
         symmetric_coalgebra(2, 5, GF(5))
     ok = symmetric_coalgebra(2, 4, GF(5))
     assert validate_graded(ok).ok
+
+
+def test_validate_graded_fails_perturbed_components_as_finite_input_does():
+    for name, g in perturbed_graded().items():
+        rep = validate_graded(g)
+        broken = "coassociative" if name.endswith("_entry") else "counital"
+        assert broken in rep.failed, name
+        assert rep.flags["conilpotent"] is False and rep.notes["conilpotent"] == "skipped: prior axiom failed", name
+        assert "graded_metadata" not in rep.flags, name
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_validate_graded_agrees_with_the_componentwise_reference(field):
+    perturbed = perturbed_graded(field)
+    for name, g in {**acceptance_corpus(field), **perturbed}.items():
+        ours, reference = validate_graded(g).flags, componentwise_validate_graded(g).flags
+        for flag in ("coassociative", "counital", "cocommutative"):
+            assert ours[flag] == reference[flag], (name, flag)
+        assert (ours["coassociative"] and ours["counital"]) != (name in perturbed), name
 
 
 def test_symmetric_embedding_intertwines():

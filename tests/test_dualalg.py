@@ -53,7 +53,6 @@ from cobarlab.cobar import build_cobar, cobar_with_coefficients, ext_table
 from cobarlab.dualalg import (
     _BarComplex,
     _flat,
-    _product_weights,
     Algebra,
     GradedAlgebra,
     ModulePresentation,
@@ -78,7 +77,7 @@ from cobarlab.dualalg import (
     verify_module_axioms,
 )
 from cobarlab.exactlin import GF, QQ, Matrix, kron_identity_matmul
-from cobarlab.exttable import ExtTable
+from cobarlab.exttable import ExtTable, finest_grading
 from cobarlab.resolve import betti_dims, minimal_coresolution
 
 
@@ -576,7 +575,8 @@ def test_graded_bar_complex_reads_the_flattening_as_the_components_assemble_it()
         reduced, degrees = component_bar_reduced(g)
         assert bar.reduced == reduced, name
         assert [w[0] for w in bar.weights] == degrees, name  # the degree is the first weight coordinate
-        weights = [(deg,) + w for deg, w in zip(degrees, _product_weights(reduced, bar.d))]
+        eqs = [(r, *divmod(c, bar.d)) for r, c in reduced.entries]
+        weights = [(deg,) + w for deg, w in zip(degrees, finest_grading(eqs, bar.d))]
         assert bar.weights == weights, name
         assert bar.grading[1] == sorted(Counter(weights).items()), name
 

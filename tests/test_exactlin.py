@@ -15,6 +15,7 @@ from cobarlab.exactlin import (
     GF,
     QQ,
     Matrix,
+    cohomology_dims,
     extend_to_basis,
     kron_identity_matmul,
     quotient_maps,
@@ -743,3 +744,32 @@ def test_rank_leaves_entries_unchanged():
                 before = [(k, type(v), v) for k, v in a.entries.items()]
                 a.rank()
                 assert [(k, type(v), v) for k, v in a.entries.items()] == before
+
+
+def _random_complex(field, rng):
+    """Maps d_0, d_1, ... with d_(i+1) d_i = 0: each d_(i+1) is a sparse random map after the projection that kills im d_i."""
+    dims = [rng.randint(0, 6) for _ in range(rng.randint(2, 6))]
+    maps, last = [], Matrix.zeros(field, dims[0], 0)
+    for n, m in zip(dims, dims[1:]):
+        proj, _ = quotient_maps(last.transpose())
+        items = [(r, c, field.from_int(rng.randint(-3, 3))) for r in range(m) for c in range(proj.nrows) if rng.random() < 0.5]
+        last = Matrix.from_entries(field, m, proj.nrows, items) @ proj
+        maps.append(last)
+    return maps
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_cohomology_dims_counts_the_kernel_columns_that_extend_the_image(field):
+    rng = random.Random(20261021)
+    nonzero = 0
+    for _ in range(60):
+        maps = _random_complex(field, rng)
+        want = []
+        for i, d in enumerate(maps):
+            image = maps[i - 1] if i else Matrix.zeros(field, d.ncols, 0)
+            assert (d @ image).is_zero()
+            want.append(len(extend_to_basis(image, d.kernel_basis())))
+        assert cohomology_dims(maps) == want
+        assert cohomology_dims(iter(maps)) == want
+        nonzero += any(want)
+    assert nonzero

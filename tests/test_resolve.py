@@ -246,10 +246,8 @@ def test_verify_contramodule_resolution_refuses_each_broken_dual(which):
     r = minimal_coresolution(trivial_comodule(_MUTATED_BASES[which]()), 3)
     broken = _broken_coresolutions(r)
     # the check reads exactness by ranks only, so the permuted rows and the cofree summand, both exact, do not apply
-    for name in ("zeroed_embedding", "changed_entry", "zeroed_d2"):
+    for name in ("zeroed_embedding", "changed_entry", "zeroed_d2", "wrong_shape"):
         assert verify_contramodule_resolution(dualize_to_contramodule_resolution(broken[name]), 1) is False, name
-    with pytest.raises(ValueError, match="cannot multiply"):
-        verify_contramodule_resolution(dualize_to_contramodule_resolution(broken["wrong_shape"]), 1)
     assert verify_contramodule_resolution(dualize_to_contramodule_resolution(_doubled_d2(r)), 1)
 
 
