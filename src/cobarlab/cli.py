@@ -217,29 +217,14 @@ def cmd_ext(args):
     if args.jmax is not None and not isinstance(obj, GradedCoalgebra):
         raise CliError(2, "--jmax applies to graded presentations only, not to a finite, flattened or algebra input")
     _require_valid(obj, args.path)
-    if args.side == "algebra":
-        table = _ext_algebra_side(obj, args)
-        result = {"side": "algebra", "table": table.to_json()}
-        lines = _table_lines(table)
-        code = 0
-    elif args.side == "co":
-        table = _cobar_table(obj, args)
-        result = {"side": "co", "table": table.to_json()}
-        lines = _table_lines(table)
-        code = 0
-    else:
-        if isinstance(obj, GradedCoalgebra):
-            raise CliError(2, "--side op needs a finite presentation; pass --flatten")
-        table = _cobar_table(obj, args)
+    if args.side == "op" and isinstance(obj, GradedCoalgebra):
+        raise CliError(2, "--side op needs a finite presentation; pass --flatten")
+    table = _ext_algebra_side(obj, args) if args.side == "algebra" else _cobar_table(obj, args)
+    result, lines, code = {"side": args.side, "table": table.to_json()}, _table_lines(table), 0
+    if args.side == "op":
         other = _cobar_table(opposite(obj), args)
         symmetric = table == other
-        result = {
-            "side": "op",
-            "table": table.to_json(),
-            "opposite_table": other.to_json(),
-            "symmetry": symmetric,
-        }
-        lines = _table_lines(table)
+        result.update(opposite_table=other.to_json(), symmetry=symmetric)
         lines.append("opposite agrees: %s" % ("true" if symmetric else "FALSE"))
         code = 0 if symmetric else 1
     _emit(args, _report("ext", inputs, result, started), lines)

@@ -24,8 +24,8 @@ the columns as they are.  d preserves W, so one sweep builds each layer's cell
 differentials from the last layer's, checks d^2 = 0 on every cell pair it
 builds and ranks each cell.  A graded coalgebra is flattened with its internal
 degree as the first weight coordinate, which gives the (i, j) tables.  The
-zero grading has one cell per degree: the whole term, which the cohomology and
-product functions read through ``diff(i, None)``.
+zero grading has one cell per degree, the whole term, which ``diff(i, None)``
+returns.
 
 Each cell is ranked with clearing (Chen-Kerber, "Persistent homology
 computation with a twist", EuroCG 2011; Bauer-Kerber-Reininghaus, "Clear and
@@ -74,12 +74,18 @@ s-invariant, because Ext^(imax-1) is.  ``diff(i, None)`` builds every cell.
 A basis tensor is the tuple (a_1, ..., a_i, m) of positive-basis indices and
 a comodule index (0 without coefficients).  The layouts order these tuples
 as Matrix.kron does, so u (x) v has index idx(u) * dim(v-part) + idx(v).
+A class of a plain finite complex is a dict {(a_1, ..., a_i): value}, and
+the product of two classes concatenates their tensors, so it lands in one
+cell if each factor does.  H^i is read off the cells too: d is
+block-diagonal over them and a reduced echelon form is unique, so the
+kernel columns of d_i outside the image of d_(i-1), taken cell by cell, are
+those of the whole term, and sorted by last tensor they come in its order.
 """
 
 from __future__ import annotations
 
 from graphlib import CycleError, TopologicalSorter
-from itertools import islice
+from itertools import islice, product
 from math import lcm
 from operator import add
 
@@ -194,9 +200,7 @@ class CobarComplex:
         if any(weights[t] != tuple(map(add, weights[i], weights[j])) for t, i, j in eqs):
             raise AssertionError("the reduced structure constants are not homogeneous in their detected grading")
         self._grading = weights[:d], weights[d:]
-        self._dims = None
-        self._ranks = None
-        self._whole = None
+        self._dims = self._ranks = self._whole = self._classes = None  # built on first use
 
     def _cells(self, grading, tables, top, jmax=None, bound=None, twins=None):
         """Yield (i, w, dim, d) for every cell of layers 0..top (see the module docstring).
@@ -281,16 +285,11 @@ class CobarComplex:
         module docstring).  Both are kept for one layer, K as references to
         columns of d_(i-1), and the top layer's are never collected.
 
-        When ``_bounded`` holds, the top layer is built only on the support
-        bound: the weights W' + w_a over the cells W' of layer imax-1 with
-        nonzero Ext and the positive indices a, collected as those cells are
-        ranked.  A top cell outside it has Ext 0 (see the module docstring),
-        so it is recorded with rank n - rank d_(imax-1) and never built.
-
-        A top cell that ``_cells`` enters as a twin of a built top cell R,
-        the image of R under a permutation automorphism, is recorded with R's
-        rank and never built (see the module docstring).  Its dimension and
-        the rank of d_(imax-1) on it must equal R's, or the sweep raises.
+        Two kinds of top cell are never built (see the module docstring).
+        When ``_bounded`` holds, a cell outside the support bound, collected
+        as layer imax-1 is ranked, is recorded with rank n - rank d_(imax-1).
+        A twin of a built top cell R is recorded with R's rank, once its
+        dimension and the rank of d_(imax-1) on it are checked against R's.
         """
         if self._ranks is not None:
             return
@@ -327,14 +326,7 @@ class CobarComplex:
         self._ranks = ranks
 
     def _bounded(self):
-        """Whether the top layer may be built on the support bound alone.
-
-        Two conditions, each read off the input.  imax >= 3, so that layer 2
-        is built and its d^2 check certifies that D is coassociative, and
-        d^2 = 0 holds on the cells left unbuilt.  And the term graph of D on
-        the positive basis, t -> i and t -> j for each term e_i (x) e_j of
-        D(e_t), has no cycle: then D is conilpotent, which the bound needs.
-        """
+        """Whether the top layer may be built on the support bound alone: imax >= 3 and an acyclic term graph of D."""
         if self.imax < 3:
             return False
         graph = TopologicalSorter({t: {x for i, j, _ in terms for x in (i, j)} for t, terms in enumerate(self._comul)})
@@ -343,11 +335,6 @@ class CobarComplex:
         except CycleError:
             return False
         return True
-
-    def cell_dim(self, i, j=None):
-        """Dimension of term i, or of its internal degree j for graded input."""
-        self._sweep()
-        return sum(n for (ii, w), n in self._dims.items() if ii == i and (j is None or w[0] == j))
 
     def diff(self, i, j=None):
         """Matrix of d: term i -> term i+1, both in tensor index order, for i <= imax.
@@ -386,8 +373,7 @@ def build_cobar(c, imax, jmax=None):
         raise ValueError("imax must be >= 0")
     if isinstance(c, GradedCoalgebra):
         top = c.top_degree
-        if jmax is None:
-            jmax = top
+        jmax = top if jmax is None else jmax
         if jmax < 0:
             raise ValueError("jmax must be >= 0")
         if jmax > top:
@@ -427,75 +413,87 @@ def ext_table(cx):
 
 
 # ---------------------------------------------------------------------------
-# cohomology classes and the concatenation product (finite complexes)
+# cohomology classes and the concatenation product (plain finite complexes)
 
 
 class CobarClass:
+    """A cochain of degree i; ``vector`` maps basis tensors (a_1, ..., a_i) to nonzero values."""
+
     __slots__ = ("degree", "vector", "coords")
 
     def __init__(self, degree, vector, coords=()):
-        self.degree = degree
-        self.vector = vector
-        self.coords = coords
+        self.degree, self.vector, self.coords = degree, vector, coords
 
 
-def _require_plain_finite(cx):
-    """Refuse graded and coefficient complexes; run the d^2 = 0 sweep."""
+def _layer(cx, i):
+    """Layer i of the weight-cell pass: ({W: d_i}, {tensor: (W, index)}, the basis of H^i, [(last tensor, W, column)]).
+
+    The pass runs after the checked sweep, layer by layer, and is closed
+    after layer imax; each cell's classes must number its Ext.
+    """
     if cx.jmax is not None or cx.with_coefficients:
         raise ValueError("cohomology classes are implemented for plain finite cobar complexes")
+    if not 0 <= i <= cx.imax:
+        raise ValueError("degree beyond the built window")
     cx._sweep()
+    if cx._classes is None:
+        cx._classes = [], cx._cells(cx._grading, (cx._comul, cx._coaction), cx.imax)
+    layers, cells = cx._classes
+    (wc, (wm,)), f = cx._grading, cx.field
+    while len(layers) <= i:
+        k, names, found = len(layers), {}, []
+        for t in product(range(len(wc)), repeat=k):  # lexicographic, so each cell's tensors come in order
+            names.setdefault(tuple(map(sum, zip(wm, *(wc[a] for a in t)))), []).append(t)
+        where = {t: (w, x) for w, cell in names.items() for x, t in enumerate(cell)}
+        diffs = {w: d for _, w, _, d in islice(cells, len(names))}
+        for w, d in diffs.items():
+            ker = d.kernel_basis()
+            cols = ker.column_dicts()
+            picked = extend_to_basis((layers[-1][0] if k else {}).get(w, ColumnMatrix(f, d.ncols, [])), ker)
+            if len(picked) != cx._dims[(k, w)] - cx._ranks.get((k, w), 0) - cx._ranks.get((k - 1, w), 0):
+                raise AssertionError("cohomology basis of cobar cell (%d,%r) does not match its Ext" % (k, w))
+            found += [(names[w][max(cols[j])], w, cols[j]) for j in picked]
+        found.sort()  # by last tensor, which no two classes share
+        reps = [CobarClass(k, {names[w][x]: v for x, v in sorted(col.items())}) for _, w, col in found]
+        layers.append((diffs, where, reps, found))
+        if len(layers) > cx.imax:
+            cells.close()
+    return layers[i]
 
 
 def cohomology_basis(cx, i):
     """Deterministic representative cocycles spanning H^i."""
-    _require_plain_finite(cx)
-    if i > cx.imax:
-        raise ValueError("degree beyond the built window")
-    cache = cx.__dict__.setdefault("_cohomology_cache", {})
-    if i in cache:
-        return cache[i]
-    ker = cx.diff(i, None).kernel_basis()
-    image = cx.diff(i - 1, None) if i else Matrix.zeros(cx.field, ker.nrows, 0)
-    vectors = ker.columns()
-    reps = [CobarClass(i, vectors[k]) for k in extend_to_basis(image, ker)]
-    cache[i] = reps
-    return reps
+    return _layer(cx, i)[2]
 
 
 def class_coordinates(cx, cls):
-    """Coordinates of a cocycle in the chosen basis of H^degree."""
-    _require_plain_finite(cx)
-    i = cls.degree
-    vec = cls.vector
-    if len(vec) != cx.cell_dim(i, None):
-        raise ValueError("vector length does not match the term dimension")
-    if any(x != cx.field.zero for x in cx.diff(i, None).apply(vec)):
-        raise ValueError("not a cocycle")
-    reps = cohomology_basis(cx, i)
-    blocks = []
-    if reps:
-        blocks.append(Matrix.from_columns(cx.field, [list(r.vector) for r in reps], cx.cell_dim(i, None)))
-    if i > 0:
-        blocks.append(cx.diff(i - 1, None))
-    if not blocks:
-        if any(x != cx.field.zero for x in vec):
-            raise ValueError("nonzero cocycle in a zero cohomology group")
-        return ()
-    stacked = Matrix.hstack(blocks)
-    sol = stacked.solve(tuple(vec))
-    if sol is None:
-        raise AssertionError("cocycle failed to reduce against representatives and coboundaries")
-    return tuple(sol[: len(reps)])
+    """Coordinates of a cocycle in the chosen basis of H^degree, solved in each cell its vector meets.
 
-
-def product_vector(cx, a, b):
-    """Concatenation of cocycle vectors: index(u (x) v) = idx(u)*dim_v + idx(v)."""
-    _require_plain_finite(cx)
-    out = []
-    for x in a.vector:
-        for y in b.vector:
-            out.append(cx.field.mul(x, y))
-    return tuple(out)
+    In a cell, the vector's part is solved against the cell's representatives
+    and the image of d_(i-1) on it; its coordinates on the representatives
+    are unique, since these are independent modulo that image.
+    """
+    i, f = cls.degree, cx.field
+    diffs, where, reps, found = _layer(cx, i)
+    below, parts = _layer(cx, i - 1)[0] if i else {}, {}
+    for t, v in cls.vector.items():
+        if t not in where:
+            raise ValueError("%r is not a basis tensor of degree %d" % (t, i))
+        if v:
+            parts.setdefault(where[t][0], {})[where[t][1]] = v
+    coords = [f.zero] * len(reps)
+    for w, part in parts.items():
+        d, mine = diffs[w], [pos for pos, (_, v, _) in enumerate(found) if v == w]
+        if not d.annihilates([part]):
+            raise ValueError("not a cocycle")
+        span = ColumnMatrix(f, d.ncols, [found[pos][2] for pos in mine] + (below[w].cols if w in below else []))
+        sol = span.solve_columns(ColumnMatrix(f, d.ncols, [part]))
+        if sol is None:
+            raise AssertionError("cocycle failed to reduce against representatives and coboundaries")
+        for (r, _), v in sol.entries.items():
+            if r < len(mine):
+                coords[mine[r]] = v
+    return tuple(coords)
 
 
 def ext_product(cx, a, b):
@@ -503,22 +501,17 @@ def ext_product(cx, a, b):
 
     The differential is a derivation for concatenation, so the product of
     cocycles is a cocycle; the result carries its coordinates in the chosen
-    basis of H^(deg a + deg b).
+    basis of H^(deg a + deg b), and their combination of it as its vector.
     """
-    _require_plain_finite(cx)
-    i = a.degree + b.degree
-    if i > cx.imax:
-        raise ValueError("product degree beyond the built window")
-    vec = product_vector(cx, a, b)
+    i, f = a.degree + b.degree, cx.field
+    _layer(cx, min(a.degree, b.degree))  # with i <= imax, checked below, both factors are in the window
+    vec = {s + t: f.mul(x, y) for s, x in a.vector.items() for t, y in b.vector.items()}
     coords = class_coordinates(cx, CobarClass(i, vec))
-    reps = cohomology_basis(cx, i)
-    f = cx.field
-    canon = [f.zero] * cx.cell_dim(i, None)
-    for coeff, rep in zip(coords, reps):
-        if coeff != f.zero:
-            for k, x in enumerate(rep.vector):
-                canon[k] = f.add(canon[k], f.mul(coeff, x))
-    return CobarClass(i, tuple(canon), coords)
+    canon = {}
+    for c, rep in zip(coords, cohomology_basis(cx, i)):
+        for t, v in rep.vector.items() if c else ():
+            canon[t] = f.add(canon.get(t, f.zero), f.mul(c, v))
+    return CobarClass(i, {t: v for t, v in sorted(canon.items()) if v}, coords)
 
 
 def ext_algebra_table(cx, maxdeg):
@@ -527,19 +520,10 @@ def ext_algebra_table(cx, maxdeg):
     Returns (dims, products) with products[(ia, ib)][k][l] the coordinate
     tuple of basis class k (degree ia) times basis class l (degree ib).
     """
-    _require_plain_finite(cx)
-    if maxdeg > cx.imax:
-        raise ValueError("window too small for the requested table")
-    reps = {i: cohomology_basis(cx, i) for i in range(maxdeg + 1)}
-    dims = [len(reps[i]) for i in range(maxdeg + 1)]
+    _layer(cx, maxdeg)
+    reps = [cohomology_basis(cx, i) for i in range(maxdeg + 1)]
     products = {}
     for ia in range(1, maxdeg):
         for ib in range(1, maxdeg - ia + 1):
-            table = []
-            for a in reps[ia]:
-                row = []
-                for b in reps[ib]:
-                    row.append(ext_product(cx, a, b).coords)
-                table.append(row)
-            products[(ia, ib)] = table
-    return dims, products
+            products[(ia, ib)] = [[ext_product(cx, a, b).coords for b in reps[ib]] for a in reps[ia]]
+    return [len(r) for r in reps], products

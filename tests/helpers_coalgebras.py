@@ -19,7 +19,7 @@ from cobarlab.coalg import (
 )
 from cobarlab.cobar import _automorphisms, ext_table
 from cobarlab.dualalg import _BarComplex, Algebra, GradedAlgebra, ModulePresentation, graded_dual, quadratic_algebra
-from cobarlab.exactlin import QQ, Matrix, kron_identity_matmul
+from cobarlab.exactlin import QQ, Matrix, extend_to_basis, kron_identity_matmul
 from cobarlab.resolve import minimal_coresolution
 from cobarlab.witness import EventuallyConstant, HomToQ, QElement, SubringElement, TaggedCofunctional, TaggedLinearMap, contraaction
 
@@ -830,6 +830,77 @@ def reverse_tensor_vector(d, degree, vec):
             ridx = ridx * d + dig
         out[ridx] = vec[idx]
     return tuple(out)
+
+
+class WholeTermProducts:
+    """The Ext algebra of a plain finite cobar complex through whole terms and dense vectors.
+
+    The reference for the product functions, which work on weight cells:
+    ``diff(i, None)`` gives whole terms, a class is a dense vector of term i
+    in Kronecker order, and a cocycle's coordinates solve
+    [basis | d_(i-1)] x = v.
+    """
+
+    def __init__(self, cx):
+        self.cx = cx
+        self.f = cx.field
+        self.bases = {}
+
+    def basis(self, i):
+        """The kernel columns of d_i, in order, outside the image of d_(i-1)."""
+        if i not in self.bases:
+            ker = self.cx.diff(i, None).kernel_basis()
+            image = self.cx.diff(i - 1, None) if i else Matrix.zeros(self.f, ker.nrows, 0)
+            vectors = ker.columns()
+            self.bases[i] = [vectors[k] for k in extend_to_basis(image, ker)]
+        return self.bases[i]
+
+    def coordinates(self, i, vec):
+        diff = self.cx.diff(i, None)
+        if len(vec) != diff.ncols:
+            raise ValueError("vector length does not match the term dimension")
+        if any(x != self.f.zero for x in diff.apply(vec)):
+            raise ValueError("not a cocycle")
+        reps = self.basis(i)
+        blocks = [Matrix.from_columns(self.f, [list(r) for r in reps], diff.ncols)] if reps else []
+        if i > 0:
+            blocks.append(self.cx.diff(i - 1, None))
+        if not blocks:
+            if any(x != self.f.zero for x in vec):
+                raise ValueError("nonzero cocycle in a zero cohomology group")
+            return ()
+        sol = Matrix.hstack(blocks).solve(tuple(vec))
+        if sol is None:
+            raise AssertionError("cocycle failed to reduce against representatives and coboundaries")
+        return tuple(sol[: len(reps)])
+
+    def product(self, i, a, j, b):
+        """(canonical vector, coordinates) of the product of dense cocycles a of degree i and b of degree j."""
+        f = self.f
+        coords = self.coordinates(i + j, tuple(f.mul(x, y) for x in a for y in b))
+        canon = [f.zero] * self.cx.diff(i + j, None).ncols
+        for coeff, rep in zip(coords, self.basis(i + j)):
+            for k, x in enumerate(rep):
+                canon[k] = f.add(canon[k], f.mul(coeff, x))
+        return tuple(canon), coords
+
+
+def reversed_tensors(vec):
+    """A sparse cochain {tensor: value} with the factors of each tensor reversed: the cobar complex of C^op, up to sign."""
+    return {t[::-1]: v for t, v in vec.items()}
+
+
+def sparse_tensor_vector(d, degree, vec):
+    """A dense vector of term ``degree`` as {tensor: value}: index x is the tensor of its base-d digits, most significant first."""
+    out = {}
+    for x, v in enumerate(vec):
+        if v:
+            digits = []
+            for _ in range(degree):
+                x, r = divmod(x, d)
+                digits.append(r)
+            out[tuple(reversed(digits))] = v
+    return out
 
 
 def symmetric_to_tensor_embedding(m, top, field):

@@ -53,7 +53,7 @@ from cobarlab.witness import (
     nonrational_report,
     verify_module_axioms,
 )
-from helpers_coalgebras import acceptance_corpus, divided_line, module_actions, reverse_tensor_vector, strip_degrees
+from helpers_coalgebras import acceptance_corpus, divided_line, module_actions, reversed_tensors, strip_degrees
 
 IMAX = 4
 
@@ -170,23 +170,20 @@ def test_criterion_06_periodicity_three_pipelines():
     _verdict(6, "periodicity", ok)
 
 
-def test_criterion_07_ext_algebra_antiisomorphism(corpus_finite):
-    c = strip_degrees(corpus_finite["square_zero"])
+def _ext_algebra_antiisomorphic(c, maxdeg):
+    """Whether factor reversal carries the Ext algebra of C to that of C^op, products reversed, through maxdeg."""
     cx = build_cobar(c, IMAX)
     cop = build_cobar(opposite(c), IMAX)
-    maxdeg = 3
     dims, products = ext_algebra_table(cx, maxdeg)
     dims_op, products_op = ext_algebra_table(cop, maxdeg)
     ok = dims == dims_op
-    d = c.dim - 1
     # factor reversal carries classes of C to classes of C^op; express the
     # images in the C^op cohomology basis, degree by degree
     matching = {}
     for i in range(1, maxdeg + 1):
         cols = []
         for cls in cohomology_basis(cx, i):
-            flipped = reverse_tensor_vector(d, i, cls.vector)
-            cols.append(list(class_coordinates(cop, CobarClass(i, tuple(flipped)))))
+            cols.append(list(class_coordinates(cop, CobarClass(i, reversed_tensors(cls.vector)))))
         matching[i] = cols
         if cols:
             full = Matrix.from_columns(QQ, cols, dims_op[i]).rank() == dims[i]
@@ -200,10 +197,20 @@ def test_criterion_07_ext_algebra_antiisomorphism(corpus_finite):
                 for m, coeff in enumerate(coords):
                     for r, x in enumerate(matching[ia + ib][m]):
                         mapped[r] = QQ.add(mapped[r], QQ.mul(coeff, x))
-                ta = CobarClass(ia, tuple(reverse_tensor_vector(d, ia, reps_a[k].vector)))
-                tb = CobarClass(ib, tuple(reverse_tensor_vector(d, ib, reps_b[l].vector)))
+                ta = CobarClass(ia, reversed_tensors(reps_a[k].vector))
+                tb = CobarClass(ib, reversed_tensors(reps_b[l].vector))
                 opposite_product = ext_product(cop, tb, ta)
                 ok = ok and tuple(mapped) == tuple(opposite_product.coords)
+    return ok
+
+
+def test_criterion_07_ext_algebra_antiisomorphism(corpus_finite):
+    members = [
+        (strip_degrees(corpus_finite["square_zero"]), 3),
+        (strip_degrees(flatten(symmetric_coalgebra(2, 3, QQ))), IMAX),
+        (strip_degrees(corpus_finite["ten22"]), IMAX),
+    ]
+    ok = all([_ext_algebra_antiisomorphic(c, maxdeg) for c, maxdeg in members])
     _verdict(7, "Ext algebra anti-isomorphism", ok)
 
 

@@ -423,6 +423,15 @@ def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys):
     assert not missing.parent.exists()
 
 
+def test_every_exported_name_resolves_to_its_module():
+    # a name whose function was renamed or deleted would fail only on first access
+    assert cobarlab.__all__ == sorted(cobarlab._EXPORTS)
+    for name, short in cobarlab._EXPORTS.items():
+        obj = getattr(importlib.import_module("cobarlab." + short), name)
+        assert obj.__module__ == "cobarlab." + short, name
+        assert getattr(cobarlab, name) is obj, name
+
+
 # Runs in a fresh interpreter: imports the package, runs one command, and
 # prints which cobarlab submodules each step loaded, whether dataclasses and
 # random were, and whether OpenSSL's _hashlib was.  The interpreter runs with

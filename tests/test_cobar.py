@@ -5,6 +5,8 @@ from importlib import resources
 import pytest
 
 from helpers_coalgebras import (
+    WholeTermProducts,
+    acceptance_corpus,
     built_top_weights,
     divided_line,
     dual_numbers_dual,
@@ -15,7 +17,9 @@ from helpers_coalgebras import (
     reference_whole_diff,
     rescaled,
     reverse_tensor_vector,
+    reversed_tensors,
     sheared,
+    sparse_tensor_vector,
     strip_degrees,
     support_bound,
     swept_cells,
@@ -44,8 +48,8 @@ from cobarlab.cobar import (
     ext_algebra_table,
     ext_product,
     ext_table,
-    product_vector,
 )
+from cobarlab.dualalg import quadratic_algebra
 from cobarlab.exactlin import QQ, GF, ColumnMatrix, Matrix
 from cobarlab.presentation import loads_presentation
 
@@ -82,8 +86,8 @@ def test_symmetric_truncation_window_is_exterior():
 def test_tensor_truncation_window_has_generators_only():
     g = tensor_coalgebra(2, 3, QQ)
     cx = build_cobar(g, 3, 3)
-    assert cx.cell_dim(2, 3) == 16
     table = ext_table(cx)
+    assert sum(n for (i, w), n in cx._dims.items() if (i, w[0]) == (2, 3)) == 16  # the 2-tensors of degree 3
     for (i, j), v in table.entries.items():
         want = 1 if (i, j) == (0, 0) else (2 if (i, j) == (1, 1) else 0)
         assert v == want
@@ -160,7 +164,7 @@ def test_divided_line_class_squares_to_zero():
     (xi,) = cohomology_basis(cx, 1)
     sq = ext_product(cx, xi, xi)
     assert all(v == QQ.zero for v in sq.coords)
-    assert all(v == QQ.zero for v in sq.vector)
+    assert sq.vector == {}  # the canonical vector of the zero class
 
 
 def test_unit_class_is_neutral():
@@ -176,9 +180,11 @@ def test_unit_class_is_neutral():
 
 def test_product_vector_is_concatenation():
     cx = build_cobar(dual_numbers_dual(), 3)
-    a = CobarClass(1, (QQ.from_int(2),))
-    b = CobarClass(2, (QQ.from_int(3),))
-    assert product_vector(cx, a, b) == (QQ.from_int(6),)
+    a = CobarClass(1, {(0,): QQ.from_int(2)})
+    b = CobarClass(2, {(0, 0): QQ.from_int(3)})
+    product = ext_product(cx, a, b)
+    assert product.coords == (QQ.from_int(6),)
+    assert product.vector == {(0, 0, 0): QQ.from_int(6)}
 
 
 def test_opposite_has_same_table_and_reversal_carries_cocycles():
@@ -187,10 +193,9 @@ def test_opposite_has_same_table_and_reversal_carries_cocycles():
     cx = build_cobar(flat, 3)
     cxop = build_cobar(op, 3)
     assert ext_table(cx) == ext_table(cxop)
-    d = flat.dim - 1
     for i in (1, 2, 3):
         reps = cohomology_basis(cxop, i)
-        coords = [class_coordinates(cx, CobarClass(i, reverse_tensor_vector(d, i, r.vector))) for r in reps]
+        coords = [class_coordinates(cx, CobarClass(i, reversed_tensors(r.vector))) for r in reps]
         seen = {tuple(v) for v in coords}
         assert len(seen) == len(reps)
         assert all(any(x != QQ.zero for x in v) for v in coords)
@@ -201,6 +206,9 @@ def test_reversal_is_an_involution():
     d, deg = 3, 3
     vec = tuple(QQ.from_int(rng.randrange(-4, 5)) for _ in range(d**deg))
     assert reverse_tensor_vector(d, deg, reverse_tensor_vector(d, deg, vec)) == vec
+    # on sparse vectors, reversing the factors of an index reverses the tuple
+    flipped = sparse_tensor_vector(d, deg, reverse_tensor_vector(d, deg, vec))
+    assert flipped == reversed_tensors(sparse_tensor_vector(d, deg, vec))
 
 
 def test_reversal_antihomomorphism_on_classes():
@@ -208,10 +216,9 @@ def test_reversal_antihomomorphism_on_classes():
     op = opposite(flat)
     cx = build_cobar(flat, 3)
     cxop = build_cobar(op, 3)
-    d = flat.dim - 1
 
     def transport(cls):
-        return CobarClass(cls.degree, reverse_tensor_vector(d, cls.degree, cls.vector))
+        return CobarClass(cls.degree, reversed_tensors(cls.vector))
 
     for a in cohomology_basis(cxop, 1):
         for b in cohomology_basis(cxop, 1):
@@ -219,6 +226,71 @@ def test_reversal_antihomomorphism_on_classes():
             lhs = class_coordinates(cx, transport(ab))
             rhs = ext_product(cx, transport(b), transport(a))
             assert lhs == rhs.coords
+
+
+def _product_corpus(field):
+    """The graded acceptance corpus, whose ten22 is T(2)<=2, and Sym(2)<=3."""
+    return {**acceptance_corpus(field), "sym23": symmetric_coalgebra(2, 3, field)}
+
+
+def _whole_term_inputs():
+    cases = [pytest.param(divided_line(GF(5)), id="divided_line-GF5")]
+    for field, label in ((QQ, "QQ"), (GF(7), "GF7")):
+        cases += [pytest.param(flatten(g), id="%s-%s" % (name, label)) for name, g in _product_corpus(field).items()]
+    return cases
+
+
+@pytest.mark.parametrize("c", _whole_term_inputs())
+def test_products_match_the_whole_term_path(c):
+    maxdeg, d = 3, c.dim - 1
+    cx = build_cobar(c, maxdeg)
+    ref = WholeTermProducts(build_cobar(c, maxdeg))
+    f = c.field
+    dims, products = ext_algebra_table(cx, maxdeg)
+    assert dims == [len(ref.basis(i)) for i in range(maxdeg + 1)]
+    assert set(products) == {(a, b) for a in range(1, maxdeg) for b in range(1, maxdeg + 1 - a)}
+    for i in range(maxdeg + 1):
+        basis = cohomology_basis(cx, i)
+        assert [r.vector for r in basis] == [sparse_tensor_vector(d, i, v) for v in ref.basis(i)]
+        # basis vector k with coefficient k + 1, plus the coboundary of the all-ones cochain
+        vec = cx.diff(i - 1, None).apply((f.one,) * cx.diff(i - 1, None).ncols) if i else (f.zero,)
+        for k, rep in enumerate(ref.basis(i)):
+            vec = tuple(f.add(x, f.mul(f.from_int(k + 1), y)) for x, y in zip(vec, rep))
+        want = ref.coordinates(i, vec)
+        assert want == tuple(f.from_int(k + 1) for k in range(dims[i]))
+        assert class_coordinates(cx, CobarClass(i, sparse_tensor_vector(d, i, vec))) == want
+    for (ia, ib), table in products.items():
+        for k, a in enumerate(cohomology_basis(cx, ia)):
+            for l, b in enumerate(cohomology_basis(cx, ib)):
+                vec, coords = ref.product(ia, ref.basis(ia)[k], ib, ref.basis(ib)[l])
+                got = ext_product(cx, a, b)
+                assert (table[k][l], got.coords, got.vector) == (coords, coords, sparse_tensor_vector(d, ia + ib, vec))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_ext1_generates_the_quadratic_dual(field):
+    # Loefwall (LNM 1183, 1986): Ext^1 generates the quadratic dual of the quadratic part of C*,
+    # the free algebra on C_1 modulo the image of the (1, 1) component of the comultiplication of C_2
+    want = {
+        "c2": (1, 1, 1, 1),
+        "c3": (1, 1, 0, 0),
+        "square_zero": (1, 2, 4, 8),
+        "ten22": (1, 2, 0, 0),
+        "sym24": (1, 2, 1, 0),
+        "quad_dual": (1, 2, 1, 0),
+        "sym23": (1, 2, 1, 0),
+    }
+    for name, g in _product_corpus(field).items():
+        relations = g.component(2, 1, 1).columns() if g.top_degree >= 2 else []
+        assert quadratic_algebra(g.dims[1], relations, 3, field).dims == want[name], name
+        cx = build_cobar(flatten(g), 3)
+        ones, level, dims = cohomology_basis(cx, 1), cohomology_basis(cx, 0), []
+        for i in range(4):
+            if i:
+                level = [ext_product(cx, x, a) for x in level for a in ones]  # the i-fold products
+            rows = [list(x.coords) if i else [field.one] for x in level]
+            dims.append(Matrix.from_rows(field, rows, len(cohomology_basis(cx, i))).rank())
+        assert tuple(dims) == want[name], name
 
 
 def test_mod_p_table_of_divided_line():
@@ -384,22 +456,42 @@ def test_invalid_coefficient_comodule_is_refused_with_its_failed_flag():
         cobar_with_coefficients(line, extension_comodule(line, (0, 0, 1)), 3)
 
 
-def test_product_table_builds_the_whole_terms_in_one_pass(monkeypatch):
+def test_product_table_builds_the_weight_cells_in_one_pass(monkeypatch):
     c3 = loads_presentation(resources.files("cobarlab").joinpath("data", "c3.json").read_text(encoding="utf-8"))
     checks = []
     raw = CobarComplex._cells
 
-    def counted(self, grading, *args, **kwargs):
-        checks.append(grading is self._grading)  # the weight grading is the checked sweep's
-        return raw(self, grading, *args, **kwargs)
+    def counted(self, grading, tables, *args, **kwargs):
+        # both passes split by the weight grading; the integer constants are the checked sweep's
+        checks.append((grading is self._grading, tables is self._int_constants))
+        return raw(self, grading, tables, *args, **kwargs)
 
     monkeypatch.setattr(CobarComplex, "_cells", counted)
     dims, products = ext_algebra_table(build_cobar(c3, 8), 8)
-    # the checked sweep, then one pass over the whole terms
-    assert checks == [True, False]
+    # the checked sweep, then one pass over the weight cells with the true constants
+    assert checks == [(True, True), (True, False)]
     assert dims == [1] * 9
     # the table the per-call rebuild gave: odd times odd is zero
     assert products == {(a, b): [[(0 if a % 2 and b % 2 else 1,)]] for a in range(1, 8) for b in range(1, 9 - a)}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cx, i: cohomology_basis(cx, i),
+        lambda cx, i: class_coordinates(cx, CobarClass(i, {})),
+        lambda cx, i: ext_product(cx, CobarClass(i, {}), CobarClass(0, {(): QQ.one})),
+        lambda cx, i: ext_product(cx, CobarClass(0, {(): QQ.one}), CobarClass(i, {})),
+        lambda cx, i: ext_product(cx, CobarClass(2, {}), CobarClass(i - 2, {})),  # at 4 and 5 both factors fit
+        lambda cx, i: ext_algebra_table(cx, i),
+    ],
+    ids=["cohomology_basis", "class_coordinates", "ext_product_left", "ext_product_right", "ext_product_sum", "ext_algebra_table"],
+)
+@pytest.mark.parametrize("degree", [-1, 4, 5])
+def test_product_entry_points_refuse_degrees_outside_the_window(call, degree):
+    cx = build_cobar(divided_line(), 3)
+    with pytest.raises(ValueError, match="^degree beyond the built window$"):
+        call(cx, degree)
 
 
 def test_whole_term_diff_stops_at_the_built_window():
@@ -438,7 +530,7 @@ def test_cleared_cell_ranks_match_whole_term_ranks():
     ]
     for cx in cases:
         ranks = [cx.diff(i, None).rank() for i in range(cx.imax + 1)]
-        expected = [cx.cell_dim(i) - ranks[i] - (ranks[i - 1] if i else 0) for i in range(cx.imax + 1)]
+        expected = [cx.diff(i, None).ncols - ranks[i] - (ranks[i - 1] if i else 0) for i in range(cx.imax + 1)]
         assert ext_table(cx).dims() == expected
 
 
