@@ -3,7 +3,9 @@
 A finite coalgebra is presented by structure constants on a chosen basis: the
 comultiplication sends basis vector e_t to a list of triples (i, j, v) meaning
 v * e_i (x) e_j, the counit is a plain vector, and one basis index is the
-grouplike image of the coaugmentation.  Graded coalgebras are presented by
+grouplike image of the coaugmentation.  The triples are the presentation;
+what a coalgebra stores is one sparse matrix, as a comodule stores its
+coaction.  Graded coalgebras are presented by
 per-bidegree comultiplication components Delta_{p,q}: C_j -> C_p (x) C_q for
 p + q = j, with C_0 one-dimensional spanned by the grouplike.
 
@@ -53,34 +55,37 @@ class ValidationReport:
         return {"flags": dict(sorted(self.flags.items())), "notes": dict(sorted(self.notes.items())), "ok": self.ok}
 
 
-def _normal_triples(field, rows, idim, jdim, what):
-    """Structure constants as one sorted tuple of triples (i, j, v) per basis index.
+def _structure_matrix(field, rows, idim, jdim, what):
+    """One triple list (i, j, v) per basis index t as the (idim * jdim) x len(rows) Matrix with v at (i * jdim + j, t).
 
     Values are coerced into ``field``; repeated (i, j) accumulate and zero
     sums drop.  An index outside [0, idim) x [0, jdim) raises a ValueError
-    naming ``what`` and the basis index.
+    naming ``what`` and the basis index, before (i, j) is flattened.  The
+    entries go in column by column, rows ascending.
     """
-    out = []
+    entries = {}
     for t, triples in enumerate(rows):
         seen = {}
         for i, j, v in triples:
             if not (0 <= i < idim and 0 <= j < jdim):
                 raise ValueError("%s index out of range at basis %d" % (what, t))
-            v = field.coerce(v)
-            key = (i, j)
-            if key in seen:
-                v = field.add(seen[key], v)
-            if v:
-                seen[key] = v
-            else:
-                seen.pop(key, None)
-        out.append(tuple((i, j, v) for (i, j), v in sorted(seen.items())))
-    return tuple(out)
+            r, v = i * jdim + j, field.coerce(v)
+            seen[r] = field.add(seen[r], v) if r in seen else v
+        entries.update(((r, t), v) for r, v in sorted(seen.items()) if v)
+    return Matrix(field, idim * jdim, len(rows), entries)
+
+
+def _column_triples(m, jdim):
+    """A structure matrix read back as one sorted tuple of triples (i, j, v) per column, v at row i * jdim + j."""
+    return tuple(tuple(sorted((*divmod(r, jdim), v) for r, v in col.items())) for col in m.column_dicts())
 
 
 class Coalgebra:
     """Finite-dimensional coalgebra with a distinguished grouplike basis index.
 
+    Presented by one triple list per basis index, ``comul`` is one sparse
+    dim^2 x dim ``Matrix``, the mirror of ``Algebra.mult``: row i * dim + j
+    of column t holds the coefficient of e_i (x) e_j in Delta(e_t).
     ``degrees`` is optional metadata (one nonnegative int per basis index) kept
     by ``flatten``; when present and respected by the structure constants it
     lets downstream complexes split by internal degree.
@@ -101,20 +106,12 @@ class Coalgebra:
         self.dim = dim
         self.grouplike_index = grouplike_index
         self.counit = tuple(field.coerce(v) for v in counit)
-        self.comul = _normal_triples(field, comul, dim, dim, "comultiplication")
+        self.comul = _structure_matrix(field, comul, dim, dim, "comultiplication")
         if degrees is not None:
             degrees = tuple(int(d) for d in degrees)
             if len(degrees) != dim:
                 raise ValueError("degrees length != dim")
         self.degrees = degrees
-
-    def comul_matrix(self):
-        n = self.dim
-        items = []
-        for t, triples in enumerate(self.comul):
-            for i, j, v in triples:
-                items.append((i * n + j, t, v))
-        return Matrix.from_entries(self.field, n * n, n, items)
 
     def counit_matrix(self):
         return Matrix.from_entries(self.field, 1, self.dim, [(0, t, v) for t, v in enumerate(self.counit)])
@@ -125,20 +122,13 @@ class Coalgebra:
     def reduced_comul(self):
         """Structure constants of C_+ = C / span(grouplike), as triples per index."""
         g = self.grouplike_index
-        keep = self.positive_indices()
-        pos = {i: k for k, i in enumerate(keep)}
-        out = []
-        for t in keep:
-            out.append(tuple((pos[i], pos[j], v) for i, j, v in self.comul[t] if i != g and j != g))
-        return out
+        pos = {i: k for k, i in enumerate(self.positive_indices())}
+        rows = _column_triples(self.comul, self.dim)
+        return [tuple((pos[i], pos[j], v) for i, j, v in rows[t] if i != g and j != g) for t in pos]
 
     def reduced_comul_matrix(self):
         d = self.dim - 1
-        items = []
-        for t, triples in enumerate(self.reduced_comul()):
-            for i, j, v in triples:
-                items.append((i * d + j, t, v))
-        return Matrix.from_entries(self.field, d * d, d, items)
+        return _structure_matrix(self.field, self.reduced_comul(), d, d, "comultiplication")
 
     def projection_matrix(self):
         """C -> C_+ dropping the grouplike coordinate."""
@@ -152,10 +142,10 @@ class Coalgebra:
             return False
         if self.degrees[self.grouplike_index] != 0:
             return False
-        for t, triples in enumerate(self.comul):
-            for i, j, _ in triples:
-                if self.degrees[i] + self.degrees[j] != self.degrees[t]:
-                    return False
+        for r, t in self.comul.entries:
+            i, j = divmod(r, self.dim)
+            if self.degrees[i] + self.degrees[j] != self.degrees[t]:
+                return False
         return True
 
     def digest_data(self):
@@ -166,7 +156,7 @@ class Coalgebra:
             self.dim,
             self.grouplike_index,
             tuple(fmt(v) for v in self.counit),
-            tuple(tuple((i, j, fmt(v)) for i, j, v in row) for row in self.comul),
+            tuple(tuple((i, j, fmt(v)) for i, j, v in col) for col in _column_triples(self.comul, self.dim)),
         )
 
     def __eq__(self, other):
@@ -231,10 +221,12 @@ class GradedCoalgebra:
 class Comodule:
     """Finite-dimensional left comodule: coaction m_t -> sum v * e_i (x) m_j.
 
-    The coaction matrix is built once and kept.
+    Presented by one triple list per basis index, ``coaction`` is one sparse
+    (base.dim * dim) x dim ``Matrix``: row i * dim + j of column t holds the
+    coefficient of e_i (x) m_j in the coaction of m_t.
     """
 
-    __slots__ = ("base", "dim", "coaction", "_matrix")
+    __slots__ = ("base", "dim", "coaction")
 
     def __init__(self, base, dim, coaction):
         if dim < 0:
@@ -243,42 +235,16 @@ class Comodule:
             raise ValueError("coaction must list one entry per basis index")
         self.base = base
         self.dim = dim
-        self.coaction = _normal_triples(base.field, coaction, base.dim, dim, "coaction")
-        self._matrix = None
+        self.coaction = _structure_matrix(base.field, coaction, base.dim, dim, "coaction")
 
     @classmethod
     def from_coaction_matrix(cls, base, dim, nu):
-        """The comodule whose coaction matrix is ``nu``, a (base.dim * dim) x dim Matrix.
-
-        Row i * dim + j of column t holds the coefficient of e_i (x) m_j in
-        the coaction of m_t.  The entries of a Matrix are field elements in
-        range, so they are taken as they are.
-        """
+        """The comodule whose coaction is ``nu``, a (base.dim * dim) x dim Matrix, stored as it is."""
         if nu.field != base.field or nu.nrows != base.dim * dim or nu.ncols != dim:
             raise ValueError("coaction matrix does not match the base and dimension")
-        triples = [[] for _ in range(dim)]
-        for (r, t), v in nu.entries.items():
-            triples[t].append((*divmod(r, dim), v))
-        return cls._normalized(base, dim, tuple(tuple(sorted(row)) for row in triples), nu)
-
-    @classmethod
-    def _normalized(cls, base, dim, coaction, matrix=None):
-        """The comodule of ``coaction``, already in the form ``_normal_triples`` returns, taken as it is."""
         m = cls.__new__(cls)
-        m.base = base
-        m.dim = dim
-        m.coaction = coaction
-        m._matrix = matrix
+        m.base, m.dim, m.coaction = base, dim, nu
         return m
-
-    def coaction_matrix(self):
-        if self._matrix is None:
-            items = []
-            for t, triples in enumerate(self.coaction):
-                for i, j, v in triples:
-                    items.append((i * self.dim + j, t, v))
-            self._matrix = Matrix.from_entries(self.base.field, self.base.dim * self.dim, self.dim, items)
-        return self._matrix
 
     def __repr__(self):
         return "Comodule(dim=%d over %r)" % (self.dim, self.base)
@@ -291,17 +257,12 @@ def trivial_comodule(c):
 
 def regular_comodule(c):
     """C coacting on itself by comultiplication."""
-    return Comodule(c, c.dim, [list(triples) for triples in c.comul])
+    return Comodule.from_coaction_matrix(c, c.dim, c.comul)
 
 
 def cofree_comodule(c, k):
-    """C (x) k^k with coaction comul (x) id, whose matrix is comul_matrix() (x) I_k.
-
-    The triples of ``c.comul`` are normal already, and j -> j * k + s keeps
-    their order, so they are used without a second pass.
-    """
-    coaction = tuple(tuple((i, j * k + s, v) for i, j, v in c.comul[t]) for t in range(c.dim) for s in range(k))
-    return Comodule._normalized(c, c.dim * k, coaction)
+    """C (x) k^k with basis index t * k + s, so that its coaction is comul (x) I_k."""
+    return Comodule.from_coaction_matrix(c, c.dim * k, c.comul.kron(Matrix.identity(c.field, k)))
 
 
 def extension_comodule(c, primitive, scale=1):
@@ -330,7 +291,7 @@ def validate(c):
     """Axiom check for a finite Coalgebra; returns a ValidationReport."""
     f = c.field
     n = c.dim
-    mu = c.comul_matrix()
+    mu = c.comul
     eye = Matrix.identity(f, n)
     flags = {}
     notes = {}
@@ -353,7 +314,7 @@ def validate(c):
         notes["counital"] = "fails first at basis index %d" % t
 
     g = c.grouplike_index
-    coaug = dict(((i, j), v) for i, j, v in c.comul[g]) == {(g, g): f.one} and c.counit[g] == f.one
+    coaug = {r: v for (r, t), v in mu.entries.items() if t == g} == {g * n + g: f.one} and c.counit[g] == f.one
     flags["coaugmented"] = bool(coaug)
     if not coaug:
         notes["coaugmented"] = "grouplike index %d is not grouplike" % g
@@ -452,14 +413,13 @@ def socle(m):
 
 def reduced_coaction_matrix(m):
     c = m.base
-    return kron_identity_matmul(c.projection_matrix(), m.dim, m.coaction_matrix())
+    return kron_identity_matmul(c.projection_matrix(), m.dim, m.coaction)
 
 
 def validate_comodule(m):
     c = m.base
     f = c.field
-    nu = m.coaction_matrix()
-    mu = c.comul_matrix()
+    nu, mu = m.coaction, c.comul
     coassoc = kron_identity_matmul(mu, m.dim, nu) == kron_identity_matmul(c.dim, nu, nu)
     counit = kron_identity_matmul(c.counit_matrix(), m.dim, nu) == Matrix.identity(f, m.dim)
     return ValidationReport({"coassociative": coassoc, "counital": counit, "coaugmented": True, "conilpotent": True})
@@ -555,7 +515,7 @@ def symmetric_coalgebra(m, top, field):
 def opposite(c):
     """The co-opposite: tensor factors of every comultiplication output swap."""
     if isinstance(c, Coalgebra):
-        comul = [[(j, i, v) for i, j, v in triples] for triples in c.comul]
+        comul = [[(j, i, v) for i, j, v in triples] for triples in _column_triples(c.comul, c.dim)]
         return Coalgebra(c.field, c.dim, c.grouplike_index, c.counit, comul, degrees=c.degrees)
     if isinstance(c, GradedCoalgebra):
         comps = {}

@@ -89,9 +89,9 @@ from itertools import islice, product
 from math import lcm
 from operator import add
 
-from cobarlab.coalg import Coalgebra, GradedCoalgebra, flatten, validate_comodule
+from cobarlab.coalg import Coalgebra, GradedCoalgebra, _column_triples, flatten, validate_comodule
 from cobarlab.exactlin import ColumnMatrix, Matrix, extend_to_basis
-from cobarlab.exttable import finest_grading, layouts, table_from_ranks
+from cobarlab.exttable import finest_grading, layouts, table_from_ranks, window
 
 
 _AUT_NODES = 1000  # search nodes; past them the sweep keeps the automorphisms found so far
@@ -184,7 +184,8 @@ class CobarComplex:
         else:
             g = c.grouplike_index
             pos = {i: k for k, i in enumerate(c.positive_indices())}
-            self._coaction = [tuple((pos[i], j, v) for i, j, v in row if i != g) for row in coefficients.coaction]
+            rows = _column_triples(coefficients.coaction, coefficients.dim)
+            self._coaction = [tuple((pos[i], j, v) for i, j, v in row if i != g) for row in rows]
         scale = lcm(*(v.denominator for terms in self._comul + self._coaction for _, _, v in terms))
         self._int_constants = [
             [tuple((p, q, v.numerator * (scale // v.denominator)) for p, q, v in terms) for terms in table]
@@ -336,18 +337,15 @@ class CobarComplex:
             return False
         return True
 
-    def diff(self, i, j=None):
+    def diff(self, i):
         """Matrix of d: term i -> term i+1, both in tensor index order, for i <= imax.
 
         This is the one cell of the zero grading; for a graded input it is
-        the differential of the flattened coalgebra.  ``j`` must be None.
-        One pass of ``_cells`` builds the terms up to i and keeps them as
-        plain matrices; a later call for a higher term resumes it, and the
-        pass is closed once the term at imax is built, so that it holds no
-        second copy of that term.
+        the differential of the flattened coalgebra.  One pass of ``_cells``
+        builds the terms up to i and keeps them as plain matrices; a later
+        call for a higher term resumes it, and the pass is closed once the
+        term at imax is built, so that it holds no second copy of that term.
         """
-        if j is not None:
-            raise ValueError("diff builds whole terms; internal degrees are split inside the sweep")
         if i > self.imax:
             raise ValueError("degree beyond the built window")
         if self._whole is None:
@@ -365,24 +363,11 @@ class CobarComplex:
 def build_cobar(c, imax, jmax=None):
     """Build the reduced cobar complex of a coalgebra through degree imax.
 
-    Finite input: jmax must be omitted.  Graded input: jmax defaults to the
-    truncation degree and may not exceed it (entries above the truncation
-    would depend on absent components).
+    jmax is checked, and defaulted on graded input, by ``exttable.window``.
     """
-    if imax < 0:
-        raise ValueError("imax must be >= 0")
-    if isinstance(c, GradedCoalgebra):
-        top = c.top_degree
-        jmax = top if jmax is None else jmax
-        if jmax < 0:
-            raise ValueError("jmax must be >= 0")
-        if jmax > top:
-            raise ValueError("jmax %d exceeds truncation degree %d" % (jmax, top))
-    elif not isinstance(c, Coalgebra):
+    if not isinstance(c, (Coalgebra, GradedCoalgebra)):
         raise TypeError("build_cobar expects a Coalgebra or GradedCoalgebra")
-    elif jmax is not None:
-        raise ValueError("jmax applies to graded coalgebras only")
-    return CobarComplex(c, imax, jmax)
+    return CobarComplex(c, imax, window(imax, jmax, c.top_degree if isinstance(c, GradedCoalgebra) else None))
 
 
 def cobar_with_coefficients(c, m, imax):

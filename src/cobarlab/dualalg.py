@@ -30,16 +30,16 @@ from operator import add
 
 from cobarlab.coalg import Coalgebra, Comodule, GradedCoalgebra, flatten, validate, validate_comodule
 from cobarlab.exactlin import ColumnMatrix, Matrix, cohomology_dims, extend_to_basis, kron_identity_matmul, quotient_maps
-from cobarlab.exttable import finest_grading, layouts, table_from_ranks
+from cobarlab.exttable import finest_grading, layouts, table_from_ranks, window
 
 
 class Algebra:
     """Finite-dimensional associative unital algebra, optionally augmented.
 
     ``mult`` is the product A (x) A -> A as one sparse dim x dim^2
-    ``Matrix``, whose column a*dim + b holds e_a e_b: the mirror of
-    ``Coalgebra.comul_matrix``, so the dual and opposite algebras cost the
-    number of its nonzeros.  unit and augmentation are coordinate vectors
+    ``Matrix``, whose column a*dim + b holds e_a e_b: the mirror of the
+    dim^2 x dim ``Coalgebra.comul``, so the dual and opposite algebras each
+    re-index one matrix.  unit and augmentation are coordinate vectors
     (the augmentation may be None).  ``degrees`` is optional metadata, one
     int per basis index, as on ``Coalgebra``; the bar complex splits by it
     when it grades the augmentation ideal.
@@ -114,9 +114,9 @@ def dual_algebra(c):
         raise TypeError("dual_algebra expects a finite coalgebra")
     f = c.field
     n = c.dim
-    # v e_i (x) e_j in comul(e_t): the second factor is eaten first, so the
-    # coefficient lands in e^j e^i; the triples are distinct and nonzero
-    mult = Matrix(f, n, n * n, {(t, j * n + i): v for t in range(n) for i, j, v in c.comul[t]})
+    # v e_i (x) e_j in comul(e_t), at row i*n + j: the second factor is eaten
+    # first, so the coefficient lands in e^j e^i, at column j*n + i
+    mult = Matrix(f, n, n * n, {(t, r % n * n + r // n): v for (r, t), v in c.comul.entries.items()})
     aug = [f.zero] * n
     aug[c.grouplike_index] = f.one
     return Algebra(f, n, c.counit, mult, aug, c.degrees)
@@ -561,25 +561,15 @@ def bar_ext_table(a, imax, jmax=None):
     flattened) raises ValueError naming ``algebra_valid``; it is checked
     before the bar complex is built.
     """
-    if imax < 0:
-        raise ValueError("imax must be >= 0")
-    graded = isinstance(a, GradedAlgebra)
-    if graded:
-        top = a.top_degree
-        jmax = top if jmax is None else jmax
-        if jmax < 0:
-            raise ValueError("jmax must be >= 0")
-        if jmax > top:
-            raise ValueError("jmax %d exceeds truncation degree %d" % (jmax, top))
-    elif not isinstance(a, Algebra):
+    if not isinstance(a, (Algebra, GradedAlgebra)):
         raise TypeError("bar_ext_table expects an Algebra or GradedAlgebra")
-    elif jmax is not None:
-        raise ValueError("jmax applies to graded algebras only")
+    top = a.top_degree if isinstance(a, GradedAlgebra) else None
+    jmax = window(imax, jmax, top)
     a = _flat(a)
     if not validate_algebra(a):
         raise ValueError("bar complex input failed validation: algebra_valid")
     sizes, ranks = _BarComplex(a).sweep(imax, jmax)
-    return table_from_ranks(sizes, ranks, 1, imax, jmax, top if graded else None)
+    return table_from_ranks(sizes, ranks, 1, imax, jmax, top)
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +633,7 @@ def comodule_to_module(m, algebra=None):
     c = m.base
     a = algebra if algebra is not None else dual_algebra(c)
     d = m.dim
-    entries = {(j, i * d + t): v for t in range(d) for i, j, v in m.coaction[t]}
+    entries = {(r % d, r // d * d + t): v for (r, t), v in m.coaction.entries.items()}
     return ModulePresentation(a, d, Matrix(c.field, d, c.dim * d, entries))
 
 
@@ -832,7 +822,7 @@ def comodule_ext_dims(c, l, m, n):
     from cobarlab.resolve import minimal_coresolution
 
     res = minimal_coresolution(m, n + 1)
-    v, nu_l = res.cogenerator_dims, l.coaction_matrix()
+    v, nu_l = res.cogenerator_dims, l.coaction
     return cohomology_dims(_hom_differential(c, d, nu_l, v[i], v[i + 1]) for i, d in enumerate(res.differentials))
 
 
@@ -891,13 +881,14 @@ def build_initially_projective(a, target, modules, augmentation_map, maps):
         mt = mat.transpose()
         if not (kron_identity_matmul(a.dim, mt, dst.action.transpose()) == src.action.transpose() @ mt):
             raise ValueError("chain map is not a module morphism")
-    if augmentation_map.rank() != target.dim:
+    # read as a cochain ending target -> 0: dims[0] is the augmentation's cokernel, dims[i] the homology at modules[i - 1]
+    dims = cohomology_dims([*chain[::-1], Matrix.zeros(a.field, 0, target.dim)])[::-1]
+    if dims[0]:
         raise ValueError("augmentation is not surjective")
     for i in range(1, len(chain)):
-        outgoing, incoming = chain[i - 1], chain[i]
-        if not (outgoing @ incoming).is_zero():
+        if not (chain[i - 1] @ chain[i]).is_zero():
             raise ValueError("input sequence is not a complex")
-        if outgoing.ncols - outgoing.rank() != incoming.rank():
+        if dims[i]:
             raise ValueError("input sequence is not exact")
     prefix = 0
     for p in modules:

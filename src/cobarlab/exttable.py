@@ -74,6 +74,26 @@ def table_from_ranks(sizes, ranks, step, imax, jmax=None, top=None):
     return ExtTable("graded", entries, imax, jmax, note)
 
 
+def window(imax, jmax, top):
+    """The checked jmax of a table through term ``imax``: None on finite input, whose ``top`` is None.
+
+    On graded input jmax defaults to the truncation degree ``top`` and may
+    not exceed it, since entries above it would depend on absent components.
+    """
+    if imax < 0:
+        raise ValueError("imax must be >= 0")
+    if top is None:
+        if jmax is not None:
+            raise ValueError("jmax applies to graded inputs only")
+        return None
+    jmax = top if jmax is None else jmax
+    if jmax < 0:
+        raise ValueError("jmax must be >= 0")
+    if jmax > top:
+        raise ValueError("jmax %d exceeds truncation degree %d" % (jmax, top))
+    return jmax
+
+
 def finest_grading(equations, n):
     """Integer weights of the finest additive grading of n unknowns that ``equations`` allow, one tuple per unknown.
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 
-from .coalg import Coalgebra, Comodule, GradedCoalgebra
+from .coalg import Coalgebra, Comodule, GradedCoalgebra, _column_triples
 from .exactlin import Matrix, field_from_label
 
 SCHEMA_TAG = "cobarlab/1"
@@ -256,7 +256,7 @@ def presentation_of(obj):
             "dim": obj.dim,
             "grouplike": obj.grouplike_index,
             "counit": [fmt(v) for v in obj.counit],
-            "comul": [[[i, j, fmt(v)] for i, j, v in row] for row in obj.comul],
+            "comul": [[[i, j, fmt(v)] for i, j, v in row] for row in _column_triples(obj.comul, obj.dim)],
         }
         if obj.degrees is not None:
             doc["degrees"] = list(obj.degrees)
@@ -280,7 +280,7 @@ def presentation_of(obj):
             "kind": "comodule",
             "base": presentation_of(obj.base),
             "dim": obj.dim,
-            "coaction": [[[i, j, fmt(v)] for i, j, v in row] for row in obj.coaction],
+            "coaction": [[[i, j, fmt(v)] for i, j, v in row] for row in _column_triples(obj.coaction, obj.dim)],
         }
     from .dualalg import Algebra
 

@@ -21,7 +21,7 @@ dimension list is read off the dual side.
 from __future__ import annotations
 
 from cobarlab.coalg import Comodule, regular_comodule, socle, validate, validate_comodule
-from cobarlab.exactlin import Matrix, kron_identity_matmul, quotient_maps
+from cobarlab.exactlin import Matrix, cohomology_dims, kron_identity_matmul, quotient_maps
 
 
 class MinimalCoresolution:
@@ -129,11 +129,11 @@ def _one_step(m, order, rng=None, need_cokernel=True):
     if v == 0 and n > 0:
         raise AssertionError("nonzero comodule with zero socle contradicts conilpotence")
     phi = _socle_retraction(m, s, rng)
-    nu = m.coaction_matrix()
+    nu = m.coaction
     emb = kron_identity_matmul(c.dim, phi, nu)
     if emb.rank() != n:
         raise AssertionError("cofree hull embedding failed to be injective")
-    mu = c.comul_matrix()
+    mu = c.comul
     if not (kron_identity_matmul(mu, v, emb) == kron_identity_matmul(c.dim, emb, nu)):
         raise AssertionError("hull embedding is not a comodule morphism")
     if not need_cokernel:
@@ -188,14 +188,13 @@ def betti_dims(r):
 def _exact(maps):
     """Whether each maps[i + 1] composes with maps[i] to zero and its kernel is the image of maps[i], by ranks.
 
-    Two maps whose shapes do not compose make the sequence not exact.
+    Two maps whose shapes do not compose make the sequence not exact.  Each
+    map is ranked once, by ``cohomology_dims``.
     """
     for before, after in zip(maps, maps[1:]):
         if after.ncols != before.nrows or not (after @ before).is_zero():
             return False
-        if before.nrows - after.rank() != before.rank():
-            return False
-    return True
+    return not any(cohomology_dims(maps)[1:])
 
 
 def verify_coresolution(r):
@@ -208,15 +207,13 @@ def verify_coresolution(r):
     c = r.base
     f = c.field
     vdims = r.cogenerator_dims
-    mu = c.comul_matrix()
+    mu = c.comul
     maps = [r.embeddings[0]] + list(r.differentials)
-    if maps[0].rank() != r.target.dim:
-        return False
     for i, d in enumerate(maps):
         src_dim = r.target.dim if i == 0 else c.dim * vdims[i - 1]
         if d.nrows != c.dim * vdims[i] or d.ncols != src_dim:
             return False
-    if not _exact(maps):
+    if not _exact([Matrix.zeros(f, r.target.dim, 0)] + maps):  # from k^0, so the embedding must be injective
         return False
     socle_c = socle(regular_comodule(c)).transpose()
     for i in range(1, len(maps)):
@@ -248,9 +245,8 @@ def dualize_to_contramodule_resolution(r):
 def verify_contramodule_resolution(cr, target_dim):
     """Exactness of the dualized complex, checked by ranks.
 
-    The chain runs P_n -> ... -> P_1 -> P_0 -> M dual; the augmentation must
-    be surjective and each kernel must match the incoming image.
+    The chain runs P_n -> ... -> P_1 -> P_0 -> M dual -> 0; the augmentation
+    must be surjective and each kernel must match the incoming image.
     """
-    if cr.augmentation.rank() != target_dim:
-        return False
-    return _exact([cr.augmentation, *cr.differentials][::-1])
+    zero = Matrix.zeros(cr.augmentation.field, 0, target_dim)
+    return _exact([cr.augmentation, *cr.differentials][::-1] + [zero])

@@ -146,6 +146,7 @@ def _inputs():
     """File name -> presented object for every generated input of ``CASES``."""
     sys.path.insert(0, str(HERE.parent))
     from helpers_coalgebras import (
+        comul_triples,
         divided_line,
         non_associative_algebra,
         path_dual,
@@ -163,7 +164,7 @@ def _inputs():
     # the divided line plus u with reduced comultiplication u (x) u: g + u is a
     # second grouplike, and the filtration stops at F_2 = span(g, x1, x2)
     u = ((0, 3, 1), (3, 0, 1), (3, 3, 1))
-    two_grouplikes = Coalgebra(QQ, 4, 0, (1, 0, 0, 0), list(divided_line(QQ).comul) + [u])
+    two_grouplikes = Coalgebra(QQ, 4, 0, (1, 0, 0, 0), comul_triples(divided_line(QQ)) + (u,))
     return {
         "path_dual.json": path_dual(),
         "two_grouplikes.json": two_grouplikes,

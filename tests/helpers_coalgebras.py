@@ -11,6 +11,7 @@ from cobarlab.coalg import (
     Comodule,
     GradedCoalgebra,
     ValidationReport,
+    _column_triples,
     _monomials,
     reduced_coaction_matrix,
     swap_matrix,
@@ -22,6 +23,42 @@ from cobarlab.dualalg import _BarComplex, Algebra, GradedAlgebra, ModulePresenta
 from cobarlab.exactlin import QQ, Matrix, extend_to_basis, kron_identity_matmul
 from cobarlab.resolve import minimal_coresolution
 from cobarlab.witness import EventuallyConstant, HomToQ, QElement, SubringElement, TaggedCofunctional, TaggedLinearMap, contraaction
+
+
+def comul_triples(c):
+    """The comultiplication of a finite coalgebra as one sorted tuple of triples (i, j, v) per basis index."""
+    return _column_triples(c.comul, c.dim)
+
+
+def coaction_triples(m):
+    """The coaction of a comodule as one sorted tuple of triples (i, j, v) per basis index."""
+    return _column_triples(m.coaction, m.dim)
+
+
+def reference_structure_matrix(field, rows, idim, jdim, what):
+    """A structure matrix the way it was built from triples before it was stored: normal triples, then one Matrix.
+
+    The triples are coerced, repeated (i, j) accumulate, zero sums drop and
+    each basis index's triples are sorted; the matrix then takes them column
+    by column.  Kept as the reference for ``coalg._structure_matrix``.
+    """
+    normal = []
+    for t, triples in enumerate(rows):
+        seen = {}
+        for i, j, v in triples:
+            if not (0 <= i < idim and 0 <= j < jdim):
+                raise ValueError("%s index out of range at basis %d" % (what, t))
+            v = field.coerce(v)
+            key = (i, j)
+            if key in seen:
+                v = field.add(seen[key], v)
+            if v:
+                seen[key] = v
+            else:
+                seen.pop(key, None)
+        normal.append(tuple((i, j, v) for (i, j), v in sorted(seen.items())))
+    items = [(i * jdim + j, t, v) for t, triples in enumerate(normal) for i, j, v in triples]
+    return Matrix.from_entries(field, idim * jdim, len(rows), items)
 
 
 def dual_numbers_dual(field=QQ):
@@ -69,8 +106,8 @@ def permuted(c, perm):
     dim = c.dim
     comul = [None] * dim
     counit = [None] * dim
-    for t in range(dim):
-        comul[perm[t]] = [(perm[i], perm[j], v) for i, j, v in c.comul[t]]
+    for t, triples in enumerate(comul_triples(c)):
+        comul[perm[t]] = [(perm[i], perm[j], v) for i, j, v in triples]
         counit[perm[t]] = c.counit[t]
     degrees = None
     if c.degrees is not None:
@@ -97,7 +134,7 @@ def shifted_by_unit(a, k):
 
 def strip_degrees(c):
     """Same coalgebra without degree metadata."""
-    return Coalgebra(c.field, c.dim, c.grouplike_index, c.counit, c.comul, degrees=None)
+    return Coalgebra(c.field, c.dim, c.grouplike_index, c.counit, comul_triples(c), degrees=None)
 
 
 def rescaled(c, factors):
@@ -109,7 +146,7 @@ def rescaled(c, factors):
     f = c.field
     comul = [
         tuple((i, j, f.div(f.mul(factors[t], v), f.mul(factors[i], factors[j]))) for i, j, v in triples)
-        for t, triples in enumerate(c.comul)
+        for t, triples in enumerate(comul_triples(c))
     ]
     counit = [f.mul(x, e) for x, e in zip(factors, c.counit)]
     return Coalgebra(f, c.dim, c.grouplike_index, counit, comul, c.degrees)
@@ -129,11 +166,11 @@ def sheared(c, k, l):
     def new(t):
         return ((t, f.one),) if t != k else ((k, f.one), (l, minus))
 
-    comul = []
+    comul, old = [], comul_triples(c)
     for t in range(c.dim):
         acc = {}
         for s in (k, l) if t == k else (t,):
-            for i, j, v in c.comul[s]:
+            for i, j, v in old[s]:
                 for i2, x in new(i):
                     for j2, y in new(j):
                         acc[(i2, j2)] = f.add(acc.get((i2, j2), f.zero), f.mul(v, f.mul(x, y)))
@@ -836,7 +873,7 @@ class WholeTermProducts:
     """The Ext algebra of a plain finite cobar complex through whole terms and dense vectors.
 
     The reference for the product functions, which work on weight cells:
-    ``diff(i, None)`` gives whole terms, a class is a dense vector of term i
+    ``diff(i)`` gives whole terms, a class is a dense vector of term i
     in Kronecker order, and a cocycle's coordinates solve
     [basis | d_(i-1)] x = v.
     """
@@ -849,14 +886,14 @@ class WholeTermProducts:
     def basis(self, i):
         """The kernel columns of d_i, in order, outside the image of d_(i-1)."""
         if i not in self.bases:
-            ker = self.cx.diff(i, None).kernel_basis()
-            image = self.cx.diff(i - 1, None) if i else Matrix.zeros(self.f, ker.nrows, 0)
+            ker = self.cx.diff(i).kernel_basis()
+            image = self.cx.diff(i - 1) if i else Matrix.zeros(self.f, ker.nrows, 0)
             vectors = ker.columns()
             self.bases[i] = [vectors[k] for k in extend_to_basis(image, ker)]
         return self.bases[i]
 
     def coordinates(self, i, vec):
-        diff = self.cx.diff(i, None)
+        diff = self.cx.diff(i)
         if len(vec) != diff.ncols:
             raise ValueError("vector length does not match the term dimension")
         if any(x != self.f.zero for x in diff.apply(vec)):
@@ -864,7 +901,7 @@ class WholeTermProducts:
         reps = self.basis(i)
         blocks = [Matrix.from_columns(self.f, [list(r) for r in reps], diff.ncols)] if reps else []
         if i > 0:
-            blocks.append(self.cx.diff(i - 1, None))
+            blocks.append(self.cx.diff(i - 1))
         if not blocks:
             if any(x != self.f.zero for x in vec):
                 raise ValueError("nonzero cocycle in a zero cohomology group")
@@ -878,7 +915,7 @@ class WholeTermProducts:
         """(canonical vector, coordinates) of the product of dense cocycles a of degree i and b of degree j."""
         f = self.f
         coords = self.coordinates(i + j, tuple(f.mul(x, y) for x in a for y in b))
-        canon = [f.zero] * self.cx.diff(i + j, None).ncols
+        canon = [f.zero] * self.cx.diff(i + j).ncols
         for coeff, rep in zip(coords, self.basis(i + j)):
             for k, x in enumerate(rep):
                 canon[k] = f.add(canon[k], f.mul(coeff, x))
@@ -957,7 +994,7 @@ def per_basis_comodule_ext_dims(c, l, m, n):
     """Reference for ``dualalg.comodule_ext_dims``, through ``per_basis_hom_differential``."""
     res = minimal_coresolution(m, n + 1)
     vdims = res.cogenerator_dims
-    nu_l = l.coaction_matrix()
+    nu_l = l.coaction
     dims = []
     prev_rank = 0
     for i in range(n + 1):
@@ -970,8 +1007,8 @@ def per_basis_comodule_ext_dims(c, l, m, n):
 def direct_sum_comodules(m1, m2):
     if m1.base != m2.base:
         raise ValueError("comodules over different coalgebras")
-    coaction = [list(triples) for triples in m1.coaction]
-    for triples in m2.coaction:
+    coaction = [list(triples) for triples in coaction_triples(m1)]
+    for triples in coaction_triples(m2):
         coaction.append([(i, j + m1.dim, v) for i, j, v in triples])
     return Comodule(m1.base, m1.dim + m2.dim, coaction)
 
@@ -994,16 +1031,17 @@ def comodule_hom_basis(l, m):
     def unknown(r, cc):
         return r * dl + cc
 
-    for t in range(dl):
-        for i, j, v in l.coaction[t]:
+    for t, triples in enumerate(coaction_triples(l)):
+        for i, j, v in triples:
             for r in range(dm):
                 key = (t, i, r)
                 rows.setdefault(key, {})
                 col = unknown(r, j)
                 rows[key][col] = f.add(rows[key].get(col, f.zero), v)
+    m_triples = coaction_triples(m)
     for t in range(dl):
         for r in range(dm):
-            for i, s, v in m.coaction[r]:
+            for i, s, v in m_triples[r]:
                 key = (t, i, s)
                 rows.setdefault(key, {})
                 col = unknown(r, t)

@@ -12,6 +12,7 @@ from helpers_coalgebras import (
     bar_cell_positions,
     bar_cells,
     bar_reference,
+    comul_triples,
     kron_bar_boundary,
     permuted,
     restricted_transpose,
@@ -49,7 +50,8 @@ def _algebra(field, relations, top, form, data):
         # own square, so its weight is 0, and the product's diagonal meets the copied columns
         positive = [t for t in range(c.dim) if t != c.grouplike_index]
         k = data.draw(st.sampled_from(positive))
-        squares = [t for t in positive if any(i == j == k for i, j, _ in c.comul[t])]
+        rows = comul_triples(c)
+        squares = [t for t in positive if any(i == j == k for i, j, _ in rows[t])]
         c = sheared(c, k, data.draw(st.sampled_from(squares or [t for t in positive if t != k])))
     a = dual_algebra(c)
     if form == "shifted":

@@ -1,21 +1,29 @@
 from __future__ import annotations
 
+import json
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 from helpers_coalgebras import (
     acceptance_corpus,
+    coaction_triples,
+    comul_triples,
     comodule_hom_basis,
     componentwise_validate_graded,
+    permuted,
     perturbed_graded,
     quad_dual,
+    reference_structure_matrix,
+    rescaled,
     scaled,
     sheared,
     symmetric_to_tensor_embedding,
 )
 
+import cobarlab.coalg
 from cobarlab.coalg import (
     Coalgebra,
     Comodule,
@@ -35,6 +43,7 @@ from cobarlab.coalg import (
     validate_graded,
 )
 from cobarlab.exactlin import GF, QQ, Matrix
+from cobarlab.presentation import loads_presentation, presentation_of
 
 
 def dual_numbers_dual(field=QQ):
@@ -69,10 +78,10 @@ def test_structure_constants_accumulate_cancel_and_name_the_basis_index(field):
     # repeated (i, j) accumulate, sums that cancel vanish, the rest is sorted
     comul = [[(0, 0, 1)], [(1, 0, 1), (0, 1, 1), (1, 0, 2), (0, 1, "1/2"), (1, 0, -3), (0, 1, "-1/2")]]
     c = Coalgebra(field, 2, 0, (1, 0), comul)
-    assert c.comul == (((0, 0, 1),), ((0, 1, 1),))
+    assert comul_triples(c) == (((0, 0, 1),), ((0, 1, 1),))
     coaction = [[(1, 1, 2), (0, 0, 1), (1, 1, -2)], [(0, 1, 1), (1, 0, 3), (1, 0, 4), (0, 1, 0)]]
     m = Comodule(c, 2, coaction)
-    assert m.coaction == (((0, 0, 1),), ((0, 1, 1), (1, 0, 7)) if field == QQ else ((0, 1, 1),))
+    assert coaction_triples(m) == (((0, 0, 1),), ((0, 1, 1), (1, 0, 7)) if field == QQ else ((0, 1, 1),))
     with pytest.raises(ValueError, match="^comultiplication index out of range at basis 1$"):
         Coalgebra(field, 2, 0, (1, 0), [[(0, 0, 1)], [(0, 1, 1), (2, 0, 1)]])
     # the first factor is bounded by the coalgebra, the second by the comodule
@@ -86,12 +95,70 @@ def test_comodule_from_its_coaction_matrix_round_trips():
     c = divided_line()
     # cofree on two generators, an extension with coefficient 5, and the ground field
     for m in (cofree_comodule(c, 2), extension_comodule(c, (0, 1, 0), scale=5), trivial_comodule(c)):
-        nu = m.coaction_matrix()
+        nu = m.coaction
         again = Comodule.from_coaction_matrix(c, m.dim, nu)
         assert again.coaction == m.coaction
-        assert again.coaction_matrix() is nu and m.coaction_matrix() is nu
+        assert again.coaction is nu and m.coaction is nu
     with pytest.raises(ValueError, match="does not match"):
         Comodule.from_coaction_matrix(c, 2, Matrix.zeros(QQ, 5, 2))
+
+
+def _same_matrix(got, ref):
+    """Equal shape, and the same entries with the same value types in the same order."""
+    assert isinstance(got, Matrix) and (got.nrows, got.ncols) == (ref.nrows, ref.ncols)
+    assert [(key, type(v), v) for key, v in got.entries.items()] == [(key, type(v), v) for key, v in ref.entries.items()]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_structure_matrices_are_the_presented_triples_in_kronecker_order(field, monkeypatch):
+    calls, real = [], cobarlab.coalg._structure_matrix
+
+    def recorded(f, rows, idim, jdim, what):
+        rows = [list(triples) for triples in rows]
+        calls.append((f, rows, idim, jdim, what))
+        return real(f, rows, idim, jdim, what)
+
+    monkeypatch.setattr(cobarlab.coalg, "_structure_matrix", recorded)
+    two = field.from_int(2)
+    built = []  # (coalgebra, the triples it was presented by)
+
+    def kept(c):
+        built.append((c, calls[-1][1]))  # its constructor's call is the last one
+        return c
+
+    for g in acceptance_corpus(field).values():
+        c = kept(flatten(g))
+        kept(permuted(c, [0] + list(range(c.dim - 1, 0, -1))))
+        kept(rescaled(c, [field.one] + [two ** (t % 3) for t in range(1, c.dim)]))
+        if c.dim > 2:
+            kept(sheared(c, 1, 2))
+    # repeated (i, j) accumulate, zero sums drop, and Fraction(4, 2) is stored as the int 2
+    noisy = [[(0, 0, Fraction(4, 2)), (0, 0, -1)], [(1, 0, 1), (0, 1, Fraction(4, 2)), (0, 1, -1), (1, 1, 3), (1, 1, -3)]]
+    c2 = Coalgebra(field, 2, 0, (1, 0), noisy)
+    assert list(c2.comul.entries.items()) == [((0, 0), 1), ((1, 1), 1), ((2, 1), 1)]
+    assert all(type(v) is int for v in c2.comul.entries.values())
+    assert Comodule(c2, 1, [[(0, 0, Fraction(4, 2))]]).coaction.entries == {(0, 0): 2}
+    built.append((c2, noisy))
+    for c, rows in built:
+        n, g = c.dim, c.grouplike_index
+        _same_matrix(c.comul, reference_structure_matrix(field, rows, n, n, "comultiplication"))
+        again = Coalgebra(field, n, g, c.counit, comul_triples(c), c.degrees)
+        assert again == c
+        _same_matrix(again.comul, c.comul)
+        _same_matrix(regular_comodule(c).coaction, reference_structure_matrix(field, rows, n, n, "coaction"))
+        _same_matrix(trivial_comodule(c).coaction, reference_structure_matrix(field, [[(g, 0, 1)]], n, 1, "coaction"))
+        ext = extension_comodule(c, [int(t == 1) for t in range(n)], scale=Fraction(4, 2))
+        ext_rows = [[(g, 0, 1)], [(g, 1, 1), (1, 0, 2)]]
+        _same_matrix(ext.coaction, reference_structure_matrix(field, ext_rows, n, 2, "coaction"))
+        noisy_coaction = [[[g, 0, "4/2"], [g, 0, -1]], [[g, 1, 1], [1, 0, 3], [1, 0, -3], [1, 0, "-1/2"]]]
+        parsed = loads_presentation(json.dumps({**presentation_of(ext), "coaction": noisy_coaction}))
+        parsed_rows = [[(g, 0, 2), (g, 0, -1)], [(g, 1, 1), (1, 0, 3), (1, 0, -3), (1, 0, Fraction(-1, 2))]]
+        _same_matrix(parsed.coaction, reference_structure_matrix(field, parsed_rows, n, 2, "coaction"))
+        assert coaction_triples(parsed) == (((g, 0, 1),), ((g, 1, 1), (1, 0, field.coerce("-1/2"))))
+    # every matrix built on the way, each reduced comultiplication included, is the reference's
+    assert len(calls) > 4 * len(built)
+    for f, rows, idim, jdim, what in calls:
+        _same_matrix(real(f, rows, idim, jdim, what), reference_structure_matrix(f, rows, idim, jdim, what))
 
 
 def test_validate_c2_c3():
@@ -144,7 +211,7 @@ def test_filtration_respects_comultiplication():
         chain = coaugmentation_filtration(c)
         assert chain.exhaustive
         steps = chain.steps
-        mu = c.comul_matrix()
+        mu = c.comul
         for m, fm in enumerate(steps):
             # the columns of allowed are the vectors a (x) b, a a row of F_p and b one of F_q
             allowed = Matrix.hstack([steps[p].kron(steps[m - p]).transpose() for p in range(m + 1)])

@@ -70,7 +70,7 @@ def test_differential_squares_to_zero_by_hand():
     c = strip_degrees(flatten(tensor_coalgebra(2, 2, QQ)))
     cx = build_cobar(c, 3)
     for i in range(3):
-        prod = cx.diff(i + 1, None) @ cx.diff(i, None)
+        prod = cx.diff(i + 1) @ cx.diff(i)
         assert prod.is_zero()
 
 
@@ -253,7 +253,7 @@ def test_products_match_the_whole_term_path(c):
         basis = cohomology_basis(cx, i)
         assert [r.vector for r in basis] == [sparse_tensor_vector(d, i, v) for v in ref.basis(i)]
         # basis vector k with coefficient k + 1, plus the coboundary of the all-ones cochain
-        vec = cx.diff(i - 1, None).apply((f.one,) * cx.diff(i - 1, None).ncols) if i else (f.zero,)
+        vec = cx.diff(i - 1).apply((f.one,) * cx.diff(i - 1).ncols) if i else (f.zero,)
         for k, rep in enumerate(ref.basis(i)):
             vec = tuple(f.add(x, f.mul(f.from_int(k + 1), y)) for x, y in zip(vec, rep))
         want = ref.coordinates(i, vec)
@@ -322,7 +322,7 @@ def test_whole_term_differential_matches_kron_reference():
     for c in (divided_line(), divided_line(GF(5)), ten, opposite(ten), c3, halves):
         cx = build_cobar(c, 3)
         for i in range(4):
-            assert cx.diff(i, None) == kron_cobar_diff(c, i)
+            assert cx.diff(i) == kron_cobar_diff(c, i)
 
 
 def test_coefficient_differential_matches_kron_reference():
@@ -331,7 +331,7 @@ def test_coefficient_differential_matches_kron_reference():
     for m in (trivial_comodule(c), regular_comodule(c), extension):
         cx = cobar_with_coefficients(c, m, 3)
         for i in range(4):
-            assert cx.diff(i, None) == kron_cobar_diff(c, i, m)
+            assert cx.diff(i) == kron_cobar_diff(c, i, m)
 
 
 def test_non_coassociative_input_fails_the_square_check():
@@ -402,7 +402,7 @@ def test_cells_with_negated_tables_match_per_entry_negation():
             assert got == want
             assert all(type(got[k]) is type(v) for k, v in want.items())
         for i in range(imax + 1):
-            assert cx.diff(i, None).entries == reference_whole_diff(cx, i)
+            assert cx.diff(i).entries == reference_whole_diff(cx, i)
 
 
 def _block_corpus():
@@ -442,7 +442,7 @@ def test_sheared_basis_cells_cancel_on_the_diagonal():
         assert any(p == q == 0 for p, q, _ in cx._comul[0])
         assert swept_cells(cx) == list(reference_cells(cx))
         for i in range(4):
-            assert cx.diff(i, None) == kron_cobar_diff(c, i)
+            assert cx.diff(i) == kron_cobar_diff(c, i)
         assert ext_table(cx) == ext_table(build_cobar(line, 5))
         m = extension_comodule(c, (field.zero, field.one, field.neg(field.one)))  # the old e1
         assert validate_comodule(m).ok
@@ -496,23 +496,23 @@ def test_product_entry_points_refuse_degrees_outside_the_window(call, degree):
 
 def test_whole_term_diff_stops_at_the_built_window():
     cx = build_cobar(divided_line(), 2)
-    assert cx.diff(-1, None) == Matrix.zeros(QQ, 0, 0)
+    assert cx.diff(-1) == Matrix.zeros(QQ, 0, 0)
     with pytest.raises(ValueError, match="beyond the built window"):
-        cx.diff(3, None)
+        cx.diff(3)
 
 
 def test_whole_term_pass_is_closed_once_the_top_term_is_built():
     c3 = loads_presentation(resources.files("cobarlab").joinpath("data", "c3.json").read_text(encoding="utf-8"))
     cx = build_cobar(c3, 4)
-    low = cx.diff(2, None)
+    low = cx.diff(2)
     built, cells = cx._whole
     assert cells.gi_frame is not None  # suspended: a higher term resumes it
-    top = cx.diff(4, None)
+    top = cx.diff(4)
     assert cells.gi_frame is None  # closed: it keeps no cell of the top term
     assert type(low) is type(top) is Matrix
     for i in range(5):
-        assert cx.diff(i, None) is built[i]
-        assert cx.diff(i, None) == kron_cobar_diff(c3, i)
+        assert cx.diff(i) is built[i]
+        assert cx.diff(i) == kron_cobar_diff(c3, i)
 
 
 def test_cleared_cell_ranks_match_whole_term_ranks():
@@ -529,8 +529,8 @@ def test_cleared_cell_ranks_match_whole_term_ranks():
         cobar_with_coefficients(ten, regular_comodule(ten), 3),
     ]
     for cx in cases:
-        ranks = [cx.diff(i, None).rank() for i in range(cx.imax + 1)]
-        expected = [cx.diff(i, None).ncols - ranks[i] - (ranks[i - 1] if i else 0) for i in range(cx.imax + 1)]
+        ranks = [cx.diff(i).rank() for i in range(cx.imax + 1)]
+        expected = [cx.diff(i).ncols - ranks[i] - (ranks[i - 1] if i else 0) for i in range(cx.imax + 1)]
         assert ext_table(cx).dims() == expected
 
 

@@ -26,7 +26,7 @@ def test_block_cells_of_random_quadratic_duals_match_tuple_reference(field, rela
     cx = build_cobar(c, 3)
     assert swept_cells(cx) == list(reference_cells(cx))
     for i in range(3):
-        assert cx.diff(i, None) == kron_cobar_diff(c, i)
+        assert cx.diff(i) == kron_cobar_diff(c, i)
 
 
 @PROPERTY

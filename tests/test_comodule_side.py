@@ -4,6 +4,7 @@ import pytest
 
 from helpers_coalgebras import (
     acceptance_corpus,
+    comul_triples,
     divided_line,
     per_basis_comodule_ext_dims,
     per_basis_hom_differential,
@@ -61,7 +62,7 @@ def test_comodule_ext_dims_equal_the_per_basis_reference(field, name):
     for label, (l, m) in _pairs(c).items():
         res = minimal_coresolution(m, N + 1)
         vdims = res.cogenerator_dims
-        nu_l = l.coaction_matrix()
+        nu_l = l.coaction
         for i in range(N + 1):
             args = (c, res.differentials[i], nu_l, vdims[i], vdims[i + 1])
             assert _hom_differential(*args) == per_basis_hom_differential(*args), (label, i)
@@ -83,17 +84,17 @@ def _variants(field):
 @pytest.mark.parametrize("variant", ["permuted", "rescaled", "rescaled_line", "sheared"])
 def test_cofree_comodule_is_comul_tensor_identity_without_renormalizing(field, variant, monkeypatch):
     c = _variants(field)[variant]
-    refs = {}
+    refs, comul = {}, comul_triples(c)
     for k in range(4):
-        triples = [[(i, j * k + s, v) for i, j, v in c.comul[t]] for t in range(c.dim) for s in range(k)]
+        triples = [[(i, j * k + s, v) for i, j, v in comul[t]] for t in range(c.dim) for s in range(k)]
         refs[k] = Comodule(c, c.dim * k, triples)
 
     def renormalized(*args):
-        raise AssertionError("cofree_comodule renormalized triples that are normal already")
+        raise AssertionError("cofree_comodule built its coaction from triples")
 
-    monkeypatch.setattr(cobarlab.coalg, "_normal_triples", renormalized)
+    monkeypatch.setattr(cobarlab.coalg, "_structure_matrix", renormalized)
     for k, ref in refs.items():
         j = cofree_comodule(c, k)
         assert j.dim == ref.dim
         assert j.coaction == ref.coaction
-        assert j.coaction_matrix() == Matrix.kron(c.comul_matrix(), Matrix.identity(field, k))
+        assert j.coaction == Matrix.kron(c.comul, Matrix.identity(field, k))

@@ -52,7 +52,7 @@ def test_comodule_side_equals_module_side_and_the_per_basis_reference(case):
     assert report.ok
     res = minimal_coresolution(m, N + 1)
     vdims = res.cogenerator_dims
-    nu_l = l.coaction_matrix()
+    nu_l = l.coaction
     for i in range(N + 1):
         args = (c, res.differentials[i], nu_l, vdims[i], vdims[i + 1])
         assert _hom_differential(*args) == per_basis_hom_differential(*args)
