@@ -15,6 +15,8 @@ has flat index i * dim(C') + j, matching Matrix.kron.
 
 from __future__ import annotations
 
+from itertools import product
+
 from cobarlab.exactlin import Matrix, kron_identity_matmul, quotient_maps
 
 
@@ -365,10 +367,11 @@ def coaugmentation_filtration(c):
 
     Computed through the reduced coalgebra D = C_+: with G_1 = ker(reduced
     comul) and G_m the preimage of D (x) G_{m-1}, the chain F_m is the pullback
-    of G_m along C -> D plus the grouplike line.  Each G_m is kept as the
-    kernel columns that give its basis, and F_m as rows: the grouplike, then
-    each column of G_m at the positive indices.  Stabilizes within dim C
-    steps; exhaustive iff the stable term is all of C.
+    of G_m along C -> D plus the grouplike line.  That preimage is the kernel
+    of (I_D (x) P) o reduced comul, for P a map out of D with kernel G_{m-1}.
+    Each G_m is kept as the kernel columns that give its basis, and F_m as
+    rows: the grouplike, then each column of G_m at the positive indices.
+    Stabilizes within dim C steps; exhaustive iff the stable term is all of C.
     """
     f = c.field
     n = c.dim
@@ -390,13 +393,11 @@ def coaugmentation_filtration(c):
         steps.append(lift(current))
     m = 1
     while 0 < current.ncols < d:
-        # G_{m+1} = preimage of D (x) G_m under the reduced comultiplication;
-        # D (x) G_m is spanned by the rows e_i (x) v, v a column of G_m
-        k = current.ncols
-        span = {(i * k + r, i * d + j): x for i in range(d) for (j, r), x in current.entries.items()}
-        proj, _ = quotient_maps(Matrix(f, d * k, d * d, span))
-        nxt = (proj @ mu_d).kernel_basis()
-        if nxt.ncols == k:
+        # G_{m+1} = preimage of D (x) G_m under the reduced comultiplication: D (x) G_m is the
+        # kernel of I_D (x) P for P : D -> D / G_m, so the preimage is the kernel of (I_D (x) P) mu_d
+        proj, _ = quotient_maps(current.transpose())
+        nxt = kron_identity_matmul(d, proj, mu_d).kernel_basis()
+        if nxt.ncols == current.ncols:
             break
         current = nxt
         steps.append(lift(current))
@@ -447,37 +448,9 @@ def tensor_coalgebra(m, top, field):
     return GradedCoalgebra(field, dims, comps)
 
 
-def _monomials(m, j):
-    """Exponent vectors alpha in N^m with |alpha| = j, lexicographic order."""
-    if m == 0:
-        return [()] if j == 0 else []
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for a in range(remaining, -1, -1):
-            rec(prefix + (a,), remaining - a, slots - 1)
-
-    rec((), j, m)
-    return sorted(out, reverse=True)
-
-
 def _sub_exponents(alpha, p):
-    """All beta <= alpha componentwise with |beta| = p."""
-    out = []
-
-    def rec(prefix, remaining, pos):
-        if pos == len(alpha):
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        for a in range(min(alpha[pos], remaining), -1, -1):
-            rec(prefix + [a], remaining - a, pos + 1)
-
-    rec([], p, 0)
-    return out
+    """All beta <= alpha componentwise with |beta| = p, in descending lexicographic order."""
+    return [beta for beta in product(*(range(a, -1, -1) for a in alpha)) if sum(beta) == p]
 
 
 def symmetric_coalgebra(m, top, field):
@@ -495,7 +468,7 @@ def symmetric_coalgebra(m, top, field):
         raise UnsupportedCharacteristic(
             "symmetric coalgebra over GF(%d) needs p > truncation degree %d" % (ch, top)
         )
-    bases = [_monomials(m, j) for j in range(top + 1)]
+    bases = [_sub_exponents((j,) * m, j) for j in range(top + 1)]
     index = [{alpha: k for k, alpha in enumerate(b)} for b in bases]
     dims = [len(b) for b in bases]
     one = field.one

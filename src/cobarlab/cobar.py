@@ -384,7 +384,7 @@ def cobar_with_coefficients(c, m, imax):
     report = validate_comodule(m)
     if not report.ok:
         raise ValueError("coefficient comodule failed validation: %s" % report.reasons)
-    return CobarComplex(c, imax, coefficients=m)
+    return CobarComplex(c, imax, window(imax, None, None), coefficients=m)
 
 
 def ext_table(cx):

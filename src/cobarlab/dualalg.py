@@ -28,7 +28,7 @@ from collections import Counter
 from itertools import chain, repeat
 from operator import add
 
-from cobarlab.coalg import Coalgebra, Comodule, GradedCoalgebra, flatten, validate, validate_comodule
+from cobarlab.coalg import Coalgebra, Comodule, GradedCoalgebra, flatten, swap_matrix, validate, validate_comodule
 from cobarlab.exactlin import ColumnMatrix, Matrix, cohomology_dims, extend_to_basis, kron_identity_matmul, quotient_maps
 from cobarlab.exttable import finest_grading, layouts, table_from_ranks, window
 
@@ -81,18 +81,16 @@ class Algebra:
 def validate_algebra(a):
     """Associativity, unitality, and the augmentation being a character.
 
-    Each product m (x (x) y), with x or y an identity, is compared
-    transposed: (x^T (x) y^T) m^T is what ``kron_identity_matmul`` computes
-    without building the Kronecker product.
+    Associativity and the left unit are the module axioms of the regular
+    module, whose action is the product itself.  The right unit m (1 (x) u)
+    is compared transposed, as ``verify_module_axioms`` compares.
     """
     f = a.field
     n = a.dim
-    mt = a.mult.transpose()
-    if not (kron_identity_matmul(mt, n, mt) == kron_identity_matmul(n, mt, mt)):
+    if not verify_module_axioms(ModulePresentation(a, n, a.mult)):
         return False
-    unit_row = Matrix.from_rows(f, [list(a.unit)], n)
-    eye = Matrix.identity(f, n)
-    if not (kron_identity_matmul(unit_row, n, mt) == eye and kron_identity_matmul(n, unit_row, mt) == eye):
+    mt = a.mult.transpose()
+    if not kron_identity_matmul(n, Matrix.from_rows(f, [list(a.unit)], n), mt) == Matrix.identity(f, n):
         return False
     if a.augmentation is not None:
         aug = [(i, v) for i, v in enumerate(a.augmentation) if v]
@@ -168,35 +166,21 @@ class GradedAlgebra:
 
 
 def graded_dual(g):
-    """Transpose-with-swap duality between graded coalgebras and algebras."""
+    """Transpose-with-swap duality between graded coalgebras and algebras.
+
+    A_p (x) A_q -> A_{p+q} is Delta_{q,p}, then the factor swap (``swap_matrix``), transposed: the
+    convention of ``dual_algebra``.  The way back transposes, then swaps, so the two are inverse.
+    """
+    if not isinstance(g, (GradedCoalgebra, GradedAlgebra)):
+        raise TypeError("graded_dual expects a graded coalgebra or graded algebra")
+    f, dims, top = g.field, g.dims, g.top_degree
     if isinstance(g, GradedCoalgebra):
-        f = g.field
-        dims = g.dims
-        comps = {}
-        for p in range(g.top_degree + 1):
-            for q in range(g.top_degree + 1 - p):
-                src = g.component(p + q, q, p)  # C_{p+q} -> C_q (x) C_p
-                items = []
-                for (row, t), v in src.entries.items():
-                    b, a = divmod(row, dims[p])
-                    items.append((t, a * dims[q] + b, v))
-                comps[(p, q)] = Matrix.from_entries(f, dims[p + q], dims[p] * dims[q], items)
+        pairs = [(p, q) for p in range(top + 1) for q in range(top + 1 - p)]
+        comps = {(p, q): (swap_matrix(f, dims[q], dims[p]) @ g.component(p + q, q, p)).transpose() for p, q in pairs}
         return GradedAlgebra(f, dims, comps)
-    if isinstance(g, GradedAlgebra):
-        f = g.field
-        dims = g.dims
-        comps = {}
-        for j in range(g.top_degree + 1):
-            for q in range(j + 1):
-                p = j - q
-                src = g.component(p, q)
-                items = []
-                for (t, col), v in src.entries.items():
-                    a, b = divmod(col, dims[q])
-                    items.append((b * dims[p] + a, t, v))
-                comps[(j, q, p)] = Matrix.from_entries(f, dims[q] * dims[p], dims[j], items)
-        return GradedCoalgebra(f, dims, comps)
-    raise TypeError("graded_dual expects a graded coalgebra or graded algebra")
+    pairs = [(j - q, q) for j in range(top + 1) for q in range(j + 1)]
+    comps = {(p + q, q, p): swap_matrix(f, dims[p], dims[q]) @ g.component(p, q).transpose() for p, q in pairs}
+    return GradedCoalgebra(f, dims, comps)
 
 
 def quadratic_algebra(m, relations, top, field):
@@ -619,8 +603,7 @@ def trivial_module(a):
 
 def free_module(a, rank):
     """A (x) k^rank with basis index b*rank + c, so that its action is mult (x) I_rank."""
-    entries = {(t * rank + c, col * rank + c): v for (t, col), v in a.mult.entries.items() for c in range(rank)}
-    return ModulePresentation(a, a.dim * rank, Matrix(a.field, a.dim * rank, a.dim * a.dim * rank, entries))
+    return ModulePresentation(a, a.dim * rank, a.mult.kron(Matrix.identity(a.field, rank)))
 
 
 def comodule_to_module(m, algebra=None):
@@ -708,6 +691,8 @@ def minimal_free_resolution(l, n):
     into F_(i-1).  Past step 0 the ambient action is mult (x) I_w, so no
     free module is built.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     a = l.algebra
     x, w = l.action, 1
     basis = Matrix.identity(a.field, l.dim)
@@ -726,6 +711,8 @@ def minimal_free_resolution(l, n):
 
 def module_ext(a, l, m, n):
     """Ext^i(l, m) dims for 0 <= i <= n over an augmented finite algebra."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if l.algebra != a or m.algebra != a:
         raise ValueError("modules are not over the given algebra")
     ws, chain = minimal_free_resolution(l, n + 1)
@@ -821,6 +808,8 @@ def comodule_ext_dims(c, l, m, n):
     """Ext in comodules via a minimal cofree coresolution of m and the cofree adjunction."""
     from cobarlab.resolve import minimal_coresolution
 
+    if n < 0:
+        raise ValueError("n must be >= 0")
     res = minimal_coresolution(m, n + 1)
     v, nu_l = res.cogenerator_dims, l.coaction
     return cohomology_dims(_hom_differential(c, d, nu_l, v[i], v[i + 1]) for i, d in enumerate(res.differentials))
@@ -925,6 +914,8 @@ def ext_via_initially_projective(r, y, n):
     i <= projective_prefix_length; later degrees may disagree, which is the
     observable degradation when a term fails to be projective.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     a = r.algebra
     f = a.field
     count = len(r.modules)

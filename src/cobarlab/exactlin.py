@@ -77,14 +77,6 @@ class Field:
         self.p = p
         self.native = frozenset((int, Fraction)) if kind == "rationals" else frozenset()
 
-    @staticmethod
-    def prime(p):
-        if not isinstance(p, int) or p < 2 or p >= 2**31:
-            raise ValueError("prime field characteristic must be an int in [2, 2**31)")
-        if not _is_prime(p):
-            raise ValueError("%d is not prime" % p)
-        return Field("prime", p)
-
     # -- scalar arithmetic ------------------------------------------------
     def add(self, a, b):
         return a + b if self.kind == "rationals" else (a + b) % self.p
@@ -187,7 +179,11 @@ QQ = Field("rationals")
 
 
 def GF(p):
-    return Field.prime(p)
+    if not isinstance(p, int) or p < 2 or p >= 2**31:
+        raise ValueError("prime field characteristic must be an int in [2, 2**31)")
+    if not _is_prime(p):
+        raise ValueError("%d is not prime" % p)
+    return Field("prime", p)
 
 
 def field_from_label(label):
@@ -230,7 +226,10 @@ class Matrix:
 
     @staticmethod
     def from_entries(field, nrows, ncols, items):
-        """items: iterable of (row, col, value); repeated keys accumulate."""
+        """items: iterable of (row, col, value); repeated keys accumulate.
+
+        The one coercing constructor: ``from_rows`` and ``from_columns`` go through it.
+        """
         native = field.native
         entries = {}
         for r, c, v in items:
@@ -249,36 +248,21 @@ class Matrix:
 
     @staticmethod
     def from_rows(field, rows, ncols=None):
-        nrows = len(rows)
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
-        native = field.native
-        entries = {}
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                if type(v) not in native:
-                    v = field.coerce(v)
-                if v:
-                    entries[(i, j)] = v
-        return Matrix(field, nrows, ncols, entries)
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged rows")
+        items = ((i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row))
+        return Matrix.from_entries(field, len(rows), ncols, items)
 
     @staticmethod
     def from_columns(field, cols, nrows=None):
         if nrows is None:
             nrows = len(cols[0]) if cols else 0
-        native = field.native
-        entries = {}
-        for j, col in enumerate(cols):
-            if len(col) != nrows:
-                raise ValueError("ragged columns")
-            for i, v in enumerate(col):
-                if type(v) not in native:
-                    v = field.coerce(v)
-                if v:
-                    entries[(i, j)] = v
-        return Matrix(field, nrows, len(cols), entries)
+        if any(len(col) != nrows for col in cols):
+            raise ValueError("ragged columns")
+        items = ((i, j, v) for j, col in enumerate(cols) for i, v in enumerate(col))
+        return Matrix.from_entries(field, nrows, len(cols), items)
 
     # -- basics --------------------------------------------------------------
     def nnz(self):

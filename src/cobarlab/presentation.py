@@ -35,12 +35,16 @@ def _fail(loc, msg):
     raise SchemaError("%s: %s" % (loc, msg))
 
 
-def _expect_dict(doc, loc, allowed):
+def _expect_dict(doc, loc, allowed, required):
+    """An object with no key outside ``allowed``; the first of ``required`` that it lacks is reported missing."""
     if not isinstance(doc, dict):
         _fail(loc, "expected an object")
     for key in doc:
         if key not in allowed:
             _fail("%s.%s" % (loc, key), "unknown key")
+    for key in required:
+        if key not in doc:
+            _fail("%s.%s" % (loc, key), "missing")
 
 
 def _expect_int(value, loc, minimum=None):
@@ -69,8 +73,6 @@ def _scalar(field, value, loc):
 
 
 def _field(doc, loc):
-    if "field" not in doc:
-        _fail(loc + ".field", "missing")
     label = doc["field"]
     if not isinstance(label, dict):
         _fail(loc + ".field", "expected an object")
@@ -112,13 +114,9 @@ def _dense_matrix(field, rows, nrows, ncols, loc):
 
 
 def _parse_coalgebra(doc, loc):
-    _expect_dict(
-        doc, loc, {"schema", "kind", "field", "dim", "grouplike", "counit", "comul", "degrees"}
-    )
+    allowed = {"schema", "kind", "field", "dim", "grouplike", "counit", "comul", "degrees"}
+    _expect_dict(doc, loc, allowed, ("field", "dim", "grouplike", "counit", "comul"))
     field = _field(doc, loc)
-    for key in ("dim", "grouplike", "counit", "comul"):
-        if key not in doc:
-            _fail("%s.%s" % (loc, key), "missing")
     dim = _expect_int(doc["dim"], loc + ".dim", minimum=1)
     grouplike = _expect_int(doc["grouplike"], loc + ".grouplike", minimum=0)
     if grouplike >= dim:
@@ -139,11 +137,8 @@ def _degrees(doc, dim, loc):
 
 
 def _parse_graded_coalgebra(doc, loc):
-    _expect_dict(doc, loc, {"schema", "kind", "field", "dims", "components"})
+    _expect_dict(doc, loc, {"schema", "kind", "field", "dims", "components"}, ("field", "dims", "components"))
     field = _field(doc, loc)
-    for key in ("dims", "components"):
-        if key not in doc:
-            _fail("%s.%s" % (loc, key), "missing")
     dims = [
         _expect_int(d, "%s.dims[%d]" % (loc, k), minimum=0)
         for k, d in enumerate(_expect_list(doc["dims"], loc + ".dims"))
@@ -171,11 +166,9 @@ def _parse_graded_coalgebra(doc, loc):
 
 
 def _parse_algebra(doc, loc):
-    _expect_dict(doc, loc, {"schema", "kind", "field", "dim", "unit", "mult", "augmentation", "degrees"})
+    allowed = {"schema", "kind", "field", "dim", "unit", "mult", "augmentation", "degrees"}
+    _expect_dict(doc, loc, allowed, ("field", "dim", "unit", "mult"))
     field = _field(doc, loc)
-    for key in ("dim", "unit", "mult"):
-        if key not in doc:
-            _fail("%s.%s" % (loc, key), "missing")
     dim = _expect_int(doc["dim"], loc + ".dim", minimum=1)
     unit = _vector(field, doc["unit"], dim, loc + ".unit")
     mult = {}  # the product as one matrix: column a*dim + b holds mult[a][b]
@@ -196,10 +189,7 @@ def _parse_algebra(doc, loc):
 
 
 def _parse_comodule(doc, loc):
-    _expect_dict(doc, loc, {"schema", "kind", "base", "dim", "coaction"})
-    for key in ("base", "dim", "coaction"):
-        if key not in doc:
-            _fail("%s.%s" % (loc, key), "missing")
+    _expect_dict(doc, loc, {"schema", "kind", "base", "dim", "coaction"}, ("base", "dim", "coaction"))
     base_doc = doc["base"]
     if not isinstance(base_doc, dict):
         _fail(loc + ".base", "expected an object")

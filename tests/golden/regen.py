@@ -96,6 +96,13 @@ CASES = [
     ["ext", "inputs/algebra_zero.json", "--imax", "3", "--side", "algebra"],
     ["ext", "inputs/algebra_sym23.json", "--imax", "3", "--side", "algebra"],
     ["ext", "inputs/algebra_shifted.json", "--imax", "3", "--side", "algebra"],
+    # ext in characteristic at most the top degree, where binomial coefficients vanish mod p
+    ["ext", "inputs/binom8_gf2.json", "--imax", "5"],
+    ["ext", "inputs/binom8_gf2.json", "--imax", "5", "--side", "algebra"],
+    ["ext", "inputs/binom8_gf3.json", "--imax", "5"],
+    ["ext", "inputs/binom8_gf3.json", "--imax", "5", "--side", "algebra"],
+    ["ext", "inputs/binom8_gf7.json", "--imax", "5"],
+    ["ext", "inputs/binom8_gf7.json", "--imax", "5", "--side", "algebra"],
     # ext, refused
     ["ext", "bundled:c2.json", "--imax", "-1"],
     ["ext", "bundled:c2.json", "--imax", "3", "--jmax", "2"],
@@ -146,6 +153,7 @@ def _inputs():
     """File name -> presented object for every generated input of ``CASES``."""
     sys.path.insert(0, str(HERE.parent))
     from helpers_coalgebras import (
+        binomial_coalgebra,
         comul_triples,
         divided_line,
         non_associative_algebra,
@@ -183,6 +191,8 @@ def _inputs():
         "nonassoc.json": non_associative_algebra(),
         "comodule_c3.json": extension_comodule(c3, [0, 1, 0]),
         "comodule_c2.json": extension_comodule(c2, [0, 1]),
+        # B<=8, the dual of the divided powers: its Ext depends on p
+        **{"binom8_gf%d.json" % p: binomial_coalgebra(8, GF(p)) for p in (2, 3, 7)},
     }
 
 

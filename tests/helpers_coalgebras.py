@@ -3,6 +3,7 @@
 from collections import Counter
 from functools import lru_cache
 from itertools import chain
+from math import comb
 from operator import add
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ from cobarlab.coalg import (
     GradedCoalgebra,
     ValidationReport,
     _column_triples,
-    _monomials,
+    _sub_exponents,
     reduced_coaction_matrix,
     swap_matrix,
     symmetric_coalgebra,
@@ -81,6 +82,17 @@ def divided_line(field=QQ):
         ((0, 2, one), (1, 1, one), (2, 0, one)),
     ]
     return Coalgebra(field, 3, 0, (one, z, z), comul)
+
+
+def binomial_coalgebra(top, field=QQ):
+    """Basis x_0..x_top with Delta(x_n) = sum_i C(n, i) x_i (x) x_(n-i): the dual of the divided power algebra.
+
+    x_0 is the grouplike and e_0 the counit; x_n has degree n.  The binomial
+    coefficients vanish mod p, so its Ext depends on the characteristic.
+    """
+    comul = [[(i, n - i, comb(n, i)) for i in range(n + 1)] for n in range(top + 1)]
+    counit = [field.one] + [field.zero] * top
+    return Coalgebra(field, top + 1, 0, counit, comul, degrees=range(top + 1))
 
 
 def quad_dual(top, field=QQ):
@@ -947,7 +959,7 @@ def symmetric_to_tensor_embedding(m, top, field):
     embedding intertwines the comultiplication components of the two
     constructors degreewise.
     """
-    bases = [_monomials(m, j) for j in range(top + 1)]
+    bases = [_sub_exponents((j,) * m, j) for j in range(top + 1)]
     out = {}
     for j in range(top + 1):
         items = []

@@ -36,6 +36,19 @@ def test_validate_exit_codes(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
 
 
+def test_a_document_missing_a_required_key_exits_2_naming_its_path(tmp_path, capsys):
+    # the field is malformed too, but the missing key is named first
+    doc = presentation_of(divided_line())
+    del doc["comul"]
+    doc["field"] = "QQ"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["validate", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: %s: $.comul: missing\n" % path
+    assert not out.exists()
+
+
 def test_validate_report_payload(tmp_path):
     out = tmp_path / "report.json"
     assert main(["validate", "bundled:c2.json", "--out", str(out)]) == 0

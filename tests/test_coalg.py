@@ -188,6 +188,30 @@ def test_validate_non_conilpotent():
     assert chain.steps[-1].rank() == 1
 
 
+@pytest.mark.parametrize(
+    "c, flag, note",
+    [
+        # degree metadata is kept only when the grouplike has degree 0 and every term is homogeneous
+        (Coalgebra(QQ, 3, 0, [1, 0, 0], comul_triples(divided_line()), degrees=(1, 1, 2)), "graded_metadata", None),
+        (Coalgebra(QQ, 3, 0, [1, 0, 0], comul_triples(divided_line()), degrees=(0, 1, 3)), "graded_metadata", None),
+        (
+            Coalgebra(QQ, 2, 1, [1, 0], [[(0, 0, 1)], [(0, 1, 1), (1, 0, 1)]]),
+            "coaugmented",
+            "grouplike index 1 is not grouplike",
+        ),
+    ],
+    ids=["grouplike-of-degree-1", "term-off-the-degrees", "not-coaugmented"],
+)
+def test_validate_reports_the_failed_flag_and_its_note(c, flag, note):
+    rep = validate(c)
+    assert rep.flags[flag] is False
+    assert rep.notes.get(flag) == note
+    # graded_metadata is not an axiom; coaugmented is, and it stops the filtration
+    assert rep.ok is (flag == "graded_metadata")
+    if flag == "coaugmented":
+        assert rep.reasons == "coaugmented (%s); conilpotent (skipped: prior axiom failed)" % note
+
+
 def test_filtration_c2_c3():
     chain2 = coaugmentation_filtration(dual_numbers_dual())
     assert [s.rank() for s in chain2.steps] == [1, 2]

@@ -11,6 +11,7 @@ from helpers_coalgebras import (
     bar_cell_positions,
     bar_cells,
     bar_reference,
+    binomial_coalgebra,
     component_bar_reduced,
     direct_sum_comodules,
     direct_sum_modules,
@@ -48,6 +49,7 @@ from cobarlab.coalg import (
     symmetric_coalgebra,
     tensor_coalgebra,
     trivial_comodule,
+    validate,
     validate_comodule,
 )
 from cobarlab.cobar import build_cobar, cobar_with_coefficients, ext_table
@@ -394,6 +396,52 @@ def test_compare_theorem1_refuses_comodules_over_another_coalgebra():
         compare_theorem1(c, trivial_comodule(d), trivial_comodule(c), 3)
     with pytest.raises(ValueError, match="comparison right comodule is not over the given coalgebra"):
         compare_theorem1(c, trivial_comodule(c), trivial_comodule(d), 3)
+
+
+@pytest.mark.parametrize(
+    "field, want",
+    [
+        (QQ, [1, 1, 1, 1, 1, 1]),
+        (GF(2), [1, 4, 13, 41, 129, 406]),
+        (GF(3), [1, 2, 3, 4, 5, 6]),
+        (GF(7), [1, 2, 4, 8, 16, 32]),
+    ],
+    ids=["QQ", "GF2", "GF3", "GF7"],
+)
+def test_binomial_coalgebra_ext_depends_on_the_characteristic_and_four_pipelines_agree(field, want):
+    # p <= the top degree 8, so some C(n, i) vanish mod p and the tables differ from QQ's
+    c = binomial_coalgebra(8, field)
+    assert validate(c).ok
+    assert ext_table(build_cobar(c, 5)).dims() == want
+    assert ext_table(build_cobar(opposite(c), 5)).dims() == want
+    assert bar_ext_table(dual_algebra(c), 5).dims() == want
+    assert betti_dims(minimal_coresolution(trivial_comodule(c), 5)) == want
+
+
+NEGATIVE_BOUNDS = {
+    "cobar_with_coefficients": (lambda c, k, a, t: ext_table(cobar_with_coefficients(c, k, -1)), "imax must be >= 0"),
+    "compare_theorem1": (lambda c, k, a, t: compare_theorem1(c, k, k, -1), "n must be >= 0"),
+    "comodule_ext_dims": (lambda c, k, a, t: comodule_ext_dims(c, k, k, -1), "n must be >= 0"),
+    "module_ext": (lambda c, k, a, t: module_ext(a, t, t, -1), "n must be >= 0"),
+    "minimal_free_resolution": (lambda c, k, a, t: minimal_free_resolution(t, -1), "n must be >= 0"),
+    "free_resolution_as_initially_projective": (
+        lambda c, k, a, t: free_resolution_as_initially_projective(t, -1),
+        "n must be >= 0",
+    ),
+    "ext_via_initially_projective": (
+        lambda c, k, a, t: ext_via_initially_projective(free_resolution_as_initially_projective(t, 2), t, -1),
+        "n must be >= 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NEGATIVE_BOUNDS)
+def test_entry_points_refuse_a_negative_bound(name):
+    call, message = NEGATIVE_BOUNDS[name]
+    c = divided_line()
+    a = dual_algebra(c)
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call(c, trivial_comodule(c), a, trivial_module(a))
 
 
 def test_compare_theorem1_injective_coefficients():

@@ -14,6 +14,7 @@ from cobarlab.coalg import (
 )
 from cobarlab.dualalg import dual_algebra, opposite_algebra
 from cobarlab.exactlin import GF, QQ
+from cobarlab.exttable import ExtTable
 from cobarlab.presentation import (
     SchemaError,
     dumps_presentation,
@@ -138,6 +139,21 @@ def _doc(**overrides):
     return base
 
 
+def _edited(obj, *drop, **over):
+    """The presentation of ``obj`` with the keys ``drop`` removed and ``over`` set."""
+    doc = presentation_of(obj)
+    for key in drop:
+        del doc[key]
+    doc.update(over)
+    return doc
+
+
+def _graded_with_component(key):
+    doc = presentation_of(symmetric_coalgebra(2, 2, QQ))
+    doc["components"][key] = []
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc, fragment",
     [
@@ -154,6 +170,29 @@ def _doc(**overrides):
         (_doc(grouplike=5), "$.grouplike"),
         (_doc(dim=0), "$.dim"),
         (_doc(degrees=[0]), "$.degrees"),
+        (_edited(divided_line(), "field"), "$.field: missing"),
+        (_edited(divided_line(), field=[1]), "$.field: expected an object"),
+        (_edited(divided_line(), "dim"), "$.dim: missing"),
+        (_edited(divided_line(), "comul"), "$.comul: missing"),
+        (_edited(symmetric_coalgebra(2, 2, QQ), "field"), "$.field: missing"),
+        (_edited(symmetric_coalgebra(2, 2, QQ), "dims"), "$.dims: missing"),
+        (_edited(symmetric_coalgebra(2, 2, QQ), "components"), "$.components: missing"),
+        (_edited(symmetric_coalgebra(2, 2, QQ), components=[]), "$.components: expected an object"),
+        (_graded_with_component("2,x,1"), "$.components['2,x,1']: keys look like \"j,p,q\""),
+        (_graded_with_component("3,1,2"), "$.components['3,1,2']: component key out of range"),
+        (_graded_with_component("2,2,1"), "$.components['2,2,1']: component key out of range"),
+        (_edited(dual_algebra(divided_line()), "field"), "$.field: missing"),
+        (_edited(dual_algebra(divided_line()), field="QQ"), "$.field: expected an object"),
+        (_edited(dual_algebra(divided_line()), "unit"), "$.unit: missing"),
+        (_edited(dual_algebra(divided_line()), "mult"), "$.mult: missing"),
+        (_edited(trivial_comodule(divided_line()), "base"), "$.base: missing"),
+        (_edited(trivial_comodule(divided_line()), "dim"), "$.dim: missing"),
+        (_edited(trivial_comodule(divided_line()), "coaction"), "$.coaction: missing"),
+        (_edited(trivial_comodule(divided_line()), base=[]), "$.base: expected an object"),
+        # a missing required key is named before a malformed field is read
+        (_edited(divided_line(), "dim", field=7), "$.dim: missing"),
+        (_edited(dual_algebra(divided_line()), "mult", field=None), "$.mult: missing"),
+        (_edited(symmetric_coalgebra(2, 2, QQ), "dims", field=[]), "$.dims: missing"),
     ],
 )
 def test_schema_errors_name_their_location(doc, fragment):
@@ -194,3 +233,8 @@ def test_comodule_base_must_be_finite():
     with pytest.raises(SchemaError) as err:
         parse_presentation(doc)
     assert "$.base" in str(err.value)
+
+
+def test_presentation_of_refuses_an_unsupported_type():
+    with pytest.raises(TypeError, match="^no presentation for 'ExtTable'$"):
+        presentation_of(ExtTable("finite", {0: 1}, 0))
